@@ -237,10 +237,11 @@ def embedding_lookup(table: Tensor, ids) -> Tensor:
 
 
 def masked_softmax(scores: Tensor, mask) -> Tensor:
-    """Row softmax of ``scores + mask`` where the mask holds 0 or -inf.
+    """Row softmax of ``scores + mask`` for an additive mask.
 
-    Rows that are entirely masked produce all zeros (not NaN) and
-    contribute zero gradient.
+    A mask entry of -inf blocks its column; a finite entry is a bias added
+    to the score (0 leaves it unchanged). Rows that are entirely blocked
+    produce all zeros (not NaN) and contribute zero gradient.
     """
     scores = _as_tensor(scores)
     mask = np.asarray(mask.data if isinstance(mask, Tensor) else mask, dtype=scores.dtype)

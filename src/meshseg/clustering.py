@@ -19,7 +19,6 @@ __all__ = [
     "ClusterAssignment",
     "cluster_count",
     "ward_constrained",
-    "co_membership",
 ]
 
 
@@ -165,8 +164,3 @@ def ward_constrained(
         assignment=assignment, num_clusters=len(order), merges=tuple(merges)
     )
 
-
-def co_membership(assignment: ClusterAssignment) -> np.ndarray:
-    """Binary matrix with 1 where two triangles share a cluster (J J^T)."""
-    ids = assignment.assignment
-    return (ids[:, np.newaxis] == ids[np.newaxis, :]).astype(np.float64)

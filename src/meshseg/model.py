@@ -1,11 +1,19 @@
 """The two-stream mesh transformer.
 
-One stream carries per-triangle tokens with adjacency-masked
-self-attention; the other carries cluster tokens with full self-attention
-over real faces. Each layer exchanges information across the streams:
-triangle tokens receive the average of their cluster's tokens, cluster
-tokens aggregate same-cluster triangle tokens through masked
-cross-attention. Only the triangle stream feeds the classification head.
+One stream carries N per-triangle tokens with adjacency-masked
+self-attention. The other carries one token per cluster, plus one for the
+padding cluster when the sample is padded. Each layer exchanges
+information across the streams: every triangle token receives a
+projection of its cluster's token, and each cluster token attends over
+its member triangles through masked cross-attention.
+
+The paper holds the cluster stream as N rows, one copy of the cluster's
+token per triangle. Attending over n_c identical key/value rows equals
+attending over one row whose score carries a bias of +log n_c, so cluster
+self-attention runs on the K cluster tokens under that bias and gives the
+same eval-mode scores at a fraction of the cost. Only the triangle stream
+feeds the classification head, so the last layer skips its cluster-stream
+update.
 """
 
 from __future__ import annotations
@@ -131,32 +139,37 @@ def init_params(
 
 @dataclass(frozen=True)
 class AttentionMasks:
-    """Additive masks (0 allowed, -inf blocked) plus the row-normalized
-    co-membership used for cluster averaging."""
+    """Additive attention masks (0 allows, -inf blocks, a finite value
+    biases the score) plus the cluster sizes. K counts the cluster tokens:
+    one per cluster, and one more for the padding cluster when padded."""
 
-    adjacency: np.ndarray  # self plus dual-graph neighbors
-    cluster: np.ndarray  # same-cluster pairs (diagonal allowed)
-    cluster_avg: np.ndarray  # row-normalized co-membership
-    real: np.ndarray  # real columns (plus self) for the cluster stream
+    adjacency: np.ndarray  # (N, N) self plus dual-graph neighbors
+    membership: np.ndarray  # (K, N) each cluster over its member triangles
+    cluster_bias: np.ndarray  # (K, K) cluster-to-cluster, log n_c per key
+    cluster_sizes: np.ndarray  # (K,) member count n_c
 
 
 def build_masks(sample: Sample, dtype=np.float32) -> AttentionMasks:
     n = sample.n_total
-    neg_inf = -np.inf
-    eye = np.eye(n, dtype=bool)
+    k = sample.num_clusters + (1 if sample.has_padding else 0)
+    allowed_adj = np.eye(n, dtype=bool) | (sample.adjacency.to_dense() > 0)
+    member = np.arange(k)[:, np.newaxis] == sample.cluster_ids[np.newaxis, :]
+    sizes = member.sum(axis=1)
 
-    allowed_adj = eye | (sample.adjacency.to_dense() > 0)
-    adjacency = np.where(allowed_adj, 0.0, neg_inf).astype(dtype)
-
-    co = sample.co_membership() > 0
-    cluster = np.where(co, 0.0, neg_inf).astype(dtype)
-    cluster_avg = (co / co.sum(axis=1, keepdims=True)).astype(dtype)
-
-    # the cluster stream attends over real faces only; padding rows keep a
-    # self-loop so their residual path stays finite
-    allowed_real = sample.real_mask[np.newaxis, :] | eye
-    real = np.where(allowed_real, 0.0, neg_inf).astype(dtype)
-    return AttentionMasks(adjacency=adjacency, cluster=cluster, cluster_avg=cluster_avg, real=real)
+    # one key with bias log n_c weighs as much as n_c identical keys. Real
+    # clusters never attend to the padding cluster; the padding cluster
+    # attends to the real ones and to one copy of itself, as each padding
+    # face attended to the real faces and to itself alone
+    bias = np.tile(np.log(sizes), (k, 1))
+    if sample.has_padding:
+        bias[:-1, -1] = -np.inf
+        bias[-1, -1] = 0.0
+    return AttentionMasks(
+        adjacency=np.where(allowed_adj, 0.0, -np.inf).astype(dtype),
+        membership=np.where(member, 0.0, -np.inf).astype(dtype),
+        cluster_bias=bias.astype(dtype),
+        cluster_sizes=sizes.astype(dtype),
+    )
 
 
 def _linear(p, name, x, activation=False):
@@ -193,75 +206,58 @@ def _dropout(x, cfg, training, rng):
     return ad.dropout(x, cfg.dropout, training, rng)
 
 
-def met_layer(p, prefix, e_tok, p_tok, masks, cfg, training, rng):
-    """One two-stream layer; both cross-stream updates read the layer input."""
-    if not cfg.use_cluster_stream:
-        sa = multi_head_attention(
-            p, f"{prefix}.sa_t", *( [_layer_norm(p, f"{prefix}.sa_t.ln", e_tok)] * 3 ),
-            masks.adjacency, cfg.num_heads,
+def _residual(x, update, cfg, training, rng):
+    return ad.add(_dropout(update, cfg, training, rng), x)
+
+
+def _self_attention(p, name, x, mask, cfg):
+    h = _layer_norm(p, f"{name}.ln", x)
+    return multi_head_attention(p, name, h, h, h, mask, cfg.num_heads)
+
+
+def _feed_forward(p, name, x):
+    h = _linear(p, f"{name}.ff1", _layer_norm(p, f"{name}.ln", x), activation=True)
+    return _linear(p, f"{name}.ff2", h)
+
+
+def met_layer(p, prefix, e_tok, p_tok, masks, cluster_ids, cfg, training, rng, last):
+    """One two-stream layer on N triangle tokens and K cluster tokens.
+
+    Both cross-stream updates read the layer input. Only the triangle
+    stream feeds the head, so the ``last`` layer returns ``p_tok``
+    unchanged, as does the cluster-stream ablation.
+    """
+    e_in = e_tok
+    if cfg.use_cluster_stream:
+        # triangle-from-cluster: the paper's average C·P over per-triangle
+        # copies is the triangle's own cluster token; the sum is n_c times it
+        mix = p_tok
+        if cfg.tc_sum:
+            sizes = np.broadcast_to(masks.cluster_sizes[:, np.newaxis], p_tok.shape)
+            mix = ad.mul(p_tok, Tensor(sizes))
+        tc_ff = _linear(p, f"{prefix}.tc.ff", mix, activation=True)
+        e_in = _residual(
+            _layer_norm(p, f"{prefix}.tc.ln", e_tok),
+            ad.embedding_lookup(tc_ff, cluster_ids), cfg, training, rng,
         )
-        e_mid = ad.add(_dropout(sa, cfg, training, rng), e_tok)
-        e_out = ad.add(
-            _dropout(
-                _linear(p, f"{prefix}.res_t.ff2",
-                        _linear(p, f"{prefix}.res_t.ff1",
-                                _layer_norm(p, f"{prefix}.res_t.ln", e_mid), activation=True)),
-                cfg, training, rng,
-            ),
-            e_mid,
-        )
+    e_mid = _residual(
+        e_in, _self_attention(p, f"{prefix}.sa_t", e_in, masks.adjacency, cfg), cfg, training, rng
+    )
+    e_out = _residual(e_mid, _feed_forward(p, f"{prefix}.res_t", e_mid), cfg, training, rng)
+    if last or not cfg.use_cluster_stream:
         return e_out, p_tok
 
-    # triangle-from-cluster update: normalized tokens plus a projection of
-    # the per-cluster average (or literal sum) of cluster tokens
-    if cfg.tc_sum:
-        cp = (masks.cluster_avg > 0).astype(masks.cluster_avg.dtype)
-    else:
-        cp = masks.cluster_avg
-    cluster_mix = ad.matmul(Tensor(cp), p_tok)
-    tc = ad.add(
-        _layer_norm(p, f"{prefix}.tc.ln", e_tok),
-        _dropout(_linear(p, f"{prefix}.tc.ff", cluster_mix, activation=True), cfg, training, rng),
-    )
-
-    # cluster-from-triangle update: queries from normalized cluster tokens,
-    # keys/values from the raw triangle tokens, same-cluster mask
+    # cluster-from-triangle: queries from normalized cluster tokens,
+    # keys/values from the raw tokens of the cluster's own triangles
     ct_attn = multi_head_attention(
         p, f"{prefix}.ct", _layer_norm(p, f"{prefix}.ct.ln", p_tok), e_tok, e_tok,
-        masks.cluster, cfg.num_heads,
+        masks.membership, cfg.num_heads,
     )
-    ct = ad.add(_dropout(ct_attn, cfg, training, rng), p_tok)
-
-    sa_t_in = _layer_norm(p, f"{prefix}.sa_t.ln", tc)
-    sa_t = multi_head_attention(
-        p, f"{prefix}.sa_t", sa_t_in, sa_t_in, sa_t_in, masks.adjacency, cfg.num_heads
+    ct = _residual(p_tok, ct_attn, cfg, training, rng)
+    p_mid = _residual(
+        ct, _self_attention(p, f"{prefix}.sa_p", ct, masks.cluster_bias, cfg), cfg, training, rng
     )
-    e_mid = ad.add(_dropout(sa_t, cfg, training, rng), tc)
-
-    sa_p_in = _layer_norm(p, f"{prefix}.sa_p.ln", ct)
-    sa_p = multi_head_attention(
-        p, f"{prefix}.sa_p", sa_p_in, sa_p_in, sa_p_in, masks.real, cfg.num_heads
-    )
-    p_mid = ad.add(_dropout(sa_p, cfg, training, rng), ct)
-
-    e_out = ad.add(
-        _dropout(
-            _linear(p, f"{prefix}.res_t.ff2",
-                    _linear(p, f"{prefix}.res_t.ff1",
-                            _layer_norm(p, f"{prefix}.res_t.ln", e_mid), activation=True)),
-            cfg, training, rng,
-        ),
-        e_mid,
-    )
-    p_out = ad.add(
-        _dropout(
-            _linear(p, f"{prefix}.res_p.ff2",
-                    _linear(p, f"{prefix}.res_p.ff1",
-                            _layer_norm(p, f"{prefix}.res_p.ln", p_mid), activation=True)),
-            cfg, training, rng,
-        ),
-        p_mid,
-    )
+    p_out = _residual(p_mid, _feed_forward(p, f"{prefix}.res_p", p_mid), cfg, training, rng)
     return e_out, p_out
 
 
@@ -305,11 +301,12 @@ def met_forward(
 
     t = Tensor(_masked_features(sample, cfg, dtype))
     e_tok = _dropout(_linear(params, "embed", t, activation=True), cfg, training, rng)
-    p_tok = ad.embedding_lookup(params["cluster_embed"], sample.cluster_ids)
+    p_tok = ad.embedding_lookup(params["cluster_embed"], np.arange(pad_clusters))
 
     for i in range(cfg.num_layers):
         e_tok, p_tok = met_layer(
-            params, f"layers.{i}", e_tok, p_tok, masks, cfg, training, rng
+            params, f"layers.{i}", e_tok, p_tok, masks, sample.cluster_ids, cfg, training, rng,
+            last=i == cfg.num_layers - 1,
         )
 
     hidden = _dropout(_linear(params, "head.ff1", e_tok, activation=True), cfg, training, rng)

@@ -111,10 +111,6 @@ class Sample:
         j[np.arange(self.n_total), self.cluster_ids] = 1.0
         return j
 
-    def co_membership(self) -> np.ndarray:
-        ids = self.cluster_ids
-        return (ids[:, np.newaxis] == ids[np.newaxis, :]).astype(np.float64)
-
     def validate(self):
         n = self.n_total
         assert self.features.shape[0] == n

@@ -297,11 +297,12 @@ def train(
                             masks=prep.masks,
                             weights=prep.weights,
                         )
-                    _, loss = _forward_loss(
+                    loss = _forward_loss(
                         prep, params, model_cfg, training=True, rng=sample_rng
-                    )
+                    )[1]
                     batch_loss += loss.item()
                     ad.backward(loss)
+                    del loss  # free this graph before the next forward or eval builds one
                 batch_loss /= len(batch)
                 if not np.isfinite(batch_loss):
                     raise TrainingDivergedError(

@@ -1,0 +1,153 @@
+"""Reference two-stream network with the cluster stream held densely.
+
+This is the original formulation of the paper, kept as the oracle for
+``meshseg.model``: the cluster stream carries one row per triangle (N
+copies of each cluster token), the triangle-from-cluster update is an
+N x N cluster-average matmul, and cluster cross- and self-attention are
+N x N masked attentions. In eval mode it computes the same scores as the
+model's K-token cluster stream; it is slow and memory-hungry, so it is
+only run on the small test samples.
+"""
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from meshseg import autodiff as ad
+from meshseg.autodiff import Tensor
+from meshseg.errors import ConfigError
+from meshseg.model import (
+    _dropout,
+    _layer_norm,
+    _linear,
+    _masked_features,
+    multi_head_attention,
+)
+
+
+def co_membership(ids) -> np.ndarray:
+    """Binary matrix with 1 where two triangles share a cluster id (J J^T)."""
+    ids = np.asarray(ids)
+    return (ids[:, np.newaxis] == ids[np.newaxis, :]).astype(np.float64)
+
+
+@dataclass(frozen=True)
+class DenseMasks:
+    """Additive masks (0 allowed, -inf blocked) plus the row-normalized
+    co-membership used for cluster averaging."""
+
+    adjacency: np.ndarray  # self plus dual-graph neighbors
+    cluster: np.ndarray  # same-cluster pairs (diagonal allowed)
+    cluster_avg: np.ndarray  # row-normalized co-membership
+    real: np.ndarray  # real columns (plus self) for the cluster stream
+
+
+def dense_masks(sample, dtype=np.float64) -> DenseMasks:
+    n = sample.n_total
+    neg_inf = -np.inf
+    eye = np.eye(n, dtype=bool)
+
+    allowed_adj = eye | (sample.adjacency.to_dense() > 0)
+    adjacency = np.where(allowed_adj, 0.0, neg_inf).astype(dtype)
+
+    co = co_membership(sample.cluster_ids) > 0
+    cluster = np.where(co, 0.0, neg_inf).astype(dtype)
+    cluster_avg = (co / co.sum(axis=1, keepdims=True)).astype(dtype)
+
+    # the cluster stream attends over real faces only; padding rows keep a
+    # self-loop so their residual path stays finite
+    allowed_real = sample.real_mask[np.newaxis, :] | eye
+    real = np.where(allowed_real, 0.0, neg_inf).astype(dtype)
+    return DenseMasks(adjacency=adjacency, cluster=cluster, cluster_avg=cluster_avg, real=real)
+
+
+def dense_layer(p, prefix, e_tok, p_tok, masks, cfg, training, rng):
+    """One two-stream layer; both cross-stream updates read the layer input."""
+    if not cfg.use_cluster_stream:
+        sa = multi_head_attention(
+            p, f"{prefix}.sa_t", *([_layer_norm(p, f"{prefix}.sa_t.ln", e_tok)] * 3),
+            masks.adjacency, cfg.num_heads,
+        )
+        e_mid = ad.add(_dropout(sa, cfg, training, rng), e_tok)
+        e_out = ad.add(
+            _dropout(
+                _linear(p, f"{prefix}.res_t.ff2",
+                        _linear(p, f"{prefix}.res_t.ff1",
+                                _layer_norm(p, f"{prefix}.res_t.ln", e_mid), activation=True)),
+                cfg, training, rng,
+            ),
+            e_mid,
+        )
+        return e_out, p_tok
+
+    # triangle-from-cluster update: normalized tokens plus a projection of
+    # the per-cluster average (or literal sum) of cluster tokens
+    if cfg.tc_sum:
+        cp = (masks.cluster_avg > 0).astype(masks.cluster_avg.dtype)
+    else:
+        cp = masks.cluster_avg
+    cluster_mix = ad.matmul(Tensor(cp), p_tok)
+    tc = ad.add(
+        _layer_norm(p, f"{prefix}.tc.ln", e_tok),
+        _dropout(_linear(p, f"{prefix}.tc.ff", cluster_mix, activation=True), cfg, training, rng),
+    )
+
+    # cluster-from-triangle update: queries from normalized cluster tokens,
+    # keys/values from the raw triangle tokens, same-cluster mask
+    ct_attn = multi_head_attention(
+        p, f"{prefix}.ct", _layer_norm(p, f"{prefix}.ct.ln", p_tok), e_tok, e_tok,
+        masks.cluster, cfg.num_heads,
+    )
+    ct = ad.add(_dropout(ct_attn, cfg, training, rng), p_tok)
+
+    sa_t_in = _layer_norm(p, f"{prefix}.sa_t.ln", tc)
+    sa_t = multi_head_attention(
+        p, f"{prefix}.sa_t", sa_t_in, sa_t_in, sa_t_in, masks.adjacency, cfg.num_heads
+    )
+    e_mid = ad.add(_dropout(sa_t, cfg, training, rng), tc)
+
+    sa_p_in = _layer_norm(p, f"{prefix}.sa_p.ln", ct)
+    sa_p = multi_head_attention(
+        p, f"{prefix}.sa_p", sa_p_in, sa_p_in, sa_p_in, masks.real, cfg.num_heads
+    )
+    p_mid = ad.add(_dropout(sa_p, cfg, training, rng), ct)
+
+    e_out = ad.add(
+        _dropout(
+            _linear(p, f"{prefix}.res_t.ff2",
+                    _linear(p, f"{prefix}.res_t.ff1",
+                            _layer_norm(p, f"{prefix}.res_t.ln", e_mid), activation=True)),
+            cfg, training, rng,
+        ),
+        e_mid,
+    )
+    p_out = ad.add(
+        _dropout(
+            _linear(p, f"{prefix}.res_p.ff2",
+                    _linear(p, f"{prefix}.res_p.ff1",
+                            _layer_norm(p, f"{prefix}.res_p.ln", p_mid), activation=True)),
+            cfg, training, rng,
+        ),
+        p_mid,
+    )
+    return e_out, p_out
+
+
+def dense_forward(sample, params, cfg, training=False, rng=None) -> Tensor:
+    """Per-triangle class scores, shape (n_total, num_classes)."""
+    if sample.features.shape[1] != cfg.feature_width:
+        raise ConfigError(
+            f"feature width {sample.features.shape[1]} != configured {cfg.feature_width}"
+        )
+    dtype = params["embed.w"].dtype
+    masks = dense_masks(sample, dtype=dtype)
+
+    t = Tensor(_masked_features(sample, cfg, dtype))
+    e_tok = _dropout(_linear(params, "embed", t, activation=True), cfg, training, rng)
+    p_tok = ad.embedding_lookup(params["cluster_embed"], sample.cluster_ids)
+
+    for i in range(cfg.num_layers):
+        e_tok, p_tok = dense_layer(params, f"layers.{i}", e_tok, p_tok, masks, cfg, training, rng)
+
+    hidden = _dropout(_linear(params, "head.ff1", e_tok, activation=True), cfg, training, rng)
+    return _linear(params, "head.ff2", hidden)

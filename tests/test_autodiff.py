@@ -113,6 +113,21 @@ class TestMaskedSoftmax:
         ad.backward(ad.reduce_sum(out))
         np.testing.assert_array_equal(x.grad, [[0.0, 0.0]])
 
+    def test_log_count_bias_equals_repeated_keys(self, rng):
+        # attending over a key/value row repeated n times equals attending
+        # over one copy whose score carries a bias of log n
+        counts = np.array([3, 1, 5])
+        keys = rng.normal(size=(3, 4))
+        values = rng.normal(size=(3, 2))
+        queries = rng.normal(size=(2, 4))
+        repeated = np.repeat(np.arange(3), counts)
+        wide = ad.masked_softmax(
+            Tensor(queries @ keys[repeated].T), np.zeros((2, counts.sum()))
+        ).data @ values[repeated]
+        bias = np.tile(np.log(counts), (2, 1))
+        narrow = ad.masked_softmax(Tensor(queries @ keys.T), bias).data @ values
+        np.testing.assert_allclose(narrow, wide, atol=1e-14)
+
     def test_extreme_scores_stable(self):
         out = ad.masked_softmax(Tensor(np.array([[1000.0, 0.0]])), np.zeros((1, 2)))
         assert np.isfinite(out.data).all()

@@ -8,7 +8,6 @@ from meshseg import autodiff as ad
 from meshseg.autodiff import Tensor
 from meshseg.errors import ConfigError
 from meshseg.model import (
-    AttentionMasks,
     ModelConfig,
     build_masks,
     init_params,
@@ -20,6 +19,7 @@ from meshseg.model import (
 from meshseg.preprocess import pad_sample
 
 from conftest import permute_sample, small_model_config, small_sample
+from dense_model import dense_forward, dense_masks
 
 
 def make_model(sample, dtype=np.float64, seed=0, **overrides):
@@ -46,18 +46,87 @@ class TestBuildMasks:
         sample = small_sample(target_faces=24)
         masks = build_masks(sample, dtype=np.float64)
         n = sample.n_total
-        # diagonal always allowed in all additive masks
-        assert (np.diag(masks.adjacency) == 0).all()
-        assert (np.diag(masks.cluster) == 0).all()
+        k = sample.num_clusters + 1  # plus the padding cluster
         # adjacency mask allows exactly self plus dual-graph neighbors
         dense = sample.adjacency.to_dense() + np.eye(n)
         np.testing.assert_array_equal(masks.adjacency == 0, dense > 0)
+        assert np.isneginf(masks.adjacency[dense == 0]).all()
+        # each triangle is allowed in exactly the membership row of its cluster
+        assert masks.membership.shape == (k, n)
+        assert set(np.unique(masks.membership)) == {0.0, -np.inf}
+        np.testing.assert_array_equal(np.argmax(masks.membership == 0, axis=0), sample.cluster_ids)
+        np.testing.assert_array_equal((masks.membership == 0).sum(axis=0), 1)
+        sizes = np.bincount(sample.cluster_ids, minlength=k)
+        np.testing.assert_array_equal(masks.cluster_sizes, sizes)
+        # every query cluster weighs a real key cluster by log n_c
+        assert masks.cluster_bias.shape == (k, k)
+        real = slice(0, sample.num_clusters)
+        np.testing.assert_allclose(
+            masks.cluster_bias[:, real], np.tile(np.log(sizes[real]), (k, 1)), atol=1e-15
+        )
+        # real clusters never see the padding cluster; it sees itself once
+        assert np.isneginf(masks.cluster_bias[real, -1]).all()
+        assert masks.cluster_bias[-1, -1] == 0.0
+
+    def test_unpadded_has_no_padding_cluster(self):
+        sample = small_sample()
+        masks = build_masks(sample, dtype=np.float64)
+        k = sample.num_clusters
+        assert masks.membership.shape == (k, sample.n_total)
+        assert np.isfinite(masks.cluster_bias).all()
+        np.testing.assert_array_equal(masks.cluster_sizes, np.bincount(sample.cluster_ids))
+
+    def test_dense_oracle_structure(self):
+        sample = small_sample(target_faces=24)
+        masks = dense_masks(sample, dtype=np.float64)
+        n = sample.n_total
+        # diagonal always allowed in all additive masks
+        assert (np.diag(masks.adjacency) == 0).all()
+        assert (np.diag(masks.cluster) == 0).all()
+        # adjacency mask allows exactly self plus dual-graph neighbors, as
+        # the model's own mask does
+        dense = sample.adjacency.to_dense() + np.eye(n)
+        np.testing.assert_array_equal(masks.adjacency == 0, dense > 0)
+        np.testing.assert_array_equal(masks.adjacency, build_masks(sample, np.float64).adjacency)
         # co-membership rows of cluster_avg sum to 1
         np.testing.assert_allclose(masks.cluster_avg.sum(axis=1), 1.0, atol=1e-12)
         # padding columns blocked for real rows in the cluster-stream mask
         real = sample.real_mask
         assert np.isneginf(masks.real[np.ix_(real, ~real)]).all()
         assert (masks.real[:, real] == 0).all()
+
+
+class TestDenseOracle:
+    """Eval-mode scores equal those of the dense per-triangle cluster
+    stream of the paper, on every row, padding rows included."""
+
+    @pytest.mark.parametrize("target_faces", [None, 31])
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {},
+            {"num_layers": 3},
+            {"num_layers": 3, "tc_sum": True},
+            {"num_layers": 1},
+            {"use_cluster_stream": False},
+        ],
+        ids=["2-layer", "3-layer", "3-layer-tc-sum", "1-layer", "ablated"],
+    )
+    def test_eval_scores_match(self, target_faces, overrides):
+        sample = small_sample(target_faces=target_faces)
+        cfg, params = make_model(sample, seed=4, **overrides)
+        scores = met_forward(sample, params, cfg).data
+        expected = dense_forward(sample, params, cfg).data
+        assert scores.shape == (sample.n_total, cfg.num_classes)
+        assert np.abs(scores - expected).max() <= 1e-6
+
+    def test_eval_scores_match_on_permuted_clusters(self, rng):
+        # cluster ids interleaved across the face order, padded
+        sample = small_sample(target_faces=26, lam=2.0)
+        sample = permute_sample(sample, rng.permutation(sample.n_total))
+        cfg, params = make_model(sample, num_layers=3, max_clusters=16)
+        scores = met_forward(sample, params, cfg).data
+        assert np.abs(scores - dense_forward(sample, params, cfg).data).max() <= 1e-6
 
 
 class TestMultiHeadAttention:

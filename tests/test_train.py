@@ -263,6 +263,31 @@ class TestTrainLoop:
         _, history = train(samples, model_cfg, cfg, dtype=np.float64)
         assert history
 
+    def test_training_graph_released_before_closing_eval(self, monkeypatch):
+        import weakref
+
+        from meshseg import train as train_module
+
+        scores_refs = []
+        alive_at_eval = []
+        forward, run_evaluate = train_module.met_forward, train_module.evaluate
+
+        def traced_forward(*args, **kwargs):
+            scores = forward(*args, **kwargs)
+            if kwargs.get("training"):
+                scores_refs.append(weakref.ref(scores.data))
+            return scores
+
+        def traced_evaluate(*args, **kwargs):
+            alive_at_eval.append([ref() is not None for ref in scores_refs])
+            return run_evaluate(*args, **kwargs)
+
+        monkeypatch.setattr(train_module, "met_forward", traced_forward)
+        monkeypatch.setattr(train_module, "evaluate", traced_evaluate)
+        model_cfg = small_model_config(eigen_count=4)
+        train([small_sample()], model_cfg, quick_train_cfg(max_steps=1, eval_every=1))
+        assert alive_at_eval == [[False]]
+
     def test_full_model_gradient_vs_finite_difference(self):
         """Loss gradient w.r.t. sampled parameters matches central
         differences on the 20-face sample (64-bit)."""
