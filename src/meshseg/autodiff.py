@@ -46,9 +46,9 @@ def _check(cond: bool, op: str, *shapes):
 class Tensor:
     """A dense array plus the bookkeeping needed for backpropagation.
 
-    ``grad`` is populated (or accumulated into) by :func:`backward`;
-    constants built from plain arrays do not require gradients and are
-    pruned from the traversal.
+    ``grad`` is populated (or accumulated into) by :func:`backward` on
+    leaves, tensors without parents; constants built from plain arrays do
+    not require gradients and are pruned from the traversal.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward_fn")
@@ -343,11 +343,12 @@ def dropout(x: Tensor, p: float, training: bool, rng: np.random.Generator | None
 
 
 def backward(loss: Tensor) -> None:
-    """Backpropagate from a scalar loss, accumulating into ``.grad``.
+    """Backpropagate from a scalar loss, accumulating into ``.grad`` of leaves.
 
-    Gradients add onto any existing ``.grad`` arrays of reachable tensors
-    that require gradients, so per-sample losses in a batch can be
-    accumulated by repeated calls.
+    Leaves are reachable tensors without parents, such as parameters; their
+    gradients add onto any existing ``.grad``, so per-sample losses in a
+    batch can be accumulated by repeated calls. Intermediate tensors keep
+    ``.grad`` None.
     """
     if loss.data.size != 1:
         raise ValueError(f"loss must be scalar, got shape {loss.shape}")
@@ -381,7 +382,5 @@ def backward(loss: Tensor) -> None:
                     continue
                 acc = grads.get(id(parent))
                 grads[id(parent)] = pg.copy() if acc is None else acc + pg
-        if node.grad is None:
-            node.grad = g.copy()
-        else:
-            node.grad = node.grad + g
+        if not node._parents:
+            node.grad = g.copy() if node.grad is None else node.grad + g

@@ -31,11 +31,13 @@ from meshseg.errors import (
 )
 from meshseg.mesh_io import LabelVec, write_ply_colored
 from meshseg.preprocess import (
+    SPECTRAL_COLS,
     PreprocessConfig,
     build_sample,
     load_sample,
     save_sample,
 )
+from meshseg.spectral import normalized_laplacian
 
 logger = logging.getLogger("meshseg")
 
@@ -105,8 +107,6 @@ ABLATIONS = {
 def common_options(fn):
     fn = click.option("--config", "config_path", type=click.Path(exists=True), default=None,
                       help="JSON config file; flags override its values.")(fn)
-    fn = click.option("--seed", type=int, default=None, show_default="0",
-                      help="RNG seed for all stochastic steps.")(fn)
     return fn
 
 
@@ -165,7 +165,7 @@ def _preprocess_cfg(base, target_vertices, target_faces, eigen_count, clustering
 @common_options
 @preprocess_options
 @handles_errors
-def cmd_preprocess(in_dir, out_dir, split_path, config_path, seed,
+def cmd_preprocess(in_dir, out_dir, split_path, config_path,
                    target_vertices, target_faces, eigen_count, clustering_lambda,
                    no_simplify):
     """Turn a shapes/ + labels/ dataset directory into sample files."""
@@ -189,7 +189,7 @@ def cmd_preprocess(in_dir, out_dir, split_path, config_path, seed,
                 f"{mesh_path.stem:<24} {sample.n_real:>7} {sample.num_clusters:>8} "
                 f"{sample.eigen_count:>7}"
             )
-        except (MeshFormatError, DegenerateGeometryError, ValueError) as exc:
+        except (MeshFormatError, DegenerateGeometryError, EigensolverError, ValueError) as exc:
             failures += 1
             logger.error("failed on %s: %s", mesh_path.name, exc)
             click.echo(f"{mesh_path.stem:<24} FAILED: {exc}", err=True)
@@ -214,6 +214,8 @@ def _load_samples(samples_dir):
               help="Optimizer step budget.")
 @click.option("--lr", type=float, default=None, show_default="5e-5", help="Learning rate.")
 @click.option("--batch-size", type=int, default=None, show_default="12", help="Batch size.")
+@click.option("--seed", type=int, default=None, show_default="0",
+              help="RNG seed for initialization, batching, augmentation and dropout.")
 @common_options
 @model_options
 @handles_errors
@@ -269,7 +271,7 @@ def cmd_eval(samples_dir, checkpoint):
 @common_options
 @preprocess_options
 @handles_errors
-def cmd_segment(mesh_path, checkpoint, out_ply, config_path, seed,
+def cmd_segment(mesh_path, checkpoint, out_ply, config_path,
                 target_vertices, target_faces, eigen_count, clustering_lambda,
                 no_simplify):
     """Segment one mesh and write a colored PLY of the prediction."""
@@ -282,18 +284,9 @@ def cmd_segment(mesh_path, checkpoint, out_ply, config_path, seed,
     sample = build_sample(mesh, None, cfg)
     scores = modelmod.met_forward(sample, params, model_cfg)
     pred = scores.data.argmax(axis=1)[sample.real_mask]
-    # re-derive the simplified geometry the prediction refers to
-    from meshseg.preprocess import standardize_coords
-    from meshseg.mesh_io import Mesh, merge_duplicate_vertices
-    from meshseg.simplify import simplify_qem
-
-    merged = merge_duplicate_vertices(mesh, cfg.merge_eps)
-    if cfg.simplify and merged.num_vertices > cfg.target_vertices:
-        merged, _ = simplify_qem(merged, cfg.target_vertices)
-    merged = standardize_coords(merged)
     labels = LabelVec(labels=pred, num_classes=model_cfg.num_classes)
     palette = datamod.class_palette(model_cfg.num_classes)
-    Path(out_ply).write_text(write_ply_colored(merged, labels, palette))
+    Path(out_ply).write_text(write_ply_colored(sample.mesh(), labels, palette))
     click.echo(f"wrote {out_ply}")
 
 
@@ -301,59 +294,49 @@ def cmd_segment(mesh_path, checkpoint, out_ply, config_path, seed,
 @click.argument("mesh_path", type=click.Path(exists=True, dir_okay=False))
 @click.argument("out_dir", type=click.Path(file_okay=False))
 @click.option("--eigenvectors", type=int, default=3, show_default=True,
-              help="How many eigenvector PLYs to write.")
+              help="How many eigenvector PLYs to write (at most the eigen count).")
 @common_options
 @preprocess_options
 @handles_errors
-def cmd_inspect(mesh_path, out_dir, eigenvectors, config_path, seed,
+def cmd_inspect(mesh_path, out_dir, eigenvectors, config_path,
                 target_vertices, target_faces, eigen_count, clustering_lambda,
                 no_simplify):
-    """Dump eigenvector and cluster visualizations plus spectral stats."""
-    from meshseg import clustering as clustermod
-    from meshseg import spectral as spectralmod
-    from meshseg.preprocess import standardize_coords, triangle_centroids
-    from meshseg.mesh_io import merge_duplicate_vertices
-
+    """Dump eigenvector and cluster visualizations of the sample that
+    preprocess writes with the same flags, plus spectral stats."""
     base = load_run_config(config_path) if config_path else {}
     cfg = _preprocess_cfg(base, target_vertices, target_faces, eigen_count,
                           clustering_lambda, no_simplify)
-    mesh = datamod.load_mesh_file(Path(mesh_path))
-    mesh = merge_duplicate_vertices(mesh, cfg.merge_eps)
-    if cfg.simplify and mesh.num_vertices > cfg.target_vertices:
-        from meshseg.simplify import simplify_qem
-
-        mesh, _ = simplify_qem(mesh, cfg.target_vertices)
-    mesh = standardize_coords(mesh)
-    adj = spectralmod.build_dual_adjacency(mesh)
-    lap = spectralmod.normalized_laplacian(adj)
     n_vecs = max(eigenvectors, 1)
-    feats = spectralmod.laplacian_positional_features(lap, n_vecs)
+    if n_vecs > cfg.eigen_count:
+        raise ConfigError(f"--eigenvectors {eigenvectors} > eigen count {cfg.eigen_count}")
+    sample = build_sample(datamod.load_mesh_file(Path(mesh_path)), None, cfg)
+    mesh = sample.mesh()
+    real = sample.real_mask
+    feats = sample.features[:, SPECTRAL_COLS][:, :n_vecs]
+    # unit eigenvectors (or zero padding): v^T L v is each one's eigenvalue
+    lap = normalized_laplacian(sample.adjacency)
+    eigenvalues = np.einsum("ij,ij->j", feats, lap.matrix @ feats)
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    face_ids = LabelVec(labels=np.arange(mesh.num_faces), num_classes=mesh.num_faces)
     for col in range(n_vecs):
-        column = feats.features[:, col]
+        column = feats[real, col]
         lo, hi = column.min(), column.max()
         span = hi - lo if hi > lo else 1.0
         colors = [datamod.diverging_color((v - lo) / span) for v in column]
-        labels = LabelVec(labels=np.arange(mesh.num_faces), num_classes=mesh.num_faces)
-        text = write_ply_colored(mesh, labels, colors)
+        text = write_ply_colored(mesh, face_ids, colors)
         (out / f"eigenvector_{col:03d}.ply").write_text(text)
 
-    m = clustermod.cluster_count(mesh.num_vertices, cfg.clustering_lambda)
-    m = min(m, mesh.num_faces)
-    assignment = clustermod.ward_constrained(triangle_centroids(mesh), adj, m)
-    cluster_labels = LabelVec(
-        labels=assignment.assignment, num_classes=assignment.num_clusters
-    )
-    palette = datamod.class_palette(assignment.num_clusters)
+    cluster_labels = LabelVec(labels=sample.cluster_ids[real], num_classes=sample.num_clusters)
+    palette = datamod.class_palette(sample.num_clusters)
     (out / "clusters.ply").write_text(write_ply_colored(mesh, cluster_labels, palette))
 
     stats = {
-        "eigenvalues": feats.eigenvalues.tolist(),
+        "eigenvalues": eigenvalues.tolist(),
         "num_faces": mesh.num_faces,
         "num_vertices": mesh.num_vertices,
-        "num_clusters": assignment.num_clusters,
+        "num_clusters": sample.num_clusters,
         "lambda": cfg.clustering_lambda,
     }
     (out / "stats.json").write_text(json.dumps(stats, indent=2))

@@ -104,6 +104,14 @@ class Sample:
             raise DegenerateGeometryError("total face area is zero")
         return self.areas / total
 
+    def mesh(self) -> Mesh:
+        """The real faces, face i from the i-th real row's coordinate columns;
+        corners with bit-identical coordinates share a vertex, numbered in
+        order of first use. An augmented sample yields augmented geometry."""
+        corners = self.features[self.real_mask, COORD_COLS].reshape(-1, 3)
+        faces = np.arange(len(corners)).reshape(-1, 3)
+        return merge_duplicate_vertices(Mesh(vertices=corners, faces=faces), 0.0)
+
     def cluster_one_hot(self) -> np.ndarray:
         """One-hot cluster matrix; gains one padding column when padded."""
         width = self.num_clusters + (1 if self.has_padding else 0)

@@ -296,6 +296,15 @@ class TestBackwardMechanics:
         ad.backward(loss)
         np.testing.assert_allclose(x.grad, [18 * 2.0 + 3.0])
 
+    def test_only_leaves_keep_gradients(self):
+        x = Tensor(np.array([2.0]), requires_grad=True)
+        y = ad.scale(x, 3.0)
+        z = ad.mul(y, y)
+        loss = ad.reduce_sum(z)
+        ad.backward(loss)
+        assert y.grad is None and z.grad is None and loss.grad is None
+        np.testing.assert_array_equal(x.grad, [36.0])  # d(9x^2)/dx at x = 2
+
     def test_determinism_bit_identical(self, rng):
         a = rng.normal(size=(6, 6))
         b = rng.normal(size=(6, 6))

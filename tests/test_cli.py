@@ -1,15 +1,19 @@
 """End-to-end CLI flows on a tiny synthetic dataset."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from meshseg import data as datamod
+from meshseg import preprocess, simplify, spectral
 from meshseg.cli import main
-from meshseg.mesh_io import parse_ply
+from meshseg.errors import EigensolverError
+from meshseg.mesh_io import merge_duplicate_vertices, parse_ply
 from meshseg.model import ModelConfig, init_params, save_checkpoint
-from meshseg.preprocess import load_sample
+from meshseg.preprocess import PreprocessConfig, build_sample, load_sample
 
 from conftest import hemisphere_labeled_sphere, tetrahedron
 
@@ -100,6 +104,26 @@ class TestPreprocess:
         assert result.exit_code == 2
         assert "unknown config keys" in result.output
 
+    def test_eigensolver_failure_is_a_per_file_failure(self, dataset_dir, tmp_path,
+                                                        monkeypatch):
+        solve = spectral.smallest_eigenpairs
+        calls = []
+
+        def fail_first_mesh(lap, k, *args, **kwargs):
+            calls.append(k)
+            if len(calls) == 1:
+                raise EigensolverError("injected failure")
+            return solve(lap, k, *args, **kwargs)
+
+        monkeypatch.setattr(spectral, "smallest_eigenpairs", fail_first_mesh)
+        out = tmp_path / "samples"
+        result = run(["preprocess", str(dataset_dir), str(out), *PREPROCESS_FLAGS])
+        assert result.exit_code == 1
+        assert "sphere0" in result.output and "injected failure" in result.output
+        assert sorted(p.name for p in out.glob("*.sample")) == [
+            "sphere1.sample", "sphere2.sample"
+        ]
+
 
 @pytest.fixture
 def samples_dir(dataset_dir, tmp_path):
@@ -178,6 +202,64 @@ class TestSegment:
         assert len(colors) == 20
 
 
+SIMPLIFY_FLAGS = [
+    "--target-vertices", "42", "--target-faces", "100", "--lambda", "4",
+]
+
+
+@pytest.fixture
+def qem_mesh_path(tmp_path):
+    """A 162-vertex sphere that QEM simplifies to 42 vertices."""
+    mesh, _ = hemisphere_labeled_sphere(subdivisions=2, jitter=0.01, seed=3)
+    path = tmp_path / "sphere.off"
+    path.write_text(off_text(mesh))
+    return path
+
+
+@pytest.fixture
+def untrained_checkpoint(tmp_path):
+    cfg = ModelConfig(num_classes=2, eigen_count=4, d_t=16, d_p=16,
+                      num_layers=1, num_heads=2)
+    ckpt = tmp_path / "untrained.ckpt"
+    save_checkpoint(ckpt, init_params(cfg, np.random.default_rng(0)), cfg)
+    return ckpt
+
+
+class TestSegmentOnePipeline:
+    def test_simplifies_once(self, qem_mesh_path, untrained_checkpoint, tmp_path,
+                             monkeypatch):
+        qem = simplify.simplify_qem
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return qem(*args, **kwargs)
+
+        monkeypatch.setattr(simplify, "simplify_qem", counted)
+        monkeypatch.setattr(preprocess, "simplify_qem", counted)
+        result = run(["segment", str(qem_mesh_path), str(untrained_checkpoint),
+                      str(tmp_path / "seg.ply"), *SIMPLIFY_FLAGS])
+        assert result.exit_code == 0, result.output
+        assert len(calls) == 1
+
+    def test_ply_geometry_is_the_simplified_mesh(self, qem_mesh_path,
+                                                 untrained_checkpoint, tmp_path):
+        out_ply = tmp_path / "seg.ply"
+        result = run(["segment", str(qem_mesh_path), str(untrained_checkpoint),
+                      str(out_ply), *SIMPLIFY_FLAGS])
+        assert result.exit_code == 0, result.output
+        mesh = datamod.load_mesh_file(qem_mesh_path)
+        merged = merge_duplicate_vertices(mesh, PreprocessConfig().merge_eps)
+        simplified, _ = simplify.simplify_qem(merged, 42)
+        expected = preprocess.standardize_coords(simplified)
+        corners = expected.vertices[expected.faces]
+        rounded = np.vectorize(lambda x: float(f"{x:.9g}"))(corners)
+        ply, colors = parse_ply(out_ply.read_text())
+        assert simplified.num_vertices == 42
+        assert ply.num_faces == expected.num_faces == len(colors)
+        np.testing.assert_array_equal(ply.vertices[ply.faces], rounded)
+
+
 class TestInspect:
     def test_tetrahedron_outputs(self, tmp_path):
         mesh_path = tmp_path / "tetra.off"
@@ -206,6 +288,34 @@ class TestInspect:
         for name in ("eigenvector_000.ply", "clusters.ply"):
             assert (out1 / name).read_text() == (out2 / name).read_text()
 
+    def test_clusters_follow_the_config(self, dataset_dir, tmp_path):
+        mesh_path = dataset_dir / "shapes" / "sphere0.off"
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"cluster_on_features": True}))
+        out = tmp_path / "inspect"
+        result = run(["inspect", str(mesh_path), str(out), "--config", str(config),
+                      *PREPROCESS_FLAGS])
+        assert result.exit_code == 0, result.output
+        mesh = datamod.load_mesh_file(mesh_path)
+        cfg = PreprocessConfig(target_faces=20, eigen_count=4, clustering_lambda=4,
+                               simplify=False)
+        by_features = build_sample(mesh, None, replace(cfg, cluster_on_features=True))
+        by_centroids = build_sample(mesh, None, cfg)
+        assert (by_features.cluster_ids != by_centroids.cluster_ids).any()
+        palette = np.array(datamod.class_palette(by_features.num_clusters))
+        _, colors = parse_ply((out / "clusters.ply").read_text())
+        np.testing.assert_array_equal(colors, palette[by_features.cluster_ids])
+        stats = json.loads((out / "stats.json").read_text())
+        assert stats["num_clusters"] == by_features.num_clusters
+
+    def test_more_eigenvectors_than_eigen_count_exits_2(self, tmp_path):
+        mesh_path = tmp_path / "tetra.off"
+        mesh_path.write_text(off_text(tetrahedron()))
+        result = run(["inspect", str(mesh_path), str(tmp_path / "out"),
+                      "--eigen-count", "4", "--eigenvectors", "5", "--no-simplify"])
+        assert result.exit_code == 2
+        assert "--eigenvectors 5" in result.output
+
 
 class TestHelp:
     def test_help_lists_subcommands(self):
@@ -220,3 +330,8 @@ class TestHelp:
         result = run(["train", "--help"])
         assert "512" in result.output
         assert "5e-5" in result.output
+
+    def test_seed_only_on_train(self):
+        for cmd in ("preprocess", "segment", "inspect"):
+            assert "--seed" not in run([cmd, "--help"]).output
+        assert "--seed" in run(["train", "--help"]).output

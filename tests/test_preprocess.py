@@ -210,6 +210,37 @@ class TestBuildSample:
         sample.validate()
 
 
+class TestSampleMesh:
+    def padded_sphere(self):
+        mesh, _ = hemisphere_labeled_sphere(subdivisions=1, jitter=0.02)
+        cfg = PreprocessConfig(target_faces=100, eigen_count=4, simplify=False)
+        return mesh, build_sample(mesh, None, cfg)
+
+    def test_padded_sample_yields_real_faces(self):
+        mesh, sample = self.padded_sphere()
+        decoded = sample.mesh()
+        expected = standardize_coords(mesh)
+        assert sample.n_total == 100
+        assert decoded.num_faces == sample.n_real == 80
+        assert decoded.num_vertices == mesh.num_vertices
+        np.testing.assert_array_equal(
+            decoded.vertices[decoded.faces], expected.vertices[expected.faces]
+        )
+
+    def test_augmented_sample_yields_augmented_geometry(self):
+        from meshseg.train import augment
+
+        _, sample = self.padded_sphere()
+        moved = augment(sample, np.random.default_rng(3))
+        decoded = moved.mesh()
+        np.testing.assert_array_equal(decoded.faces, sample.mesh().faces)
+        np.testing.assert_array_equal(
+            decoded.vertices[decoded.faces].reshape(-1, 9),
+            moved.features[moved.real_mask, COORD_COLS],
+        )
+        assert not np.allclose(decoded.vertices, sample.mesh().vertices)
+
+
 class TestTriangleAreas:
     def test_right_triangle(self):
         mesh = Mesh(vertices=[[0, 0, 0], [2, 0, 0], [0, 2, 0]], faces=[[0, 1, 2]])
