@@ -2,7 +2,8 @@
 
 Tensors wrap numpy arrays and record their provenance; ``backward`` walks
 the graph in reverse topological order with a deterministic accumulation
-order. Only the primitives the segmentation network needs are provided:
+order. Only the primitives the segmentation network and its dense
+reference implementation in the tests need are provided:
 no general broadcasting beyond bias addition, no views, no in-place math
 on live graph nodes.
 """
@@ -10,6 +11,7 @@ on live graph nodes.
 from __future__ import annotations
 
 import numpy as np
+import scipy.sparse as sp
 
 __all__ = [
     "Tensor",
@@ -26,6 +28,8 @@ __all__ = [
     "reduce_mean",
     "embedding_lookup",
     "masked_softmax",
+    "attention",
+    "neighbor_attention",
     "log_softmax",
     "gather_rows",
     "layer_norm",
@@ -236,6 +240,18 @@ def embedding_lookup(table: Tensor, ids) -> Tensor:
     return out
 
 
+def _softmax(z: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Softmax along ``axis``; -inf entries get weight 0, and a row that is
+    -inf throughout is all zeros (not NaN)."""
+    row_max = np.max(z, axis=axis, keepdims=True)
+    shift = np.where(np.isfinite(row_max), row_max, 0.0)
+    with np.errstate(invalid="ignore"):
+        e = np.exp(z - shift)
+    e = np.where(np.isfinite(z), e, 0.0)
+    denom = e.sum(axis=axis, keepdims=True)
+    return np.where(denom > 0, e / np.where(denom > 0, denom, 1.0), 0.0).astype(z.dtype)
+
+
 def masked_softmax(scores: Tensor, mask) -> Tensor:
     """Row softmax of ``scores + mask`` for an additive mask.
 
@@ -246,19 +262,115 @@ def masked_softmax(scores: Tensor, mask) -> Tensor:
     scores = _as_tensor(scores)
     mask = np.asarray(mask.data if isinstance(mask, Tensor) else mask, dtype=scores.dtype)
     _check(mask.shape == scores.shape, "masked_softmax", scores.shape, mask.shape)
-    z = scores.data + mask
-    row_max = np.max(z, axis=-1, keepdims=True)
-    shift = np.where(np.isfinite(row_max), row_max, 0.0)
-    with np.errstate(invalid="ignore"):
-        e = np.exp(z - shift)
-    e = np.where(np.isfinite(z), e, 0.0)
-    denom = e.sum(axis=-1, keepdims=True)
-    y = np.where(denom > 0, e / np.where(denom > 0, denom, 1.0), 0.0).astype(scores.dtype)
+    y = _softmax(scores.data + mask)
     out = Tensor(y, _parents=(scores,))
 
     def backward_fn(g):
         inner = (g * y).sum(axis=-1, keepdims=True)
         return (y * (g - inner),)
+
+    out._backward_fn = backward_fn
+    return out
+
+
+def _check_heads(op, q, k, v, num_heads):
+    _check(
+        q.data.ndim == 2 and k.data.ndim == 2 and k.shape == v.shape
+        and q.shape[1] == k.shape[1] and num_heads >= 1 and q.shape[1] % num_heads == 0,
+        op,
+        q.shape,
+        k.shape,
+        v.shape,
+    )
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, bias, num_heads: int, scale: float) -> Tensor:
+    """Multi-head attention with all heads in one op.
+
+    ``q`` is (R, d); ``k`` and ``v`` are (C, d). Each of ``num_heads``
+    heads takes d / num_heads consecutive columns and computes
+    ``softmax(scale * Q_h K_h^T + bias) V_h``; the head outputs are
+    concatenated back to (R, d). ``bias`` is an additive (R, C) mask shared
+    by the heads: -inf blocks a key, a finite value is added to its score.
+    Rows that are entirely blocked output zeros.
+    """
+    q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
+    _check_heads("attention", q, k, v, num_heads)
+    rows, width = q.shape
+    bias = np.asarray(bias, dtype=q.dtype)
+    _check(bias.shape == (rows, k.shape[0]), "attention", q.shape, k.shape, bias.shape)
+    s = q.dtype.type(scale)
+
+    def heads(x):  # (n, d) -> (h, n, d / h) view
+        return x.reshape(x.shape[0], num_heads, -1).transpose(1, 0, 2)
+
+    def merge(x):  # (h, n, d / h) -> (n, d)
+        return x.transpose(1, 0, 2).reshape(x.shape[1], width)
+
+    qh, kh, vh = heads(q.data), heads(k.data), heads(v.data)
+    w = _softmax(np.matmul(qh, kh.transpose(0, 2, 1)) * s + bias)  # (h, R, C)
+    out = Tensor(merge(np.matmul(w, vh)), _parents=(q, k, v))
+
+    def backward_fn(g):
+        gh = heads(g)
+        dw = np.matmul(gh, vh.transpose(0, 2, 1))
+        ds = w * (dw - (dw * w).sum(axis=-1, keepdims=True)) * s
+        return (
+            merge(np.matmul(ds, kh)),
+            merge(np.matmul(ds.transpose(0, 2, 1), qh)),
+            merge(np.matmul(w.transpose(0, 2, 1), gh)),
+        )
+
+    out._backward_fn = backward_fn
+    return out
+
+
+def neighbor_attention(
+    q: Tensor, k: Tensor, v: Tensor, index, bias, num_heads: int, scale: float
+) -> Tensor:
+    """Multi-head attention over a padded neighbor table.
+
+    Row r of ``q`` (R, d) attends only to the key/value rows
+    ``index[r, j]`` of ``k`` and ``v`` (C, d), with the additive bias
+    ``bias[r, j]``; -inf marks an empty slot, whose index is ignored. The
+    heads split the columns as in :func:`attention`. Costs O(R·m·d) for m
+    slots per row instead of O(R·C·d). The backward pass scatter-adds the
+    key and value gradients of the slots through one sparse map.
+    """
+    q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
+    _check_heads("neighbor_attention", q, k, v, num_heads)
+    index = np.asarray(index, dtype=np.int64)
+    bias = np.asarray(bias, dtype=q.dtype)
+    rows, width = q.shape
+    _check(index.ndim == 2 and index.shape[0] == rows and bias.shape == index.shape,
+           "neighbor_attention", q.shape, index.shape, bias.shape)
+    if index.size and (index.min() < 0 or index.max() >= k.shape[0]):
+        raise IndexError(f"neighbor index out of range for {k.shape[0]} key rows")
+    m = index.shape[1]
+    s = q.dtype.type(scale)
+    qh = q.data.reshape(rows, num_heads, -1)  # (R, h, dh)
+    kg = k.data[index].reshape(rows, m, num_heads, -1)  # (R, m, h, dh)
+    vg = v.data[index].reshape(rows, m, num_heads, -1)
+    w = _softmax(np.einsum("nhd,nmhd->nmh", qh, kg) * s + bias[:, :, np.newaxis], axis=1)
+    out = Tensor(np.einsum("nmh,nmhd->nhd", w, vg).reshape(rows, width), _parents=(q, k, v))
+
+    def backward_fn(g):
+        gh = g.reshape(rows, num_heads, -1)
+        dw = np.einsum("nhd,nmhd->nmh", gh, vg)
+        ds = w * (dw - (dw * w).sum(axis=1, keepdims=True)) * s
+        # slot (r, j) sends its gradient to key row index[r, j]
+        live = np.flatnonzero(np.isfinite(bias).reshape(-1))
+        scatter = sp.csr_matrix(
+            (np.ones(live.size, dtype=q.dtype), (index.reshape(-1)[live], live)),
+            shape=(k.shape[0], rows * m),
+        )
+        dkg = ds[..., np.newaxis] * qh[:, np.newaxis]
+        dvg = w[..., np.newaxis] * gh[:, np.newaxis]
+        return (
+            np.einsum("nmh,nmhd->nhd", ds, kg).reshape(rows, width),
+            scatter @ dkg.reshape(rows * m, width),
+            scatter @ dvg.reshape(rows * m, width),
+        )
 
     out._backward_fn = backward_fn
     return out
@@ -348,7 +460,9 @@ def backward(loss: Tensor) -> None:
     Leaves are reachable tensors without parents, such as parameters; their
     gradients add onto any existing ``.grad``, so per-sample losses in a
     batch can be accumulated by repeated calls. Intermediate tensors keep
-    ``.grad`` None.
+    ``.grad`` None. No op's backward writes into the gradient it receives,
+    so one gradient array may be handed to several parents uncopied; only
+    a leaf takes its own copy.
     """
     if loss.data.size != 1:
         raise ValueError(f"loss must be scalar, got shape {loss.shape}")
@@ -381,6 +495,6 @@ def backward(loss: Tensor) -> None:
                 if not parent.requires_grad:
                     continue
                 acc = grads.get(id(parent))
-                grads[id(parent)] = pg.copy() if acc is None else acc + pg
+                grads[id(parent)] = pg if acc is None else acc + pg
         if not node._parents:
             node.grad = g.copy() if node.grad is None else node.grad + g

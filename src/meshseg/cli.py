@@ -2,8 +2,10 @@
 
 Subcommands: preprocess, train, eval, segment, inspect. Options mirror the
 config dataclasses; a JSON config file supplies defaults that flags
-override. Exit codes: 0 success, 1 data error, 2 config error, 3
-numerical failure. Set MESHSEG_LOG to a logging level name for verbosity.
+override. Exit codes: 0 success, 1 data error (including a malformed
+.sample file), 2 config error (including a checkpoint that does not match
+its config), 3 numerical failure. Set MESHSEG_LOG to a logging level name
+for verbosity.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from meshseg.errors import (
     DegenerateGeometryError,
     EigensolverError,
     MeshFormatError,
+    SampleFormatError,
     TrainingDivergedError,
 )
 from meshseg.mesh_io import LabelVec, write_ply_colored
@@ -83,7 +86,8 @@ def handles_errors(fn):
     def wrapper(*args, **kwargs):
         try:
             return fn(*args, **kwargs)
-        except (MeshFormatError, DegenerateGeometryError, FileNotFoundError) as exc:
+        except (MeshFormatError, SampleFormatError, DegenerateGeometryError,
+                FileNotFoundError) as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(EXIT_DATA_ERROR)
         except (ConfigError, ValueError) as exc:

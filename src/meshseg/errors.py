@@ -11,6 +11,10 @@ class MeshFormatError(ValueError):
         self.line = line
 
 
+class SampleFormatError(ValueError):
+    """A .sample file, or a Sample, whose arrays are missing or disagree."""
+
+
 class DegenerateGeometryError(ValueError):
     """Zero-area face, collapsed bounding box, or similar geometric defect."""
 

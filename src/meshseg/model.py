@@ -1,11 +1,14 @@
 """The two-stream mesh transformer.
 
-One stream carries N per-triangle tokens with adjacency-masked
-self-attention. The other carries one token per cluster, plus one for the
-padding cluster when the sample is padded. Each layer exchanges
-information across the streams: every triangle token receives a
-projection of its cluster's token, and each cluster token attends over
-its member triangles through masked cross-attention.
+One stream carries N per-triangle tokens. Each triangle attends to
+itself and its dual-graph neighbors only, so triangle self-attention runs
+over a padded neighbor table of about four slots per row, O(N·m·d),
+instead of over an N x N mask. The other stream carries one token per
+cluster, plus one for the padding cluster when the sample is padded. Each
+layer exchanges information across the streams: every triangle token
+receives a projection of its cluster's token, and each cluster token
+attends over its member triangles through masked cross-attention. Every
+attention computes all of its heads in one op.
 
 The paper holds the cluster stream as N rows, one copy of the cluster's
 token per triangle. Attending over n_c identical key/value rows equals
@@ -20,6 +23,7 @@ from __future__ import annotations
 
 import io
 import json
+import math
 import zipfile
 from dataclasses import asdict, dataclass
 
@@ -83,7 +87,10 @@ class ModelConfig:
         unknown = set(data) - known
         if unknown:
             raise ConfigError(f"unknown model config keys: {sorted(unknown)}")
-        return cls(**data)
+        try:
+            return cls(**data)
+        except TypeError as exc:  # a required key is missing
+            raise ConfigError(f"model config: {exc}") from exc
 
 
 def _uniform(rng, fan_in, shape, dtype):
@@ -91,31 +98,27 @@ def _uniform(rng, fan_in, shape, dtype):
     return rng.uniform(-bound, bound, size=shape).astype(dtype)
 
 
-def init_params(
-    cfg: ModelConfig, rng: np.random.Generator, dtype=np.float32
-) -> dict[str, Tensor]:
-    """Fresh learnable parameters: uniform 1/sqrt(fan_in) for projections,
-    normal(0, 0.02) for the cluster embedding table, unit layer-norm gains."""
+def _param_specs(cfg: ModelConfig) -> list[tuple[str, tuple[int, ...], int | str]]:
+    """(name, shape, init) of every parameter in initialization order; init
+    is the fan-in of a uniform draw, or "normal", "ones" or "zeros"."""
+    specs = []
 
-    params: dict[str, np.ndarray] = {}
-
-    def linear(name, d_in, d_out, bias=True):
-        params[f"{name}.w"] = _uniform(rng, d_in, (d_in, d_out), dtype)
-        if bias:
-            params[f"{name}.b"] = _uniform(rng, d_in, (d_out,), dtype)
+    def linear(name, d_in, d_out):
+        specs.append((f"{name}.w", (d_in, d_out), d_in))
+        specs.append((f"{name}.b", (d_out,), d_in))
 
     def layernorm(name, d):
-        params[f"{name}.g"] = np.ones(d, dtype=dtype)
-        params[f"{name}.b"] = np.zeros(d, dtype=dtype)
+        specs.append((f"{name}.g", (d,), "ones"))
+        specs.append((f"{name}.b", (d,), "zeros"))
 
     def attention(name, d_q_in, d_kv_in, d):
         for key, d_in in (("wq", d_q_in), ("wk", d_kv_in), ("wv", d_kv_in)):
-            params[f"{name}.{key}"] = _uniform(rng, d_in, (d_in, d), dtype)
-        params[f"{name}.wo"] = _uniform(rng, d, (d, d), dtype)
+            specs.append((f"{name}.{key}", (d_in, d), d_in))
+        specs.append((f"{name}.wo", (d, d), d))
 
     d_t, d_p = cfg.d_t, cfg.d_p
     linear("embed", cfg.feature_width, d_t)
-    params["cluster_embed"] = rng.normal(0.0, 0.02, size=(cfg.max_clusters, d_p)).astype(dtype)
+    specs.append(("cluster_embed", (cfg.max_clusters, d_p), "normal"))
     for i in range(cfg.num_layers):
         pre = f"layers.{i}"
         layernorm(f"{pre}.tc.ln", d_t)
@@ -134,25 +137,62 @@ def init_params(
         linear(f"{pre}.res_p.ff2", cfg.ff_multiplier * d_p, d_p)
     linear("head.ff1", d_t, d_t)
     linear("head.ff2", d_t, cfg.num_classes)
-    return {name: Tensor(arr, requires_grad=True) for name, arr in params.items()}
+    return specs
+
+
+def init_params(
+    cfg: ModelConfig, rng: np.random.Generator, dtype=np.float32
+) -> dict[str, Tensor]:
+    """Fresh learnable parameters: uniform 1/sqrt(fan_in) for projections,
+    normal(0, 0.02) for the cluster embedding table, unit layer-norm gains."""
+    params = {}
+    for name, shape, init in _param_specs(cfg):
+        if init == "ones":
+            arr = np.ones(shape, dtype=dtype)
+        elif init == "zeros":
+            arr = np.zeros(shape, dtype=dtype)
+        elif init == "normal":
+            arr = rng.normal(0.0, 0.02, size=shape).astype(dtype)
+        else:
+            arr = _uniform(rng, init, shape, dtype)
+        params[name] = Tensor(arr, requires_grad=True)
+    return params
 
 
 @dataclass(frozen=True)
 class AttentionMasks:
-    """Additive attention masks (0 allows, -inf blocks, a finite value
-    biases the score) plus the cluster sizes. K counts the cluster tokens:
-    one per cluster, and one more for the padding cluster when padded."""
+    """Which keys each attention may see. Biases are additive: 0 allows,
+    -inf blocks, a finite value biases the score. K counts the cluster
+    tokens: one per cluster, and one more for the padding cluster when
+    padded. m is 1 plus the largest dual-graph degree."""
 
-    adjacency: np.ndarray  # (N, N) self plus dual-graph neighbors
-    membership: np.ndarray  # (K, N) each cluster over its member triangles
+    neighbors: np.ndarray  # (N, m) int64 key rows: self and neighbors, in id order
+    neighbor_bias: np.ndarray  # (N, m) 0 on self and each neighbor, -inf on empty slots
+    membership: np.ndarray  # (K, N) bool, True where the triangle is in the cluster
     cluster_bias: np.ndarray  # (K, K) cluster-to-cluster, log n_c per key
     cluster_sizes: np.ndarray  # (K,) member count n_c
 
 
-def build_masks(sample: Sample, dtype=np.float32) -> AttentionMasks:
+def _neighbor_table(sample: Sample, dtype) -> tuple[np.ndarray, np.ndarray]:
+    """Padded rows of self plus dual-graph neighbors, in ascending id order;
+    an empty slot points at the row itself under bias -inf."""
     n = sample.n_total
+    pairs = sample.adjacency.pairs
+    rows = np.concatenate([np.arange(n), pairs[:, 0], pairs[:, 1]])
+    cols = np.concatenate([np.arange(n), pairs[:, 1], pairs[:, 0]])
+    order = np.lexsort((cols, rows))
+    rows, cols = rows[order], cols[order]
+    counts = np.bincount(rows, minlength=n)
+    slots = np.arange(rows.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    index = np.repeat(np.arange(n)[:, np.newaxis], counts.max(), axis=1)
+    index[rows, slots] = cols
+    bias = np.full(index.shape, -np.inf, dtype=dtype)
+    bias[rows, slots] = 0.0
+    return index, bias
+
+
+def build_masks(sample: Sample, dtype=np.float32) -> AttentionMasks:
     k = sample.num_clusters + (1 if sample.has_padding else 0)
-    allowed_adj = np.eye(n, dtype=bool) | (sample.adjacency.to_dense() > 0)
     member = np.arange(k)[:, np.newaxis] == sample.cluster_ids[np.newaxis, :]
     sizes = member.sum(axis=1)
 
@@ -164,9 +204,11 @@ def build_masks(sample: Sample, dtype=np.float32) -> AttentionMasks:
     if sample.has_padding:
         bias[:-1, -1] = -np.inf
         bias[-1, -1] = 0.0
+    neighbors, neighbor_bias = _neighbor_table(sample, dtype)
     return AttentionMasks(
-        adjacency=np.where(allowed_adj, 0.0, -np.inf).astype(dtype),
-        membership=np.where(member, 0.0, -np.inf).astype(dtype),
+        neighbors=neighbors,
+        neighbor_bias=neighbor_bias,
+        membership=member,
         cluster_bias=bias.astype(dtype),
         cluster_sizes=sizes.astype(dtype),
     )
@@ -181,24 +223,22 @@ def _layer_norm(p, name, x):
     return ad.layer_norm(x, p[f"{name}.g"], p[f"{name}.b"])
 
 
-def multi_head_attention(p, name, q_in, k_in, v_in, mask, num_heads):
-    """Masked multi-head attention with per-head width d / num_heads."""
+def multi_head_attention(p, name, q_in, k_in, v_in, mask, num_heads, neighbors=None):
+    """Multi-head attention of the ``q_in`` rows over the ``k_in``/``v_in``
+    rows, per-head width d / num_heads, all heads in one op.
+
+    ``mask`` is an additive bias of shape (rows, keys), or, when the
+    (rows, m) table ``neighbors`` is given, of shape (rows, m) over the key
+    rows that the table lists.
+    """
     q = ad.matmul(q_in, p[f"{name}.wq"])
     k = ad.matmul(k_in, p[f"{name}.wk"])
     v = ad.matmul(v_in, p[f"{name}.wv"])
-    d = q.shape[-1]
-    head_dim = d // num_heads
-    scale = 1.0 / np.sqrt(head_dim)
-    heads = []
-    for h in range(num_heads):
-        lo, hi = h * head_dim, (h + 1) * head_dim
-        qh = ad.slice_last(q, lo, hi)
-        kh = ad.slice_last(k, lo, hi)
-        vh = ad.slice_last(v, lo, hi)
-        scores = ad.scale(ad.matmul(qh, ad.transpose(kh)), scale)
-        weights = ad.masked_softmax(scores, mask)
-        heads.append(ad.matmul(weights, vh))
-    merged = heads[0] if num_heads == 1 else ad.concat_last(heads)
+    scale = 1.0 / np.sqrt(q.shape[-1] // num_heads)
+    if neighbors is None:
+        merged = ad.attention(q, k, v, mask, num_heads, scale)
+    else:
+        merged = ad.neighbor_attention(q, k, v, neighbors, mask, num_heads, scale)
     return ad.matmul(merged, p[f"{name}.wo"])
 
 
@@ -210,9 +250,9 @@ def _residual(x, update, cfg, training, rng):
     return ad.add(_dropout(update, cfg, training, rng), x)
 
 
-def _self_attention(p, name, x, mask, cfg):
+def _self_attention(p, name, x, mask, cfg, neighbors=None):
     h = _layer_norm(p, f"{name}.ln", x)
-    return multi_head_attention(p, name, h, h, h, mask, cfg.num_heads)
+    return multi_head_attention(p, name, h, h, h, mask, cfg.num_heads, neighbors)
 
 
 def _feed_forward(p, name, x):
@@ -240,9 +280,10 @@ def met_layer(p, prefix, e_tok, p_tok, masks, cluster_ids, cfg, training, rng, l
             _layer_norm(p, f"{prefix}.tc.ln", e_tok),
             ad.embedding_lookup(tc_ff, cluster_ids), cfg, training, rng,
         )
-    e_mid = _residual(
-        e_in, _self_attention(p, f"{prefix}.sa_t", e_in, masks.adjacency, cfg), cfg, training, rng
+    sa_t = _self_attention(
+        p, f"{prefix}.sa_t", e_in, masks.neighbor_bias, cfg, neighbors=masks.neighbors
     )
+    e_mid = _residual(e_in, sa_t, cfg, training, rng)
     e_out = _residual(e_mid, _feed_forward(p, f"{prefix}.res_t", e_mid), cfg, training, rng)
     if last or not cfg.use_cluster_stream:
         return e_out, p_tok
@@ -251,7 +292,7 @@ def met_layer(p, prefix, e_tok, p_tok, masks, cluster_ids, cfg, training, rng, l
     # keys/values from the raw tokens of the cluster's own triangles
     ct_attn = multi_head_attention(
         p, f"{prefix}.ct", _layer_norm(p, f"{prefix}.ct.ln", p_tok), e_tok, e_tok,
-        masks.membership, cfg.num_heads,
+        np.where(masks.membership, 0.0, -np.inf), cfg.num_heads,
     )
     ct = _residual(p_tok, ct_attn, cfg, training, rng)
     p_mid = _residual(
@@ -336,18 +377,45 @@ def save_checkpoint(path, params: dict[str, Tensor], cfg: ModelConfig) -> None:
 
 
 def load_checkpoint(path) -> tuple[dict[str, Tensor], ModelConfig]:
+    """Parameters and config of a checkpoint. The parameter names and
+    shapes must be those ``init_params`` gives the stored config, and
+    ``params.bin`` must hold exactly their values; otherwise ConfigError."""
     with zipfile.ZipFile(path, "r") as zf:
-        manifest = json.loads(zf.read("manifest.json"))
-        if manifest.get("format_version") != CHECKPOINT_FORMAT_VERSION:
-            raise ConfigError(
-                f"unsupported checkpoint format version {manifest.get('format_version')}"
-            )
-        flat = np.frombuffer(zf.read("params.bin"), dtype=manifest["dtype"])
+        try:
+            manifest = json.loads(zf.read("manifest.json"))
+            blob = zf.read("params.bin")
+        except KeyError as exc:
+            raise ConfigError(f"checkpoint {path}: {exc.args[0]}") from exc
+    if manifest.get("format_version") != CHECKPOINT_FORMAT_VERSION:
+        raise ConfigError(
+            f"unsupported checkpoint format version {manifest.get('format_version')}"
+        )
     cfg = ModelConfig.from_dict(manifest["config"])
+    expected = {name: shape for name, shape, _ in _param_specs(cfg)}
+    stored = {name: tuple(meta["shape"]) for name, meta in manifest["params"].items()}
+    if stored != expected:
+        problems = [f"missing {name}" for name in sorted(expected.keys() - stored.keys())]
+        problems += [f"unexpected {name}" for name in sorted(stored.keys() - expected.keys())]
+        problems += [
+            f"{name} has shape {stored[name]}, expected {expected[name]}"
+            for name in sorted(expected.keys() & stored.keys())
+            if stored[name] != expected[name]
+        ]
+        raise ConfigError(f"checkpoint {path} does not match its config: {'; '.join(problems)}")
+    dtype = np.dtype(manifest["dtype"])
+    sizes = {name: math.prod(shape) for name, shape in expected.items()}
+    total = sum(sizes.values())
+    if len(blob) != total * dtype.itemsize:
+        raise ConfigError(
+            f"checkpoint {path}: params.bin holds {len(blob)} bytes, "
+            f"its {len(sizes)} parameters need {total * dtype.itemsize}"
+        )
+    flat = np.frombuffer(blob, dtype=dtype)
     params = {}
     for name, meta in manifest["params"].items():
-        shape = tuple(meta["shape"])
-        size = int(np.prod(shape)) if shape else 1
-        arr = flat[meta["offset"] : meta["offset"] + size].reshape(shape).copy()
+        offset, size = meta["offset"], sizes[name]
+        if not 0 <= offset <= total - size:
+            raise ConfigError(f"checkpoint {path}: parameter {name} lies outside params.bin")
+        arr = flat[offset : offset + size].reshape(expected[name]).copy()
         params[name] = Tensor(arr, requires_grad=True)
     return params, cfg

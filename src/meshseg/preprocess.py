@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from meshseg import clustering, spectral
-from meshseg.errors import DegenerateGeometryError
+from meshseg.errors import DegenerateGeometryError, SampleFormatError
 from meshseg.mesh_io import LabelVec, Mesh, merge_duplicate_vertices
 from meshseg.simplify import simplify_qem
 from meshseg.spectral import AdjacencyMatrix
@@ -50,6 +50,9 @@ NORMAL_COLS = slice(9, 12)
 SPECTRAL_COLS = slice(12, None)
 
 SAMPLE_FORMAT_VERSION = 1
+
+#: Arrays of a .sample file, each stored as ``<name>.npy``.
+SAMPLE_ARRAYS = ("T", "A", "J", "labels", "areas", "mask")
 
 
 @dataclass(frozen=True)
@@ -119,22 +122,33 @@ class Sample:
         j[np.arange(self.n_total), self.cluster_ids] = 1.0
         return j
 
-    def validate(self):
+    def validate(self) -> None:
+        """Raise SampleFormatError unless the per-face arrays agree in length
+        and the padding faces satisfy the padding invariants."""
+
+        def require(ok, message):
+            if not ok:
+                raise SampleFormatError(f"inconsistent sample: {message}")
+
         n = self.n_total
-        assert self.features.shape[0] == n
-        assert self.features.shape[1] >= 12
-        for arr in (self.cluster_ids, self.labels, self.areas, self.real_mask):
-            assert len(arr) == n
-        assert self.adjacency.n == n
+        width = 12 + self.eigen_count
+        require(self.features.shape == (n, width),
+                f"features have shape {self.features.shape}, expected ({n}, {width})")
+        for name in ("cluster_ids", "labels", "areas", "real_mask"):
+            shape = getattr(self, name).shape
+            require(shape == (n,), f"{name} has shape {shape}, expected ({n},)")
+        require(self.adjacency.n == n, f"adjacency over {self.adjacency.n} faces, not {n}")
         if self.adjacency.pairs.size:
-            assert self.real_mask[self.adjacency.pairs].all(), "padding face with edges"
+            require(self.real_mask[self.adjacency.pairs].all(), "padding face with edges")
         pad = ~self.real_mask
-        assert (self.areas[pad] == 0).all()
-        assert (self.labels[pad] == PAD_LABEL).all()
-        assert (self.features[pad] == 0).all()
-        if pad.any():
-            assert (self.cluster_ids[pad] == self.num_clusters).all()
-        assert (self.cluster_ids[self.real_mask] < self.num_clusters).all()
+        require((self.areas[pad] == 0).all(), "padding face with nonzero area")
+        require((self.labels[pad] == PAD_LABEL).all(), "padding face with a label")
+        require((self.features[pad] == 0).all(), "padding face with nonzero features")
+        require((self.cluster_ids[pad] == self.num_clusters).all(),
+                "padding face outside the padding cluster")
+        real_ids = self.cluster_ids[self.real_mask]
+        require(((real_ids >= 0) & (real_ids < self.num_clusters)).all(),
+                f"real face with a cluster id outside 0..{self.num_clusters - 1}")
 
 
 def compute_normals(mesh: Mesh) -> np.ndarray:
@@ -298,6 +312,7 @@ def build_sample(mesh: Mesh, labels: LabelVec | None, cfg: PreprocessConfig) -> 
         raise ValueError(
             f"mesh has {n} faces after preprocessing, above target_faces={cfg.target_faces}"
         )
+    sample.validate()
     return sample
 
 
@@ -332,27 +347,36 @@ def save_sample(sample: Sample, path) -> None:
 
 
 def load_sample(path) -> Sample:
+    """Read and validate a sample; a missing entry, manifest field or array,
+    or arrays that disagree, raise SampleFormatError."""
     with zipfile.ZipFile(path, "r") as zf:
+        entries = ["manifest.json", *(f"{name}.npy" for name in SAMPLE_ARRAYS)]
+        missing = sorted(set(entries) - set(zf.namelist()))
+        if missing:
+            raise SampleFormatError(f"sample {path} lacks {', '.join(missing)}")
         manifest = json.loads(zf.read("manifest.json"))
         if manifest.get("format_version") != SAMPLE_FORMAT_VERSION:
             raise ValueError(
                 f"unsupported sample format version {manifest.get('format_version')}"
             )
-        arrays = {
-            name: np.load(io.BytesIO(zf.read(f"{name}.npy")))
-            for name in ("T", "A", "J", "labels", "areas", "mask")
-        }
-    n_total = manifest["n_total"]
-    cluster_ids = arrays["J"].argmax(axis=1).astype(np.int64)
-    return Sample(
-        features=arrays["T"],
-        adjacency=AdjacencyMatrix(n=n_total, pairs=arrays["A"].reshape(-1, 2)),
-        cluster_ids=cluster_ids,
-        num_clusters=manifest["num_clusters"],
-        labels=arrays["labels"],
-        areas=arrays["areas"],
-        real_mask=arrays["mask"].astype(bool),
-        num_classes=manifest["num_classes"],
-        eigen_count=manifest["eigen_count"],
-        config=manifest.get("config"),
-    )
+        arrays = {name: np.load(io.BytesIO(zf.read(f"{name}.npy"))) for name in SAMPLE_ARRAYS}
+    try:
+        adjacency = AdjacencyMatrix(n=manifest["n_total"], pairs=arrays["A"].reshape(-1, 2))
+        sample = Sample(
+            features=arrays["T"],
+            adjacency=adjacency,
+            cluster_ids=arrays["J"].argmax(axis=1).astype(np.int64),
+            num_clusters=manifest["num_clusters"],
+            labels=arrays["labels"],
+            areas=arrays["areas"],
+            real_mask=arrays["mask"].astype(bool),
+            num_classes=manifest["num_classes"],
+            eigen_count=manifest["eigen_count"],
+            config=manifest.get("config"),
+        )
+    except KeyError as exc:
+        raise SampleFormatError(f"sample {path}: manifest lacks {exc.args[0]!r}") from exc
+    except ValueError as exc:
+        raise SampleFormatError(f"sample {path}: {exc}") from exc
+    sample.validate()
+    return sample

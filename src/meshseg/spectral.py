@@ -58,31 +58,12 @@ class AdjacencyMatrix:
             np.add.at(d, self.pairs[:, 1], 1)
         return d
 
-    def neighbor_lists(self) -> list[list[int]]:
-        out: list[list[int]] = [[] for _ in range(self.n)]
-        for i, j in self.pairs:
-            out[i].append(int(j))
-            out[j].append(int(i))
-        return out
-
-    def to_dense(self) -> np.ndarray:
-        a = np.zeros((self.n, self.n), dtype=np.float64)
-        if self.pairs.size:
-            a[self.pairs[:, 0], self.pairs[:, 1]] = 1.0
-            a[self.pairs[:, 1], self.pairs[:, 0]] = 1.0
-        return a
-
     def to_sparse(self) -> sp.csr_matrix:
         if not self.pairs.size:
             return sp.csr_matrix((self.n, self.n))
         i = np.concatenate([self.pairs[:, 0], self.pairs[:, 1]])
         j = np.concatenate([self.pairs[:, 1], self.pairs[:, 0]])
         return sp.csr_matrix((np.ones(len(i)), (i, j)), shape=(self.n, self.n))
-
-    def connected_components(self) -> int:
-        """Number of connected components, counting isolated nodes."""
-        n_comp, _ = sp.csgraph.connected_components(self.to_sparse(), directed=False)
-        return int(n_comp)
 
     def with_n(self, n: int) -> "AdjacencyMatrix":
         """Same edge set on a larger node count (extra nodes isolated)."""

@@ -98,6 +98,36 @@ def shared_edge_count(mesh: Mesh) -> dict:
 
 
 # ---------------------------------------------------------------------------
+# adjacency views built from the (i, j) pairs, for checks only
+
+
+def dense_adjacency(adj) -> np.ndarray:
+    """Dense symmetric 0/1 matrix of an AdjacencyMatrix."""
+    a = np.zeros((adj.n, adj.n), dtype=np.float64)
+    if adj.pairs.size:
+        a[adj.pairs[:, 0], adj.pairs[:, 1]] = 1.0
+        a[adj.pairs[:, 1], adj.pairs[:, 0]] = 1.0
+    return a
+
+
+def neighbor_lists(adj) -> list[list[int]]:
+    """Neighbors of each node, in pair order."""
+    out: list[list[int]] = [[] for _ in range(adj.n)]
+    for i, j in adj.pairs:
+        out[i].append(int(j))
+        out[j].append(int(i))
+    return out
+
+
+def connected_components(adj) -> int:
+    """Number of connected components, counting isolated nodes."""
+    from scipy.sparse.csgraph import connected_components as components
+
+    n_comp, _ = components(adj.to_sparse(), directed=False)
+    return int(n_comp)
+
+
+# ---------------------------------------------------------------------------
 # numerical oracles
 
 

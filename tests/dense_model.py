@@ -3,10 +3,11 @@
 This is the original formulation of the paper, kept as the oracle for
 ``meshseg.model``: the cluster stream carries one row per triangle (N
 copies of each cluster token), the triangle-from-cluster update is an
-N x N cluster-average matmul, and cluster cross- and self-attention are
-N x N masked attentions. In eval mode it computes the same scores as the
-model's K-token cluster stream; it is slow and memory-hungry, so it is
-only run on the small test samples.
+N x N cluster-average matmul, and every attention, triangle
+self-attention included, is an N x N masked attention computed one head
+at a time. In eval mode it computes the same scores as the model's
+K-token cluster stream and neighbor-table triangle attention; it is slow
+and memory-hungry, so it is only run on the small test samples.
 """
 
 from dataclasses import dataclass
@@ -16,19 +17,37 @@ import numpy as np
 from meshseg import autodiff as ad
 from meshseg.autodiff import Tensor
 from meshseg.errors import ConfigError
-from meshseg.model import (
-    _dropout,
-    _layer_norm,
-    _linear,
-    _masked_features,
-    multi_head_attention,
-)
+from meshseg.model import _dropout, _layer_norm, _linear, _masked_features
+
+from conftest import dense_adjacency
 
 
 def co_membership(ids) -> np.ndarray:
     """Binary matrix with 1 where two triangles share a cluster id (J J^T)."""
     ids = np.asarray(ids)
     return (ids[:, np.newaxis] == ids[np.newaxis, :]).astype(np.float64)
+
+
+def multi_head_attention(p, name, q_in, k_in, v_in, mask, num_heads):
+    """Masked multi-head attention, one head at a time, with per-head width
+    d / num_heads and a dense additive (rows, keys) mask."""
+    q = ad.matmul(q_in, p[f"{name}.wq"])
+    k = ad.matmul(k_in, p[f"{name}.wk"])
+    v = ad.matmul(v_in, p[f"{name}.wv"])
+    d = q.shape[-1]
+    head_dim = d // num_heads
+    scale = 1.0 / np.sqrt(head_dim)
+    heads = []
+    for h in range(num_heads):
+        lo, hi = h * head_dim, (h + 1) * head_dim
+        qh = ad.slice_last(q, lo, hi)
+        kh = ad.slice_last(k, lo, hi)
+        vh = ad.slice_last(v, lo, hi)
+        scores = ad.scale(ad.matmul(qh, ad.transpose(kh)), scale)
+        weights = ad.masked_softmax(scores, mask)
+        heads.append(ad.matmul(weights, vh))
+    merged = heads[0] if num_heads == 1 else ad.concat_last(heads)
+    return ad.matmul(merged, p[f"{name}.wo"])
 
 
 @dataclass(frozen=True)
@@ -47,7 +66,7 @@ def dense_masks(sample, dtype=np.float64) -> DenseMasks:
     neg_inf = -np.inf
     eye = np.eye(n, dtype=bool)
 
-    allowed_adj = eye | (sample.adjacency.to_dense() > 0)
+    allowed_adj = eye | (dense_adjacency(sample.adjacency) > 0)
     adjacency = np.where(allowed_adj, 0.0, neg_inf).astype(dtype)
 
     co = co_membership(sample.cluster_ids) > 0

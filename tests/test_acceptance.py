@@ -293,6 +293,19 @@ def test_criterion_04_autodiff_finite_differences():
             fd = (up - down) / (2 * h)
             worst = max(worst, abs(grad_flat[idx] - fd) / max(abs(fd), 1e-4))
     assert worst <= 1e-3
+
+    # the model's attention ops: two heads under a dense bias with a
+    # blocked key and a log-count bias, and over a neighbor table with an
+    # empty slot and a key listed twice in one row
+    q, k, v = rng.normal(size=(3, 4)), rng.normal(size=(5, 4)), rng.normal(size=(5, 4))
+    bias = np.zeros((3, 5))
+    bias[0, 1] = -np.inf
+    bias[2, :] = np.log([1.0, 2.0, 3.0, 1.0, 5.0])
+    check_op(lambda a, b, c: ad.attention(a, b, c, bias, 2, 0.7), q, k, v)
+    table = np.array([[0, 2, 4], [1, 3, 1], [2, 4, 2]])
+    slot_bias = np.zeros((3, 3))
+    slot_bias[1, 2] = -np.inf
+    check_op(lambda a, b, c: ad.neighbor_attention(a, b, c, table, slot_bias, 2, 0.7), q, k, v)
     assert time.monotonic() - start < 120
 
 

@@ -134,6 +134,70 @@ class TestMaskedSoftmax:
         np.testing.assert_allclose(out.data, [[1.0, 0.0]], atol=1e-12)
 
 
+def per_head_attention(q, k, v, bias, num_heads, scale):
+    """Plain numpy reference: one softmax(scale Q_h K_h^T + bias) V_h per
+    head, heads side by side."""
+    outs = []
+    for cols in np.split(np.arange(q.shape[1]), num_heads):
+        z = scale * q[:, cols] @ k[:, cols].T + bias
+        e = np.exp(z - z.max(axis=1, keepdims=True))
+        outs.append(e / e.sum(axis=1, keepdims=True) @ v[:, cols])
+    return np.hstack(outs)
+
+
+class TestAttention:
+    def test_matches_per_head_reference(self, rng):
+        q, k, v = rng.normal(size=(3, 6)), rng.normal(size=(5, 6)), rng.normal(size=(5, 6))
+        bias = np.log(rng.uniform(0.5, 2.0, size=(3, 5)))
+        bias[1, 3] = -np.inf
+        out = ad.attention(Tensor(q), Tensor(k), Tensor(v), bias, 3, 0.4).data
+        np.testing.assert_allclose(out, per_head_attention(q, k, v, bias, 3, 0.4), atol=1e-14)
+
+    def test_blocked_row_is_zero(self, rng):
+        x = Tensor(rng.normal(size=(2, 4)))
+        bias = np.array([[0.0, 0.0], [-np.inf, -np.inf]])
+        out = ad.attention(x, x, x, bias, 2, 1.0).data
+        np.testing.assert_array_equal(out[1], 0.0)
+
+    def test_neighbor_table_equals_dense_bias(self, rng):
+        # the table lists a subset of keys per row; the dense bias blocks
+        # the others. Empty slots point anywhere and are ignored.
+        q, k, v = rng.normal(size=(4, 6)), rng.normal(size=(5, 6)), rng.normal(size=(5, 6))
+        table = np.array([[0, 1, 4], [1, 2, 0], [3, 3, 3], [4, 0, 2]])
+        slot_bias = np.array([[0.0, 0.5, 0.0], [0.0, 0.0, -np.inf],
+                              [0.0, -np.inf, -np.inf], [0.0, -1.0, 0.0]])
+        dense = np.full((4, 5), -np.inf)
+        for r, c in zip(*np.nonzero(np.isfinite(slot_bias))):
+            dense[r, table[r, c]] = slot_bias[r, c]
+        out = ad.neighbor_attention(Tensor(q), Tensor(k), Tensor(v), table, slot_bias, 2, 0.4)
+        np.testing.assert_allclose(out.data, per_head_attention(q, k, v, dense, 2, 0.4),
+                                   atol=1e-14)
+
+    def test_repeated_key_gradients_add_up(self, rng):
+        # a key listed twice in one row weighs as its log 2 bias and
+        # receives the gradient of both slots
+        q, k, v = rng.normal(size=(1, 2)), rng.normal(size=(2, 2)), rng.normal(size=(2, 2))
+        kt, vt = Tensor(k, requires_grad=True), Tensor(v, requires_grad=True)
+        twice = ad.neighbor_attention(Tensor(q), kt, vt, [[0, 0, 1]], np.zeros((1, 3)), 1, 1.0)
+        ad.backward(ad.reduce_sum(twice))
+        k2, v2 = Tensor(k, requires_grad=True), Tensor(v, requires_grad=True)
+        once = ad.neighbor_attention(Tensor(q), k2, v2, [[0, 1]], [[np.log(2.0), 0.0]], 1, 1.0)
+        ad.backward(ad.reduce_sum(once))
+        np.testing.assert_allclose(twice.data, once.data, atol=1e-14)
+        np.testing.assert_allclose(kt.grad, k2.grad, atol=1e-14)
+        np.testing.assert_allclose(vt.grad, v2.grad, atol=1e-14)
+
+    def test_neighbor_index_out_of_range(self, rng):
+        x = Tensor(rng.normal(size=(2, 2)))
+        with pytest.raises(IndexError):
+            ad.neighbor_attention(x, x, x, [[0], [2]], np.zeros((2, 1)), 1, 1.0)
+
+    def test_heads_must_divide_width(self, rng):
+        x = Tensor(rng.normal(size=(2, 3)))
+        with pytest.raises(ShapeMismatchError):
+            ad.attention(x, x, x, np.zeros((2, 2)), 2, 1.0)
+
+
 class TestLayerNorm:
     def test_constant_row_zero(self):
         x = Tensor(np.full((2, 4), 3.0))
@@ -232,6 +296,28 @@ class TestFiniteDifference:
             scores,
         )
 
+    def test_attention(self, rng):
+        q, k, v = rng.normal(size=(3, 4)), rng.normal(size=(4, 4)), rng.normal(size=(4, 4))
+        bias = np.where(rng.random((3, 4)) < 0.3, -np.inf, 0.0)
+        bias[:, 0] = 0.5
+        w = rng.normal(size=(3, 4))
+        check_grad(
+            lambda a, b, c: ad.reduce_sum(ad.mul(ad.attention(a, b, c, bias, 2, 0.8), Tensor(w))),
+            q, k, v,
+        )
+
+    def test_neighbor_attention(self, rng):
+        q, k, v = rng.normal(size=(4, 4)), rng.normal(size=(3, 4)), rng.normal(size=(3, 4))
+        table = np.array([[0, 1, 2], [1, 0, 0], [2, 2, 1], [0, 1, 1]])
+        slot_bias = np.array([[0.0, 0.0, 0.3], [0.0, 0.0, -np.inf],
+                              [0.0, 0.0, 0.0], [0.0, -np.inf, -np.inf]])
+        w = rng.normal(size=(4, 4))
+        check_grad(
+            lambda a, b, c: ad.reduce_sum(ad.mul(
+                ad.neighbor_attention(a, b, c, table, slot_bias, 2, 0.8), Tensor(w))),
+            q, k, v,
+        )
+
     def test_log_softmax_and_gather(self, rng):
         scores = rng.normal(size=(5, 3))
         cols = rng.integers(0, 3, size=5)
@@ -304,6 +390,58 @@ class TestBackwardMechanics:
         ad.backward(loss)
         assert y.grad is None and z.grad is None and loss.grad is None
         np.testing.assert_array_equal(x.grad, [36.0])  # d(9x^2)/dx at x = 2
+
+    def test_backward_fns_leave_read_only_gradient_untouched(self, rng):
+        """backward() hands one gradient array to several parents without
+        copying, so no op's backward may write into the gradient it gets."""
+        x, y = rng.normal(size=(3, 4)), rng.normal(size=(3, 4))
+        k = rng.normal(size=(5, 4))
+        bias = np.zeros((3, 5))
+        bias[0, 2] = -np.inf
+        ops = {
+            "matmul": lambda a: ad.matmul(a, ad.transpose(a)),
+            "add": lambda a: ad.add(a, a),
+            "add bias": lambda a: ad.add(a, Tensor(y[0], requires_grad=True)),
+            "mul": lambda a: ad.mul(a, a),
+            "scale": lambda a: ad.scale(a, 2.0),
+            "relu": ad.relu,
+            "transpose": ad.transpose,
+            "concat_last": lambda a: ad.concat_last([a, a]),
+            "slice_last": lambda a: ad.slice_last(a, 1, 3),
+            "reduce_sum": ad.reduce_sum,
+            "reduce_sum axis": lambda a: ad.reduce_sum(a, axis=0),
+            "reduce_mean": lambda a: ad.reduce_mean(a, axis=1),
+            "embedding_lookup": lambda a: ad.embedding_lookup(a, [0, 2, 2]),
+            "masked_softmax": lambda a: ad.masked_softmax(a, np.where(x > 1.0, -np.inf, 0.0)),
+            "attention": lambda a: ad.attention(
+                a, Tensor(k, requires_grad=True), Tensor(k, requires_grad=True), bias, 2, 0.5),
+            "neighbor_attention": lambda a: ad.neighbor_attention(
+                a, a, a, [[0, 1], [1, 1], [2, 0]], [[0.0, 0.0], [0.0, -np.inf], [0.0, 0.0]],
+                2, 0.5),
+            "log_softmax": ad.log_softmax,
+            "gather_rows": lambda a: ad.gather_rows(a, [3, 0, 1]),
+            "layer_norm": lambda a: ad.layer_norm(
+                a, Tensor(y[1], requires_grad=True), Tensor(y[2], requires_grad=True)),
+            "dropout": lambda a: ad.dropout(a, 0.5, training=True, rng=np.random.default_rng(0)),
+        }
+        covered = {name.split()[0] for name in ops}
+        assert covered == set(ad.__all__) - {"Tensor", "ShapeMismatchError", "backward"}
+        for name, op in ops.items():
+            out = op(Tensor(x.copy(), requires_grad=True))
+            g = rng.normal(size=out.shape)
+            g.flags.writeable = False
+            before = g.copy()
+            out._backward_fn(g)
+            np.testing.assert_array_equal(g, before, err_msg=name)
+
+    def test_leaves_own_their_gradient(self):
+        # add() passes its upstream gradient to both parents as one array
+        x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+        y = Tensor(np.array([3.0, 4.0]), requires_grad=True)
+        ad.backward(ad.reduce_sum(ad.add(x, y)))
+        assert x.grad is not y.grad
+        x.grad += 1.0
+        np.testing.assert_array_equal(y.grad, [1.0, 1.0])
 
     def test_determinism_bit_identical(self, rng):
         a = rng.normal(size=(6, 6))

@@ -225,6 +225,95 @@ def untrained_checkpoint(tmp_path):
     return ckpt
 
 
+def rewrite_zip(path, edit):
+    """Rewrite a zip artifact after ``edit`` changed its {entry: bytes} dict."""
+    import zipfile
+
+    with zipfile.ZipFile(path) as zf:
+        entries = {name: zf.read(name) for name in zf.namelist()}
+    edit(entries)
+    with zipfile.ZipFile(path, "w") as zf:
+        for name, blob in entries.items():
+            zf.writestr(name, blob)
+
+
+def edit_manifest(change):
+    def edit(entries):
+        manifest = json.loads(entries["manifest.json"])
+        change(manifest)
+        entries["manifest.json"] = json.dumps(manifest).encode()
+
+    return edit
+
+
+def truncate_blob(entries):
+    entries["params.bin"] = entries["params.bin"][:-4]
+
+
+# damage -> (edit, what the one-line error names)
+CHECKPOINT_DAMAGE = {
+    "missing-parameter": (
+        edit_manifest(lambda m: m["params"].pop("head.ff2.b")), "missing head.ff2.b"
+    ),
+    # (16, 2) stored as (2, 16): same size, so only the shape check sees it
+    "wrong-shape": (
+        edit_manifest(lambda m: m["params"]["head.ff2.w"].update(shape=[2, 16])),
+        "head.ff2.w has shape (2, 16), expected (16, 2)",
+    ),
+    "truncated-blob": (truncate_blob, "params.bin holds"),
+    "offset-past-blob": (
+        edit_manifest(lambda m: m["params"]["head.ff2.b"].update(offset=10**6)),
+        "head.ff2.b lies outside params.bin",
+    ),
+    "config-without-num-classes": (
+        edit_manifest(lambda m: m["config"].pop("num_classes")), "num_classes"
+    ),
+}
+
+
+class TestBrokenArtifacts:
+    """A damaged checkpoint is a config error (exit 2) and a damaged sample
+    a data error (exit 1), reported in one line, never a traceback."""
+
+    @pytest.mark.parametrize("damage", sorted(CHECKPOINT_DAMAGE))
+    @pytest.mark.parametrize("command", ["eval", "segment"])
+    def test_damaged_checkpoint_exits_2(self, command, damage, samples_dir, dataset_dir,
+                                        untrained_checkpoint, tmp_path):
+        edit, message = CHECKPOINT_DAMAGE[damage]
+        rewrite_zip(untrained_checkpoint, edit)
+        if command == "eval":
+            args = ["eval", str(samples_dir), str(untrained_checkpoint)]
+        else:
+            args = ["segment", str(dataset_dir / "shapes" / "sphere0.off"),
+                    str(untrained_checkpoint), str(tmp_path / "seg.ply"), *PREPROCESS_FLAGS]
+        result = run(args)
+        assert result.exit_code == 2, result.output
+        assert result.output.startswith("error: ") and message in result.output
+        assert len(result.output.splitlines()) == 1
+
+    def test_sample_missing_array_exits_1(self, samples_dir, untrained_checkpoint):
+        rewrite_zip(samples_dir / "sphere1.sample", lambda entries: entries.pop("areas.npy"))
+        result = run(["eval", str(samples_dir), str(untrained_checkpoint)])
+        assert result.exit_code == 1, result.output
+        assert result.output.startswith("error: ") and "areas.npy" in result.output
+        assert len(result.output.splitlines()) == 1
+
+    def test_sample_length_mismatch_exits_1(self, samples_dir, untrained_checkpoint):
+        import io
+
+        def drop_label(entries):
+            labels = np.load(io.BytesIO(entries["labels.npy"]))
+            buf = io.BytesIO()
+            np.save(buf, labels[:-1])
+            entries["labels.npy"] = buf.getvalue()
+
+        rewrite_zip(samples_dir / "sphere1.sample", drop_label)
+        result = run(["eval", str(samples_dir), str(untrained_checkpoint)])
+        assert result.exit_code == 1, result.output
+        assert "labels has shape (19,), expected (20,)" in result.output
+        assert len(result.output.splitlines()) == 1
+
+
 class TestSegmentOnePipeline:
     def test_simplifies_once(self, qem_mesh_path, untrained_checkpoint, tmp_path,
                              monkeypatch):

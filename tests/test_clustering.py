@@ -11,7 +11,7 @@ from meshseg.clustering import (
 )
 from meshseg.spectral import AdjacencyMatrix
 
-from conftest import ward_oracle
+from conftest import neighbor_lists, ward_oracle
 from dense_model import co_membership
 
 
@@ -86,7 +86,7 @@ class TestWardConstrained:
             points = rng.normal(size=(n, 3))
             m = int(rng.integers(1, n + 1))
             result = ward_constrained(points, adj, m)
-            neighbor = adj.neighbor_lists()
+            neighbor = neighbor_lists(adj)
             for cid in range(result.num_clusters):
                 members = set(np.flatnonzero(result.assignment == cid).tolist())
                 seen = {min(members)}

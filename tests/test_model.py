@@ -18,8 +18,15 @@ from meshseg.model import (
 )
 from meshseg.preprocess import pad_sample
 
-from conftest import permute_sample, small_model_config, small_sample
+from conftest import (
+    dense_adjacency,
+    neighbor_lists,
+    permute_sample,
+    small_model_config,
+    small_sample,
+)
 from dense_model import dense_forward, dense_masks
+from dense_model import multi_head_attention as dense_attention
 
 
 def make_model(sample, dtype=np.float64, seed=0, **overrides):
@@ -47,15 +54,21 @@ class TestBuildMasks:
         masks = build_masks(sample, dtype=np.float64)
         n = sample.n_total
         k = sample.num_clusters + 1  # plus the padding cluster
-        # adjacency mask allows exactly self plus dual-graph neighbors
-        dense = sample.adjacency.to_dense() + np.eye(n)
-        np.testing.assert_array_equal(masks.adjacency == 0, dense > 0)
-        assert np.isneginf(masks.adjacency[dense == 0]).all()
-        # each triangle is allowed in exactly the membership row of its cluster
+        # the neighbor table covers exactly self plus the dual-graph
+        # neighbors, and every empty slot carries -inf
+        neighbors = neighbor_lists(sample.adjacency)
+        m = 1 + max(len(row) for row in neighbors)
+        assert masks.neighbors.shape == masks.neighbor_bias.shape == (n, m)
+        live = masks.neighbor_bias == 0
+        assert np.isneginf(masks.neighbor_bias[~live]).all()
+        for i in range(n):
+            assert sorted(masks.neighbors[i, live[i]].tolist()) == sorted([i, *neighbors[i]])
+        assert (~live[~sample.real_mask, 1:]).all()  # padding rows see themselves only
+        # each triangle is a member of exactly its own cluster
         assert masks.membership.shape == (k, n)
-        assert set(np.unique(masks.membership)) == {0.0, -np.inf}
-        np.testing.assert_array_equal(np.argmax(masks.membership == 0, axis=0), sample.cluster_ids)
-        np.testing.assert_array_equal((masks.membership == 0).sum(axis=0), 1)
+        assert masks.membership.dtype == bool
+        np.testing.assert_array_equal(np.argmax(masks.membership, axis=0), sample.cluster_ids)
+        np.testing.assert_array_equal(masks.membership.sum(axis=0), 1)
         sizes = np.bincount(sample.cluster_ids, minlength=k)
         np.testing.assert_array_equal(masks.cluster_sizes, sizes)
         # every query cluster weighs a real key cluster by log n_c
@@ -83,11 +96,16 @@ class TestBuildMasks:
         # diagonal always allowed in all additive masks
         assert (np.diag(masks.adjacency) == 0).all()
         assert (np.diag(masks.cluster) == 0).all()
-        # adjacency mask allows exactly self plus dual-graph neighbors, as
-        # the model's own mask does
-        dense = sample.adjacency.to_dense() + np.eye(n)
+        # adjacency mask allows exactly self plus dual-graph neighbors, the
+        # keys of the model's neighbor table
+        dense = dense_adjacency(sample.adjacency) + np.eye(n)
         np.testing.assert_array_equal(masks.adjacency == 0, dense > 0)
-        np.testing.assert_array_equal(masks.adjacency, build_masks(sample, np.float64).adjacency)
+        table = build_masks(sample, np.float64)
+        scattered = np.full((n, n), -np.inf)
+        rows = np.repeat(np.arange(n)[:, np.newaxis], table.neighbors.shape[1], axis=1)
+        live = np.isfinite(table.neighbor_bias)
+        scattered[rows[live], table.neighbors[live]] = table.neighbor_bias[live]
+        np.testing.assert_array_equal(masks.adjacency, scattered)
         # co-membership rows of cluster_avg sum to 1
         np.testing.assert_allclose(masks.cluster_avg.sum(axis=1), 1.0, atol=1e-12)
         # padding columns blocked for real rows in the cluster-stream mask
@@ -129,7 +147,18 @@ class TestDenseOracle:
         assert np.abs(scores - dense_forward(sample, params, cfg).data).max() <= 1e-6
 
 
+def attend(path, params, x, mask, num_heads):
+    """Self-attention of x under a dense additive mask, given to the model
+    either as that bias or as a neighbor table that lists every key."""
+    if path == "dense":
+        return multi_head_attention(params, "a", x, x, x, mask, num_heads)
+    table = np.tile(np.arange(mask.shape[1]), (mask.shape[0], 1))
+    return multi_head_attention(params, "a", x, x, x, mask, num_heads, neighbors=table)
+
+
 class TestMultiHeadAttention:
+    path = "dense"
+
     def test_singleton_softmax_is_identity_weight(self, rng):
         d = 4
         params = {
@@ -139,7 +168,7 @@ class TestMultiHeadAttention:
             "a.wo": Tensor(rng.normal(size=(d, d))),
         }
         x = Tensor(rng.normal(size=(1, d)))
-        out = multi_head_attention(params, "a", x, x, x, np.zeros((1, 1)), 2)
+        out = attend(self.path, params, x, np.zeros((1, 1)), 2)
         expected = (x.data @ params["a.wv"].data) @ params["a.wo"].data
         np.testing.assert_allclose(out.data, expected, atol=1e-12)
 
@@ -150,7 +179,7 @@ class TestMultiHeadAttention:
         }
         x = Tensor(rng.normal(size=(2, d)))
         mask = np.array([[0.0, 0.0], [-np.inf, -np.inf]])
-        out = multi_head_attention(params, "a", x, x, x, mask, 1)
+        out = attend(self.path, params, x, mask, 1)
         np.testing.assert_array_equal(out.data[1], 0.0)
 
     def test_hand_computed_two_by_two(self):
@@ -160,11 +189,69 @@ class TestMultiHeadAttention:
         eye = Tensor(np.eye(d))
         params = {f"a.{k}": eye for k in ("wq", "wk", "wv", "wo")}
         x = Tensor(np.eye(d))
-        out = multi_head_attention(params, "a", x, x, x, np.zeros((2, 2)), 1)
+        out = attend(self.path, params, x, np.zeros((2, 2)), 1)
         s = 1.0 / np.sqrt(d)
         w_same = np.exp(s) / (np.exp(s) + 1.0)
         expected = np.array([[w_same, 1 - w_same], [1 - w_same, w_same]])
         np.testing.assert_allclose(out.data, expected, atol=1e-12)
+
+
+class TestNeighborTableAttention(TestMultiHeadAttention):
+    """The same hand-computed cases through the neighbor-table path."""
+
+    path = "neighbors"
+
+
+def fin_sample():
+    """Padded 21-face sample: the icosahedron plus a fin face on edge
+    (0, 11), which makes that edge non-manifold. The two icosahedron faces
+    on it have dual degree 4, the fin degree 2, the other faces degree 3,
+    and the three padding faces degree 0."""
+    from meshseg.mesh_io import Mesh
+    from meshseg.preprocess import PreprocessConfig, build_sample
+
+    from conftest import icosahedron
+
+    ico = icosahedron()
+    mesh = Mesh(
+        vertices=np.vstack([ico.vertices, [[-0.2, 0.9, 0.9]]]),
+        faces=np.vstack([ico.faces, [[0, 11, 12]]]),
+    )
+    cfg = PreprocessConfig(target_faces=24, eigen_count=4, clustering_lambda=4.0,
+                           simplify=False)
+    return build_sample(mesh, None, cfg)
+
+
+class TestTriangleAttention:
+    def test_matches_dense_oracle_attention(self, rng):
+        """Neighbor-table self-attention equals the oracle's dense per-head
+        attention under the N x N adjacency mask, values and gradients."""
+        sample = fin_sample()
+        degrees = sample.adjacency.degrees()
+        assert degrees[~sample.real_mask].max() == 0
+        assert (degrees == 3).sum() >= 10 and degrees.max() > 3
+        masks = build_masks(sample, dtype=np.float64)
+        oracle_mask = dense_masks(sample).adjacency
+        d, heads = 8, 2
+        weights = {f"a.{k}": rng.normal(size=(d, d)) for k in ("wq", "wk", "wv", "wo")}
+        x0 = rng.normal(size=(sample.n_total, d))
+        upstream = rng.normal(size=(sample.n_total, d))
+
+        def run(attention):
+            params = {k: Tensor(w, requires_grad=True) for k, w in weights.items()}
+            x = Tensor(x0, requires_grad=True)
+            out = attention(params, x)
+            ad.backward(ad.reduce_sum(ad.mul(out, Tensor(upstream))))
+            return out.data, x.grad, {k: p.grad for k, p in params.items()}
+
+        out, gx, gp = run(lambda p, x: multi_head_attention(
+            p, "a", x, x, x, masks.neighbor_bias, heads, neighbors=masks.neighbors))
+        ref, ref_gx, ref_gp = run(lambda p, x: dense_attention(
+            p, "a", x, x, x, oracle_mask, heads))
+        assert np.abs(out - ref).max() <= 1e-12
+        assert np.abs(gx - ref_gx).max() <= 1e-12
+        for k in gp:
+            assert np.abs(gp[k] - ref_gp[k]).max() <= 1e-12
 
 
 class TestForward:
@@ -218,7 +305,7 @@ class TestForward:
         sample = small_sample()
         cfg, params = make_model(sample, num_layers=1)
         base = met_forward(sample, params, cfg).data
-        neighbors = sample.adjacency.neighbor_lists()
+        neighbors = neighbor_lists(sample.adjacency)
         i = 0
         same_cluster = set(
             np.flatnonzero(sample.cluster_ids == sample.cluster_ids[i]).tolist()

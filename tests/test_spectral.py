@@ -17,7 +17,13 @@ from meshseg.spectral import (
     smallest_eigenpairs,
 )
 
-from conftest import jacobi_eigh, random_hull_mesh, tetrahedron
+from conftest import (
+    connected_components,
+    dense_adjacency,
+    jacobi_eigh,
+    random_hull_mesh,
+    tetrahedron,
+)
 
 TWO_FACES = Mesh(
     vertices=[[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0]],
@@ -40,11 +46,11 @@ def projector_for_groups(values, vectors, gap=1e-6):
 class TestDualAdjacency:
     def test_two_triangles_sharing_an_edge(self):
         adj = build_dual_adjacency(TWO_FACES)
-        np.testing.assert_array_equal(adj.to_dense(), [[0, 1], [1, 0]])
+        np.testing.assert_array_equal(dense_adjacency(adj), [[0, 1], [1, 0]])
 
     def test_tetrahedron_is_k4(self):
         adj = build_dual_adjacency(tetrahedron())
-        dense = adj.to_dense()
+        dense = dense_adjacency(adj)
         np.testing.assert_array_equal(dense, 1 - np.eye(4))
         assert adj.degrees().tolist() == [3, 3, 3, 3]
 
@@ -178,7 +184,7 @@ class TestSpectrumStructure:
             zero_modes = int((values < ZERO_EIGENVALUE_TOL).sum())
             # components with at least one edge each contribute one zero mode
             isolated = int((adj.degrees() == 0).sum())
-            assert zero_modes == adj.connected_components() - isolated
+            assert zero_modes == connected_components(adj) - isolated
 
 
 class TestPositionalFeatures:
