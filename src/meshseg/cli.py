@@ -2,10 +2,10 @@
 
 Subcommands: preprocess, train, eval, segment, inspect. Options mirror the
 config dataclasses; a JSON config file supplies defaults that flags
-override. Exit codes: 0 success, 1 data error (including a malformed
-.sample file), 2 config error (including a checkpoint that does not match
-its config), 3 numerical failure. Set MESHSEG_LOG to a logging level name
-for verbosity.
+override. Exit codes: 0 success, 1 data error (including an unreadable,
+malformed or older-format .sample file), 2 config error (including an
+unreadable checkpoint or one that does not match its config), 3 numerical
+failure. Set MESHSEG_LOG to a logging level name for verbosity.
 """
 
 from __future__ import annotations

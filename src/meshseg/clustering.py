@@ -9,6 +9,7 @@ involved.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,11 +46,6 @@ class ClusterAssignment:
             if len(present) != self.num_clusters:
                 raise ValueError("empty cluster id")
 
-    def one_hot(self) -> np.ndarray:
-        j = np.zeros((len(self.assignment), self.num_clusters), dtype=np.float64)
-        j[np.arange(len(self.assignment)), self.assignment] = 1.0
-        return j
-
 
 def cluster_count(num_vertices: int, lam: float) -> int:
     """Number of clusters for a mesh with the given vertex count: at least
@@ -76,9 +72,12 @@ def ward_constrained(
 
     Merge cost for clusters a, b is ``|a||b|/(|a|+|b|) * |mu_a - mu_b|^2``,
     evaluated directly from maintained sizes and centroids (algebraically
-    equal to the Lance-Williams update). If the graph runs out of connected
-    pairs before reaching the target count, the cheapest unconnected pair
-    is merged instead.
+    equal to the Lance-Williams update). Candidate pairs wait in one heap
+    ordered by ``(cost, pair_key)``; an entry whose cluster was merged away
+    is skipped when popped (lazy invalidation, Müllner, arXiv:1109.2378).
+    Live entries are exact, since a live cluster's centroid never changes.
+    If no connected pair is left before the target count, the heap is seeded
+    once with every pair of the C remaining clusters (O(C^2) memory).
     """
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2:
@@ -94,46 +93,31 @@ def ward_constrained(
     min_member = {i: i for i in range(n)}
     members = {i: [i] for i in range(n)}
     neighbors: dict[int, set[int]] = {i: set() for i in range(n)}
-    for i, j in adj.pairs:
-        neighbors[int(i)].add(int(j))
-        neighbors[int(j)].add(int(i))
 
-    def pair_key(a: int, b: int):
+    def entry(a: int, b: int):
         ma, mb = min_member[a], min_member[b]
-        return (ma, mb) if ma < mb else (mb, ma)
+        key = (ma, mb) if ma < mb else (mb, ma)
+        return (_ward_delta(size[a], centroid[a], size[b], centroid[b]), key, a, b)
 
-    # cached Ward increase per connected active pair; centroids never
-    # change in place, so an entry stays valid until a member is retired
-    delta: dict[tuple[int, int], float] = {}
-    for i, j in adj.pairs:
-        a, b = int(i), int(j)
-        delta[(a, b)] = _ward_delta(size[a], centroid[a], size[b], centroid[b])
+    heap = []
+    for a, b in adj.pairs.tolist():
+        neighbors[a].add(b)
+        neighbors[b].add(a)
+        heap.append(entry(a, b))
+    heapq.heapify(heap)
 
     merges = []
     next_id = n
-    active = set(range(n))
-
-    def pick_best(candidates):
-        best = None
-        best_rank = None
-        for (a, b), d in candidates:
-            rank = (d, pair_key(a, b))
-            if best_rank is None or rank < best_rank:
-                best, best_rank = (a, b), rank
-        return best
-
-    while len(active) > num_clusters:
-        if delta:
-            a, b = pick_best(delta.items())
-        else:
-            # disconnected remainder: fall back to the cheapest pair overall
-            ids = sorted(active)
-            fallback = (
-                ((x, y), _ward_delta(size[x], centroid[x], size[y], centroid[y]))
-                for xi, x in enumerate(ids)
-                for y in ids[xi + 1 :]
-            )
-            a, b = pick_best(fallback)
+    while len(size) > num_clusters:
+        if not heap:
+            # no connected pair is left: every cluster neighbors every other
+            ids = sorted(size)
+            neighbors.update({x: set(ids) - {x} for x in ids})
+            heap = [entry(x, y) for xi, x in enumerate(ids) for y in ids[xi + 1 :]]
+            heapq.heapify(heap)
+        _, _, a, b = heapq.heappop(heap)
+        if a not in size or b not in size:
+            continue
         if return_merges:
             merges.append((tuple(sorted(members[a])), tuple(sorted(members[b]))))
         new = next_id
@@ -143,24 +127,19 @@ def ward_constrained(
         size[new] = total
         min_member[new] = min(min_member[a], min_member[b])
         members[new] = members[a] + members[b]
-        new_neighbors = (neighbors[a] | neighbors[b]) - {a, b}
-        neighbors[new] = new_neighbors
+        neighbors[new] = (neighbors[a] | neighbors[b]) - {a, b}
         for old in (a, b):
             for k in neighbors[old]:
                 neighbors[k].discard(old)
-                delta.pop((old, k) if old < k else (k, old), None)
-            active.discard(old)
             del size[old], centroid[old], min_member[old], members[old], neighbors[old]
-        for k in new_neighbors:
+        for k in neighbors[new]:
             neighbors[k].add(new)
-            delta[(k, new)] = _ward_delta(size[k], centroid[k], size[new], centroid[new])
-        active.add(new)
+            heapq.heappush(heap, entry(k, new))
 
-    order = sorted(active, key=lambda c: min_member[c])
+    order = sorted(size, key=lambda c: min_member[c])
     assignment = np.empty(n, dtype=np.int64)
     for cid, cluster in enumerate(order):
         assignment[members[cluster]] = cid
     return ClusterAssignment(
         assignment=assignment, num_clusters=len(order), merges=tuple(merges)
     )
-

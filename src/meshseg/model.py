@@ -25,6 +25,7 @@ import io
 import json
 import math
 import zipfile
+import zlib
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -379,17 +380,19 @@ def save_checkpoint(path, params: dict[str, Tensor], cfg: ModelConfig) -> None:
 def load_checkpoint(path) -> tuple[dict[str, Tensor], ModelConfig]:
     """Parameters and config of a checkpoint. The parameter names and
     shapes must be those ``init_params`` gives the stored config, and
-    ``params.bin`` must hold exactly their values; otherwise ConfigError."""
-    with zipfile.ZipFile(path, "r") as zf:
-        try:
+    ``params.bin`` must hold exactly their values; otherwise, or when the
+    file is not a zip with a JSON manifest, ConfigError."""
+    try:
+        with zipfile.ZipFile(path, "r") as zf:
             manifest = json.loads(zf.read("manifest.json"))
             blob = zf.read("params.bin")
-        except KeyError as exc:
-            raise ConfigError(f"checkpoint {path}: {exc.args[0]}") from exc
-    if manifest.get("format_version") != CHECKPOINT_FORMAT_VERSION:
-        raise ConfigError(
-            f"unsupported checkpoint format version {manifest.get('format_version')}"
-        )
+    except KeyError as exc:
+        raise ConfigError(f"checkpoint {path}: {exc.args[0]}") from exc
+    except (zipfile.BadZipFile, zlib.error, EOFError, ValueError) as exc:
+        raise ConfigError(f"checkpoint {path} is unreadable: {exc}") from exc
+    version = manifest.get("format_version") if isinstance(manifest, dict) else None
+    if version != CHECKPOINT_FORMAT_VERSION:
+        raise ConfigError(f"unsupported checkpoint format version {version}")
     cfg = ModelConfig.from_dict(manifest["config"])
     expected = {name: shape for name, shape, _ in _param_specs(cfg)}
     stored = {name: tuple(meta["shape"]) for name, meta in manifest["params"].items()}

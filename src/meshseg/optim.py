@@ -49,6 +49,8 @@ class AdamW:
             p.zero_grad()
 
     def step(self):
+        """Update ``m``, ``v`` and ``p.data`` in place, bit-identical to
+        ``p - lr * (m / bc1) / (sqrt(v / bc2) + eps) - (lr * wd) * p``."""
         self.state.t += 1
         t = self.state.t
         bc1 = 1.0 - self.beta1**t
@@ -60,9 +62,19 @@ class AdamW:
                 g = np.zeros_like(p.data)
             m = self.state.m[name]
             v = self.state.v[name]
+            update = np.multiply(1.0 - self.beta1, g, out=np.empty_like(p.data))
             m *= self.beta1
-            m += (1.0 - self.beta1) * g
+            m += update
+            np.multiply(1.0 - self.beta2, g, out=update)
+            update *= g
             v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            update = (m / bc1) / (np.sqrt(v / bc2) + self.eps)
-            p.data = p.data - self.lr * update - self.lr * self.weight_decay * p.data
+            v += update
+            denom = np.divide(v, bc2)
+            np.sqrt(denom, out=denom)
+            denom += self.eps
+            np.divide(m, bc1, out=update)
+            update /= denom
+            update *= self.lr
+            decay = np.multiply(self.lr * self.weight_decay, p.data, out=denom)
+            p.data -= update
+            p.data -= decay

@@ -13,6 +13,7 @@ import io
 import json
 import logging
 import zipfile
+import zlib
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -49,10 +50,10 @@ COORD_COLS = slice(0, 9)
 NORMAL_COLS = slice(9, 12)
 SPECTRAL_COLS = slice(12, None)
 
-SAMPLE_FORMAT_VERSION = 1
+SAMPLE_FORMAT_VERSION = 2
 
 #: Arrays of a .sample file, each stored as ``<name>.npy``.
-SAMPLE_ARRAYS = ("T", "A", "J", "labels", "areas", "mask")
+SAMPLE_ARRAYS = ("T", "A", "cluster_ids", "labels", "areas", "mask")
 
 
 @dataclass(frozen=True)
@@ -100,13 +101,6 @@ class Sample:
     def has_padding(self) -> bool:
         return bool((~self.real_mask).any())
 
-    @property
-    def area_weights(self) -> np.ndarray:
-        total = self.areas.sum()
-        if total <= 0:
-            raise DegenerateGeometryError("total face area is zero")
-        return self.areas / total
-
     def mesh(self) -> Mesh:
         """The real faces, face i from the i-th real row's coordinate columns;
         corners with bit-identical coordinates share a vertex, numbered in
@@ -114,13 +108,6 @@ class Sample:
         corners = self.features[self.real_mask, COORD_COLS].reshape(-1, 3)
         faces = np.arange(len(corners)).reshape(-1, 3)
         return merge_duplicate_vertices(Mesh(vertices=corners, faces=faces), 0.0)
-
-    def cluster_one_hot(self) -> np.ndarray:
-        """One-hot cluster matrix; gains one padding column when padded."""
-        width = self.num_clusters + (1 if self.has_padding else 0)
-        j = np.zeros((self.n_total, width), dtype=np.float64)
-        j[np.arange(self.n_total), self.cluster_ids] = 1.0
-        return j
 
     def validate(self) -> None:
         """Raise SampleFormatError unless the per-face arrays agree in length
@@ -321,7 +308,7 @@ def save_sample(sample: Sample, path) -> None:
     arrays = {
         "T": sample.features,
         "A": sample.adjacency.pairs,
-        "J": sample.cluster_one_hot().astype(np.uint8),
+        "cluster_ids": sample.cluster_ids,
         "labels": sample.labels,
         "areas": sample.areas,
         "mask": sample.real_mask,
@@ -347,25 +334,42 @@ def save_sample(sample: Sample, path) -> None:
 
 
 def load_sample(path) -> Sample:
-    """Read and validate a sample; a missing entry, manifest field or array,
-    or arrays that disagree, raise SampleFormatError."""
-    with zipfile.ZipFile(path, "r") as zf:
-        entries = ["manifest.json", *(f"{name}.npy" for name in SAMPLE_ARRAYS)]
-        missing = sorted(set(entries) - set(zf.namelist()))
-        if missing:
-            raise SampleFormatError(f"sample {path} lacks {', '.join(missing)}")
-        manifest = json.loads(zf.read("manifest.json"))
-        if manifest.get("format_version") != SAMPLE_FORMAT_VERSION:
-            raise ValueError(
-                f"unsupported sample format version {manifest.get('format_version')}"
-            )
-        arrays = {name: np.load(io.BytesIO(zf.read(f"{name}.npy"))) for name in SAMPLE_ARRAYS}
+    """Read and validate a sample. A file that is not a zip, a missing or
+    unreadable entry, a format version other than SAMPLE_FORMAT_VERSION, a
+    missing manifest field, or arrays that disagree raise SampleFormatError."""
+    try:
+        with zipfile.ZipFile(path, "r") as zf:
+            blobs = {name: zf.read(name) for name in zf.namelist()}
+    except (zipfile.BadZipFile, zlib.error, EOFError) as exc:
+        raise SampleFormatError(f"sample {path} is not a readable zip file: {exc}") from exc
+
+    def read(name, decode):
+        if name not in blobs:
+            raise SampleFormatError(f"sample {path} lacks {name}")
+        try:
+            return decode(blobs[name])
+        except (ValueError, EOFError) as exc:
+            raise SampleFormatError(f"sample {path}: unreadable {name}: {exc}") from exc
+
+    manifest = read("manifest.json", json.loads)
+    version = manifest.get("format_version") if isinstance(manifest, dict) else None
+    if version != SAMPLE_FORMAT_VERSION:
+        raise SampleFormatError(
+            f"sample {path}: unsupported sample format version {version}, "
+            f"expected {SAMPLE_FORMAT_VERSION}"
+        )
+    arrays = {
+        name: read(f"{name}.npy", lambda blob: np.load(io.BytesIO(blob)))
+        for name in SAMPLE_ARRAYS
+    }
+    if not np.issubdtype(arrays["cluster_ids"].dtype, np.integer):
+        raise SampleFormatError(f"sample {path}: cluster_ids are not integers")
     try:
         adjacency = AdjacencyMatrix(n=manifest["n_total"], pairs=arrays["A"].reshape(-1, 2))
         sample = Sample(
             features=arrays["T"],
             adjacency=adjacency,
-            cluster_ids=arrays["J"].argmax(axis=1).astype(np.int64),
+            cluster_ids=arrays["cluster_ids"].astype(np.int64),
             num_clusters=manifest["num_clusters"],
             labels=arrays["labels"],
             areas=arrays["areas"],

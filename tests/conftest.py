@@ -128,6 +128,22 @@ def connected_components(adj) -> int:
 
 
 # ---------------------------------------------------------------------------
+# cluster and area views of a sample, for checks only
+
+
+def one_hot(ids, width: int) -> np.ndarray:
+    """(len(ids), width) 0/1 matrix with a 1 in column ids[i] of row i."""
+    j = np.zeros((len(ids), width), dtype=np.float64)
+    j[np.arange(len(ids)), ids] = 1.0
+    return j
+
+
+def sample_area_weights(sample) -> np.ndarray:
+    """Face areas over the sample's total area (0 on padding faces)."""
+    return sample.areas / sample.areas.sum()
+
+
+# ---------------------------------------------------------------------------
 # numerical oracles
 
 

@@ -485,6 +485,31 @@ class TestAdamW:
         np.testing.assert_array_equal(q.data, [2.0])
         assert p.data[0] != 1.5
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_in_place_step_matches_out_of_place_formula(self, rng, dtype):
+        """Three steps agree bit for bit with the out-of-place AdamW update,
+        and each parameter keeps its array."""
+        lr, wd, b1, b2, eps = 1e-2, 0.05, 0.9, 0.999, 1e-8
+        params = {name: Tensor(rng.normal(size=(7, 5)).astype(dtype), requires_grad=True)
+                  for name in ("a", "b")}
+        arrays = {name: p.data for name, p in params.items()}
+        ref = {name: p.data.copy() for name, p in params.items()}
+        m = {name: np.zeros_like(x) for name, x in ref.items()}
+        v = {name: np.zeros_like(x) for name, x in ref.items()}
+        opt = AdamW(params, lr=lr, weight_decay=wd)
+        for t in range(1, 4):
+            for p in params.values():
+                p.grad = rng.normal(size=p.data.shape).astype(dtype)
+            opt.step()
+            for name, p in params.items():
+                g = p.grad
+                m[name] = b1 * m[name] + (1.0 - b1) * g
+                v[name] = b2 * v[name] + (1.0 - b2) * g * g
+                update = (m[name] / (1.0 - b1**t)) / (np.sqrt(v[name] / (1.0 - b2**t)) + eps)
+                ref[name] = ref[name] - lr * update - lr * wd * ref[name]
+                np.testing.assert_array_equal(p.data, ref[name])
+                assert p.data is arrays[name]
+
     def test_zero_grad_clears(self):
         p = Tensor(np.array([1.0]), requires_grad=True)
         opt = AdamW({"p": p})

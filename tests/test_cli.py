@@ -268,7 +268,42 @@ CHECKPOINT_DAMAGE = {
     "config-without-num-classes": (
         edit_manifest(lambda m: m["config"].pop("num_classes")), "num_classes"
     ),
+    "manifest-not-json": (
+        lambda entries: entries.update({"manifest.json": b"{not json"}), "is unreadable"
+    ),
 }
+
+
+def float_cluster_ids(entries):
+    import io
+
+    buf = io.BytesIO()
+    np.save(buf, np.load(io.BytesIO(entries["cluster_ids.npy"])).astype(np.float64))
+    entries["cluster_ids.npy"] = buf.getvalue()
+
+
+# damage -> (edit, what the one-line error names)
+SAMPLE_DAMAGE = {
+    "manifest-not-json": (
+        lambda entries: entries.update({"manifest.json": b"{not json"}),
+        "unreadable manifest.json",
+    ),
+    "corrupt-npy": (
+        lambda entries: entries.update({"labels.npy": b"\x93NUMPY\x01\x00garbage"}),
+        "unreadable labels.npy",
+    ),
+    "format-version-1": (
+        edit_manifest(lambda m: m.update(format_version=1)), "format version 1"
+    ),
+    "float-cluster-ids": (float_cluster_ids, "cluster_ids are not integers"),
+}
+
+
+def run_with_checkpoint(command, checkpoint, samples_dir, dataset_dir, tmp_path):
+    if command == "eval":
+        return run(["eval", str(samples_dir), str(checkpoint)])
+    return run(["segment", str(dataset_dir / "shapes" / "sphere0.off"), str(checkpoint),
+                str(tmp_path / "seg.ply"), *PREPROCESS_FLAGS])
 
 
 class TestBrokenArtifacts:
@@ -281,13 +316,35 @@ class TestBrokenArtifacts:
                                         untrained_checkpoint, tmp_path):
         edit, message = CHECKPOINT_DAMAGE[damage]
         rewrite_zip(untrained_checkpoint, edit)
-        if command == "eval":
-            args = ["eval", str(samples_dir), str(untrained_checkpoint)]
-        else:
-            args = ["segment", str(dataset_dir / "shapes" / "sphere0.off"),
-                    str(untrained_checkpoint), str(tmp_path / "seg.ply"), *PREPROCESS_FLAGS]
-        result = run(args)
+        result = run_with_checkpoint(command, untrained_checkpoint, samples_dir, dataset_dir,
+                                     tmp_path)
         assert result.exit_code == 2, result.output
+        assert result.output.startswith("error: ") and message in result.output
+        assert len(result.output.splitlines()) == 1
+
+    @pytest.mark.parametrize("command", ["eval", "segment"])
+    def test_checkpoint_not_a_zip_exits_2(self, command, samples_dir, dataset_dir,
+                                          untrained_checkpoint, tmp_path):
+        untrained_checkpoint.write_bytes(b"not a zip file\n")
+        result = run_with_checkpoint(command, untrained_checkpoint, samples_dir, dataset_dir,
+                                     tmp_path)
+        assert result.exit_code == 2, result.output
+        assert result.output.startswith("error: ") and "is unreadable" in result.output
+        assert len(result.output.splitlines()) == 1
+
+    def test_sample_not_a_zip_exits_1(self, samples_dir, untrained_checkpoint):
+        (samples_dir / "sphere1.sample").write_bytes(b"not a zip file\n")
+        result = run(["eval", str(samples_dir), str(untrained_checkpoint)])
+        assert result.exit_code == 1, result.output
+        assert result.output.startswith("error: ") and "not a readable zip" in result.output
+        assert len(result.output.splitlines()) == 1
+
+    @pytest.mark.parametrize("damage", sorted(SAMPLE_DAMAGE))
+    def test_unreadable_sample_exits_1(self, damage, samples_dir, untrained_checkpoint):
+        edit, message = SAMPLE_DAMAGE[damage]
+        rewrite_zip(samples_dir / "sphere1.sample", edit)
+        result = run(["eval", str(samples_dir), str(untrained_checkpoint)])
+        assert result.exit_code == 1, result.output
         assert result.output.startswith("error: ") and message in result.output
         assert len(result.output.splitlines()) == 1
 

@@ -11,7 +11,7 @@ from meshseg.clustering import (
 )
 from meshseg.spectral import AdjacencyMatrix
 
-from conftest import neighbor_lists, ward_oracle
+from conftest import connected_components, neighbor_lists, one_hot, ward_oracle
 from dense_model import co_membership
 
 
@@ -120,6 +120,27 @@ class TestWardConstrained:
         assert result.merges[1] == ((2,), (3,))
         assert result.merges[2] == ((0, 1), (2, 3))
 
+    def test_disconnected_matches_oracle(self, rng):
+        """Graphs of 2-8 nodes with at least 2 components and a target below
+        the component count, so the last merges join unconnected clusters."""
+        checked = 0
+        while checked < 100:
+            n = int(rng.integers(2, 9))
+            pairs = {
+                (min(i, j), max(i, j))
+                for i, j in rng.integers(0, n, size=(int(rng.integers(0, n)), 2))
+                if i != j
+            }
+            adj = AdjacencyMatrix(n=n, pairs=sorted(pairs))
+            components = connected_components(adj)
+            if components < 2:
+                continue
+            points = rng.normal(size=(n, int(rng.integers(1, 4))))
+            m = int(rng.integers(1, components))
+            result = ward_constrained(points, adj, m, return_merges=True)
+            assert list(result.merges) == ward_oracle(points, adj.pairs, m)
+            checked += 1
+
     def test_similarity_invariance(self, rng):
         """Rotation + translation + uniform scaling preserves the merge
         sequence and assignment."""
@@ -164,7 +185,7 @@ class TestCoMembership:
         ids[:3] = [0, 1, 2]  # ensure all clusters nonempty
         a = ClusterAssignment(assignment=ids, num_clusters=3)
         c = co_membership(a.assignment)
-        j = a.one_hot()
+        j = one_hot(a.assignment, a.num_clusters)
         np.testing.assert_array_equal(c, j @ j.T)
         # boolean idempotence of an equivalence relation
         np.testing.assert_array_equal(((c @ c) > 0).astype(float), c)

@@ -21,7 +21,13 @@ from meshseg.preprocess import (
     triangle_areas,
 )
 
-from conftest import hemisphere_labeled_sphere, icosphere, tetrahedron
+from conftest import (
+    hemisphere_labeled_sphere,
+    icosphere,
+    one_hot,
+    sample_area_weights,
+    tetrahedron,
+)
 
 
 def tiny_config(**overrides):
@@ -126,7 +132,7 @@ class TestPadSample:
 
     def test_cluster_one_hot_gains_padding_column(self):
         sample = tetra_sample(target_faces=6)
-        j = sample.cluster_one_hot()
+        j = one_hot(sample.cluster_ids, sample.num_clusters + 1)
         assert j.shape == (6, sample.num_clusters + 1)
         np.testing.assert_array_equal(j.sum(axis=1), 1.0)
         np.testing.assert_array_equal(j[4:, sample.num_clusters], 1.0)
@@ -157,7 +163,7 @@ class TestBuildSample:
         assert sample.n_real == 80
         assert sample.num_classes == 2
         # area weights sum to 1 over real faces
-        np.testing.assert_allclose(sample.area_weights.sum(), 1.0, atol=1e-12)
+        np.testing.assert_allclose(sample_area_weights(sample).sum(), 1.0, atol=1e-12)
 
     def test_unlabeled_mesh(self):
         sample = build_sample(tetrahedron(), None, tiny_config(target_faces=4))
@@ -275,9 +281,10 @@ class TestSampleSerialization:
         with zipfile.ZipFile(path) as zf:
             names = set(zf.namelist())
             manifest = json.loads(zf.read("manifest.json"))
-        assert {"T.npy", "A.npy", "J.npy", "labels.npy", "areas.npy",
+        assert {"T.npy", "A.npy", "cluster_ids.npy", "labels.npy", "areas.npy",
                 "mask.npy", "manifest.json"} <= names
-        assert manifest["format_version"] == 1
+        assert manifest["format_version"] == 2
+        assert manifest["arrays"]["cluster_ids"] == {"shape": [6], "dtype": "int64"}
         assert manifest["n_total"] == 6
         assert manifest["has_padding"] is True
         assert manifest["arrays"]["T"]["shape"] == [6, 14]
@@ -299,4 +306,30 @@ class TestSampleSerialization:
             for name, blob in payload.items():
                 zf.writestr(name, blob)
         with pytest.raises(ValueError, match="format version"):
+            load_sample(path)
+
+    def test_version_1_rejected_by_name(self, tmp_path):
+        import io
+        import json
+        import zipfile
+
+        from meshseg.errors import SampleFormatError
+
+        sample = tetra_sample(target_faces=6)
+        path = tmp_path / "t.sample"
+        save_sample(sample, path)
+        # rewrite as version 1: one-hot J.npy in place of cluster_ids.npy
+        with zipfile.ZipFile(path) as zf:
+            payload = {name: zf.read(name) for name in zf.namelist()}
+        manifest = json.loads(payload.pop("manifest.json"))
+        manifest["format_version"] = 1
+        payload.pop("cluster_ids.npy")
+        buf = io.BytesIO()
+        np.save(buf, one_hot(sample.cluster_ids, sample.num_clusters + 1).astype(np.uint8))
+        payload["J.npy"] = buf.getvalue()
+        payload["manifest.json"] = json.dumps(manifest).encode()
+        with zipfile.ZipFile(path, "w") as zf:
+            for name, blob in payload.items():
+                zf.writestr(name, blob)
+        with pytest.raises(SampleFormatError, match="format version 1"):
             load_sample(path)
