@@ -381,7 +381,8 @@ def load_checkpoint(path) -> tuple[dict[str, Tensor], ModelConfig]:
     """Parameters and config of a checkpoint. The parameter names and
     shapes must be those ``init_params`` gives the stored config, and
     ``params.bin`` must hold exactly their values; otherwise, or when the
-    file is not a zip with a JSON manifest, ConfigError."""
+    file is not a zip with a JSON manifest, or when the manifest lacks a
+    field, ConfigError."""
     try:
         with zipfile.ZipFile(path, "r") as zf:
             manifest = json.loads(zf.read("manifest.json"))
@@ -393,9 +394,24 @@ def load_checkpoint(path) -> tuple[dict[str, Tensor], ModelConfig]:
     version = manifest.get("format_version") if isinstance(manifest, dict) else None
     if version != CHECKPOINT_FORMAT_VERSION:
         raise ConfigError(f"unsupported checkpoint format version {version}")
-    cfg = ModelConfig.from_dict(manifest["config"])
+
+    def field(mapping, key, kind, where="manifest"):
+        if key not in mapping:
+            raise ConfigError(f"checkpoint {path}: {where} lacks {key!r}")
+        value = mapping[key]
+        if not isinstance(value, kind) or isinstance(value, bool):
+            raise ConfigError(f"checkpoint {path}: {where} field {key!r} is not a {kind.__name__}")
+        return value
+
+    cfg = ModelConfig.from_dict(field(manifest, "config", dict))
+    entries = field(manifest, "params", dict)
+    for name, meta in entries.items():
+        if not isinstance(meta, dict):
+            raise ConfigError(f"checkpoint {path}: manifest entry {name!r} is not a dict")
+        field(meta, "shape", list, f"manifest entry {name!r}")
+        field(meta, "offset", int, f"manifest entry {name!r}")
     expected = {name: shape for name, shape, _ in _param_specs(cfg)}
-    stored = {name: tuple(meta["shape"]) for name, meta in manifest["params"].items()}
+    stored = {name: tuple(meta["shape"]) for name, meta in entries.items()}
     if stored != expected:
         problems = [f"missing {name}" for name in sorted(expected.keys() - stored.keys())]
         problems += [f"unexpected {name}" for name in sorted(stored.keys() - expected.keys())]
@@ -405,7 +421,10 @@ def load_checkpoint(path) -> tuple[dict[str, Tensor], ModelConfig]:
             if stored[name] != expected[name]
         ]
         raise ConfigError(f"checkpoint {path} does not match its config: {'; '.join(problems)}")
-    dtype = np.dtype(manifest["dtype"])
+    try:
+        dtype = np.dtype(field(manifest, "dtype", str))
+    except TypeError as exc:
+        raise ConfigError(f"checkpoint {path}: unknown dtype: {exc}") from exc
     sizes = {name: math.prod(shape) for name, shape in expected.items()}
     total = sum(sizes.values())
     if len(blob) != total * dtype.itemsize:
@@ -415,7 +434,7 @@ def load_checkpoint(path) -> tuple[dict[str, Tensor], ModelConfig]:
         )
     flat = np.frombuffer(blob, dtype=dtype)
     params = {}
-    for name, meta in manifest["params"].items():
+    for name, meta in entries.items():
         offset, size = meta["offset"], sizes[name]
         if not 0 <= offset <= total - size:
             raise ConfigError(f"checkpoint {path}: parameter {name} lies outside params.bin")

@@ -15,6 +15,7 @@ import logging
 import zipfile
 import zlib
 from dataclasses import asdict, dataclass, field, replace
+from time import perf_counter
 
 import numpy as np
 
@@ -240,11 +241,22 @@ def build_sample(mesh: Mesh, labels: LabelVec | None, cfg: PreprocessConfig) -> 
         raise ValueError(
             f"label count {len(labels)} != face count {mesh.num_faces}"
         )
-    merged, face_mask = merge_duplicate_vertices(mesh, cfg.merge_eps, return_face_mask=True)
+    seconds = {}
+
+    def timed(stage, fn, *args, **kwargs):
+        start = perf_counter()
+        out = fn(*args, **kwargs)
+        seconds[stage] = perf_counter() - start
+        return out
+
+    merged, face_mask = timed(
+        "merge", merge_duplicate_vertices, mesh, cfg.merge_eps, return_face_mask=True
+    )
     label_arr = labels.labels[face_mask] if labels is not None else None
 
+    reached = "skipped"
     if cfg.simplify and merged.num_vertices > cfg.target_vertices:
-        simplified, reached = simplify_qem(merged, cfg.target_vertices)
+        simplified, reached = timed("qem", simplify_qem, merged, cfg.target_vertices)
         if not reached:
             logger.warning(
                 "simplification stalled at %d vertices (target %d)",
@@ -260,9 +272,9 @@ def build_sample(mesh: Mesh, labels: LabelVec | None, cfg: PreprocessConfig) -> 
     normals = compute_normals(standardized)
     areas = triangle_areas(standardized)
 
-    adj = spectral.build_dual_adjacency(standardized)
-    lap = spectral.normalized_laplacian(adj)
-    spec_feats = spectral.laplacian_positional_features(lap, cfg.eigen_count)
+    adj = timed("dual_graph", spectral.build_dual_adjacency, standardized)
+    lap = timed("laplacian", spectral.normalized_laplacian, adj)
+    spec_feats = timed("eigen", spectral.laplacian_positional_features, lap, cfg.eigen_count)
 
     n = standardized.num_faces
     coords = standardized.vertices[standardized.faces].reshape(n, 9)
@@ -273,7 +285,14 @@ def build_sample(mesh: Mesh, labels: LabelVec | None, cfg: PreprocessConfig) -> 
     )
     num_clusters = min(num_clusters, n)
     cluster_points = features if cfg.cluster_on_features else triangle_centroids(standardized)
-    assignment = clustering.ward_constrained(cluster_points, adj, num_clusters)
+    assignment = timed("ward", clustering.ward_constrained, cluster_points, adj, num_clusters)
+    logger.info(
+        "build_sample: %s; qem %d -> %d vertices, reached %s",
+        ", ".join(f"{stage} {t:.3f} s" for stage, t in seconds.items()),
+        merged.num_vertices,
+        simplified.num_vertices,
+        reached,
+    )
 
     if label_arr is None:
         label_arr = np.full(n, PAD_LABEL, dtype=np.int64)

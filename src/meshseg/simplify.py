@@ -1,14 +1,31 @@
 """Greedy edge-collapse mesh decimation driven by quadric error metrics.
 
 Each vertex accumulates the squared plane-distance quadric of its incident
-faces; the edge whose contraction has the lowest quadric cost is collapsed
-first. Collapses that would flip an incident face normal or create a
-non-manifold fan are skipped.
+faces (Garland & Heckbert, SIGGRAPH 1997); the edge whose contraction has
+the lowest quadric cost is collapsed first. Collapses that would flip an
+incident face normal or create a non-manifold fan are skipped.
+
+A quadric is kept as its 10 distinct floats, ``(q00, q01, q02, q03, q11,
+q12, q13, q22, q23, q33)`` of the symmetric 4x4 matrix, and positions as
+3-tuples, so the collapse loop runs in plain Python floats.
+
+Heap entries are ``(cost, a, b, stamp)`` with ``a < b``, and each edge has
+at most one live entry: the one whose stamp ``live[a, b]`` holds. A popped
+or superseded entry is stale and skipped. After ``v`` merges into ``u``,
+every edge at ``u`` gets a fresh entry, since ``u``'s quadric and position
+changed. An edge at one of ``u``'s neighbors gets an entry only when it has
+no live one, that is when it was popped earlier and rejected as illegal:
+neither of its endpoints changed, so its cost is bit-identical to that of
+its live entry, which pops exactly where a fresh one would. Re-pushing all
+edges at ``u`` and at its neighbors would therefore pop the same edges in
+the same order; it only costs more quadric solves.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
+from itertools import count
 
 import numpy as np
 
@@ -17,59 +34,79 @@ from meshseg.mesh_io import Mesh
 __all__ = ["simplify_qem"]
 
 _DEGENERATE_NORM = 1e-14
-
-
-def _face_quadric(p0, p1, p2) -> np.ndarray | None:
-    normal = np.cross(p1 - p0, p2 - p0)
-    norm = np.linalg.norm(normal)
-    if norm < _DEGENERATE_NORM:
-        return None
-    normal = normal / norm
-    d = -normal @ p0
-    plane = np.array([normal[0], normal[1], normal[2], d])
-    return np.outer(plane, plane)
+_SINGULAR_DET = 1e-10
 
 
 def _optimal_position(quadric, p_u, p_v):
-    """Collapse target minimizing v^T Q v; falls back to the best of the
-    endpoints and the midpoint when the quadric is near-singular."""
-    a = quadric[:3, :3]
-    b = -quadric[:3, 3]
-    try:
-        if abs(np.linalg.det(a)) > 1e-10:
-            candidate = np.linalg.solve(a, b)
-            candidates = [candidate, p_u, p_v, 0.5 * (p_u + p_v)]
-        else:
-            candidates = [p_u, p_v, 0.5 * (p_u + p_v)]
-    except np.linalg.LinAlgError:
-        candidates = [p_u, p_v, 0.5 * (p_u + p_v)]
+    """Collapse target minimizing v^T Q v over the solution of the 3x3
+    system (when ``|det| > 1e-10``), the endpoints and the midpoint, in that
+    order; a later candidate wins only with a strictly lower cost."""
+    a, b, c, d, e, f, g, h, i, j = quadric
+    mid = (0.5 * (p_u[0] + p_v[0]), 0.5 * (p_u[1] + p_v[1]), 0.5 * (p_u[2] + p_v[2]))
+    candidates = [p_u, p_v, mid]
+    # adjugate of the symmetric block [[a, b, c], [b, e, f], [c, f, h]]
+    m00 = e * h - f * f
+    m01 = c * f - b * h
+    m02 = b * f - c * e
+    det = a * m00 + b * m01 + c * m02
+    if abs(det) > _SINGULAR_DET:
+        m11 = a * h - c * c
+        m12 = b * c - a * f
+        m22 = a * e - b * b
+        candidates.insert(0, (
+            -(m00 * d + m01 * g + m02 * i) / det,
+            -(m01 * d + m11 * g + m12 * i) / det,
+            -(m02 * d + m12 * g + m22 * i) / det,
+        ))
     best, best_cost = None, None
-    for c in candidates:
-        h = np.append(c, 1.0)
-        cost = float(h @ quadric @ h)
+    for p in candidates:
+        x, y, z = p
+        cost = (
+            x * (a * x + 2.0 * (b * y + c * z + d))
+            + y * (e * y + 2.0 * (f * z + g))
+            + z * (h * z + 2.0 * i)
+            + j
+        )
         if best_cost is None or cost < best_cost:
-            best, best_cost = c, cost
+            best, best_cost = p, cost
     return best, best_cost
+
+
+def _cross(p0, p1, p2):
+    """Normal (p1 - p0) x (p2 - p0), unnormalized."""
+    ax, ay, az = p1[0] - p0[0], p1[1] - p0[1], p1[2] - p0[2]
+    bx, by, bz = p2[0] - p0[0], p2[1] - p0[1], p2[2] - p0[2]
+    return ay * bz - az * by, az * bx - ax * bz, ax * by - ay * bx
+
+
+def _vertex_quadrics(mesh: Mesh) -> np.ndarray:
+    """(V, 10) sum of the plane quadrics of each vertex's faces, in face
+    order; a face whose normal is shorter than _DEGENERATE_NORM adds none."""
+    v, faces = mesh.vertices, mesh.faces
+    p0 = v[faces[:, 0]]
+    normal = np.cross(v[faces[:, 1]] - p0, v[faces[:, 2]] - p0)
+    norm = np.linalg.norm(normal, axis=1)
+    keep = norm >= _DEGENERATE_NORM
+    normal = normal[keep] / norm[keep, np.newaxis]
+    plane = np.column_stack([normal, -(normal * p0[keep]).sum(axis=1)])
+    rows, cols = np.triu_indices(4)  # the 10 stored entries, row-major
+    face_quadrics = plane[:, rows] * plane[:, cols]
+    quadrics = np.zeros((len(v), len(rows)))
+    np.add.at(quadrics, faces[keep].ravel(), np.repeat(face_quadrics, 3, axis=0))
+    return quadrics
 
 
 class _MeshState:
     def __init__(self, mesh: Mesh):
-        self.positions = mesh.vertices.copy()
-        self.faces = [list(map(int, f)) for f in mesh.faces]
+        self.positions = [tuple(p) for p in mesh.vertices.tolist()]
+        self.quadrics = _vertex_quadrics(mesh).tolist()
+        self.faces = mesh.faces.tolist()
         self.face_alive = [True] * len(self.faces)
         self.vertex_alive = [True] * len(self.positions)
         self.vertex_faces: list[set[int]] = [set() for _ in range(len(self.positions))]
         for fi, f in enumerate(self.faces):
             for vi in f:
                 self.vertex_faces[vi].add(fi)
-        self.quadrics = np.zeros((len(self.positions), 4, 4))
-        for fi, f in enumerate(self.faces):
-            q = _face_quadric(*(self.positions[v] for v in f))
-            if q is None:
-                continue
-            for vi in f:
-                self.quadrics[vi] += q
-        self.version = [0] * len(self.positions)
 
     def vertex_neighbors(self, u: int) -> set[int]:
         out = set()
@@ -90,7 +127,12 @@ class _MeshState:
                     seen.add(key)
                     yield key
 
-    def collapse_is_legal(self, u: int, v: int, new_pos: np.ndarray) -> bool:
+    def collapse_target(self, u: int, v: int):
+        """(position, cost) of the best collapse of edge (u, v)."""
+        q = [x + y for x, y in zip(self.quadrics[u], self.quadrics[v])]
+        return _optimal_position(q, self.positions[u], self.positions[v])
+
+    def collapse_is_legal(self, u: int, v: int, new_pos) -> bool:
         shared_faces = self.vertex_faces[u] & self.vertex_faces[v]
         if not shared_faces:
             return False
@@ -103,23 +145,22 @@ class _MeshState:
         if common != opposite:
             return False
         # normal-flip check over every surviving incident face
+        pos = self.positions
         for fi in (self.vertex_faces[u] | self.vertex_faces[v]) - shared_faces:
-            corners = [self.positions[w] for w in self.faces[fi]]
-            before = np.cross(corners[1] - corners[0], corners[2] - corners[0])
-            moved = [
-                new_pos if w in (u, v) else self.positions[w] for w in self.faces[fi]
-            ]
-            after = np.cross(moved[1] - moved[0], moved[2] - moved[0])
-            if np.linalg.norm(after) < _DEGENERATE_NORM or before @ after < 0:
+            corners = self.faces[fi]
+            before = _cross(*(pos[w] for w in corners))
+            after = _cross(*(new_pos if w in (u, v) else pos[w] for w in corners))
+            dot = before[0] * after[0] + before[1] * after[1] + before[2] * after[2]
+            norm = math.sqrt(after[0] * after[0] + after[1] * after[1] + after[2] * after[2])
+            if norm < _DEGENERATE_NORM or dot < 0:
                 return False
         return True
 
-    def collapse(self, u: int, v: int, new_pos: np.ndarray):
-        """Merge v into u at new_pos; returns the set of vertices whose
-        neighborhood changed."""
+    def collapse(self, u: int, v: int, new_pos):
+        """Merge v into u at new_pos."""
         shared_faces = self.vertex_faces[u] & self.vertex_faces[v]
         self.positions[u] = new_pos
-        self.quadrics[u] += self.quadrics[v]
+        self.quadrics[u] = [x + y for x, y in zip(self.quadrics[u], self.quadrics[v])]
         for fi in shared_faces:
             self.face_alive[fi] = False
             for w in self.faces[fi]:
@@ -129,10 +170,6 @@ class _MeshState:
             self.vertex_faces[v].discard(fi)
             self.vertex_faces[u].add(fi)
         self.vertex_alive[v] = False
-        touched = self.vertex_neighbors(u) | {u}
-        for w in touched:
-            self.version[w] += 1
-        return touched
 
     def to_mesh(self) -> Mesh:
         keep = [i for i, alive in enumerate(self.vertex_alive) if alive]
@@ -146,7 +183,7 @@ class _MeshState:
                 continue
             faces.append([new_index[a], new_index[b], new_index[c]])
         return Mesh(
-            vertices=self.positions[keep],
+            vertices=np.array([self.positions[i] for i in keep], dtype=np.float64).reshape(-1, 3),
             faces=np.asarray(faces, dtype=np.int64).reshape(-1, 3),
         )
 
@@ -163,39 +200,37 @@ def simplify_qem(mesh: Mesh, target_vertices: int) -> tuple[Mesh, bool]:
         return mesh, True
 
     state = _MeshState(mesh)
-    heap: list[tuple[float, int, int, int, int]] = []
+    heap: list[tuple[float, int, int, int]] = []
+    live: dict[tuple[int, int], int] = {}
+    stamps = count()
 
-    def push_edge(u, v):
-        q = state.quadrics[u] + state.quadrics[v]
-        _, cost = _optimal_position(q, state.positions[u], state.positions[v])
-        heapq.heappush(heap, (cost, u, v, state.version[u], state.version[v]))
+    def push_edge(a, b):
+        _, cost = state.collapse_target(a, b)
+        stamp = live[a, b] = next(stamps)
+        heapq.heappush(heap, (cost, a, b, stamp))
 
-    for u, v in state.edges():
-        push_edge(u, v)
+    for a, b in state.edges():
+        push_edge(a, b)
 
     remaining = mesh.num_vertices
     while remaining > target_vertices and heap:
-        cost, u, v, ver_u, ver_v = heapq.heappop(heap)
-        if (
-            not state.vertex_alive[u]
-            or not state.vertex_alive[v]
-            or state.version[u] != ver_u
-            or state.version[v] != ver_v
-        ):
+        _, u, v, stamp = heapq.heappop(heap)
+        if live.get((u, v)) != stamp:
             continue
-        q = state.quadrics[u] + state.quadrics[v]
-        new_pos, _ = _optimal_position(q, state.positions[u], state.positions[v])
+        del live[u, v]
+        if not state.vertex_alive[u] or not state.vertex_alive[v]:
+            continue
+        new_pos, _ = state.collapse_target(u, v)
         if not state.collapse_is_legal(u, v, new_pos):
             continue
-        touched = state.collapse(u, v, new_pos)
+        state.collapse(u, v, new_pos)
         remaining -= 1
-        seen = set()
-        for w in touched:
-            if not state.vertex_alive[w]:
-                continue
+        neighbors = state.vertex_neighbors(u)
+        for w in neighbors:
+            push_edge(*((u, w) if u < w else (w, u)))
+        for w in neighbors:
             for x in state.vertex_neighbors(w):
                 key = (w, x) if w < x else (x, w)
-                if key not in seen:
-                    seen.add(key)
+                if key not in live:
                     push_edge(*key)
     return state.to_mesh(), remaining <= target_vertices

@@ -75,6 +75,32 @@ def random_hull_mesh(rng: np.random.Generator, n_points: int) -> Mesh:
     return Mesh(vertices=points[used], faces=faces)
 
 
+def bumpy_sphere_mesh(rng: np.random.Generator, n_points: int, bump: float) -> Mesh:
+    """Outward-wound hull of random unit-sphere points, each then moved
+    radially by up to ``bump``; the dents make collapses fold faces over."""
+    from scipy.spatial import ConvexHull
+
+    points = rng.normal(size=(n_points, 3))
+    points /= np.linalg.norm(points, axis=1, keepdims=True)
+    faces = ConvexHull(points).simplices
+    a, b, c = points[faces[:, 0]], points[faces[:, 1]], points[faces[:, 2]]
+    inward = (np.cross(b - a, c - a) * (a + b + c)).sum(axis=1) < 0
+    faces[inward] = faces[inward][:, [0, 2, 1]]
+    radii = 1 + bump * rng.uniform(-1, 1, size=(n_points, 1))
+    return Mesh(vertices=points * radii, faces=faces)
+
+
+def seven_vertex_torus() -> Mesh:
+    """The 7-vertex torus: every two vertices share an edge, so each edge
+    has common neighbors off its two faces and no collapse is legal."""
+    faces = [[i, (i + 1) % 7, (i + 3) % 7] for i in range(7)]
+    faces += [[i, (i + 3) % 7, (i + 2) % 7] for i in range(7)]
+    t = 2 * np.pi * np.arange(7) / 7
+    ring = 2 + np.cos(3 * t)
+    vertices = np.column_stack([ring * np.cos(t), ring * np.sin(t), np.sin(3 * t)])
+    return Mesh(vertices=vertices, faces=np.array(faces))
+
+
 def hemisphere_labeled_sphere(subdivisions=2, jitter=0.0, seed=0):
     """Sphere with 2-class labels split at the equator of face centroids."""
     mesh = icosphere(subdivisions)

@@ -271,6 +271,26 @@ CHECKPOINT_DAMAGE = {
     "manifest-not-json": (
         lambda entries: entries.update({"manifest.json": b"{not json"}), "is unreadable"
     ),
+    "manifest-without-config": (edit_manifest(lambda m: m.pop("config")), "lacks 'config'"),
+    "manifest-without-params": (edit_manifest(lambda m: m.pop("params")), "lacks 'params'"),
+    "manifest-without-dtype": (edit_manifest(lambda m: m.pop("dtype")), "lacks 'dtype'"),
+    "unknown-dtype": (edit_manifest(lambda m: m.update(dtype="bogus")), "unknown dtype"),
+    "entry-without-shape": (
+        edit_manifest(lambda m: m["params"]["head.ff2.b"].pop("shape")),
+        "entry 'head.ff2.b' lacks 'shape'",
+    ),
+    "entry-without-offset": (
+        edit_manifest(lambda m: m["params"]["head.ff2.b"].pop("offset")),
+        "entry 'head.ff2.b' lacks 'offset'",
+    ),
+    "params-not-a-dict": (
+        edit_manifest(lambda m: m.update(params=list(m["params"]))),
+        "field 'params' is not a dict",
+    ),
+    "params-entry-not-a-dict": (
+        edit_manifest(lambda m: m["params"].update({"head.ff2.b": [2]})),
+        "entry 'head.ff2.b' is not a dict",
+    ),
 }
 
 

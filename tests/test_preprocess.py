@@ -1,6 +1,9 @@
 """Normals, standardization, padding, the full sample pipeline, and the
 sample container round trip."""
 
+import logging
+import re
+
 import numpy as np
 import pytest
 
@@ -26,6 +29,7 @@ from conftest import (
     icosphere,
     one_hot,
     sample_area_weights,
+    seven_vertex_torus,
     tetrahedron,
 )
 
@@ -198,6 +202,37 @@ class TestBuildSample:
         # the label split should stay roughly hemispheric by area
         frac = sample.areas[real][labs == 1].sum() / sample.areas[real].sum()
         assert 0.3 < frac < 0.7
+
+    def test_logs_stage_seconds_and_qem_counts(self, caplog):
+        mesh, labels = hemisphere_labeled_sphere(subdivisions=2)  # 162 verts
+        cfg = PreprocessConfig(target_vertices=42, target_faces=80, eigen_count=4,
+                               clustering_lambda=8)
+        with caplog.at_level(logging.INFO, logger="meshseg.preprocess"):
+            build_sample(mesh, labels, cfg)
+        (record,) = [r for r in caplog.records if r.levelno == logging.INFO]
+        message = record.getMessage()
+        assert message.startswith("build_sample: merge ")
+        for stage in ("qem", "dual_graph", "laplacian", "eigen", "ward"):
+            assert re.search(rf"\b{stage} \d+\.\d{{3}} s", message), stage
+        assert message.endswith("qem 162 -> 42 vertices, reached True")
+
+    def test_logs_skipped_qem(self, caplog):
+        with caplog.at_level(logging.INFO, logger="meshseg.preprocess"):
+            tetra_sample()
+        (record,) = caplog.records
+        assert "qem 0" not in record.getMessage()
+        assert record.getMessage().endswith("qem 4 -> 4 vertices, reached skipped")
+
+    def test_unreachable_target_warns(self, caplog):
+        cfg = PreprocessConfig(target_vertices=4, target_faces=14, eigen_count=4,
+                               clustering_lambda=4)
+        with caplog.at_level(logging.INFO, logger="meshseg.preprocess"):
+            sample = build_sample(seven_vertex_torus(), None, cfg)
+        assert sample.n_real == 14
+        warning, info = caplog.records
+        assert warning.levelno == logging.WARNING
+        assert warning.getMessage() == "simplification stalled at 7 vertices (target 4)"
+        assert info.getMessage().endswith("qem 7 -> 7 vertices, reached False")
 
     def test_deterministic(self):
         mesh, labels = hemisphere_labeled_sphere(subdivisions=1)

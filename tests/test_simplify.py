@@ -3,11 +3,20 @@
 import numpy as np
 import pytest
 
+from meshseg import simplify
 from meshseg.mesh_io import Mesh
 from meshseg.preprocess import compute_normals
 from meshseg.simplify import simplify_qem
 
-from conftest import icosphere, random_hull_mesh, shared_edge_count, tetrahedron
+from conftest import (
+    bumpy_sphere_mesh,
+    icosphere,
+    random_hull_mesh,
+    seven_vertex_torus,
+    shared_edge_count,
+    tetrahedron,
+)
+from qem_oracle import _face_quadric, simplify_qem_oracle
 
 
 class TestSimplifyQem:
@@ -69,3 +78,148 @@ class TestSimplifyQem:
         b, _ = simplify_qem(mesh, 20)
         np.testing.assert_array_equal(a.vertices, b.vertices)
         np.testing.assert_array_equal(a.faces, b.faces)
+
+
+# ---------------------------------------------------------------------------
+# parity with the per-call numpy implementation in qem_oracle.py
+
+
+def simplify_recording(mesh, target, monkeypatch):
+    """simplify_qem plus the (u, v) pairs it merged, in order."""
+    collapses = []
+    collapse = simplify._MeshState.collapse
+
+    def recorded(state, u, v, new_pos):
+        collapses.append((u, v))
+        return collapse(state, u, v, new_pos)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(simplify._MeshState, "collapse", recorded)
+        out, reached = simplify.simplify_qem(mesh, target)
+    return out, reached, collapses
+
+
+def assert_matches_oracle(mesh, target, monkeypatch, atol=1e-9):
+    out, reached, collapses = simplify_recording(mesh, target, monkeypatch)
+    want, want_reached, want_collapses = simplify_qem_oracle(mesh, target)
+    assert collapses == want_collapses
+    assert reached == want_reached
+    np.testing.assert_array_equal(out.faces, want.faces)
+    np.testing.assert_allclose(out.vertices, want.vertices, rtol=0, atol=atol)
+    return out
+
+
+def grid_patch(n: int) -> Mesh:
+    """Flat n x n grid of unit squares in the z = 0 plane, two triangles each."""
+    xs = np.arange(n, dtype=float)
+    vertices = np.array([[x, y, 0.0] for y in xs for x in xs])
+    faces = []
+    for j in range(n - 1):
+        for i in range(n - 1):
+            a = j * n + i
+            faces += [[a, a + 1, a + n + 1], [a, a + n + 1, a + n]]
+    return Mesh(vertices=vertices, faces=np.array(faces))
+
+
+def quadric_entries(matrix) -> tuple:
+    rows, cols = np.triu_indices(4)
+    return tuple(matrix[rows, cols].tolist())
+
+
+def quadric_cost(matrix, p) -> float:
+    h = np.append(p, 1.0)
+    return float(h @ matrix @ h)
+
+
+class TestOracleParity:
+    def test_random_hulls_same_collapses(self, monkeypatch):
+        rng = np.random.default_rng(20231)
+        for _ in range(300):
+            mesh = random_hull_mesh(rng, int(rng.integers(10, 81)))
+            target = int(rng.integers(4, mesh.num_vertices))
+            assert_matches_oracle(mesh, target, monkeypatch)
+
+    def test_bumpy_spheres_same_collapses(self, monkeypatch):
+        """Dented meshes reject collapses that fold faces, and an edge
+        rejected earlier is pushed again once a neighbor collapses."""
+        rng = np.random.default_rng(0)
+        for _ in range(8):
+            mesh = bumpy_sphere_mesh(rng, 100, 0.15)
+            target = int(rng.integers(4, 50))
+            assert_matches_oracle(mesh, target, monkeypatch)
+
+    def test_planar_patch_keeps_input_positions(self, monkeypatch):
+        """Every quadric of a flat patch is singular, so each collapse lands
+        on an endpoint or a midpoint; at cost 0 the first endpoint wins."""
+        mesh = grid_patch(6)
+        out = assert_matches_oracle(mesh, 12, monkeypatch, atol=0)
+        assert out.num_vertices == 12
+        inputs = {tuple(p) for p in mesh.vertices.tolist()}
+        assert all(tuple(p) in inputs for p in out.vertices.tolist())
+
+    def test_zero_area_face_adds_no_quadric(self, monkeypatch):
+        rng = np.random.default_rng(7)
+        mesh = random_hull_mesh(rng, 30)
+        a, b, c = mesh.faces[0]
+        vertices = mesh.vertices.copy()
+        vertices[c] = 0.5 * (vertices[a] + vertices[b])
+        mesh = Mesh(vertices=vertices, faces=mesh.faces)
+        face_quadrics = [_face_quadric(*vertices[f]) for f in mesh.faces]
+        assert face_quadrics[0] is None
+        assert all(q is not None for q in face_quadrics[1:])
+        want = np.zeros((mesh.num_vertices, 4, 4))
+        for f, q in zip(mesh.faces[1:], face_quadrics[1:]):
+            want[f] += q
+        got = simplify._vertex_quadrics(mesh)
+        np.testing.assert_allclose(got, [quadric_entries(q) for q in want], rtol=0, atol=1e-14)
+        assert_matches_oracle(mesh, 12, monkeypatch)
+
+    def test_unreachable_target(self, monkeypatch):
+        mesh = seven_vertex_torus()
+        out, reached, collapses = simplify_recording(mesh, 4, monkeypatch)
+        assert not reached and collapses == []
+        np.testing.assert_array_equal(out.faces, mesh.faces)
+        assert_matches_oracle(mesh, 4, monkeypatch, atol=0)
+
+
+class TestOptimalPosition:
+    @pytest.mark.parametrize("rank", [1, 2, 3, 4])
+    def test_matches_linalg_solve(self, rank):
+        rng = np.random.default_rng(rank)
+        for _ in range(200):
+            planes = rng.normal(size=(rank, 4))
+            quadric = planes.T @ planes
+            p_u, p_v = rng.normal(size=(2, 3))
+            a, b = quadric[:3, :3], -quadric[:3, 3]
+            candidates = [p_u, p_v, 0.5 * (p_u + p_v)]
+            if abs(np.linalg.det(a)) > 1e-10:
+                candidates.insert(0, np.linalg.solve(a, b))
+            costs = [quadric_cost(quadric, c) for c in candidates]
+            pos, cost = simplify._optimal_position(
+                quadric_entries(quadric), tuple(p_u), tuple(p_v)
+            )
+            scale = np.abs(quadric).max()
+            np.testing.assert_allclose(pos, candidates[int(np.argmin(costs))], atol=1e-9)
+            assert abs(cost - min(costs)) <= 1e-12 * scale * (1 + np.abs(pos).max()) ** 2
+
+    @pytest.mark.parametrize("det", [1.001e-10, 0.999e-10])
+    def test_determinant_threshold(self, det):
+        """A = R diag(1, 1, det) R^T: the solved position is a candidate just
+        above |det| = 1e-10 and dropped just below it."""
+        rng = np.random.default_rng(11)
+        rotation, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+        normals = rotation.T * np.array([1.0, 1.0, np.sqrt(det)])[:, np.newaxis]
+        planes = np.column_stack([normals, rng.normal(size=3)])
+        quadric = planes.T @ planes
+        a, b = quadric[:3, :3], -quadric[:3, 3]
+        p_u, p_v = rng.normal(size=(2, 3))
+        pos, cost = simplify._optimal_position(quadric_entries(quadric), tuple(p_u), tuple(p_v))
+        ends = [tuple(p_u), tuple(p_v), tuple(0.5 * (p_u + p_v))]
+        if det > 1e-10:
+            assert abs(np.linalg.det(a)) > 1e-10
+            np.testing.assert_allclose(pos, np.linalg.solve(a, b), rtol=1e-5)
+            assert cost < min(quadric_cost(quadric, p) for p in ends)
+        else:
+            assert abs(np.linalg.det(a)) < 1e-10
+            costs = [quadric_cost(quadric, p) for p in ends]
+            assert pos == ends[int(np.argmin(costs))]
