@@ -2,8 +2,7 @@
 
 Tensors wrap numpy arrays and record their provenance; ``backward`` walks
 the graph in reverse topological order with a deterministic accumulation
-order. Only the primitives the segmentation network and its dense
-reference implementation in the tests need are provided:
+order. Only the primitives the segmentation network needs are provided:
 no general broadcasting beyond bias addition, no views, no in-place math
 on live graph nodes.
 """
@@ -21,13 +20,8 @@ __all__ = [
     "mul",
     "scale",
     "relu",
-    "transpose",
-    "concat_last",
-    "slice_last",
     "reduce_sum",
-    "reduce_mean",
     "embedding_lookup",
-    "masked_softmax",
     "attention",
     "neighbor_attention",
     "log_softmax",
@@ -80,19 +74,6 @@ class Tensor:
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, dtype={self.dtype}, requires_grad={self.requires_grad})"
-
-    # light operator sugar used throughout the model code
-    def __add__(self, other):
-        return add(self, other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
-    def __sub__(self, other):
-        return add(self, scale(other, -1.0))
 
 
 def _as_tensor(x, like: Tensor | None = None) -> Tensor:
@@ -168,39 +149,6 @@ def relu(a: Tensor) -> Tensor:
     return out
 
 
-def transpose(a: Tensor) -> Tensor:
-    a = _as_tensor(a)
-    _check(a.data.ndim == 2, "transpose", a.shape)
-    out = Tensor(a.data.T.copy(), _parents=(a,))
-    out._backward_fn = lambda g: (g.T,)
-    return out
-
-
-def concat_last(tensors) -> Tensor:
-    tensors = [_as_tensor(t) for t in tensors]
-    widths = [t.shape[-1] for t in tensors]
-    out = Tensor(np.concatenate([t.data for t in tensors], axis=-1), _parents=tuple(tensors))
-
-    def backward_fn(g):
-        return tuple(np.split(g, np.cumsum(widths)[:-1], axis=-1))
-
-    out._backward_fn = backward_fn
-    return out
-
-
-def slice_last(a: Tensor, start: int, stop: int) -> Tensor:
-    a = _as_tensor(a)
-    out = Tensor(a.data[..., start:stop].copy(), _parents=(a,))
-
-    def backward_fn(g):
-        ga = np.zeros_like(a.data)
-        ga[..., start:stop] = g
-        return (ga,)
-
-    out._backward_fn = backward_fn
-    return out
-
-
 def reduce_sum(a: Tensor, axis: int | None = None) -> Tensor:
     a = _as_tensor(a)
     out = Tensor(a.data.sum(axis=axis), _parents=(a,))
@@ -212,12 +160,6 @@ def reduce_sum(a: Tensor, axis: int | None = None) -> Tensor:
 
     out._backward_fn = backward_fn
     return out
-
-
-def reduce_mean(a: Tensor, axis: int | None = None) -> Tensor:
-    a = _as_tensor(a)
-    count = a.data.size if axis is None else a.shape[axis]
-    return scale(reduce_sum(a, axis=axis), 1.0 / count)
 
 
 def embedding_lookup(table: Tensor, ids) -> Tensor:
@@ -250,27 +192,6 @@ def _softmax(z: np.ndarray, axis: int = -1) -> np.ndarray:
     e = np.where(np.isfinite(z), e, 0.0)
     denom = e.sum(axis=axis, keepdims=True)
     return np.where(denom > 0, e / np.where(denom > 0, denom, 1.0), 0.0).astype(z.dtype)
-
-
-def masked_softmax(scores: Tensor, mask) -> Tensor:
-    """Row softmax of ``scores + mask`` for an additive mask.
-
-    A mask entry of -inf blocks its column; a finite entry is a bias added
-    to the score (0 leaves it unchanged). Rows that are entirely blocked
-    produce all zeros (not NaN) and contribute zero gradient.
-    """
-    scores = _as_tensor(scores)
-    mask = np.asarray(mask.data if isinstance(mask, Tensor) else mask, dtype=scores.dtype)
-    _check(mask.shape == scores.shape, "masked_softmax", scores.shape, mask.shape)
-    y = _softmax(scores.data + mask)
-    out = Tensor(y, _parents=(scores,))
-
-    def backward_fn(g):
-        inner = (g * y).sum(axis=-1, keepdims=True)
-        return (y * (g - inner),)
-
-    out._backward_fn = backward_fn
-    return out
 
 
 def _check_heads(op, q, k, v, num_heads):

@@ -34,7 +34,7 @@ def class_palette(n: int) -> list[tuple[int, int, int]]:
         r, g, b = colorsys.hsv_to_rgb(h, 0.85, 0.95)
         colors.append((int(r * 255), int(g * 255), int(b * 255)))
         i += 1
-    return colors[: max(n, len(colors))]
+    return colors
 
 
 def diverging_color(t: float) -> tuple[int, int, int]:

@@ -30,13 +30,11 @@ __all__ = [
 class Mesh:
     """Triangular mesh: vertex coordinates plus 0-based face indices.
 
-    Counter-clockwise winding is trusted as given; normals, when present,
-    are unit vectors derived from that winding.
+    Counter-clockwise winding is trusted as given.
     """
 
     vertices: np.ndarray  # (V, 3) float64
     faces: np.ndarray  # (N, 3) int64
-    normals: np.ndarray | None = None  # (N, 3) float64, unit rows
 
     def __post_init__(self):
         v = np.ascontiguousarray(np.asarray(self.vertices, dtype=np.float64))
@@ -51,14 +49,6 @@ class Mesh:
             raise MeshFormatError("face with repeated vertex index")
         object.__setattr__(self, "vertices", v)
         object.__setattr__(self, "faces", f)
-        if self.normals is not None:
-            n = np.ascontiguousarray(np.asarray(self.normals, dtype=np.float64))
-            if n.shape != f.shape:
-                raise MeshFormatError(f"normals must match faces, got {n.shape} vs {f.shape}")
-            norms = np.linalg.norm(n, axis=1)
-            if n.size and np.abs(norms - 1.0).max() > 1e-6:
-                raise MeshFormatError("normals are not unit length")
-            object.__setattr__(self, "normals", n)
 
     @property
     def num_vertices(self) -> int:

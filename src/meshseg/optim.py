@@ -2,22 +2,11 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from meshseg.autodiff import Tensor
 
-__all__ = ["OptimState", "AdamW"]
-
-
-@dataclass
-class OptimState:
-    """First/second moment accumulators and the shared step counter."""
-
-    m: dict = field(default_factory=dict)
-    v: dict = field(default_factory=dict)
-    t: int = 0
+__all__ = ["AdamW"]
 
 
 class AdamW:
@@ -39,10 +28,10 @@ class AdamW:
         self.beta2 = beta2
         self.eps = eps
         self.weight_decay = weight_decay
-        self.state = OptimState()
-        for name, p in params.items():
-            self.state.m[name] = np.zeros_like(p.data)
-            self.state.v[name] = np.zeros_like(p.data)
+        # first and second moment accumulators and the shared step counter
+        self.m = {name: np.zeros_like(p.data) for name, p in params.items()}
+        self.v = {name: np.zeros_like(p.data) for name, p in params.items()}
+        self.t = 0
 
     def zero_grad(self):
         for p in self.params.values():
@@ -51,8 +40,8 @@ class AdamW:
     def step(self):
         """Update ``m``, ``v`` and ``p.data`` in place, bit-identical to
         ``p - lr * (m / bc1) / (sqrt(v / bc2) + eps) - (lr * wd) * p``."""
-        self.state.t += 1
-        t = self.state.t
+        self.t += 1
+        t = self.t
         bc1 = 1.0 - self.beta1**t
         bc2 = 1.0 - self.beta2**t
         for name in sorted(self.params):
@@ -60,8 +49,8 @@ class AdamW:
             g = p.grad
             if g is None:
                 g = np.zeros_like(p.data)
-            m = self.state.m[name]
-            v = self.state.v[name]
+            m = self.m[name]
+            v = self.v[name]
             update = np.multiply(1.0 - self.beta1, g, out=np.empty_like(p.data))
             m *= self.beta1
             m += update

@@ -209,21 +209,20 @@ def pad_sample(sample: Sample, target_faces: int) -> Sample:
 
 def _transfer_labels(original: Mesh, original_labels: np.ndarray, simplified: Mesh) -> np.ndarray:
     """Majority label per simplified face over the original faces whose
-    centroids map nearest to it; ties broken by smallest class index."""
+    centroids map nearest to it; ties broken by smallest class index. A
+    simplified face that no original centroid maps to takes the label of
+    the original face nearest to its centroid."""
     from scipy.spatial import cKDTree
 
+    if original_labels.size and original_labels.min() < 0:
+        raise ValueError("label transfer needs non-negative labels")
     src_centroids = triangle_centroids(original)
     dst_centroids = triangle_centroids(simplified)
-    tree = cKDTree(dst_centroids)
-    _, nearest = tree.query(src_centroids)
-    out = np.full(simplified.num_faces, -1, dtype=np.int64)
-    buckets: dict[int, list[int]] = {}
-    for src, dst in enumerate(nearest):
-        buckets.setdefault(int(dst), []).append(int(original_labels[src]))
-    for dst, labs in buckets.items():
-        counts = np.bincount(labs)
-        out[dst] = int(counts.argmax())  # argmax picks the smallest index on ties
-    orphans = np.flatnonzero(out < 0)
+    _, nearest = cKDTree(dst_centroids).query(src_centroids)
+    counts = np.zeros((simplified.num_faces, original_labels.max(initial=0) + 1), dtype=np.int64)
+    np.add.at(counts, (nearest, original_labels), 1)
+    out = counts.argmax(axis=1).astype(np.int64)  # argmax picks the smallest index on ties
+    orphans = np.flatnonzero(~counts.any(axis=1))
     if orphans.size:
         back = cKDTree(src_centroids)
         _, src_for = back.query(dst_centroids[orphans])

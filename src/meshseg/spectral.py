@@ -8,7 +8,7 @@ the smallest nonzero eigenvalues.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -58,13 +58,6 @@ class AdjacencyMatrix:
             np.add.at(d, self.pairs[:, 1], 1)
         return d
 
-    def to_sparse(self) -> sp.csr_matrix:
-        if not self.pairs.size:
-            return sp.csr_matrix((self.n, self.n))
-        i = np.concatenate([self.pairs[:, 0], self.pairs[:, 1]])
-        j = np.concatenate([self.pairs[:, 1], self.pairs[:, 0]])
-        return sp.csr_matrix((np.ones(len(i)), (i, j)), shape=(self.n, self.n))
-
     def with_n(self, n: int) -> "AdjacencyMatrix":
         """Same edge set on a larger node count (extra nodes isolated)."""
         if n < self.n:
@@ -82,7 +75,6 @@ class LaplacianMatrix:
     """
 
     matrix: sp.csr_matrix
-    degrees: np.ndarray = field(repr=False)
 
     @property
     def n(self) -> int:
@@ -130,7 +122,7 @@ def normalized_laplacian(adj: AdjacencyMatrix) -> LaplacianMatrix:
         lap = (eye + off).tocsr()
     else:
         lap = eye
-    return LaplacianMatrix(matrix=lap, degrees=deg)
+    return LaplacianMatrix(matrix=lap)
 
 
 def smallest_eigenpairs(lap: LaplacianMatrix, k: int, tol: float = 1e-8):
@@ -181,10 +173,6 @@ class SpectralFeatures:
 
     features: np.ndarray  # (N, E)
     eigenvalues: np.ndarray  # (E,), zero-padded past the available modes
-
-    @property
-    def count(self) -> int:
-        return self.features.shape[1]
 
 
 def _canonical_sign(column: np.ndarray) -> np.ndarray:

@@ -64,14 +64,20 @@ def icosphere(subdivisions: int = 1) -> Mesh:
 
 
 def random_hull_mesh(rng: np.random.Generator, n_points: int) -> Mesh:
-    """Closed triangulated surface from the convex hull of random points."""
+    """Closed, outward-wound triangulated surface from the convex hull of
+    random points."""
     from scipy.spatial import ConvexHull
 
     points = rng.normal(size=(n_points, 3))
     hull = ConvexHull(points)
-    used = np.unique(hull.simplices)
+    simplices = hull.simplices.copy()
+    a, b, c = points[simplices[:, 0]], points[simplices[:, 1]], points[simplices[:, 2]]
+    # hull.equations[:, :3] is each facet's outward normal
+    inward = (np.cross(b - a, c - a) * hull.equations[:, :3]).sum(axis=1) < 0
+    simplices[inward] = simplices[inward][:, [0, 2, 1]]
+    used = np.unique(simplices)
     remap = {old: new for new, old in enumerate(used)}
-    faces = np.vectorize(remap.get)(hull.simplices)
+    faces = np.vectorize(remap.get)(simplices)
     return Mesh(vertices=points[used], faces=faces)
 
 
@@ -147,9 +153,12 @@ def neighbor_lists(adj) -> list[list[int]]:
 
 def connected_components(adj) -> int:
     """Number of connected components, counting isolated nodes."""
+    import scipy.sparse as sp
     from scipy.sparse.csgraph import connected_components as components
 
-    n_comp, _ = components(adj.to_sparse(), directed=False)
+    i, j = adj.pairs[:, 0], adj.pairs[:, 1]
+    graph = sp.csr_matrix((np.ones(len(i)), (i, j)), shape=(adj.n, adj.n))
+    n_comp, _ = components(graph, directed=False)
     return int(n_comp)
 
 
@@ -259,6 +268,34 @@ def ward_oracle(points, adj_pairs, num_clusters):
         merges.append((tuple(sorted(a)), tuple(sorted(b))))
         clusters = [c for c in clusters if c not in (a, b)] + [a | b]
     return merges
+
+
+def transfer_labels_oracle(original, original_labels, simplified) -> np.ndarray:
+    """Per-face bucket form of label transfer: majority label over the
+    original faces whose centroids map nearest to each simplified face,
+    smallest class on ties, nearest original face for a face no centroid
+    maps to."""
+    from scipy.spatial import cKDTree
+
+    from meshseg.preprocess import triangle_centroids
+
+    src_centroids = triangle_centroids(original)
+    dst_centroids = triangle_centroids(simplified)
+    tree = cKDTree(dst_centroids)
+    _, nearest = tree.query(src_centroids)
+    out = np.full(simplified.num_faces, -1, dtype=np.int64)
+    buckets: dict[int, list[int]] = {}
+    for src, dst in enumerate(nearest):
+        buckets.setdefault(int(dst), []).append(int(original_labels[src]))
+    for dst, labs in buckets.items():
+        counts = np.bincount(labs)
+        out[dst] = int(counts.argmax())  # argmax picks the smallest index on ties
+    orphans = np.flatnonzero(out < 0)
+    if orphans.size:
+        back = cKDTree(src_centroids)
+        _, src_for = back.query(dst_centroids[orphans])
+        out[orphans] = original_labels[np.atleast_1d(src_for)]
+    return out
 
 
 def finite_difference(f, x: np.ndarray, h: float = 1e-6) -> np.ndarray:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from meshseg import autodiff as ad
-from meshseg.autodiff import Tensor
+from meshseg.autodiff import Tensor, _as_tensor, _check, _softmax
 from meshseg.errors import ConfigError
 from meshseg.model import _dropout, _layer_norm, _linear, _masked_features
 
@@ -26,6 +26,70 @@ def co_membership(ids) -> np.ndarray:
     """Binary matrix with 1 where two triangles share a cluster id (J J^T)."""
     ids = np.asarray(ids)
     return (ids[:, np.newaxis] == ids[np.newaxis, :]).astype(np.float64)
+
+
+# ---------------------------------------------------------------------------
+# per-head autodiff ops, used only by this oracle's attention
+
+
+def transpose(a: Tensor) -> Tensor:
+    a = _as_tensor(a)
+    _check(a.data.ndim == 2, "transpose", a.shape)
+    out = Tensor(a.data.T.copy(), _parents=(a,))
+    out._backward_fn = lambda g: (g.T,)
+    return out
+
+
+def concat_last(tensors) -> Tensor:
+    tensors = [_as_tensor(t) for t in tensors]
+    widths = [t.shape[-1] for t in tensors]
+    out = Tensor(np.concatenate([t.data for t in tensors], axis=-1), _parents=tuple(tensors))
+
+    def backward_fn(g):
+        return tuple(np.split(g, np.cumsum(widths)[:-1], axis=-1))
+
+    out._backward_fn = backward_fn
+    return out
+
+
+def slice_last(a: Tensor, start: int, stop: int) -> Tensor:
+    a = _as_tensor(a)
+    out = Tensor(a.data[..., start:stop].copy(), _parents=(a,))
+
+    def backward_fn(g):
+        ga = np.zeros_like(a.data)
+        ga[..., start:stop] = g
+        return (ga,)
+
+    out._backward_fn = backward_fn
+    return out
+
+
+def reduce_mean(a: Tensor, axis: int | None = None) -> Tensor:
+    a = _as_tensor(a)
+    count = a.data.size if axis is None else a.shape[axis]
+    return ad.scale(ad.reduce_sum(a, axis=axis), 1.0 / count)
+
+
+def masked_softmax(scores: Tensor, mask) -> Tensor:
+    """Row softmax of ``scores + mask`` for an additive mask.
+
+    A mask entry of -inf blocks its column; a finite entry is a bias added
+    to the score (0 leaves it unchanged). Rows that are entirely blocked
+    produce all zeros (not NaN) and contribute zero gradient.
+    """
+    scores = _as_tensor(scores)
+    mask = np.asarray(mask.data if isinstance(mask, Tensor) else mask, dtype=scores.dtype)
+    _check(mask.shape == scores.shape, "masked_softmax", scores.shape, mask.shape)
+    y = _softmax(scores.data + mask)
+    out = Tensor(y, _parents=(scores,))
+
+    def backward_fn(g):
+        inner = (g * y).sum(axis=-1, keepdims=True)
+        return (y * (g - inner),)
+
+    out._backward_fn = backward_fn
+    return out
 
 
 def multi_head_attention(p, name, q_in, k_in, v_in, mask, num_heads):
@@ -40,13 +104,13 @@ def multi_head_attention(p, name, q_in, k_in, v_in, mask, num_heads):
     heads = []
     for h in range(num_heads):
         lo, hi = h * head_dim, (h + 1) * head_dim
-        qh = ad.slice_last(q, lo, hi)
-        kh = ad.slice_last(k, lo, hi)
-        vh = ad.slice_last(v, lo, hi)
-        scores = ad.scale(ad.matmul(qh, ad.transpose(kh)), scale)
-        weights = ad.masked_softmax(scores, mask)
+        qh = slice_last(q, lo, hi)
+        kh = slice_last(k, lo, hi)
+        vh = slice_last(v, lo, hi)
+        scores = ad.scale(ad.matmul(qh, transpose(kh)), scale)
+        weights = masked_softmax(scores, mask)
         heads.append(ad.matmul(weights, vh))
-    merged = heads[0] if num_heads == 1 else ad.concat_last(heads)
+    merged = heads[0] if num_heads == 1 else concat_last(heads)
     return ad.matmul(merged, p[f"{name}.wo"])
 
 

@@ -1,5 +1,9 @@
-"""Tensor ops: forward values, finite-difference gradients, and the
-AdamW optimizer's closed-form behavior."""
+"""Tensor ops: forward values, finite-difference gradients, the library's
+exported surface, and the AdamW optimizer's closed-form behavior."""
+
+import ast
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +13,10 @@ from meshseg.autodiff import ShapeMismatchError, Tensor
 from meshseg.optim import AdamW
 
 from conftest import finite_difference
+from dense_model import concat_last, masked_softmax, reduce_mean, slice_last, transpose
+
+# ops the dense oracle (tests/dense_model.py) adds for its per-head attention
+ORACLE_OPS = {"transpose", "concat_last", "slice_last", "reduce_mean", "masked_softmax"}
 
 
 def check_grad(build, *arrays, tol=1e-6):
@@ -44,7 +52,7 @@ class TestForwardValues:
         np.testing.assert_array_equal(x.grad, [0.0])
 
     def test_mean_over_axis(self):
-        out = ad.reduce_mean(Tensor(np.array([[1.0, 3.0]])), axis=1)
+        out = reduce_mean(Tensor(np.array([[1.0, 3.0]])), axis=1)
         np.testing.assert_array_equal(out.data, [2.0])
 
     def test_shape_mismatch_reports_both_shapes(self):
@@ -82,19 +90,19 @@ class TestForwardValues:
 
 class TestMaskedSoftmax:
     def test_symmetric_with_masked_middle(self):
-        out = ad.masked_softmax(
+        out = masked_softmax(
             Tensor(np.zeros((1, 3))), np.array([[0.0, -np.inf, 0.0]])
         )
         np.testing.assert_allclose(out.data, [[0.5, 0.0, 0.5]])
 
     def test_all_masked_row_is_exact_zeros(self):
-        out = ad.masked_softmax(
+        out = masked_softmax(
             Tensor(np.ones((1, 2))), np.full((1, 2), -np.inf)
         )
         np.testing.assert_array_equal(out.data, [[0.0, 0.0]])
 
     def test_sigmoid_identity(self):
-        out = ad.masked_softmax(Tensor(np.array([[1.0, 2.0]])), np.zeros((1, 2)))
+        out = masked_softmax(Tensor(np.array([[1.0, 2.0]])), np.zeros((1, 2)))
         e = np.e
         np.testing.assert_allclose(out.data, [[1 / (1 + e), e / (1 + e)]], atol=1e-12)
 
@@ -102,14 +110,14 @@ class TestMaskedSoftmax:
         scores = rng.normal(size=(8, 8))
         mask = np.where(rng.random((8, 8)) < 0.4, -np.inf, 0.0)
         mask[:, 0] = 0.0  # keep every row at least one allowed column
-        out = ad.masked_softmax(Tensor(scores), mask).data
+        out = masked_softmax(Tensor(scores), mask).data
         assert (out >= 0).all()
         np.testing.assert_array_equal(out[np.isinf(mask)], 0.0)
         np.testing.assert_allclose(out.sum(axis=1), 1.0, atol=1e-6)
 
     def test_all_masked_backward_is_zero(self):
         x = Tensor(np.ones((1, 2)), requires_grad=True)
-        out = ad.masked_softmax(x, np.full((1, 2), -np.inf))
+        out = masked_softmax(x, np.full((1, 2), -np.inf))
         ad.backward(ad.reduce_sum(out))
         np.testing.assert_array_equal(x.grad, [[0.0, 0.0]])
 
@@ -121,15 +129,15 @@ class TestMaskedSoftmax:
         values = rng.normal(size=(3, 2))
         queries = rng.normal(size=(2, 4))
         repeated = np.repeat(np.arange(3), counts)
-        wide = ad.masked_softmax(
+        wide = masked_softmax(
             Tensor(queries @ keys[repeated].T), np.zeros((2, counts.sum()))
         ).data @ values[repeated]
         bias = np.tile(np.log(counts), (2, 1))
-        narrow = ad.masked_softmax(Tensor(queries @ keys.T), bias).data @ values
+        narrow = masked_softmax(Tensor(queries @ keys.T), bias).data @ values
         np.testing.assert_allclose(narrow, wide, atol=1e-14)
 
     def test_extreme_scores_stable(self):
-        out = ad.masked_softmax(Tensor(np.array([[1000.0, 0.0]])), np.zeros((1, 2)))
+        out = masked_softmax(Tensor(np.array([[1000.0, 0.0]])), np.zeros((1, 2)))
         assert np.isfinite(out.data).all()
         np.testing.assert_allclose(out.data, [[1.0, 0.0]], atol=1e-12)
 
@@ -258,22 +266,22 @@ class TestFiniteDifference:
     def test_scale_relu_transpose(self, rng):
         a = rng.normal(size=(4, 3))
         check_grad(
-            lambda x: ad.reduce_sum(ad.relu(ad.scale(ad.transpose(x), 2.5))), a
+            lambda x: ad.reduce_sum(ad.relu(ad.scale(transpose(x), 2.5))), a
         )
 
     def test_concat_and_slice(self, rng):
         a, b = rng.normal(size=(3, 2)), rng.normal(size=(3, 3))
 
         def build(x, y):
-            cat = ad.concat_last([x, y])
-            piece = ad.slice_last(cat, 1, 4)
+            cat = concat_last([x, y])
+            piece = slice_last(cat, 1, 4)
             return ad.reduce_sum(ad.mul(piece, piece))
 
         check_grad(build, a, b)
 
     def test_reduce_ops(self, rng):
         a = rng.normal(size=(3, 5))
-        check_grad(lambda x: ad.reduce_sum(ad.mul(m := ad.reduce_mean(x, axis=1), m)), a)
+        check_grad(lambda x: ad.reduce_sum(ad.mul(m := reduce_mean(x, axis=1), m)), a)
         check_grad(lambda x: ad.reduce_sum(ad.mul(s := ad.reduce_sum(x, axis=0), s)), a)
 
     def test_embedding_lookup(self, rng):
@@ -292,7 +300,7 @@ class TestFiniteDifference:
         mask[:, 0] = 0.0
         weight = rng.normal(size=(4, 4))
         check_grad(
-            lambda x: ad.reduce_sum(ad.mul(ad.masked_softmax(x, mask), Tensor(weight))),
+            lambda x: ad.reduce_sum(ad.mul(masked_softmax(x, mask), Tensor(weight))),
             scores,
         )
 
@@ -363,6 +371,34 @@ class TestFiniteDifference:
             )
 
 
+def test_library_exports_only_what_the_pipeline_calls():
+    """Every public autodiff function is exported and called as ``ad.<op>(``
+    by another module of the package, and no package module imports from
+    the test suite, whose oracles must stay out of the library."""
+    package = Path(ad.__file__).parent
+    sources = {p.name: p.read_text() for p in sorted(package.glob("*.py"))}
+    public = {
+        name for name, obj in vars(ad).items()
+        if not name.startswith("_") and getattr(obj, "__module__", None) == ad.__name__
+    }
+    assert public == set(ad.__all__)
+    for op in set(ad.__all__) - {"Tensor", "ShapeMismatchError"}:
+        callers = [name for name, text in sources.items()
+                   if name != "autodiff.py" and re.search(rf"\bad\.{op}\(", text)]
+        assert callers, f"autodiff.{op} is exported but no module of the package calls it"
+    test_modules = {"tests"} | {p.stem for p in Path(__file__).parent.glob("*.py")}
+    for name, text in sources.items():
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.Import):
+                imported = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported = [node.module]
+            else:
+                continue
+            for module in imported:
+                assert module.split(".")[0] not in test_modules, f"{name} imports {module}"
+
+
 class TestBackwardMechanics:
     def test_loss_must_be_scalar(self):
         x = Tensor(np.ones(3), requires_grad=True)
@@ -399,20 +435,20 @@ class TestBackwardMechanics:
         bias = np.zeros((3, 5))
         bias[0, 2] = -np.inf
         ops = {
-            "matmul": lambda a: ad.matmul(a, ad.transpose(a)),
+            "matmul": lambda a: ad.matmul(a, transpose(a)),
             "add": lambda a: ad.add(a, a),
             "add bias": lambda a: ad.add(a, Tensor(y[0], requires_grad=True)),
             "mul": lambda a: ad.mul(a, a),
             "scale": lambda a: ad.scale(a, 2.0),
             "relu": ad.relu,
-            "transpose": ad.transpose,
-            "concat_last": lambda a: ad.concat_last([a, a]),
-            "slice_last": lambda a: ad.slice_last(a, 1, 3),
+            "transpose": transpose,
+            "concat_last": lambda a: concat_last([a, a]),
+            "slice_last": lambda a: slice_last(a, 1, 3),
             "reduce_sum": ad.reduce_sum,
             "reduce_sum axis": lambda a: ad.reduce_sum(a, axis=0),
-            "reduce_mean": lambda a: ad.reduce_mean(a, axis=1),
+            "reduce_mean": lambda a: reduce_mean(a, axis=1),
             "embedding_lookup": lambda a: ad.embedding_lookup(a, [0, 2, 2]),
-            "masked_softmax": lambda a: ad.masked_softmax(a, np.where(x > 1.0, -np.inf, 0.0)),
+            "masked_softmax": lambda a: masked_softmax(a, np.where(x > 1.0, -np.inf, 0.0)),
             "attention": lambda a: ad.attention(
                 a, Tensor(k, requires_grad=True), Tensor(k, requires_grad=True), bias, 2, 0.5),
             "neighbor_attention": lambda a: ad.neighbor_attention(
@@ -425,7 +461,8 @@ class TestBackwardMechanics:
             "dropout": lambda a: ad.dropout(a, 0.5, training=True, rng=np.random.default_rng(0)),
         }
         covered = {name.split()[0] for name in ops}
-        assert covered == set(ad.__all__) - {"Tensor", "ShapeMismatchError", "backward"}
+        library_ops = set(ad.__all__) - {"Tensor", "ShapeMismatchError", "backward"}
+        assert covered == library_ops | ORACLE_OPS
         for name, op in ops.items():
             out = op(Tensor(x.copy(), requires_grad=True))
             g = rng.normal(size=out.shape)

@@ -252,14 +252,6 @@ class TestMeshInvariants:
         with pytest.raises(MeshFormatError):
             Mesh(vertices=np.eye(3), faces=[[0, 1, 1]])
 
-    def test_non_unit_normals_rejected(self):
-        with pytest.raises(MeshFormatError, match="unit"):
-            Mesh(
-                vertices=np.eye(3),
-                faces=[[0, 1, 2]],
-                normals=[[0, 0, 2]],
-            )
-
     def test_fuzz_parsers_never_return_invalid_mesh(self, rng):
         """Random mutations of a valid OFF either parse to a valid Mesh or
         raise MeshFormatError — never an invalid Mesh or another error."""

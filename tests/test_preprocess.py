@@ -6,6 +6,7 @@ import re
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 from meshseg.errors import DegenerateGeometryError
 from meshseg.mesh_io import LabelVec, Mesh
@@ -15,6 +16,7 @@ from meshseg.preprocess import (
     PAD_LABEL,
     SPECTRAL_COLS,
     PreprocessConfig,
+    _transfer_labels,
     build_sample,
     compute_normals,
     load_sample,
@@ -22,15 +24,19 @@ from meshseg.preprocess import (
     save_sample,
     standardize_coords,
     triangle_areas,
+    triangle_centroids,
 )
+from meshseg.simplify import simplify_qem
 
 from conftest import (
     hemisphere_labeled_sphere,
     icosphere,
     one_hot,
+    random_hull_mesh,
     sample_area_weights,
     seven_vertex_torus,
     tetrahedron,
+    transfer_labels_oracle,
 )
 
 
@@ -249,6 +255,52 @@ class TestBuildSample:
         )
         sample = build_sample(mesh, labels, cfg)
         sample.validate()
+
+
+class TestTransferLabels:
+    """The counting-pass label transfer against the per-face bucket oracle."""
+
+    def test_random_hulls_match_oracle_with_forced_tie(self, rng):
+        for _ in range(40):
+            mesh = random_hull_mesh(rng, int(rng.integers(20, 81)))
+            simplified, _ = simplify_qem(mesh, int(rng.integers(6, mesh.num_vertices)))
+            labels = rng.integers(0, 4, size=mesh.num_faces)
+            # the simplified face with the most sources gets sources of
+            # classes 3 and 1 in equal number (and one 2 when odd)
+            _, nearest = cKDTree(triangle_centroids(simplified)).query(
+                triangle_centroids(mesh)
+            )
+            tied = int(np.bincount(nearest).argmax())
+            sources = np.flatnonzero(nearest == tied)
+            assert sources.size >= 2
+            labels[sources] = np.resize([3, 1], sources.size)
+            if sources.size % 2:
+                labels[sources[-1]] = 2
+            out = _transfer_labels(mesh, labels, simplified)
+            expected = transfer_labels_oracle(mesh, labels, simplified)
+            assert out.dtype == expected.dtype == np.int64
+            np.testing.assert_array_equal(out, expected)
+            assert out[tied] == 1
+
+    def test_orphan_face_takes_nearest_original_label(self):
+        mesh = tetrahedron()
+        far = np.array([[10.0, 0, 0], [11.0, 0, 0], [10.0, 1.0, 0]])
+        simplified = Mesh(
+            vertices=np.vstack([mesh.vertices, far]),
+            faces=np.vstack([mesh.faces, [[4, 5, 6]]]),
+        )
+        labels = np.array([2, 0, 1, 3])
+        out = _transfer_labels(mesh, labels, simplified)
+        np.testing.assert_array_equal(out, transfer_labels_oracle(mesh, labels, simplified))
+        gap = np.linalg.norm(triangle_centroids(mesh) - far.mean(axis=0), axis=1)
+        assert out[4] == labels[gap.argmin()]
+
+    def test_negative_label_rejected(self):
+        mesh = tetrahedron()
+        labels = np.array([0, -1, 1, 0])
+        for transfer in (_transfer_labels, transfer_labels_oracle):
+            with pytest.raises(ValueError):
+                transfer(mesh, labels, mesh)
 
 
 class TestSampleMesh:
