@@ -19,7 +19,7 @@ __all__ = [
     "add",
     "mul",
     "scale",
-    "relu",
+    "linear",
     "reduce_sum",
     "embedding_lookup",
     "attention",
@@ -141,11 +141,34 @@ def scale(a: Tensor, s: float) -> Tensor:
     return out
 
 
-def relu(a: Tensor) -> Tensor:
-    a = _as_tensor(a)
-    out = Tensor(np.maximum(a.data, 0), _parents=(a,))
-    # subgradient at 0 is taken as 0
-    out._backward_fn = lambda g: (g * (a.data > 0),)
+def linear(x: Tensor, w: Tensor, b: Tensor, relu: bool = False) -> Tensor:
+    """``x @ w + b``, optionally followed by ReLU, as one graph node.
+
+    The bias and the ReLU are applied in place on the product, so the node
+    keeps no pre-bias or pre-activation copy; the backward pass masks by
+    ``out > 0``, which takes the subgradient at 0 as 0.
+    """
+    x, w, b = _as_tensor(x), _as_tensor(w, like=x), _as_tensor(b, like=x)
+    _check(
+        x.data.ndim == 2 and w.data.ndim == 2 and x.shape[1] == w.shape[0]
+        and b.shape == (w.shape[1],),
+        "linear",
+        x.shape,
+        w.shape,
+        b.shape,
+    )
+    y = x.data @ w.data
+    y += b.data
+    if relu:
+        np.maximum(y, 0, out=y)
+    out = Tensor(y, _parents=(x, w, b))
+
+    def backward_fn(g):
+        if relu:
+            g = g * (y > 0)
+        return g @ w.data.T, x.data.T @ g, g.sum(axis=0)
+
+    out._backward_fn = backward_fn
     return out
 
 
@@ -255,8 +278,9 @@ def neighbor_attention(
     ``index[r, j]`` of ``k`` and ``v`` (C, d), with the additive bias
     ``bias[r, j]``; -inf marks an empty slot, whose index is ignored. The
     heads split the columns as in :func:`attention`. Costs O(R·m·d) for m
-    slots per row instead of O(R·C·d). The backward pass scatter-adds the
-    key and value gradients of the slots through one sparse map.
+    slots per row instead of O(R·C·d). The backward pass gathers the slot
+    rows again and scatter-adds their key and value gradients through one
+    sparse map.
     """
     q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
     _check_heads("neighbor_attention", q, k, v, num_heads)
@@ -270,12 +294,17 @@ def neighbor_attention(
     m = index.shape[1]
     s = q.dtype.type(scale)
     qh = q.data.reshape(rows, num_heads, -1)  # (R, h, dh)
-    kg = k.data[index].reshape(rows, m, num_heads, -1)  # (R, m, h, dh)
-    vg = v.data[index].reshape(rows, m, num_heads, -1)
-    w = _softmax(np.einsum("nhd,nmhd->nmh", qh, kg) * s + bias[:, :, np.newaxis], axis=1)
-    out = Tensor(np.einsum("nmh,nmhd->nhd", w, vg).reshape(rows, width), _parents=(q, k, v))
+
+    def gather(x):  # (C, d) -> (R, m, h, dh) copy of the slots' rows
+        return x.data[index].reshape(rows, m, num_heads, -1)
+
+    w = _softmax(np.einsum("nhd,nmhd->nmh", qh, gather(k)) * s + bias[:, :, np.newaxis], axis=1)
+    merged = np.einsum("nmh,nmhd->nhd", w, gather(v)).reshape(rows, width)
+    out = Tensor(merged, _parents=(q, k, v))
 
     def backward_fn(g):
+        # gathering again costs less than keeping two (R, m, d) copies alive
+        kg, vg = gather(k), gather(v)
         gh = g.reshape(rows, num_heads, -1)
         dw = np.einsum("nhd,nmhd->nmh", gh, vg)
         ds = w * (dw - (dw * w).sum(axis=1, keepdims=True)) * s
@@ -302,7 +331,8 @@ def log_softmax(a: Tensor) -> Tensor:
     a = _as_tensor(a)
     shift = a.data - a.data.max(axis=-1, keepdims=True)
     logp = shift - np.log(np.exp(shift).sum(axis=-1, keepdims=True))
-    out = Tensor(logp.astype(a.dtype), _parents=(a,))
+    logp = logp.astype(a.dtype, copy=False)
+    out = Tensor(logp, _parents=(a,))
 
     def backward_fn(g):
         return (g - np.exp(logp) * g.sum(axis=-1, keepdims=True),)
@@ -331,7 +361,8 @@ def gather_rows(a: Tensor, cols) -> Tensor:
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
     """Normalization over the last axis with learnable gain and shift.
 
-    Uses the population variance of each row.
+    Uses the population variance of each row. The backward pass recomputes
+    the normalized input from the kept row mean and inverse deviation.
     """
     x, gamma, beta = _as_tensor(x), _as_tensor(gamma), _as_tensor(beta)
     width = x.shape[-1]
@@ -341,9 +372,11 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     var = (centered**2).mean(axis=-1, keepdims=True)
     inv_std = 1.0 / np.sqrt(var + eps)
     xhat = centered * inv_std
-    out = Tensor((xhat * gamma.data + beta.data).astype(x.dtype), _parents=(x, gamma, beta))
+    out = Tensor((xhat * gamma.data + beta.data).astype(x.dtype, copy=False),
+                 _parents=(x, gamma, beta))
 
     def backward_fn(g):
+        xhat = (x.data - mean) * inv_std
         lead = tuple(range(g.ndim - 1))
         dgamma = (g * xhat).sum(axis=lead)
         dbeta = g.sum(axis=lead)
@@ -369,9 +402,20 @@ def dropout(x: Tensor, p: float, training: bool, rng: np.random.Generator | None
         return x
     if rng is None:
         raise ValueError("training-mode dropout needs an rng")
-    keep = (rng.random(x.shape) >= p).astype(x.dtype) / x.dtype.type(1.0 - p)
-    out = Tensor(x.data * keep, _parents=(x,))
-    out._backward_fn = lambda g: (g * keep,)
+    keep = rng.random(x.shape) >= p
+    # one scale rounded to the dtype, so values equal those of a float mask
+    # holding 0 and 1/(1-p)
+    s = x.dtype.type(1.0) / x.dtype.type(1.0 - p)
+    out_data = x.data * keep
+    out_data *= s
+    out = Tensor(out_data, _parents=(x,))
+
+    def backward_fn(g):
+        gx = g * keep
+        gx *= s
+        return (gx,)
+
+    out._backward_fn = backward_fn
     return out
 
 

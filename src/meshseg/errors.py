@@ -32,7 +32,7 @@ class ConfigError(ValueError):
 
 
 class TrainingDivergedError(RuntimeError):
-    """Non-finite loss encountered during training."""
+    """Non-finite loss or gradient encountered during training."""
 
     def __init__(self, message, diagnostics=None):
         super().__init__(message)

@@ -216,8 +216,7 @@ def build_masks(sample: Sample, dtype=np.float32) -> AttentionMasks:
 
 
 def _linear(p, name, x, activation=False):
-    out = ad.add(ad.matmul(x, p[f"{name}.w"]), p[f"{name}.b"])
-    return ad.relu(out) if activation else out
+    return ad.linear(x, p[f"{name}.w"], p[f"{name}.b"], relu=activation)
 
 
 def _layer_norm(p, name, x):

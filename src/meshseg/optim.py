@@ -11,7 +11,13 @@ __all__ = ["AdamW"]
 
 class AdamW:
     """Standard AdamW: bias-corrected Adam step plus decay applied directly
-    to the parameters (not through the gradients)."""
+    to the parameters (not through the gradients).
+
+    A step skips every parameter whose ``.grad`` is None, as
+    ``torch.optim.AdamW`` does: it gets no moment update and no decay, so
+    it does not shrink by ``1 - lr * weight_decay`` either. Its moments are
+    allocated on its first gradient; the step counter is shared by all.
+    """
 
     def __init__(
         self,
@@ -28,9 +34,10 @@ class AdamW:
         self.beta2 = beta2
         self.eps = eps
         self.weight_decay = weight_decay
-        # first and second moment accumulators and the shared step counter
-        self.m = {name: np.zeros_like(p.data) for name, p in params.items()}
-        self.v = {name: np.zeros_like(p.data) for name, p in params.items()}
+        # first and second moment accumulators of the parameters that have
+        # had a gradient, and the shared step counter
+        self.m: dict[str, np.ndarray] = {}
+        self.v: dict[str, np.ndarray] = {}
         self.t = 0
 
     def zero_grad(self):
@@ -39,7 +46,8 @@ class AdamW:
 
     def step(self):
         """Update ``m``, ``v`` and ``p.data`` in place, bit-identical to
-        ``p - lr * (m / bc1) / (sqrt(v / bc2) + eps) - (lr * wd) * p``."""
+        ``p - lr * (m / bc1) / (sqrt(v / bc2) + eps) - (lr * wd) * p``, for
+        every parameter that has a gradient."""
         self.t += 1
         t = self.t
         bc1 = 1.0 - self.beta1**t
@@ -48,7 +56,10 @@ class AdamW:
             p = self.params[name]
             g = p.grad
             if g is None:
-                g = np.zeros_like(p.data)
+                continue
+            if name not in self.m:
+                self.m[name] = np.zeros_like(p.data)
+                self.v[name] = np.zeros_like(p.data)
             m = self.m[name]
             v = self.v[name]
             update = np.multiply(1.0 - self.beta1, g, out=np.empty_like(p.data))

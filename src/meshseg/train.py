@@ -317,9 +317,20 @@ def train(
                         },
                     )
                 inv = 1.0 / len(batch)
-                for p in params.values():
+                # leaf gradients are owned copies, so they scale in place
+                grad_norms = {}
+                for name, p in params.items():
                     if p.grad is not None:
-                        p.grad = p.grad * inv
+                        p.grad *= inv
+                        grad_norms[name] = float(np.linalg.norm(p.grad))
+                grad_norm = float(np.sqrt(sum(n * n for n in grad_norms.values())))
+                if not np.isfinite(grad_norm):
+                    bad = sorted(name for name, n in grad_norms.items() if not np.isfinite(n))
+                    raise TrainingDivergedError(
+                        f"non-finite gradient at step {step} in {', '.join(bad)}",
+                        diagnostics={"step": step, "loss": batch_loss, "grad_norm": grad_norm,
+                                     "non_finite": bad},
+                    )
                 optimizer.step()
                 step += 1
                 if step % train_cfg.eval_every == 0 or step == train_cfg.max_steps:
@@ -329,7 +340,8 @@ def train(
                     )
                     if metrics.area_accuracy > best_acc:
                         best_acc = metrics.area_accuracy
-                        best_params = snapshot()
+                        # after the last step the live parameters are the best
+                        best_params = snapshot() if step < train_cfg.max_steps else None
             epoch += 1
     finally:
         if log_file:

@@ -17,7 +17,7 @@ import numpy as np
 from meshseg import autodiff as ad
 from meshseg.autodiff import Tensor, _as_tensor, _check, _softmax
 from meshseg.errors import ConfigError
-from meshseg.model import _dropout, _layer_norm, _linear, _masked_features
+from meshseg.model import _dropout, _layer_norm, _masked_features
 
 from conftest import dense_adjacency
 
@@ -29,7 +29,16 @@ def co_membership(ids) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# per-head autodiff ops, used only by this oracle's attention
+# autodiff ops used only by this oracle: ReLU for its unfused linear layers,
+# the rest for its per-head attention
+
+
+def relu(a: Tensor) -> Tensor:
+    a = _as_tensor(a)
+    out = Tensor(np.maximum(a.data, 0), _parents=(a,))
+    # subgradient at 0 is taken as 0
+    out._backward_fn = lambda g: (g * (a.data > 0),)
+    return out
 
 
 def transpose(a: Tensor) -> Tensor:
@@ -90,6 +99,12 @@ def masked_softmax(scores: Tensor, mask) -> Tensor:
 
     out._backward_fn = backward_fn
     return out
+
+
+def _linear(p, name, x, activation=False):
+    """Linear layer as separate matmul, bias add and ReLU nodes."""
+    out = ad.add(ad.matmul(x, p[f"{name}.w"]), p[f"{name}.b"])
+    return relu(out) if activation else out
 
 
 def multi_head_attention(p, name, q_in, k_in, v_in, mask, num_heads):

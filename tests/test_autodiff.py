@@ -13,10 +13,19 @@ from meshseg.autodiff import ShapeMismatchError, Tensor
 from meshseg.optim import AdamW
 
 from conftest import finite_difference
-from dense_model import concat_last, masked_softmax, reduce_mean, slice_last, transpose
+from dense_model import (
+    _linear as oracle_linear,
+    concat_last,
+    masked_softmax,
+    reduce_mean,
+    relu,
+    slice_last,
+    transpose,
+)
 
-# ops the dense oracle (tests/dense_model.py) adds for its per-head attention
-ORACLE_OPS = {"transpose", "concat_last", "slice_last", "reduce_mean", "masked_softmax"}
+# ops the dense oracle (tests/dense_model.py) adds for its unfused linear
+# layers and its per-head attention
+ORACLE_OPS = {"relu", "transpose", "concat_last", "slice_last", "reduce_mean", "masked_softmax"}
 
 
 def check_grad(build, *arrays, tol=1e-6):
@@ -41,14 +50,14 @@ class TestForwardValues:
 
     def test_relu_values_and_gradient(self):
         x = Tensor(np.array([-1.0, 2.0]), requires_grad=True)
-        out = ad.relu(x)
+        out = relu(x)
         np.testing.assert_array_equal(out.data, [0.0, 2.0])
         ad.backward(ad.reduce_sum(out))
         np.testing.assert_array_equal(x.grad, [0.0, 1.0])
 
     def test_relu_subgradient_at_zero_is_zero(self):
         x = Tensor(np.array([0.0]), requires_grad=True)
-        ad.backward(ad.reduce_sum(ad.relu(x)))
+        ad.backward(ad.reduce_sum(relu(x)))
         np.testing.assert_array_equal(x.grad, [0.0])
 
     def test_mean_over_axis(self):
@@ -86,6 +95,40 @@ class TestForwardValues:
         m = Tensor(np.array([[1.0, 2.0], [3.0, 4.0]]))
         out = ad.gather_rows(m, [1, 0])
         np.testing.assert_array_equal(out.data, [2.0, 3.0])
+
+
+class TestLinear:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("activation", [False, True])
+    def test_matches_unfused_oracle_bit_for_bit(self, rng, dtype, activation):
+        """The fused op gives the values and the three gradients of the
+        oracle's matmul, bias add and ReLU nodes bit for bit, also where
+        the ReLU input is exactly zero."""
+        x = rng.normal(size=(6, 4)).astype(dtype)
+        w = rng.normal(size=(4, 5)).astype(dtype)
+        b = rng.normal(size=5).astype(dtype)
+        x[0] = 0.0
+        b[:2] = 0.0
+        assert ((x @ w + b) == 0).any()
+        weight = Tensor(rng.normal(size=(6, 5)).astype(dtype))
+        runs = []
+        for layer in (
+            lambda p, xt: ad.linear(xt, p["l.w"], p["l.b"], relu=activation),
+            lambda p, xt: oracle_linear(p, "l", xt, activation=activation),
+        ):
+            p = {"l.w": Tensor(w.copy(), requires_grad=True),
+                 "l.b": Tensor(b.copy(), requires_grad=True)}
+            xt = Tensor(x.copy(), requires_grad=True)
+            out = layer(p, xt)
+            ad.backward(ad.reduce_sum(ad.mul(out, weight)))
+            runs.append((out.data, xt.grad, p["l.w"].grad, p["l.b"].grad))
+        for fused, unfused in zip(*runs):
+            assert fused.dtype == unfused.dtype == dtype
+            np.testing.assert_array_equal(fused, unfused)
+
+    def test_shape_mismatch(self):
+        with pytest.raises(ShapeMismatchError):
+            ad.linear(Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 4))), Tensor(np.zeros(3)))
 
 
 class TestMaskedSoftmax:
@@ -266,7 +309,7 @@ class TestFiniteDifference:
     def test_scale_relu_transpose(self, rng):
         a = rng.normal(size=(4, 3))
         check_grad(
-            lambda x: ad.reduce_sum(ad.relu(ad.scale(transpose(x), 2.5))), a
+            lambda x: ad.reduce_sum(relu(ad.scale(transpose(x), 2.5))), a
         )
 
     def test_concat_and_slice(self, rng):
@@ -351,7 +394,7 @@ class TestFiniteDifference:
         # f(x) = sum(relu(W x)) vs central differences
         w = rng.normal(size=(4, 4))
         x = rng.normal(size=(4, 2))
-        check_grad(lambda ww, xx: ad.reduce_sum(ad.relu(ad.matmul(ww, xx))), w, x)
+        check_grad(lambda ww, xx: ad.reduce_sum(relu(ad.matmul(ww, xx))), w, x)
 
     def test_randomized_shapes_all_ops(self, rng):
         """Spec property: randomized shape sweep, max rel err <= 1e-4."""
@@ -364,7 +407,7 @@ class TestFiniteDifference:
             g = rng.normal(size=cols)
             check_grad(
                 lambda x, y, gg: ad.reduce_sum(
-                    ad.relu(ad.add(ad.matmul(x, y), gg))
+                    relu(ad.add(ad.matmul(x, y), gg))
                 ),
                 a, b, g,
                 tol=1e-4,
@@ -440,7 +483,11 @@ class TestBackwardMechanics:
             "add bias": lambda a: ad.add(a, Tensor(y[0], requires_grad=True)),
             "mul": lambda a: ad.mul(a, a),
             "scale": lambda a: ad.scale(a, 2.0),
-            "relu": ad.relu,
+            "linear": lambda a: ad.linear(
+                a, Tensor(k.T, requires_grad=True), Tensor(k[:, 0], requires_grad=True)),
+            "linear relu": lambda a: ad.linear(
+                a, Tensor(k.T, requires_grad=True), Tensor(k[:, 0], requires_grad=True), relu=True),
+            "relu": relu,
             "transpose": transpose,
             "concat_last": lambda a: concat_last([a, a]),
             "slice_last": lambda a: slice_last(a, 1, 3),
@@ -487,7 +534,7 @@ class TestBackwardMechanics:
         def run():
             x = Tensor(a.copy(), requires_grad=True)
             y = Tensor(b.copy(), requires_grad=True)
-            loss = ad.reduce_sum(ad.relu(ad.matmul(x, y)))
+            loss = ad.reduce_sum(relu(ad.matmul(x, y)))
             ad.backward(loss)
             return loss.data.copy(), x.grad.copy(), y.grad.copy()
 
@@ -521,6 +568,19 @@ class TestAdamW:
         opt.step()
         np.testing.assert_array_equal(q.data, [2.0])
         assert p.data[0] != 1.5
+
+    def test_param_without_gradient_is_skipped(self):
+        """A parameter without a gradient keeps its bits under weight decay
+        and gets no moment buffers."""
+        p = Tensor(np.array([1.5]), requires_grad=True)
+        q = Tensor(np.array([2.0, -3.0]), requires_grad=True)
+        opt = AdamW({"p": p, "q": q}, lr=1e-2, weight_decay=0.1)
+        for _ in range(3):
+            p.grad = np.array([1.0])
+            q.grad = None
+            opt.step()
+        np.testing.assert_array_equal(q.data, [2.0, -3.0])
+        assert set(opt.m) == set(opt.v) == {"p"}
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_in_place_step_matches_out_of_place_formula(self, rng, dtype):

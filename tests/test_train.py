@@ -7,7 +7,7 @@ import pytest
 
 from meshseg import autodiff as ad
 from meshseg.autodiff import Tensor
-from meshseg.errors import ConfigError
+from meshseg.errors import ConfigError, TrainingDivergedError
 from meshseg.model import init_params, met_forward
 from meshseg.preprocess import PAD_LABEL, pad_sample
 from meshseg.train import (
@@ -22,6 +22,10 @@ from meshseg.train import (
 )
 
 from conftest import small_model_config, small_sample
+
+# held_bytes of the graph in test_training_graph_holds_only_what_backward_reads, as
+# measured with fused linear layers and lean op closures (unfused: 2,182,304)
+GRAPH_BYTES_BOUND = 1_265_744
 
 
 class TestAreaWeights:
@@ -192,6 +196,42 @@ class TestEvaluate:
         np.testing.assert_allclose(double.area_accuracy, single.area_accuracy)
 
 
+def held_bytes(loss) -> int:
+    """Bytes of the distinct arrays a graph keeps alive: the value of every
+    node and every array its backward closure captured, each view counted
+    once at the array that owns its memory."""
+    owners = {}
+    seen = set()
+
+    def hold(value):
+        if id(value) in seen:
+            return
+        seen.add(id(value))
+        if isinstance(value, Tensor):
+            hold(value.data)
+        elif isinstance(value, np.ndarray):
+            while isinstance(value.base, np.ndarray):
+                value = value.base
+            owners[id(value)] = value.nbytes
+        elif isinstance(value, (tuple, list)):
+            for item in value:
+                hold(item)
+        elif callable(value):
+            for cell in getattr(value, "__closure__", None) or ():
+                hold(cell.cell_contents)
+
+    stack, nodes = [loss], {id(loss)}
+    while stack:
+        node = stack.pop()
+        hold(node.data)
+        hold(node._backward_fn)
+        for parent in node._parents:
+            if id(parent) not in nodes:
+                nodes.add(id(parent))
+                stack.append(parent)
+    return sum(owners.values())
+
+
 def quick_train_cfg(**overrides):
     base = dict(
         lr=1e-3,
@@ -287,6 +327,57 @@ class TestTrainLoop:
         model_cfg = small_model_config(eigen_count=4)
         train([small_sample()], model_cfg, quick_train_cfg(max_steps=1, eval_every=1))
         assert alive_at_eval == [[False]]
+
+    def test_training_graph_holds_only_what_backward_reads(self):
+        """Regression guard on the memory of one training graph: linear
+        layers keep no pre-bias or pre-ReLU copy, dropout a bool mask,
+        layer norm no normalized copy, neighbor attention no gathered keys
+        or values."""
+        sample = small_sample(subdivisions=1)  # 80 faces
+        cfg = small_model_config(eigen_count=4, d_t=32, d_p=32, max_clusters=16)
+        params = init_params(cfg, np.random.default_rng(0), dtype=np.float64)
+        scores = met_forward(sample, params, cfg, training=True, rng=np.random.default_rng(1))
+        loss = weighted_cross_entropy(
+            scores, sample.labels, area_weights(sample.areas, sample.real_mask)
+        )
+        assert held_bytes(loss) <= GRAPH_BYTES_BOUND
+
+    def test_last_layer_cluster_stream_keeps_initial_values(self):
+        """The last layer's cluster-stream blocks get no gradient, so the
+        optimizer leaves them bit-unchanged despite weight decay."""
+        model_cfg = small_model_config(eigen_count=4)
+        assert model_cfg.num_layers == 2
+        init = init_params(model_cfg, np.random.default_rng(0), dtype=np.float64)
+        initial = {k: v.data.copy() for k, v in init.items()}
+        params, _ = train(
+            [small_sample()], model_cfg,
+            quick_train_cfg(max_steps=4, eval_every=4, weight_decay=0.1),
+            dtype=np.float64, params=init,
+        )
+        idle = [n for n in initial if n.startswith(("layers.1.ct.", "layers.1.sa_p.",
+                                                    "layers.1.res_p."))]
+        assert idle
+        for name in idle:
+            np.testing.assert_array_equal(params[name].data, initial[name], err_msg=name)
+        assert not np.array_equal(params["layers.0.ct.wq"].data, initial["layers.0.ct.wq"])
+
+    def test_non_finite_gradient_raises_naming_the_parameter(self, monkeypatch):
+        model_cfg = small_model_config(eigen_count=4)
+        params = init_params(model_cfg, np.random.default_rng(0), dtype=np.float64)
+        backward = ad.backward
+
+        def poisoned_backward(loss):
+            backward(loss)
+            params["head.ff2.b"].grad[0] = np.inf
+
+        monkeypatch.setattr(ad, "backward", poisoned_backward)
+        with pytest.raises(TrainingDivergedError) as exc:
+            train([small_sample()], model_cfg, quick_train_cfg(max_steps=2, eval_every=2),
+                  dtype=np.float64, params=params)
+        assert "head.ff2.b" in str(exc.value)
+        assert "layers.0" not in str(exc.value)
+        assert exc.value.diagnostics["step"] == 0
+        assert exc.value.diagnostics["grad_norm"] == np.inf
 
     def test_full_model_gradient_vs_finite_difference(self):
         """Loss gradient w.r.t. sampled parameters matches central
