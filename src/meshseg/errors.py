@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the field check of the
+config dataclasses."""
+
+import dataclasses
+import numbers
 
 
 class MeshFormatError(ValueError):
@@ -37,3 +41,23 @@ class TrainingDivergedError(RuntimeError):
     def __init__(self, message, diagnostics=None):
         super().__init__(message)
         self.diagnostics = diagnostics or {}
+
+
+def check_config(cfg, minimums: dict[str, int]) -> None:
+    """Raise ConfigError naming the first field of the config dataclass
+    ``cfg`` whose value does not match its ``int``, ``float`` or ``bool``
+    annotation (a bool is never a number, an int is also a float), or that
+    lies below its entry in ``minimums``. Other fields are not checked."""
+    for f in dataclasses.fields(cfg):
+        value = getattr(cfg, f.name)
+        kind = getattr(f.type, "__name__", f.type)
+        number = isinstance(value, numbers.Real) and not isinstance(value, bool)
+        ok = {
+            "int": number and isinstance(value, numbers.Integral),
+            "float": number,
+            "bool": isinstance(value, bool),
+        }.get(kind, True)
+        if not ok:
+            raise ConfigError(f"{f.name} must be of type {kind}, got {value!r}")
+        if f.name in minimums and value < minimums[f.name]:
+            raise ConfigError(f"{f.name} must be >= {minimums[f.name]}, got {value}")

@@ -7,7 +7,6 @@ float32-precision inputs exactly.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -84,15 +83,11 @@ class LabelVec:
         return len(self.labels)
 
 
-def _lines(text) -> list[str]:
-    if isinstance(text, bytes):
-        text = text.decode("ascii")
-    if hasattr(text, "read"):
-        text = text.read()
-    return io.StringIO(text).read().split("\n")
+def _lines(text: str) -> list[str]:
+    return text.split("\n")
 
 
-def parse_off(text) -> Mesh:
+def parse_off(text: str) -> Mesh:
     """Parse an ASCII OFF file.
 
     Faces of any declared arity are read, but non-triangles are rejected.
@@ -161,7 +156,7 @@ def parse_off(text) -> Mesh:
     return Mesh(vertices=vertices, faces=faces)
 
 
-def parse_obj(text) -> Mesh:
+def parse_obj(text: str) -> Mesh:
     """Parse a Wavefront OBJ file (``v`` and ``f`` records only).
 
     Slashed ``v/vt/vn`` face tokens use the vertex index only; negative
@@ -212,7 +207,7 @@ def parse_obj(text) -> Mesh:
     )
 
 
-def parse_face_labels(text, n_faces: int) -> LabelVec:
+def parse_face_labels(text: str, n_faces: int) -> LabelVec:
     """Parse one-integer-per-line face labels, remapping to dense 0-based ids.
 
     Raw label values are remapped in first-appearance order;
@@ -269,7 +264,7 @@ def write_ply_colored(mesh: Mesh, labels: LabelVec, palette) -> str:
     return "\n".join(out) + "\n"
 
 
-def parse_ply(text) -> tuple[Mesh, np.ndarray | None]:
+def parse_ply(text: str) -> tuple[Mesh, np.ndarray | None]:
     """Parse an ASCII PLY 1.0 file; returns the mesh and per-face RGB (or None).
 
     Binary PLY is rejected with a clear error.

@@ -32,7 +32,7 @@ import numpy as np
 
 from meshseg import autodiff as ad
 from meshseg.autodiff import Tensor
-from meshseg.errors import ConfigError
+from meshseg.errors import ConfigError, check_config
 from meshseg.preprocess import COORD_COLS, NORMAL_COLS, SPECTRAL_COLS, Sample
 
 __all__ = [
@@ -68,13 +68,14 @@ class ModelConfig:
     tc_sum: bool = False  # literal C*P sum instead of the cluster average
 
     def __post_init__(self):
+        check_config(self, {"num_classes": 1, "eigen_count": 0, "d_t": 1, "d_p": 1,
+                            "num_layers": 1, "num_heads": 1, "ff_multiplier": 1,
+                            "max_clusters": 1})
         if self.d_t % self.num_heads or self.d_p % self.num_heads:
             raise ConfigError(
                 f"token widths d_t={self.d_t}, d_p={self.d_p} must be divisible by "
                 f"num_heads={self.num_heads}"
             )
-        if self.num_classes < 1:
-            raise ConfigError("num_classes must be >= 1")
         if not 0 <= self.dropout < 1:
             raise ConfigError("dropout must be in [0, 1)")
 
@@ -320,29 +321,27 @@ def met_forward(
     cfg: ModelConfig,
     training: bool = False,
     rng: np.random.Generator | None = None,
-    masks: AttentionMasks | None = None,
 ) -> Tensor:
     """Per-triangle class scores, shape (n_total, num_classes).
 
-    Padding rows produce scores too; downstream consumers drop them via
-    the sample's real mask.
+    Builds the sample's attention masks on every call; they depend only on
+    its adjacency, cluster ids and padding, and cost little next to the
+    forward itself. Padding rows produce scores too; downstream consumers
+    drop them via the sample's real mask.
     """
     if sample.features.shape[1] != cfg.feature_width:
         raise ConfigError(
             f"feature width {sample.features.shape[1]} != configured {cfg.feature_width}"
         )
-    pad_clusters = sample.num_clusters + (1 if sample.has_padding else 0)
-    if pad_clusters > cfg.max_clusters:
-        raise ConfigError(
-            f"sample needs {pad_clusters} cluster embeddings, table has {cfg.max_clusters}"
-        )
     dtype = params["embed.w"].dtype
-    if masks is None:
-        masks = build_masks(sample, dtype=dtype)
+    masks = build_masks(sample, dtype=dtype)
+    k = len(masks.cluster_sizes)
+    if k > cfg.max_clusters:
+        raise ConfigError(f"sample needs {k} cluster embeddings, table has {cfg.max_clusters}")
 
     t = Tensor(_masked_features(sample, cfg, dtype))
     e_tok = _dropout(_linear(params, "embed", t, activation=True), cfg, training, rng)
-    p_tok = ad.embedding_lookup(params["cluster_embed"], np.arange(pad_clusters))
+    p_tok = ad.embedding_lookup(params["cluster_embed"], np.arange(k))
 
     for i in range(cfg.num_layers):
         e_tok, p_tok = met_layer(

@@ -111,8 +111,10 @@ class Sample:
         return merge_duplicate_vertices(Mesh(vertices=corners, faces=faces), 0.0)
 
     def validate(self) -> None:
-        """Raise SampleFormatError unless the per-face arrays agree in length
-        and the padding faces satisfy the padding invariants."""
+        """Raise SampleFormatError unless the per-face arrays agree in length,
+        the padding faces satisfy the padding invariants, and every real
+        face carries a cluster id of a real cluster and a label that is
+        ``PAD_LABEL`` or one of the sample's classes."""
 
         def require(ok, message):
             if not ok:
@@ -137,6 +139,11 @@ class Sample:
         real_ids = self.cluster_ids[self.real_mask]
         require(((real_ids >= 0) & (real_ids < self.num_clusters)).all(),
                 f"real face with a cluster id outside 0..{self.num_clusters - 1}")
+        real_labels = self.labels[self.real_mask]
+        require(((real_labels == PAD_LABEL)
+                 | ((real_labels >= 0) & (real_labels < self.num_classes))).all(),
+                f"real face with a label outside 0..{self.num_classes - 1} "
+                f"and other than {PAD_LABEL}")
 
 
 def compute_normals(mesh: Mesh) -> np.ndarray:

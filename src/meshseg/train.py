@@ -18,8 +18,8 @@ import numpy as np
 
 from meshseg import autodiff as ad
 from meshseg.autodiff import Tensor
-from meshseg.errors import ConfigError, TrainingDivergedError
-from meshseg.model import AttentionMasks, ModelConfig, build_masks, init_params, met_forward
+from meshseg.errors import ConfigError, TrainingDivergedError, check_config
+from meshseg.model import ModelConfig, init_params, met_forward
 from meshseg.optim import AdamW
 from meshseg.preprocess import COORD_COLS, NORMAL_COLS, PAD_LABEL, Sample
 
@@ -52,8 +52,7 @@ class TrainConfig:
     eval_every: int = 50
 
     def __post_init__(self):
-        if self.batch_size < 1:
-            raise ConfigError("batch_size must be >= 1")
+        check_config(self, {"batch_size": 1, "max_steps": 0, "seed": 0, "eval_every": 1})
         if not 0 <= self.validation_fraction < 1:
             raise ConfigError("validation_fraction must be in [0, 1)")
 
@@ -156,48 +155,21 @@ def augment(sample: Sample, rng: np.random.Generator, cfg: TrainConfig | None = 
     return replace(sample, features=features)
 
 
-@dataclass
-class _Prepared:
-    sample: Sample
-    masks: AttentionMasks
-    weights: np.ndarray
-
-
-def _prepare(samples, dtype):
-    return [
-        _Prepared(
-            sample=s,
-            masks=build_masks(s, dtype=dtype),
-            weights=area_weights(s.areas, s.real_mask),
-        )
-        for s in samples
-    ]
-
-
-def _forward_loss(prep: _Prepared, params, model_cfg, training, rng):
-    scores = met_forward(
-        prep.sample, params, model_cfg, training=training, rng=rng, masks=prep.masks
-    )
-    loss = weighted_cross_entropy(scores, prep.sample.labels, prep.weights)
-    return scores, loss
-
-
-def evaluate(samples, params, model_cfg: ModelConfig, prepared=None) -> Metrics:
-    """Eval-mode metrics pooled over all meshes by summing areas."""
-    if prepared is None:
-        prepared = _prepare(samples, params["embed.w"].dtype)
+def evaluate(samples, params, model_cfg: ModelConfig) -> Metrics:
+    """Eval-mode metrics pooled over all meshes by summing areas, plus the
+    mean of the per-mesh losses. Runs one eval-mode forward per sample."""
     correct_area = 0.0
     total_area = 0.0
     class_correct: dict[int, float] = {}
     class_total: dict[int, float] = {}
     losses = []
-    for prep in prepared:
-        s = prep.sample
+    for s in samples:
         if s.num_classes > model_cfg.num_classes:
             raise ConfigError(
                 f"sample has {s.num_classes} classes, model has {model_cfg.num_classes}"
             )
-        scores, loss = _forward_loss(prep, params, model_cfg, training=False, rng=None)
+        scores = met_forward(s, params, model_cfg)
+        loss = weighted_cross_entropy(scores, s.labels, area_weights(s.areas, s.real_mask))
         losses.append(loss.item())
         pred = scores.data.argmax(axis=1)
         real = s.real_mask
@@ -229,7 +201,9 @@ def train(
 ):
     """Mini-batch AdamW training with a held-out validation fraction.
 
-    Returns ``(best_params, history)`` where history is the list of logged
+    Holds the samples and nothing derived from them: each step augments a
+    sample, runs its training forward (which builds the sample's masks)
+    and computes its area weights afresh. Returns ``(best_params, history)`` where history is the list of logged
     validation records. The retained parameters are those with the best
     validation area accuracy (training accuracy when the validation split
     is empty).
@@ -248,9 +222,8 @@ def train(
     val_idx, train_idx = indices[:n_val], indices[n_val:]
     if not len(train_idx):
         raise ValueError("validation split leaves no training samples")
-    prepared = _prepare(samples, dtype)
-    train_set = [prepared[i] for i in train_idx]
-    val_set = [prepared[i] for i in val_idx]
+    train_set = [samples[i] for i in train_idx]
+    val_set = [samples[i] for i in val_idx]
 
     history: list[dict] = []
     best_acc = -1.0
@@ -262,7 +235,7 @@ def train(
 
     def record(step, loss_value, split):
         eval_set = val_set if split == "val" else train_set
-        metrics = evaluate(None, params, model_cfg, prepared=eval_set)
+        metrics = evaluate(eval_set, params, model_cfg)
         entry = {
             "step": step,
             "loss": loss_value,
@@ -290,16 +263,13 @@ def train(
                 batch_loss = 0.0
                 for idx in sorted(batch):
                     sample_rng = np.random.default_rng((train_cfg.seed, epoch, int(idx)))
-                    prep = train_set[idx]
+                    sample = train_set[idx]
                     if train_cfg.augment:
-                        prep = _Prepared(
-                            sample=augment(prep.sample, sample_rng, train_cfg),
-                            masks=prep.masks,
-                            weights=prep.weights,
-                        )
-                    loss = _forward_loss(
-                        prep, params, model_cfg, training=True, rng=sample_rng
-                    )[1]
+                        sample = augment(sample, sample_rng, train_cfg)
+                    loss = weighted_cross_entropy(
+                        met_forward(sample, params, model_cfg, training=True, rng=sample_rng),
+                        sample.labels, area_weights(sample.areas, sample.real_mask),
+                    )
                     batch_loss += loss.item()
                     ad.backward(loss)
                     del loss  # free this graph before the next forward or eval builds one

@@ -187,6 +187,36 @@ class TestTrainEval:
         assert manifest["config"]["use_laplacian"] is False
 
 
+# flags, JSON config entries and the field the one-line error names
+BAD_CONFIGS = {
+    "heads-flag-0": (["--heads", "0"], {}, "num_heads"),
+    "num_heads-0": ([], {"num_heads": 0}, "num_heads"),
+    "d-t-flag-0": (["--d-t", "0"], {}, "d_t"),
+    "eval_every-0": ([], {"eval_every": 0}, "eval_every"),
+    "d_t-str": ([], {"d_t": "64"}, "d_t"),
+    "num_layers-str": ([], {"num_layers": "2"}, "num_layers"),
+    "batch_size-str": ([], {"batch_size": "2"}, "batch_size"),
+    "dropout-str": ([], {"dropout": "0.1"}, "dropout"),
+    "lr-str": ([], {"lr": "x"}, "lr"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_CONFIGS))
+def test_train_config_out_of_range_exits_2(case, samples_dir, tmp_path):
+    """A flag or JSON value of the wrong type or below its bound is a
+    config error reported in one line, not a traceback."""
+    flags, entries, name = BAD_CONFIGS[case]
+    config = {"d_t": 16, "d_p": 16, "num_layers": 1, "num_heads": 2, "max_steps": 2,
+              "lr": 1e-3, "batch_size": 2, **entries}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config))
+    result = run(["train", str(samples_dir), str(tmp_path / "m.ckpt"),
+                  "--config", str(cfg_path), *flags])
+    assert result.exit_code == 2, result.output
+    assert result.output.startswith(f"error: {name} must be")
+    assert len(result.output.splitlines()) == 1
+
+
 class TestSegment:
     def test_writes_parseable_colored_ply(self, dataset_dir, checkpoint, tmp_path):
         mesh_path = dataset_dir / "shapes" / "sphere0.off"
@@ -291,6 +321,9 @@ CHECKPOINT_DAMAGE = {
         edit_manifest(lambda m: m["params"].update({"head.ff2.b": [2]})),
         "entry 'head.ff2.b' is not a dict",
     ),
+    "num-heads-0": (
+        edit_manifest(lambda m: m["config"].update(num_heads=0)), "num_heads must be >= 1"
+    ),
 }
 
 
@@ -300,6 +333,21 @@ def float_cluster_ids(entries):
     buf = io.BytesIO()
     np.save(buf, np.load(io.BytesIO(entries["cluster_ids.npy"])).astype(np.float64))
     entries["cluster_ids.npy"] = buf.getvalue()
+
+
+def set_first_label(value):
+    """Give face 0, a real face of the unpadded test samples, label ``value``."""
+
+    def edit(entries):
+        import io
+
+        labels = np.load(io.BytesIO(entries["labels.npy"]))
+        labels[0] = value
+        buf = io.BytesIO()
+        np.save(buf, labels)
+        entries["labels.npy"] = buf.getvalue()
+
+    return edit
 
 
 # damage -> (edit, what the one-line error names)
@@ -316,6 +364,8 @@ SAMPLE_DAMAGE = {
         edit_manifest(lambda m: m.update(format_version=1)), "format version 1"
     ),
     "float-cluster-ids": (float_cluster_ids, "cluster_ids are not integers"),
+    "negative-label": (set_first_label(-2), "real face with a label outside 0..1"),
+    "label-past-num-classes": (set_first_label(2), "real face with a label outside 0..1"),
 }
 
 

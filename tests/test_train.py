@@ -328,6 +328,28 @@ class TestTrainLoop:
         train([small_sample()], model_cfg, quick_train_cfg(max_steps=1, eval_every=1))
         assert alive_at_eval == [[False]]
 
+    def test_keeps_samples_not_attention_masks(self, monkeypatch):
+        """Each forward builds its own masks, so no sample's masks outlive
+        the forward that used them."""
+        import gc
+
+        from meshseg import train as train_module
+        from meshseg.model import AttentionMasks
+
+        live = []
+        forward = train_module.met_forward
+
+        def counted_forward(*args, **kwargs):
+            live.append(sum(isinstance(o, AttentionMasks) for o in gc.get_objects()))
+            return forward(*args, **kwargs)
+
+        monkeypatch.setattr(train_module, "met_forward", counted_forward)
+        samples = [small_sample() for _ in range(3)]
+        train(samples, small_model_config(eigen_count=4),
+              quick_train_cfg(max_steps=2, eval_every=2, augment=True))
+        assert len(live) == 6  # 2 + 1 training forwards, then 3 in the closing eval
+        assert max(live) <= 1
+
     def test_training_graph_holds_only_what_backward_reads(self):
         """Regression guard on the memory of one training graph: linear
         layers keep no pre-bias or pre-ReLU copy, dropout a bool mask,
