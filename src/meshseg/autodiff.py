@@ -1,10 +1,13 @@
 """Minimal dense tensor library with reverse-mode automatic differentiation.
 
-Tensors wrap numpy arrays and record their provenance; ``backward`` walks
-the graph in reverse topological order with a deterministic accumulation
-order. Only the primitives the segmentation network needs are provided:
-no general broadcasting beyond bias addition, no views, no in-place math
-on live graph nodes.
+Tensors wrap numpy arrays. An op output records its parents and backward
+closure only when some input requires gradients, so a forward over
+gradient-free tensors builds no graph and keeps no array past its last
+reader. ``backward`` walks the graph in reverse topological order with a
+deterministic accumulation order and consumes it as it goes: a graph can be
+backpropagated once. Only the primitives the segmentation network needs
+are provided: no general broadcasting beyond bias addition, no views, no
+in-place math on live graph nodes.
 """
 
 from __future__ import annotations
@@ -45,8 +48,10 @@ class Tensor:
     """A dense array plus the bookkeeping needed for backpropagation.
 
     ``grad`` is populated (or accumulated into) by :func:`backward` on
-    leaves, tensors without parents; constants built from plain arrays do
-    not require gradients and are pruned from the traversal.
+    leaves, tensors without parents. A tensor that does not require
+    gradients (a constant, or an op output whose inputs need none) has no
+    parents and no backward closure. ``_parents`` is None once
+    :func:`backward` has consumed the node.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward_fn")
@@ -76,6 +81,14 @@ class Tensor:
         return f"Tensor(shape={self.shape}, dtype={self.dtype}, requires_grad={self.requires_grad})"
 
 
+def _node(data, parents: tuple[Tensor, ...], backward_fn) -> Tensor:
+    """An op output: a graph node when some parent requires gradients,
+    else a constant that keeps neither its parents nor ``backward_fn``."""
+    if any(p.requires_grad for p in parents):
+        return Tensor(data, True, parents, backward_fn)
+    return Tensor(data)
+
+
 def _as_tensor(x, like: Tensor | None = None) -> Tensor:
     if isinstance(x, Tensor):
         return x
@@ -91,13 +104,11 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         a.shape,
         b.shape,
     )
-    out = Tensor(a.data @ b.data, _parents=(a, b))
 
     def backward_fn(g):
         return g @ b.data.T, a.data.T @ g
 
-    out._backward_fn = backward_fn
-    return out
+    return _node(a.data @ b.data, (a, b), backward_fn)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -111,34 +122,28 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         a.shape,
         b.shape,
     )
-    out = Tensor(a.data + b.data, _parents=(a, b))
 
     def backward_fn(g):
         gb = g.sum(axis=tuple(range(g.ndim - 1))) if bias else g
         return g, gb
 
-    out._backward_fn = backward_fn
-    return out
+    return _node(a.data + b.data, (a, b), backward_fn)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b, like=a)
     _check(a.shape == b.shape, "mul", a.shape, b.shape)
-    out = Tensor(a.data * b.data, _parents=(a, b))
 
     def backward_fn(g):
         return g * b.data, g * a.data
 
-    out._backward_fn = backward_fn
-    return out
+    return _node(a.data * b.data, (a, b), backward_fn)
 
 
 def scale(a: Tensor, s: float) -> Tensor:
     a = _as_tensor(a)
     s = a.dtype.type(s)
-    out = Tensor(a.data * s, _parents=(a,))
-    out._backward_fn = lambda g: (g * s,)
-    return out
+    return _node(a.data * s, (a,), lambda g: (g * s,))
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor, relu: bool = False) -> Tensor:
@@ -161,28 +166,24 @@ def linear(x: Tensor, w: Tensor, b: Tensor, relu: bool = False) -> Tensor:
     y += b.data
     if relu:
         np.maximum(y, 0, out=y)
-    out = Tensor(y, _parents=(x, w, b))
 
     def backward_fn(g):
         if relu:
             g = g * (y > 0)
         return g @ w.data.T, x.data.T @ g, g.sum(axis=0)
 
-    out._backward_fn = backward_fn
-    return out
+    return _node(y, (x, w, b), backward_fn)
 
 
 def reduce_sum(a: Tensor, axis: int | None = None) -> Tensor:
     a = _as_tensor(a)
-    out = Tensor(a.data.sum(axis=axis), _parents=(a,))
 
     def backward_fn(g):
         if axis is None:
             return (np.full_like(a.data, 1.0) * g,)
         return (np.broadcast_to(np.expand_dims(g, axis), a.shape).copy(),)
 
-    out._backward_fn = backward_fn
-    return out
+    return _node(a.data.sum(axis=axis), (a,), backward_fn)
 
 
 def embedding_lookup(table: Tensor, ids) -> Tensor:
@@ -194,15 +195,13 @@ def embedding_lookup(table: Tensor, ids) -> Tensor:
         raise IndexError(
             f"embedding id out of range: max {ids.max()} for table of {table.shape[0]} rows"
         )
-    out = Tensor(table.data[ids], _parents=(table,))
 
     def backward_fn(g):
         gt = np.zeros_like(table.data)
         np.add.at(gt, ids, g)
         return (gt,)
 
-    out._backward_fn = backward_fn
-    return out
+    return _node(table.data[ids], (table,), backward_fn)
 
 
 def _softmax(z: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -253,7 +252,6 @@ def attention(q: Tensor, k: Tensor, v: Tensor, bias, num_heads: int, scale: floa
 
     qh, kh, vh = heads(q.data), heads(k.data), heads(v.data)
     w = _softmax(np.matmul(qh, kh.transpose(0, 2, 1)) * s + bias)  # (h, R, C)
-    out = Tensor(merge(np.matmul(w, vh)), _parents=(q, k, v))
 
     def backward_fn(g):
         gh = heads(g)
@@ -265,8 +263,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, bias, num_heads: int, scale: floa
             merge(np.matmul(w.transpose(0, 2, 1), gh)),
         )
 
-    out._backward_fn = backward_fn
-    return out
+    return _node(merge(np.matmul(w, vh)), (q, k, v), backward_fn)
 
 
 def neighbor_attention(
@@ -300,7 +297,6 @@ def neighbor_attention(
 
     w = _softmax(np.einsum("nhd,nmhd->nmh", qh, gather(k)) * s + bias[:, :, np.newaxis], axis=1)
     merged = np.einsum("nmh,nmhd->nhd", w, gather(v)).reshape(rows, width)
-    out = Tensor(merged, _parents=(q, k, v))
 
     def backward_fn(g):
         # gathering again costs less than keeping two (R, m, d) copies alive
@@ -322,8 +318,7 @@ def neighbor_attention(
             scatter @ dvg.reshape(rows * m, width),
         )
 
-    out._backward_fn = backward_fn
-    return out
+    return _node(merged, (q, k, v), backward_fn)
 
 
 def log_softmax(a: Tensor) -> Tensor:
@@ -332,13 +327,11 @@ def log_softmax(a: Tensor) -> Tensor:
     shift = a.data - a.data.max(axis=-1, keepdims=True)
     logp = shift - np.log(np.exp(shift).sum(axis=-1, keepdims=True))
     logp = logp.astype(a.dtype, copy=False)
-    out = Tensor(logp, _parents=(a,))
 
     def backward_fn(g):
         return (g - np.exp(logp) * g.sum(axis=-1, keepdims=True),)
 
-    out._backward_fn = backward_fn
-    return out
+    return _node(logp, (a,), backward_fn)
 
 
 def gather_rows(a: Tensor, cols) -> Tensor:
@@ -347,15 +340,13 @@ def gather_rows(a: Tensor, cols) -> Tensor:
     cols = np.asarray(cols, dtype=np.int64)
     _check(a.data.ndim == 2 and cols.shape == (a.shape[0],), "gather_rows", a.shape, cols.shape)
     rows = np.arange(a.shape[0])
-    out = Tensor(a.data[rows, cols].copy(), _parents=(a,))
 
     def backward_fn(g):
         ga = np.zeros_like(a.data)
         ga[rows, cols] = g
         return (ga,)
 
-    out._backward_fn = backward_fn
-    return out
+    return _node(a.data[rows, cols].copy(), (a,), backward_fn)
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
@@ -371,9 +362,7 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     centered = x.data - mean
     var = (centered**2).mean(axis=-1, keepdims=True)
     inv_std = 1.0 / np.sqrt(var + eps)
-    xhat = centered * inv_std
-    out = Tensor((xhat * gamma.data + beta.data).astype(x.dtype, copy=False),
-                 _parents=(x, gamma, beta))
+    out = (centered * inv_std * gamma.data + beta.data).astype(x.dtype, copy=False)
 
     def backward_fn(g):
         xhat = (x.data - mean) * inv_std
@@ -388,8 +377,7 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
         ) * inv_std
         return dx, dgamma, dbeta
 
-    out._backward_fn = backward_fn
-    return out
+    return _node(out, (x, gamma, beta), backward_fn)
 
 
 def dropout(x: Tensor, p: float, training: bool, rng: np.random.Generator | None = None) -> Tensor:
@@ -408,15 +396,13 @@ def dropout(x: Tensor, p: float, training: bool, rng: np.random.Generator | None
     s = x.dtype.type(1.0) / x.dtype.type(1.0 - p)
     out_data = x.data * keep
     out_data *= s
-    out = Tensor(out_data, _parents=(x,))
 
     def backward_fn(g):
         gx = g * keep
         gx *= s
         return (gx,)
 
-    out._backward_fn = backward_fn
-    return out
+    return _node(out_data, (x,), backward_fn)
 
 
 def backward(loss: Tensor) -> None:
@@ -424,10 +410,16 @@ def backward(loss: Tensor) -> None:
 
     Leaves are reachable tensors without parents, such as parameters; their
     gradients add onto any existing ``.grad``, so per-sample losses in a
-    batch can be accumulated by repeated calls. Intermediate tensors keep
-    ``.grad`` None. No op's backward writes into the gradient it receives,
-    so one gradient array may be handed to several parents uncopied; only
-    a leaf takes its own copy.
+    batch can be accumulated by repeated calls on separate graphs.
+    Intermediate tensors keep ``.grad`` None. No op's backward writes into
+    the gradient it receives, so one gradient array may be handed to several
+    parents uncopied; only a leaf takes its own copy.
+
+    The graph is consumed: right after a node's closure has run, the node
+    drops the closure and its parent links, so each activation is freed as
+    soon as the traversal has passed it (unless the caller holds it). A
+    second call that reaches a consumed node raises ValueError before any
+    gradient is computed.
     """
     if loss.data.size != 1:
         raise ValueError(f"loss must be scalar, got shape {loss.shape}")
@@ -444,22 +436,29 @@ def backward(loss: Tensor) -> None:
             continue
         if id(node) in visited:
             continue
+        if node._parents is None:
+            raise ValueError("backward: the graph was already consumed by an earlier backward")
         visited.add(id(node))
         stack.append((node, True))
         for parent in node._parents:
             if parent.requires_grad and id(parent) not in visited:
                 stack.append((parent, False))
     grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
-    for node in reversed(topo):
-        g = grads.pop(id(node), None)
-        if g is None:
-            continue
-        if node._backward_fn is not None:
-            parent_grads = node._backward_fn(g)
-            for parent, pg in zip(node._parents, parent_grads):
-                if not parent.requires_grad:
-                    continue
-                acc = grads.get(id(parent))
-                grads[id(parent)] = pg if acc is None else acc + pg
-        if not node._parents:
+    # popping walks the reverse post-order and drops the list's reference
+    while topo:
+        node = topo.pop()
+        g = grads.pop(id(node))
+        if node._parents:
+            _accumulate(grads, node._parents, node._backward_fn(g))
+            node._parents = node._backward_fn = None
+        else:
             node.grad = g.copy() if node.grad is None else node.grad + g
+
+
+def _accumulate(grads: dict[int, np.ndarray], parents, parent_grads) -> None:
+    """Add each parent's gradient into ``grads``, parents in order; the
+    received arrays die with this call unless ``grads`` keeps them."""
+    for parent, pg in zip(parents, parent_grads):
+        if parent.requires_grad:
+            acc = grads.get(id(parent))
+            grads[id(parent)] = pg if acc is None else acc + pg

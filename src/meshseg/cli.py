@@ -24,6 +24,7 @@ import numpy as np
 from meshseg import data as datamod
 from meshseg import model as modelmod
 from meshseg import train as trainmod
+from meshseg.autodiff import Tensor
 from meshseg.errors import (
     ConfigError,
     DegenerateGeometryError,
@@ -272,7 +273,10 @@ def cmd_eval(samples_dir, checkpoint):
 def cmd_segment(mesh_path, checkpoint, out_ply, config_path,
                 target_vertices, target_faces, eigen_count, clustering_lambda,
                 no_simplify):
-    """Segment one mesh and write a colored PLY of the prediction."""
+    """Segment one mesh and write a colored PLY of the prediction.
+
+    The eval forward runs on gradient-free views of the checkpoint's
+    parameters, so it records no graph."""
     base = load_run_config(config_path) if config_path else {}
     params, model_cfg = modelmod.load_checkpoint(checkpoint)
     cfg = _preprocess_cfg(base, target_vertices, target_faces, None,
@@ -280,7 +284,8 @@ def cmd_segment(mesh_path, checkpoint, out_ply, config_path,
     cfg = dataclasses.replace(cfg, eigen_count=model_cfg.eigen_count)
     mesh = datamod.load_mesh_file(Path(mesh_path))
     sample = build_sample(mesh, None, cfg)
-    scores = modelmod.met_forward(sample, params, model_cfg)
+    views = {name: Tensor(p.data) for name, p in params.items()}
+    scores = modelmod.met_forward(sample, views, model_cfg)
     pred = scores.data.argmax(axis=1)[sample.real_mask]
     labels = LabelVec(labels=pred, num_classes=model_cfg.num_classes)
     palette = datamod.class_palette(model_cfg.num_classes)

@@ -20,7 +20,7 @@ from time import perf_counter
 import numpy as np
 
 from meshseg import clustering, spectral
-from meshseg.errors import DegenerateGeometryError, SampleFormatError
+from meshseg.errors import ConfigError, DegenerateGeometryError, SampleFormatError, check_config
 from meshseg.mesh_io import LabelVec, Mesh, merge_duplicate_vertices
 from meshseg.simplify import simplify_qem
 from meshseg.spectral import AdjacencyMatrix
@@ -68,6 +68,14 @@ class PreprocessConfig:
     merge_eps: float = 1e-8
     simplify: bool = True
     cluster_on_features: bool = False
+
+    def __post_init__(self):
+        # the minimums the pipeline needs: QEM keeps a tetrahedron, the
+        # eigensolver returns at least one vector, a sample has a face
+        check_config(self, {"target_vertices": 4, "target_faces": 1, "eigen_count": 1,
+                            "merge_eps": 0})
+        if not self.clustering_lambda > 0:
+            raise ConfigError(f"clustering_lambda must be > 0, got {self.clustering_lambda}")
 
 
 @dataclass(frozen=True)

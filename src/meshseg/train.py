@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import json
 import logging
+import resource
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from time import perf_counter
 
 import numpy as np
 
@@ -157,7 +159,10 @@ def augment(sample: Sample, rng: np.random.Generator, cfg: TrainConfig | None = 
 
 def evaluate(samples, params, model_cfg: ModelConfig) -> Metrics:
     """Eval-mode metrics pooled over all meshes by summing areas, plus the
-    mean of the per-mesh losses. Runs one eval-mode forward per sample."""
+    mean of the per-mesh losses. Runs one eval-mode forward per sample on
+    gradient-free views of ``params`` (no copy), so a forward records no
+    graph and frees each activation after its last reader."""
+    params = {name: Tensor(p.data) for name, p in params.items()}
     correct_area = 0.0
     total_area = 0.0
     class_correct: dict[int, float] = {}
@@ -203,10 +208,19 @@ def train(
 
     Holds the samples and nothing derived from them: each step augments a
     sample, runs its training forward (which builds the sample's masks)
-    and computes its area weights afresh. Returns ``(best_params, history)`` where history is the list of logged
-    validation records. The retained parameters are those with the best
+    and computes its area weights afresh. Each sample's backward pass
+    consumes its graph, and gradients are cleared before the first step
+    and right after each optimizer step, so evaluations run with neither
+    a graph nor gradients alive.
+
+    Returns ``(best_params, history)``: the parameters with the best
     validation area accuracy (training accuracy when the validation split
-    is empty).
+    is empty), each with ``.grad`` None, and the list of logged records.
+    A record holds ``step``, ``loss`` (the batch's mean), ``accuracy``,
+    ``split``, the step's ``grad_norm``, the ``forward_s``, ``backward_s``
+    and ``optim_s`` summed since the previous record, ``samples_per_s``
+    over the training time since then, and the process's ``peak_rss_mb``
+    so far. Each record is also one line of ``metrics_path``.
     """
     if not samples:
         raise ValueError("empty dataset")
@@ -229,11 +243,17 @@ def train(
     best_acc = -1.0
     best_params = None
     log_file = open(metrics_path, "w") if metrics_path else None
+    # phase seconds and samples trained since the previous record
+    phase_s = dict.fromkeys(("forward_s", "backward_s", "optim_s"), 0.0)
+    trained = 0
+    since = perf_counter()
 
     def snapshot():
         return {name: p.data.copy() for name, p in params.items()}
 
-    def record(step, loss_value, split):
+    def record(step, loss_value, grad_norm, split):
+        nonlocal trained, since
+        train_s = perf_counter() - since
         eval_set = val_set if split == "val" else train_set
         metrics = evaluate(eval_set, params, model_cfg)
         entry = {
@@ -241,16 +261,24 @@ def train(
             "loss": loss_value,
             "accuracy": metrics.area_accuracy,
             "split": split,
+            "grad_norm": grad_norm,
+            **phase_s,
+            "samples_per_s": trained / train_s,
+            "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
         }
         history.append(entry)
         if log_file:
             log_file.write(json.dumps(entry) + "\n")
             log_file.flush()
+        phase_s.update(dict.fromkeys(phase_s, 0.0))
+        trained = 0
+        since = perf_counter()
         return metrics
 
     try:
         step = 0
         epoch = 0
+        optimizer.zero_grad()
         while step < train_cfg.max_steps:
             order = np.random.default_rng((train_cfg.seed, 7, epoch)).permutation(
                 len(train_set)
@@ -259,20 +287,23 @@ def train(
                 if step >= train_cfg.max_steps:
                     break
                 batch = order[start : start + train_cfg.batch_size]
-                optimizer.zero_grad()
                 batch_loss = 0.0
                 for idx in sorted(batch):
                     sample_rng = np.random.default_rng((train_cfg.seed, epoch, int(idx)))
                     sample = train_set[idx]
                     if train_cfg.augment:
                         sample = augment(sample, sample_rng, train_cfg)
+                    t0 = perf_counter()
                     loss = weighted_cross_entropy(
                         met_forward(sample, params, model_cfg, training=True, rng=sample_rng),
                         sample.labels, area_weights(sample.areas, sample.real_mask),
                     )
                     batch_loss += loss.item()
-                    ad.backward(loss)
-                    del loss  # free this graph before the next forward or eval builds one
+                    t1 = perf_counter()
+                    ad.backward(loss)  # consumes the graph; loss keeps only its value
+                    phase_s["forward_s"] += t1 - t0
+                    phase_s["backward_s"] += perf_counter() - t1
+                trained += len(batch)
                 batch_loss /= len(batch)
                 if not np.isfinite(batch_loss):
                     raise TrainingDivergedError(
@@ -286,6 +317,7 @@ def train(
                             },
                         },
                     )
+                t0 = perf_counter()
                 inv = 1.0 / len(batch)
                 # leaf gradients are owned copies, so they scale in place
                 grad_norms = {}
@@ -302,9 +334,11 @@ def train(
                                      "non_finite": bad},
                     )
                 optimizer.step()
+                optimizer.zero_grad()
+                phase_s["optim_s"] += perf_counter() - t0
                 step += 1
                 if step % train_cfg.eval_every == 0 or step == train_cfg.max_steps:
-                    metrics = record(step, batch_loss, "val" if val_set else "train")
+                    metrics = record(step, batch_loss, grad_norm, "val" if val_set else "train")
                     logger.info(
                         "step %d loss %.4f accuracy %.4f", step, batch_loss, metrics.area_accuracy
                     )

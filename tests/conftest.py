@@ -351,6 +351,16 @@ def small_model_config(**overrides):
     return ModelConfig(**base)
 
 
+# fields of a training record that measure the run (time, throughput,
+# memory) rather than follow from the seed
+RUN_MEASUREMENTS = ("forward_s", "backward_s", "optim_s", "samples_per_s", "peak_rss_mb")
+
+
+def trajectory(history):
+    """A training history without its run measurements: what one seed fixes."""
+    return [{k: v for k, v in h.items() if k not in RUN_MEASUREMENTS} for h in history]
+
+
 def permute_sample(sample, perm):
     """Apply a joint face permutation to every per-face field of a sample."""
     from dataclasses import replace

@@ -3,6 +3,7 @@ exported surface, and the AdamW optimizer's closed-form behavior."""
 
 import ast
 import re
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -460,6 +461,47 @@ class TestBackwardMechanics:
         loss = ad.reduce_sum(ad.add(ad.mul(y, y), y))  # 9x^2 + 3x
         ad.backward(loss)
         np.testing.assert_allclose(x.grad, [18 * 2.0 + 3.0])
+
+    def test_backward_frees_intermediates(self):
+        """backward() consumes the graph, so an intermediate's array dies
+        while the loss, which keeps its value, is still referenced."""
+        x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
+        w = Tensor(np.ones((3, 2)), requires_grad=True)
+        h = ad.linear(x, w, Tensor(np.zeros(2), requires_grad=True), relu=True)
+        alive = weakref.ref(h.data)
+        loss = ad.reduce_sum(ad.mul(h, h))
+        del h
+        ad.backward(loss)
+        assert alive() is None
+        assert loss.item() == 2 * 3.0**2 + 2 * 12.0**2
+        np.testing.assert_array_equal(w.grad, [[72.0, 72.0], [102.0, 102.0], [132.0, 132.0]])
+
+    def test_second_backward_raises(self):
+        x = Tensor(np.array([3.0]), requires_grad=True)
+        y = ad.mul(x, x)
+        loss = ad.reduce_sum(y)
+        ad.backward(loss)
+        with pytest.raises(ValueError, match="consumed"):
+            ad.backward(loss)
+        # a new graph over a consumed node is refused before any gradient
+        with pytest.raises(ValueError, match="consumed"):
+            ad.backward(ad.reduce_sum(ad.add(y, x)))
+        np.testing.assert_array_equal(x.grad, [6.0])
+
+    def test_gradient_free_ops_record_nothing(self):
+        a = Tensor(np.ones((2, 3)))
+        outs = [
+            ad.matmul(a, Tensor(np.ones((3, 2)))),
+            ad.scale(a, 2.0),
+            ad.layer_norm(a, Tensor(np.ones(3)), Tensor(np.zeros(3))),
+            ad.dropout(a, 0.5, training=True, rng=np.random.default_rng(0)),
+        ]
+        for out in outs:
+            assert out._parents == () and out._backward_fn is None
+            assert not out.requires_grad
+        # one input that requires gradients makes a graph node
+        node = ad.matmul(a, Tensor(np.ones((3, 2)), requires_grad=True))
+        assert len(node._parents) == 2 and node._backward_fn is not None
 
     def test_only_leaves_keep_gradients(self):
         x = Tensor(np.array([2.0]), requires_grad=True)

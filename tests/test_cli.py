@@ -217,6 +217,40 @@ def test_train_config_out_of_range_exits_2(case, samples_dir, tmp_path):
     assert len(result.output.splitlines()) == 1
 
 
+# JSON config entries that preprocess, segment and inspect refuse as a
+# config error, and the field the one-line error names
+BAD_PREPROCESS_CONFIGS = {
+    "target_faces-str": ({"target_faces": "20"}, "target_faces"),
+    "clustering_lambda-str": ({"clustering_lambda": "4"}, "clustering_lambda"),
+    "eigen_count-0": ({"eigen_count": 0}, "eigen_count"),
+    "target_vertices-negative": ({"target_vertices": -5}, "target_vertices"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_PREPROCESS_CONFIGS))
+@pytest.mark.parametrize("command", ["preprocess", "segment", "inspect"])
+def test_preprocess_config_out_of_range_exits_2(command, case, dataset_dir, tmp_path,
+                                                 request):
+    """Checked once when the config is built, not as a data error per mesh."""
+    entries, name = BAD_PREPROCESS_CONFIGS[case]
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(
+        {"target_faces": 20, "eigen_count": 4, "clustering_lambda": 4, **entries}
+    ))
+    mesh_path = str(dataset_dir / "shapes" / "sphere0.off")
+    if command == "preprocess":
+        args = [str(dataset_dir), str(tmp_path / "out")]
+    elif command == "segment":
+        checkpoint = request.getfixturevalue("untrained_checkpoint")
+        args = [mesh_path, str(checkpoint), str(tmp_path / "seg.ply")]
+    else:
+        args = [mesh_path, str(tmp_path / "out")]
+    result = run([command, *args, "--config", str(cfg_path)])
+    assert result.exit_code == 2, result.output
+    assert result.output.startswith(f"error: {name} must be")
+    assert len(result.output.splitlines()) == 1
+
+
 class TestSegment:
     def test_writes_parseable_colored_ply(self, dataset_dir, checkpoint, tmp_path):
         mesh_path = dataset_dir / "shapes" / "sphere0.off"

@@ -1,6 +1,7 @@
 """Loss, metrics, augmentation, and the training loop."""
 
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from meshseg.train import (
     weighted_cross_entropy,
 )
 
-from conftest import small_model_config, small_sample
+from conftest import RUN_MEASUREMENTS, small_model_config, small_sample, trajectory
 
 # held_bytes of the graph in test_training_graph_holds_only_what_backward_reads, as
 # measured with fused linear layers and lean op closures (unfused: 2,182,304)
@@ -186,6 +187,28 @@ class TestEvaluate:
         with pytest.raises(ConfigError, match="classes"):
             evaluate([sample], params, cfg)
 
+    def test_forward_records_no_graph(self, monkeypatch):
+        """evaluate() runs each forward on gradient-free views of the
+        parameters, so its scores have no parents and nothing gets a .grad."""
+        from meshseg import train as train_module
+
+        seen = []
+        forward = train_module.met_forward
+
+        def traced_forward(*args, **kwargs):
+            seen.append(forward(*args, **kwargs))
+            return seen[-1]
+
+        monkeypatch.setattr(train_module, "met_forward", traced_forward)
+        cfg = small_model_config(eigen_count=4)
+        params = init_params(cfg, np.random.default_rng(0), dtype=np.float64)
+        evaluate([small_sample(), small_sample()], params, cfg)
+        assert len(seen) == 2
+        for scores in seen:
+            assert not scores._parents and scores._backward_fn is None
+            assert not scores.requires_grad
+        assert all(p.grad is None and p.requires_grad for p in params.values())
+
     def test_pooled_over_meshes(self):
         # two copies pool areas rather than averaging per-mesh accuracies
         sample = small_sample()
@@ -264,7 +287,7 @@ class TestTrainLoop:
         model_cfg = small_model_config(eigen_count=4)
         _, h1 = train(samples, model_cfg, quick_train_cfg(), dtype=np.float64)
         _, h2 = train(samples, model_cfg, quick_train_cfg(), dtype=np.float64)
-        assert h1 == h2
+        assert trajectory(h1) == trajectory(h2)
 
     def test_lr_zero_leaves_params_unchanged(self):
         samples = [small_sample()]
@@ -327,6 +350,50 @@ class TestTrainLoop:
         model_cfg = small_model_config(eigen_count=4)
         train([small_sample()], model_cfg, quick_train_cfg(max_steps=1, eval_every=1))
         assert alive_at_eval == [[False]]
+
+    def test_records_carry_run_measurements(self, tmp_path):
+        log = tmp_path / "metrics.jsonl"
+        _, history = train([small_sample()], small_model_config(eigen_count=4),
+                           quick_train_cfg(max_steps=4, eval_every=2), dtype=np.float64,
+                           metrics_path=log)
+        assert [h["step"] for h in history] == [2, 4]
+        assert [json.loads(ln) for ln in log.read_text().splitlines()] == history
+        for entry in history:
+            for key in ("grad_norm", *RUN_MEASUREMENTS):
+                value = entry[key]
+                assert isinstance(value, float) and np.isfinite(value) and value >= 0, key
+            assert entry["samples_per_s"] > 0 and entry["peak_rss_mb"] > 0
+
+    def test_returns_parameters_without_gradients(self):
+        """Gradients are cleared before the first step and after each one:
+        none is returned, and a stale .grad passed in changes nothing."""
+        model_cfg = small_model_config(eigen_count=4)
+        cfg = quick_train_cfg(max_steps=3, eval_every=2)
+        clean = init_params(model_cfg, np.random.default_rng(0), dtype=np.float64)
+        stale = init_params(model_cfg, np.random.default_rng(0), dtype=np.float64)
+        for p in stale.values():
+            p.grad = np.full_like(p.data, 1e3)
+        p1, h1 = train([small_sample()], model_cfg, cfg, dtype=np.float64, params=clean)
+        p2, h2 = train([small_sample()], model_cfg, cfg, dtype=np.float64, params=stale)
+        assert trajectory(h1) == trajectory(h2)
+        for name in p1:
+            assert p1[name].grad is None and p2[name].grad is None, name
+            np.testing.assert_array_equal(p1[name].data, p2[name].data, err_msg=name)
+
+    def test_backward_frees_the_training_graph(self):
+        sample = small_sample()
+        cfg = small_model_config(eigen_count=4)
+        params = init_params(cfg, np.random.default_rng(0), dtype=np.float64)
+        scores = met_forward(sample, params, cfg, training=True, rng=np.random.default_rng(1))
+        alive = weakref.ref(scores.data)
+        loss = weighted_cross_entropy(
+            scores, sample.labels, area_weights(sample.areas, sample.real_mask)
+        )
+        del scores
+        ad.backward(loss)
+        assert alive() is None and np.isfinite(loss.item())
+        with pytest.raises(ValueError, match="consumed"):
+            ad.backward(loss)
 
     def test_keeps_samples_not_attention_masks(self, monkeypatch):
         """Each forward builds its own masks, so no sample's masks outlive
