@@ -16,7 +16,8 @@ attending over one row whose score carries a bias of +log n_c, so cluster
 self-attention runs on the K cluster tokens under that bias and gives the
 same eval-mode scores at a fraction of the cost. Only the triangle stream
 feeds the classification head, so the last layer skips its cluster-stream
-update.
+update and owns no parameters for it; the cluster-stream ablation owns no
+cluster-stream parameters at all.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ __all__ = [
     "load_checkpoint",
 ]
 
-CHECKPOINT_FORMAT_VERSION = 1
+CHECKPOINT_FORMAT_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -101,8 +102,9 @@ def _uniform(rng, fan_in, shape, dtype):
 
 
 def _param_specs(cfg: ModelConfig) -> list[tuple[str, tuple[int, ...], int | str]]:
-    """(name, shape, init) of every parameter in initialization order; init
-    is the fan-in of a uniform draw, or "normal", "ones" or "zeros"."""
+    """(name, shape, init) of every parameter a forward reads, in
+    initialization order; init is the fan-in of a uniform draw, or
+    "normal", "ones" or "zeros"."""
     specs = []
 
     def linear(name, d_in, d_out):
@@ -120,23 +122,30 @@ def _param_specs(cfg: ModelConfig) -> list[tuple[str, tuple[int, ...], int | str
 
     d_t, d_p = cfg.d_t, cfg.d_p
     linear("embed", cfg.feature_width, d_t)
-    specs.append(("cluster_embed", (cfg.max_clusters, d_p), "normal"))
+    if cfg.use_cluster_stream:
+        specs.append(("cluster_embed", (cfg.max_clusters, d_p), "normal"))
     for i in range(cfg.num_layers):
         pre = f"layers.{i}"
-        layernorm(f"{pre}.tc.ln", d_t)
-        linear(f"{pre}.tc.ff", d_p, d_t)
-        layernorm(f"{pre}.ct.ln", d_p)
-        attention(f"{pre}.ct", d_p, d_t, d_p)
+        # every layer reads the cluster tokens; all but the last update them
+        updates_clusters = cfg.use_cluster_stream and i < cfg.num_layers - 1
+        if cfg.use_cluster_stream:
+            layernorm(f"{pre}.tc.ln", d_t)
+            linear(f"{pre}.tc.ff", d_p, d_t)
+        if updates_clusters:
+            layernorm(f"{pre}.ct.ln", d_p)
+            attention(f"{pre}.ct", d_p, d_t, d_p)
         layernorm(f"{pre}.sa_t.ln", d_t)
         attention(f"{pre}.sa_t", d_t, d_t, d_t)
-        layernorm(f"{pre}.sa_p.ln", d_p)
-        attention(f"{pre}.sa_p", d_p, d_p, d_p)
+        if updates_clusters:
+            layernorm(f"{pre}.sa_p.ln", d_p)
+            attention(f"{pre}.sa_p", d_p, d_p, d_p)
         layernorm(f"{pre}.res_t.ln", d_t)
         linear(f"{pre}.res_t.ff1", d_t, cfg.ff_multiplier * d_t)
         linear(f"{pre}.res_t.ff2", cfg.ff_multiplier * d_t, d_t)
-        layernorm(f"{pre}.res_p.ln", d_p)
-        linear(f"{pre}.res_p.ff1", d_p, cfg.ff_multiplier * d_p)
-        linear(f"{pre}.res_p.ff2", cfg.ff_multiplier * d_p, d_p)
+        if updates_clusters:
+            layernorm(f"{pre}.res_p.ln", d_p)
+            linear(f"{pre}.res_p.ff1", d_p, cfg.ff_multiplier * d_p)
+            linear(f"{pre}.res_p.ff2", cfg.ff_multiplier * d_p, d_p)
     linear("head.ff1", d_t, d_t)
     linear("head.ff2", d_t, cfg.num_classes)
     return specs
@@ -266,7 +275,7 @@ def met_layer(p, prefix, e_tok, p_tok, masks, cluster_ids, cfg, training, rng, l
 
     Both cross-stream updates read the layer input. Only the triangle
     stream feeds the head, so the ``last`` layer returns ``p_tok``
-    unchanged, as does the cluster-stream ablation.
+    unchanged, as does the cluster-stream ablation, whose ``p_tok`` is None.
     """
     e_in = e_tok
     if cfg.use_cluster_stream:
@@ -336,12 +345,14 @@ def met_forward(
     dtype = params["embed.w"].dtype
     masks = build_masks(sample, dtype=dtype)
     k = len(masks.cluster_sizes)
-    if k > cfg.max_clusters:
+    if cfg.use_cluster_stream and k > cfg.max_clusters:
         raise ConfigError(f"sample needs {k} cluster embeddings, table has {cfg.max_clusters}")
 
     t = Tensor(_masked_features(sample, cfg, dtype))
     e_tok = _dropout(_linear(params, "embed", t, activation=True), cfg, training, rng)
-    p_tok = ad.embedding_lookup(params["cluster_embed"], np.arange(k))
+    p_tok = None
+    if cfg.use_cluster_stream:
+        p_tok = ad.embedding_lookup(params["cluster_embed"], np.arange(k))
 
     for i in range(cfg.num_layers):
         e_tok, p_tok = met_layer(
@@ -380,7 +391,8 @@ def load_checkpoint(path) -> tuple[dict[str, Tensor], ModelConfig]:
     shapes must be those ``init_params`` gives the stored config, and
     ``params.bin`` must hold exactly their values; otherwise, or when the
     file is not a zip with a JSON manifest, or when the manifest lacks a
-    field, ConfigError."""
+    field or has a format version other than CHECKPOINT_FORMAT_VERSION,
+    ConfigError."""
     try:
         with zipfile.ZipFile(path, "r") as zf:
             manifest = json.loads(zf.read("manifest.json"))
@@ -391,7 +403,10 @@ def load_checkpoint(path) -> tuple[dict[str, Tensor], ModelConfig]:
         raise ConfigError(f"checkpoint {path} is unreadable: {exc}") from exc
     version = manifest.get("format_version") if isinstance(manifest, dict) else None
     if version != CHECKPOINT_FORMAT_VERSION:
-        raise ConfigError(f"unsupported checkpoint format version {version}")
+        raise ConfigError(
+            f"checkpoint {path}: unsupported checkpoint format version {version}, "
+            f"expected {CHECKPOINT_FORMAT_VERSION}; retrain the model with meshseg train"
+        )
 
     def field(mapping, key, kind, where="manifest"):
         if key not in mapping:

@@ -159,57 +159,30 @@ def dense_masks(sample, dtype=np.float64) -> DenseMasks:
     return DenseMasks(adjacency=adjacency, cluster=cluster, cluster_avg=cluster_avg, real=real)
 
 
-def dense_layer(p, prefix, e_tok, p_tok, masks, cfg, training, rng):
-    """One two-stream layer; both cross-stream updates read the layer input."""
-    if not cfg.use_cluster_stream:
-        sa = multi_head_attention(
-            p, f"{prefix}.sa_t", *([_layer_norm(p, f"{prefix}.sa_t.ln", e_tok)] * 3),
-            masks.adjacency, cfg.num_heads,
+def dense_layer(p, prefix, e_tok, p_tok, masks, cfg, training, rng, last):
+    """One two-stream layer; both cross-stream updates read the layer input.
+    Only the triangle stream feeds the head, so the ``last`` layer skips the
+    cluster-stream update, as does the cluster-stream ablation."""
+    e_in = e_tok
+    if cfg.use_cluster_stream:
+        # triangle-from-cluster update: normalized tokens plus a projection
+        # of the per-cluster average (or literal sum) of cluster tokens
+        if cfg.tc_sum:
+            cp = (masks.cluster_avg > 0).astype(masks.cluster_avg.dtype)
+        else:
+            cp = masks.cluster_avg
+        cluster_mix = ad.matmul(Tensor(cp), p_tok)
+        e_in = ad.add(
+            _layer_norm(p, f"{prefix}.tc.ln", e_tok),
+            _dropout(_linear(p, f"{prefix}.tc.ff", cluster_mix, activation=True),
+                     cfg, training, rng),
         )
-        e_mid = ad.add(_dropout(sa, cfg, training, rng), e_tok)
-        e_out = ad.add(
-            _dropout(
-                _linear(p, f"{prefix}.res_t.ff2",
-                        _linear(p, f"{prefix}.res_t.ff1",
-                                _layer_norm(p, f"{prefix}.res_t.ln", e_mid), activation=True)),
-                cfg, training, rng,
-            ),
-            e_mid,
-        )
-        return e_out, p_tok
 
-    # triangle-from-cluster update: normalized tokens plus a projection of
-    # the per-cluster average (or literal sum) of cluster tokens
-    if cfg.tc_sum:
-        cp = (masks.cluster_avg > 0).astype(masks.cluster_avg.dtype)
-    else:
-        cp = masks.cluster_avg
-    cluster_mix = ad.matmul(Tensor(cp), p_tok)
-    tc = ad.add(
-        _layer_norm(p, f"{prefix}.tc.ln", e_tok),
-        _dropout(_linear(p, f"{prefix}.tc.ff", cluster_mix, activation=True), cfg, training, rng),
-    )
-
-    # cluster-from-triangle update: queries from normalized cluster tokens,
-    # keys/values from the raw triangle tokens, same-cluster mask
-    ct_attn = multi_head_attention(
-        p, f"{prefix}.ct", _layer_norm(p, f"{prefix}.ct.ln", p_tok), e_tok, e_tok,
-        masks.cluster, cfg.num_heads,
-    )
-    ct = ad.add(_dropout(ct_attn, cfg, training, rng), p_tok)
-
-    sa_t_in = _layer_norm(p, f"{prefix}.sa_t.ln", tc)
+    sa_t_in = _layer_norm(p, f"{prefix}.sa_t.ln", e_in)
     sa_t = multi_head_attention(
         p, f"{prefix}.sa_t", sa_t_in, sa_t_in, sa_t_in, masks.adjacency, cfg.num_heads
     )
-    e_mid = ad.add(_dropout(sa_t, cfg, training, rng), tc)
-
-    sa_p_in = _layer_norm(p, f"{prefix}.sa_p.ln", ct)
-    sa_p = multi_head_attention(
-        p, f"{prefix}.sa_p", sa_p_in, sa_p_in, sa_p_in, masks.real, cfg.num_heads
-    )
-    p_mid = ad.add(_dropout(sa_p, cfg, training, rng), ct)
-
+    e_mid = ad.add(_dropout(sa_t, cfg, training, rng), e_in)
     e_out = ad.add(
         _dropout(
             _linear(p, f"{prefix}.res_t.ff2",
@@ -219,6 +192,22 @@ def dense_layer(p, prefix, e_tok, p_tok, masks, cfg, training, rng):
         ),
         e_mid,
     )
+    if last or not cfg.use_cluster_stream:
+        return e_out, p_tok
+
+    # cluster-from-triangle update: queries from normalized cluster tokens,
+    # keys/values from the raw triangle tokens, same-cluster mask
+    ct_attn = multi_head_attention(
+        p, f"{prefix}.ct", _layer_norm(p, f"{prefix}.ct.ln", p_tok), e_tok, e_tok,
+        masks.cluster, cfg.num_heads,
+    )
+    ct = ad.add(_dropout(ct_attn, cfg, training, rng), p_tok)
+
+    sa_p_in = _layer_norm(p, f"{prefix}.sa_p.ln", ct)
+    sa_p = multi_head_attention(
+        p, f"{prefix}.sa_p", sa_p_in, sa_p_in, sa_p_in, masks.real, cfg.num_heads
+    )
+    p_mid = ad.add(_dropout(sa_p, cfg, training, rng), ct)
     p_out = ad.add(
         _dropout(
             _linear(p, f"{prefix}.res_p.ff2",
@@ -242,10 +231,13 @@ def dense_forward(sample, params, cfg, training=False, rng=None) -> Tensor:
 
     t = Tensor(_masked_features(sample, cfg, dtype))
     e_tok = _dropout(_linear(params, "embed", t, activation=True), cfg, training, rng)
-    p_tok = ad.embedding_lookup(params["cluster_embed"], sample.cluster_ids)
+    p_tok = None
+    if cfg.use_cluster_stream:
+        p_tok = ad.embedding_lookup(params["cluster_embed"], sample.cluster_ids)
 
     for i in range(cfg.num_layers):
-        e_tok, p_tok = dense_layer(params, f"layers.{i}", e_tok, p_tok, masks, cfg, training, rng)
+        e_tok, p_tok = dense_layer(params, f"layers.{i}", e_tok, p_tok, masks, cfg, training,
+                                   rng, last=i == cfg.num_layers - 1)
 
     hidden = _dropout(_linear(params, "head.ff1", e_tok, activation=True), cfg, training, rng)
     return _linear(params, "head.ff2", hidden)

@@ -335,6 +335,10 @@ CHECKPOINT_DAMAGE = {
     "manifest-not-json": (
         lambda entries: entries.update({"manifest.json": b"{not json"}), "is unreadable"
     ),
+    "format-version-1": (
+        edit_manifest(lambda m: m.update(format_version=1)),
+        "unsupported checkpoint format version 1, expected 2; retrain",
+    ),
     "manifest-without-config": (edit_manifest(lambda m: m.pop("config")), "lacks 'config'"),
     "manifest-without-params": (edit_manifest(lambda m: m.pop("params")), "lacks 'params'"),
     "manifest-without-dtype": (edit_manifest(lambda m: m.pop("dtype")), "lacks 'dtype'"),

@@ -1,6 +1,8 @@
 """The two-stream network: masks, attention, forward properties,
 ablations, and checkpointing."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from meshseg.autodiff import Tensor
 from meshseg.errors import ConfigError
 from meshseg.model import (
     ModelConfig,
+    _param_specs,
     build_masks,
     init_params,
     load_checkpoint,
@@ -46,6 +49,31 @@ class TestModelConfig:
 
     def test_feature_width(self):
         assert ModelConfig(num_classes=2, eigen_count=16).feature_width == 28
+
+
+class TestParameters:
+    """The parameter set follows the forward: the last layer owns no
+    cluster-stream update, the cluster-stream ablation no cluster stream."""
+
+    @pytest.mark.parametrize(
+        "num_layers, use_cluster_stream, total",
+        [(1, True, 4_217_860), (4, True, 62_466_052), (1, False, 3_429_892),
+         (4, False, 12_880_900)],
+        ids=["1-layer", "4-layer", "1-layer-ablated", "4-layer-ablated"],
+    )
+    def test_count_at_paper_widths(self, num_layers, use_cluster_stream, total):
+        cfg = ModelConfig(num_classes=4, num_layers=num_layers,
+                          use_cluster_stream=use_cluster_stream)
+        assert sum(math.prod(shape) for _, shape, _ in _param_specs(cfg)) == total
+
+    def test_last_layer_owns_no_cluster_update(self):
+        cfg = small_model_config(num_layers=3)
+        params = init_params(cfg, np.random.default_rng(0))
+        blocks = [{name.split(".")[2] for name in params if name.startswith(f"layers.{i}.")}
+                  for i in range(3)]
+        assert blocks[0] == blocks[1] == {"tc", "ct", "sa_t", "sa_p", "res_t", "res_p"}
+        assert blocks[2] == {"tc", "sa_t", "res_t"}
+        assert "cluster_embed" in params
 
 
 class TestBuildMasks:
@@ -281,6 +309,13 @@ class TestForward:
         with pytest.raises(ConfigError, match="cluster embeddings"):
             met_forward(sample, params, cfg)
 
+    def test_max_clusters_not_checked_without_cluster_stream(self):
+        sample = small_sample()  # 3 clusters
+        cfg, params = make_model(sample, max_clusters=1, use_cluster_stream=False)
+        assert sample.num_clusters > cfg.max_clusters
+        scores = met_forward(sample, params, cfg)
+        assert scores.shape == (sample.n_total, cfg.num_classes)
+
     def test_permutation_equivariance(self, rng):
         sample = small_sample(target_faces=24)
         cfg, params = make_model(sample)
@@ -363,16 +398,15 @@ class TestAblations:
         manual = met_forward(manual_sample, params, full_cfg).data
         np.testing.assert_array_equal(ablated, manual)
 
-    def test_cluster_stream_ablation_runs_and_ignores_cluster_params(self):
+    def test_cluster_stream_ablation_runs_without_cluster_params(self):
         sample = small_sample()
         cfg, params = make_model(sample, use_cluster_stream=False)
         scores = met_forward(sample, params, cfg)
         assert scores.shape == (sample.n_total, 2)
-        ad.backward(ad.reduce_sum(ad.mul(scores, scores)))
-        # cluster-path parameters receive no gradient in the ablated model
-        assert params["cluster_embed"].grad is None
-        assert params["layers.0.ct.wq"].grad is None
-        assert params["layers.0.sa_t.wq"].grad is not None
+        # the ablated model owns no cluster-path parameters at all
+        assert "cluster_embed" not in params
+        blocks = {name.split(".")[2] for name in params if name.startswith("layers.")}
+        assert blocks == {"sa_t", "res_t"}
 
     def test_tc_sum_flag_changes_output_with_multi_member_clusters(self):
         sample = small_sample(lam=4.0)  # 3 clusters over 20 faces
