@@ -1,13 +1,19 @@
 """Minimal dense tensor library with reverse-mode automatic differentiation.
 
-Tensors wrap numpy arrays. An op output records its parents and backward
-closure only when some input requires gradients, so a forward over
-gradient-free tensors builds no graph and keeps no array past its last
-reader. ``backward`` walks the graph in reverse topological order with a
-deterministic accumulation order and consumes it as it goes: a graph can be
-backpropagated once. Only the primitives the segmentation network needs
-are provided: no general broadcasting beyond bias addition, no views, no
-in-place math on live graph nodes.
+A :class:`Tensor` is a value: a numpy array, plus a link to the graph node
+that made it when it is an op output that requires gradients. A graph node
+holds only its parents' nodes and its backward closure, never the value, so
+an op output's array lives only as long as the caller or some closure holds
+it. A leaf that requires gradients, such as a parameter, is its own node;
+constant inputs are represented by one shared value-less constant.
+
+An op output records a node only when some input requires gradients, so a
+forward over gradient-free tensors builds no graph and keeps no array past
+its last reader. ``backward`` walks the nodes in reverse topological order
+with a deterministic accumulation order and consumes them as it goes: a
+graph can be backpropagated once. Only the primitives the segmentation
+network needs are provided: no general broadcasting beyond bias addition,
+no views, no in-place math on live graph values.
 """
 
 from __future__ import annotations
@@ -45,23 +51,36 @@ def _check(cond: bool, op: str, *shapes):
 
 
 class Tensor:
-    """A dense array plus the bookkeeping needed for backpropagation.
+    """A dense array, with the graph node of the op that made it.
 
     ``grad`` is populated (or accumulated into) by :func:`backward` on
-    leaves, tensors without parents. A tensor that does not require
-    gradients (a constant, or an op output whose inputs need none) has no
-    parents and no backward closure. ``_parents`` is None once
-    :func:`backward` has consumed the node.
+    leaves, tensors that require gradients and were made by no op. A leaf
+    is its own graph node. An op output that requires gradients links to a
+    :class:`_Node`; ``_parents`` and ``_backward_fn`` read through to it,
+    and ``_parents`` is None once :func:`backward` has consumed it. A tensor
+    that does not require gradients (a constant, or an op output whose
+    inputs need none) has no parents and no backward closure.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward_fn")
+    __slots__ = ("data", "grad", "requires_grad", "_node")
 
-    def __init__(self, data, requires_grad=False, _parents=(), _backward_fn=None):
+    def __init__(self, data, requires_grad=False):
         self.data = np.asarray(data)
         self.grad = None
-        self._parents = _parents
-        self._backward_fn = _backward_fn
-        self.requires_grad = requires_grad or any(p.requires_grad for p in _parents)
+        self.requires_grad = requires_grad
+        self._node = None
+
+    @property
+    def _parents(self):
+        return () if self._node is None else self._node._parents
+
+    @property
+    def _backward_fn(self):
+        return None if self._node is None else self._node._backward_fn
+
+    @_backward_fn.setter
+    def _backward_fn(self, fn):
+        self._node._backward_fn = fn
 
     @property
     def shape(self):
@@ -81,12 +100,40 @@ class Tensor:
         return f"Tensor(shape={self.shape}, dtype={self.dtype}, requires_grad={self.requires_grad})"
 
 
-def _node(data, parents: tuple[Tensor, ...], backward_fn) -> Tensor:
-    """An op output: a graph node when some parent requires gradients,
-    else a constant that keeps neither its parents nor ``backward_fn``."""
+class _Node:
+    """The graph node of an op output: its parents' nodes and the closure
+    that maps the output gradient to one gradient per parent. It keeps no
+    value; ``data`` is empty so that a graph walk may read every node's
+    ``data`` alike."""
+
+    __slots__ = ("_parents", "_backward_fn")
+    data = np.empty(0)
+    requires_grad = True
+
+    def __init__(self, parents: tuple, backward_fn):
+        self._parents = parents
+        self._backward_fn = backward_fn
+
+
+# the node of every input that requires no gradient: no value, no parents
+_CONSTANT = Tensor(np.empty(0))
+
+
+def _graph_node(t: Tensor):
+    if t._node is not None:
+        return t._node
+    return t if t.requires_grad else _CONSTANT
+
+
+def _op_output(data, parents: tuple[Tensor, ...], backward_fn) -> Tensor:
+    """An op output: linked to a new graph node when some parent requires
+    gradients, else a constant that keeps neither its parents nor
+    ``backward_fn``."""
+    out = Tensor(data)
     if any(p.requires_grad for p in parents):
-        return Tensor(data, True, parents, backward_fn)
-    return Tensor(data)
+        out.requires_grad = True
+        out._node = _Node(tuple(_graph_node(p) for p in parents), backward_fn)
+    return out
 
 
 def _as_tensor(x, like: Tensor | None = None) -> Tensor:
@@ -108,7 +155,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     def backward_fn(g):
         return g @ b.data.T, a.data.T @ g
 
-    return _node(a.data @ b.data, (a, b), backward_fn)
+    return _op_output(a.data @ b.data, (a, b), backward_fn)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -127,7 +174,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         gb = g.sum(axis=tuple(range(g.ndim - 1))) if bias else g
         return g, gb
 
-    return _node(a.data + b.data, (a, b), backward_fn)
+    return _op_output(a.data + b.data, (a, b), backward_fn)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
@@ -137,13 +184,13 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     def backward_fn(g):
         return g * b.data, g * a.data
 
-    return _node(a.data * b.data, (a, b), backward_fn)
+    return _op_output(a.data * b.data, (a, b), backward_fn)
 
 
 def scale(a: Tensor, s: float) -> Tensor:
     a = _as_tensor(a)
     s = a.dtype.type(s)
-    return _node(a.data * s, (a,), lambda g: (g * s,))
+    return _op_output(a.data * s, (a,), lambda g: (g * s,))
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor, relu: bool = False) -> Tensor:
@@ -172,18 +219,19 @@ def linear(x: Tensor, w: Tensor, b: Tensor, relu: bool = False) -> Tensor:
             g = g * (y > 0)
         return g @ w.data.T, x.data.T @ g, g.sum(axis=0)
 
-    return _node(y, (x, w, b), backward_fn)
+    return _op_output(y, (x, w, b), backward_fn)
 
 
 def reduce_sum(a: Tensor, axis: int | None = None) -> Tensor:
     a = _as_tensor(a)
+    shape, dtype = a.shape, a.dtype
 
     def backward_fn(g):
         if axis is None:
-            return (np.full_like(a.data, 1.0) * g,)
-        return (np.broadcast_to(np.expand_dims(g, axis), a.shape).copy(),)
+            return (np.full(shape, 1.0, dtype=dtype) * g,)
+        return (np.broadcast_to(np.expand_dims(g, axis), shape).copy(),)
 
-    return _node(a.data.sum(axis=axis), (a,), backward_fn)
+    return _op_output(a.data.sum(axis=axis), (a,), backward_fn)
 
 
 def embedding_lookup(table: Tensor, ids) -> Tensor:
@@ -196,12 +244,14 @@ def embedding_lookup(table: Tensor, ids) -> Tensor:
             f"embedding id out of range: max {ids.max()} for table of {table.shape[0]} rows"
         )
 
+    shape, dtype = table.shape, table.dtype
+
     def backward_fn(g):
-        gt = np.zeros_like(table.data)
+        gt = np.zeros(shape, dtype=dtype)
         np.add.at(gt, ids, g)
         return (gt,)
 
-    return _node(table.data[ids], (table,), backward_fn)
+    return _op_output(table.data[ids], (table,), backward_fn)
 
 
 def _softmax(z: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -263,7 +313,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, bias, num_heads: int, scale: floa
             merge(np.matmul(w.transpose(0, 2, 1), gh)),
         )
 
-    return _node(merge(np.matmul(w, vh)), (q, k, v), backward_fn)
+    return _op_output(merge(np.matmul(w, vh)), (q, k, v), backward_fn)
 
 
 def neighbor_attention(
@@ -318,7 +368,7 @@ def neighbor_attention(
             scatter @ dvg.reshape(rows * m, width),
         )
 
-    return _node(merged, (q, k, v), backward_fn)
+    return _op_output(merged, (q, k, v), backward_fn)
 
 
 def log_softmax(a: Tensor) -> Tensor:
@@ -331,7 +381,7 @@ def log_softmax(a: Tensor) -> Tensor:
     def backward_fn(g):
         return (g - np.exp(logp) * g.sum(axis=-1, keepdims=True),)
 
-    return _node(logp, (a,), backward_fn)
+    return _op_output(logp, (a,), backward_fn)
 
 
 def gather_rows(a: Tensor, cols) -> Tensor:
@@ -340,13 +390,14 @@ def gather_rows(a: Tensor, cols) -> Tensor:
     cols = np.asarray(cols, dtype=np.int64)
     _check(a.data.ndim == 2 and cols.shape == (a.shape[0],), "gather_rows", a.shape, cols.shape)
     rows = np.arange(a.shape[0])
+    shape, dtype = a.shape, a.dtype
 
     def backward_fn(g):
-        ga = np.zeros_like(a.data)
+        ga = np.zeros(shape, dtype=dtype)
         ga[rows, cols] = g
         return (ga,)
 
-    return _node(a.data[rows, cols].copy(), (a,), backward_fn)
+    return _op_output(a.data[rows, cols].copy(), (a,), backward_fn)
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
@@ -377,7 +428,7 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
         ) * inv_std
         return dx, dgamma, dbeta
 
-    return _node(out, (x, gamma, beta), backward_fn)
+    return _op_output(out, (x, gamma, beta), backward_fn)
 
 
 def dropout(x: Tensor, p: float, training: bool, rng: np.random.Generator | None = None) -> Tensor:
@@ -402,33 +453,35 @@ def dropout(x: Tensor, p: float, training: bool, rng: np.random.Generator | None
         gx *= s
         return (gx,)
 
-    return _node(out_data, (x,), backward_fn)
+    return _op_output(out_data, (x,), backward_fn)
 
 
 def backward(loss: Tensor) -> None:
     """Backpropagate from a scalar loss, accumulating into ``.grad`` of leaves.
 
-    Leaves are reachable tensors without parents, such as parameters; their
+    Walks the graph nodes under ``loss``. Leaves are reachable tensors that
+    require gradients and were made by no op, such as parameters; their
     gradients add onto any existing ``.grad``, so per-sample losses in a
-    batch can be accumulated by repeated calls on separate graphs.
-    Intermediate tensors keep ``.grad`` None. No op's backward writes into
-    the gradient it receives, so one gradient array may be handed to several
-    parents uncopied; only a leaf takes its own copy.
+    batch can be accumulated by repeated calls on separate graphs. Op
+    outputs keep ``.grad`` None. No op's backward writes into the gradient
+    it receives, so one gradient array may be handed to several parents
+    uncopied; only a leaf takes its own copy.
 
     The graph is consumed: right after a node's closure has run, the node
-    drops the closure and its parent links, so each activation is freed as
-    soon as the traversal has passed it (unless the caller holds it). A
-    second call that reaches a consumed node raises ValueError before any
-    gradient is computed.
+    drops the closure and its parent links, so each array the closure read
+    is freed as soon as the traversal has passed it (unless the caller holds
+    it). A second call that reaches a consumed node raises ValueError before
+    any gradient is computed.
     """
     if loss.data.size != 1:
         raise ValueError(f"loss must be scalar, got shape {loss.shape}")
     if not loss.requires_grad:
         return
-    # iterative post-order over the subgraph that requires gradients
-    topo: list[Tensor] = []
+    root = _graph_node(loss)
+    # iterative post-order over the nodes that require gradients
+    topo: list = []
     visited: set[int] = set()
-    stack: list[tuple[Tensor, bool]] = [(loss, False)]
+    stack: list[tuple[object, bool]] = [(root, False)]
     while stack:
         node, expanded = stack.pop()
         if expanded:
@@ -443,7 +496,7 @@ def backward(loss: Tensor) -> None:
         for parent in node._parents:
             if parent.requires_grad and id(parent) not in visited:
                 stack.append((parent, False))
-    grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
+    grads: dict[int, np.ndarray] = {id(root): np.ones_like(loss.data)}
     # popping walks the reverse post-order and drops the list's reference
     while topo:
         node = topo.pop()

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from meshseg import autodiff as ad
-from meshseg.autodiff import Tensor, _as_tensor, _check, _softmax
+from meshseg.autodiff import Tensor, _as_tensor, _check, _op_output, _softmax
 from meshseg.errors import ConfigError
 from meshseg.model import _dropout, _layer_norm, _masked_features
 
@@ -35,43 +35,36 @@ def co_membership(ids) -> np.ndarray:
 
 def relu(a: Tensor) -> Tensor:
     a = _as_tensor(a)
-    out = Tensor(np.maximum(a.data, 0), _parents=(a,))
     # subgradient at 0 is taken as 0
-    out._backward_fn = lambda g: (g * (a.data > 0),)
-    return out
+    return _op_output(np.maximum(a.data, 0), (a,), lambda g: (g * (a.data > 0),))
 
 
 def transpose(a: Tensor) -> Tensor:
     a = _as_tensor(a)
     _check(a.data.ndim == 2, "transpose", a.shape)
-    out = Tensor(a.data.T.copy(), _parents=(a,))
-    out._backward_fn = lambda g: (g.T,)
-    return out
+    return _op_output(a.data.T.copy(), (a,), lambda g: (g.T,))
 
 
 def concat_last(tensors) -> Tensor:
     tensors = [_as_tensor(t) for t in tensors]
     widths = [t.shape[-1] for t in tensors]
-    out = Tensor(np.concatenate([t.data for t in tensors], axis=-1), _parents=tuple(tensors))
 
     def backward_fn(g):
         return tuple(np.split(g, np.cumsum(widths)[:-1], axis=-1))
 
-    out._backward_fn = backward_fn
-    return out
+    data = np.concatenate([t.data for t in tensors], axis=-1)
+    return _op_output(data, tuple(tensors), backward_fn)
 
 
 def slice_last(a: Tensor, start: int, stop: int) -> Tensor:
     a = _as_tensor(a)
-    out = Tensor(a.data[..., start:stop].copy(), _parents=(a,))
 
     def backward_fn(g):
         ga = np.zeros_like(a.data)
         ga[..., start:stop] = g
         return (ga,)
 
-    out._backward_fn = backward_fn
-    return out
+    return _op_output(a.data[..., start:stop].copy(), (a,), backward_fn)
 
 
 def reduce_mean(a: Tensor, axis: int | None = None) -> Tensor:
@@ -91,14 +84,12 @@ def masked_softmax(scores: Tensor, mask) -> Tensor:
     mask = np.asarray(mask.data if isinstance(mask, Tensor) else mask, dtype=scores.dtype)
     _check(mask.shape == scores.shape, "masked_softmax", scores.shape, mask.shape)
     y = _softmax(scores.data + mask)
-    out = Tensor(y, _parents=(scores,))
 
     def backward_fn(g):
         inner = (g * y).sum(axis=-1, keepdims=True)
         return (y * (g - inner),)
 
-    out._backward_fn = backward_fn
-    return out
+    return _op_output(y, (scores,), backward_fn)
 
 
 def _linear(p, name, x, activation=False):

@@ -2,6 +2,7 @@
 exported surface, and the AdamW optimizer's closed-form behavior."""
 
 import ast
+import gc
 import re
 import weakref
 from pathlib import Path
@@ -497,11 +498,116 @@ class TestBackwardMechanics:
             ad.dropout(a, 0.5, training=True, rng=np.random.default_rng(0)),
         ]
         for out in outs:
+            assert out._node is None
             assert out._parents == () and out._backward_fn is None
             assert not out.requires_grad
-        # one input that requires gradients makes a graph node
-        node = ad.matmul(a, Tensor(np.ones((3, 2)), requires_grad=True))
-        assert len(node._parents) == 2 and node._backward_fn is not None
+        # one input that requires gradients makes a graph node; the leaf is
+        # its own node and the constant input a shared value-less one
+        w = Tensor(np.ones((3, 2)), requires_grad=True)
+        out = ad.matmul(a, w)
+        assert out._node is not None and out._backward_fn is out._node._backward_fn
+        const, leaf = out._parents
+        assert leaf is w and w._node is None and w._parents == ()
+        assert not const.requires_grad and const.data.size == 0 and const._parents == ()
+        assert ad.matmul(Tensor(np.ones((2, 3))), w)._parents[0] is const
+
+    def test_value_no_closure_reads_dies_with_its_caller(self, rng):
+        """An embedding lookup under dropout, and a matmul under dropout
+        whose output is under add, are read by no closure: dropping them
+        frees their arrays while the graph is alive, and backward gives the
+        same gradients as when the caller keeps them."""
+        table = Tensor(rng.normal(size=(5, 4)), requires_grad=True)
+        w = Tensor(rng.normal(size=(4, 4)), requires_grad=True)
+
+        def build():
+            drop = np.random.default_rng(3)
+            looked_up = ad.embedding_lookup(table, [0, 3, 3, 1, 4, 2])
+            dropped = ad.dropout(looked_up, 0.5, training=True, rng=drop)
+            h = ad.matmul(dropped, w)
+            h_dropped = ad.dropout(h, 0.5, training=True, rng=drop)
+            summed = ad.add(h_dropped, dropped)
+            return ad.reduce_sum(ad.mul(summed, summed)), (looked_up, h, h_dropped)
+
+        loss, unread = build()
+        values = [weakref.ref(t.data) for t in unread]
+        del unread
+        assert all(v() is None for v in values) and loss._parents is not None
+        ad.backward(loss)
+        grads = [t.grad for t in (table, w)]
+        for t in (table, w):
+            t.zero_grad()
+        loss, unread = build()  # this time the caller keeps them
+        ad.backward(loss)
+        for t, g in zip((table, w), grads):
+            np.testing.assert_array_equal(t.grad, g)
+
+    @pytest.mark.parametrize("op", [
+        ad.reduce_sum,
+        lambda a: ad.reduce_sum(a, axis=0),
+        lambda a: ad.embedding_lookup(a, [2, 0, 2]),
+        lambda a: ad.gather_rows(a, [1, 0, 1]),
+    ], ids=["reduce_sum", "reduce_sum axis", "embedding_lookup", "gather_rows"])
+    def test_closures_that_read_only_a_shape_keep_no_input(self, op):
+        x = Tensor(np.arange(6.0).reshape(3, 2), requires_grad=True)
+        a = ad.scale(x, 2.0)
+        out = op(a)
+        alive = weakref.ref(a.data)
+        del a
+        assert alive() is None and out._parents is not None
+
+    def test_graph_has_no_reference_cycles(self, rng):
+        """Dropping a graph, consumed or not, frees its parameters' old
+        arrays at once, without waiting for the cyclic collector."""
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            for consume in (False, True):
+                w = Tensor(rng.normal(size=(3, 3)), requires_grad=True)
+                b = Tensor(rng.normal(size=3), requires_grad=True)
+                x = Tensor(rng.normal(size=(2, 3)))
+                loss = ad.reduce_sum(ad.log_softmax(ad.layer_norm(ad.matmul(x, w), b, b)))
+                if consume:
+                    ad.backward(loss)
+                alive = [weakref.ref(t.data) for t in (w, b, x)]
+                del w, b, x, loss
+                assert all(ref() is None for ref in alive)
+        finally:
+            if was_enabled:
+                gc.enable()
+
+    def test_graph_walk_hooks(self):
+        """The two hooks an outside profiler uses: every ``_parents`` entry
+        reachable from a loss carries ``.data`` and ``._parents``, and a
+        reassigned ``_backward_fn`` is the closure that backward runs."""
+        x = Tensor(np.array([[1.0, 2.0], [3.0, 4.0]]), requires_grad=True)
+        w = Tensor(np.array([0.5, -1.0]), requires_grad=True)
+        hidden = ad.add(ad.matmul(Tensor(np.eye(2)), x), w)
+        calls = []
+        inner = hidden._backward_fn
+
+        def counted(g):
+            calls.append(g.shape)
+            return inner(g)
+
+        hidden._backward_fn = counted
+        assert hidden._backward_fn is counted
+        loss = ad.reduce_sum(ad.mul(hidden, hidden))
+        seen, stack, nbytes = {id(loss)}, [loss], 0
+        while stack:
+            node = stack.pop()
+            nbytes += node.data.nbytes
+            for parent in node._parents:
+                assert parent is not None
+                assert isinstance(parent.data, np.ndarray) and parent._parents is not None
+                if id(parent) not in seen:
+                    seen.add(id(parent))
+                    stack.append(parent)
+        # loss, mul, add, matmul, the constant, x and w; values of leaves and loss only
+        assert len(seen) == 7
+        assert nbytes == loss.data.nbytes + x.data.nbytes + w.data.nbytes
+        ad.backward(loss)
+        assert calls == [(2, 2)]
+        np.testing.assert_array_equal(w.grad, 2 * hidden.data.sum(axis=0))
 
     def test_only_leaves_keep_gradients(self):
         x = Tensor(np.array([2.0]), requires_grad=True)
