@@ -305,7 +305,8 @@ def cmd_inspect(mesh_path, out_dir, eigenvectors, config_path,
                 target_vertices, target_faces, eigen_count, clustering_lambda,
                 no_simplify):
     """Dump eigenvector and cluster visualizations of the sample that
-    preprocess writes with the same flags, plus spectral stats."""
+    preprocess writes with the same flags, plus spectral stats and the
+    sample's preprocessing diagnostics."""
     base = load_run_config(config_path) if config_path else {}
     cfg = _preprocess_cfg(base, target_vertices, target_faces, eigen_count,
                           clustering_lambda, no_simplify)
@@ -341,6 +342,7 @@ def cmd_inspect(mesh_path, out_dir, eigenvectors, config_path,
         "num_vertices": mesh.num_vertices,
         "num_clusters": sample.num_clusters,
         "lambda": cfg.clustering_lambda,
+        "diagnostics": sample.diagnostics,
     }
     (out / "stats.json").write_text(json.dumps(stats, indent=2))
     click.echo(f"wrote {n_vecs} eigenvector PLYs, clusters.ply and stats.json to {out}")

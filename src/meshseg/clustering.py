@@ -72,12 +72,16 @@ def ward_constrained(
 
     Merge cost for clusters a, b is ``|a||b|/(|a|+|b|) * |mu_a - mu_b|^2``,
     evaluated directly from maintained sizes and centroids (algebraically
-    equal to the Lance-Williams update). Candidate pairs wait in one heap
-    ordered by ``(cost, pair_key)``; an entry whose cluster was merged away
-    is skipped when popped (lazy invalidation, Müllner, arXiv:1109.2378).
-    Live entries are exact, since a live cluster's centroid never changes.
-    If no connected pair is left before the target count, the heap is seeded
-    once with every pair of the C remaining clusters (O(C^2) memory).
+    equal to the Lance-Williams update). The squared distance is numpy's
+    ``diff @ diff``, a BLAS dot; the costs of the dual-graph pairs of
+    singletons come from one batch of stacked 1 x D by D x 1 products, which
+    take the same dot and match it bit for bit. Candidate pairs wait in one
+    heap ordered by ``(cost, pair_key)``; an entry whose cluster was merged
+    away is skipped when popped (lazy invalidation, Müllner,
+    arXiv:1109.2378). Live entries are exact, since a live cluster's
+    centroid never changes. If no connected pair is left before the target
+    count, the heap is seeded once with every pair of the C remaining
+    clusters (O(C^2) memory).
     """
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2:
@@ -89,7 +93,7 @@ def ward_constrained(
         raise ValueError(f"cluster count {num_clusters} outside [1, {n}]")
 
     size = {i: 1 for i in range(n)}
-    centroid = {i: points[i].copy() for i in range(n)}
+    centroid = dict(enumerate(points))
     min_member = {i: i for i in range(n)}
     members = {i: [i] for i in range(n)}
     neighbors: dict[int, set[int]] = {i: set() for i in range(n)}
@@ -99,11 +103,15 @@ def ward_constrained(
         key = (ma, mb) if ma < mb else (mb, ma)
         return (_ward_delta(size[a], centroid[a], size[b], centroid[b]), key, a, b)
 
-    heap = []
-    for a, b in adj.pairs.tolist():
+    first, second = adj.pairs[:, 0], adj.pairs[:, 1]
+    diff = points[first] - points[second]
+    square = np.matmul(diff[:, np.newaxis, :], diff[:, :, np.newaxis]).reshape(-1)
+    pairs = list(zip(first.tolist(), second.tolist()))
+    for a, b in pairs:
         neighbors[a].add(b)
         neighbors[b].add(a)
-        heap.append(entry(a, b))
+    # two singletons a < b: cost 1 * 1 / (1 + 1) * square, pair key (a, b)
+    heap = list(zip((0.5 * square).tolist(), pairs, first.tolist(), second.tolist()))
     heapq.heapify(heap)
 
     merges = []

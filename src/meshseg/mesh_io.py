@@ -7,6 +7,7 @@ float32-precision inputs exactly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -91,8 +92,8 @@ def parse_off(text: str) -> Mesh:
     """Parse an ASCII OFF file.
 
     Faces of any declared arity are read, but non-triangles are rejected.
-    Blank lines and ``#`` comments are skipped. Errors carry 1-based line
-    numbers.
+    Blank lines and ``#`` comments are skipped. A negative count and a
+    non-finite coordinate are errors. Errors carry 1-based line numbers.
     """
     lines = _lines(text)
     # (line_number, content) for non-empty, non-comment lines
@@ -120,9 +121,11 @@ def parse_off(text: str) -> Mesh:
     if len(parts) != 3:
         raise MeshFormatError("counts line must have 3 integers", line=counts_line)
     try:
-        n_vertices, n_faces, _n_edges = (int(p) for p in parts)
+        n_vertices, n_faces, n_edges = (int(p) for p in parts)
     except ValueError:
         raise MeshFormatError("counts line must have 3 integers", line=counts_line) from None
+    if min(n_vertices, n_faces, n_edges) < 0:
+        raise MeshFormatError("counts must be nonnegative", line=counts_line)
     if len(rows) - pos < n_vertices + n_faces:
         raise MeshFormatError(
             f"truncated OFF file: expected {n_vertices} vertices and {n_faces} faces"
@@ -137,6 +140,9 @@ def parse_off(text: str) -> Mesh:
             vertices[k] = [float(p) for p in parts[:3]]
         except ValueError:
             raise MeshFormatError("bad vertex coordinate", line=line_no) from None
+    non_finite = np.flatnonzero(~np.isfinite(vertices).all(axis=1))
+    if non_finite.size:
+        raise MeshFormatError("non-finite vertex coordinate", line=rows[pos + non_finite[0]][0])
     pos += n_vertices
     faces = np.empty((n_faces, 3), dtype=np.int64)
     for k in range(n_faces):
@@ -160,7 +166,8 @@ def parse_obj(text: str) -> Mesh:
     """Parse a Wavefront OBJ file (``v`` and ``f`` records only).
 
     Slashed ``v/vt/vn`` face tokens use the vertex index only; negative
-    indices are resolved relative to the vertices read so far.
+    indices are resolved relative to the vertices read so far. A non-finite
+    coordinate is an error that names its line.
     """
     vertices: list[list[float]] = []
     faces: list[list[int]] = []
@@ -174,9 +181,12 @@ def parse_obj(text: str) -> Mesh:
             if len(parts) < 4:
                 raise MeshFormatError("vertex record needs 3 coordinates", line=line_no)
             try:
-                vertices.append([float(p) for p in parts[1:4]])
+                coords = [float(p) for p in parts[1:4]]
             except ValueError:
                 raise MeshFormatError("bad vertex coordinate", line=line_no) from None
+            if not all(map(math.isfinite, coords)):
+                raise MeshFormatError("non-finite vertex coordinate", line=line_no)
+            vertices.append(coords)
         elif tag == "f":
             tokens = parts[1:]
             if len(tokens) != 3:
@@ -347,24 +357,26 @@ def merge_duplicate_vertices(mesh: Mesh, eps: float = 0.0, return_face_mask: boo
     v = mesh.vertices
     n = len(v)
     remap = np.arange(n)
-    if n:
-        if eps == 0.0:
-            seen: dict[bytes, int] = {}
-            for i in range(n):
-                key = v[i].tobytes()
-                rep = seen.setdefault(key, i)
-                remap[i] = rep
-        else:
-            from scipy.spatial import cKDTree
+    if n and eps == 0.0:
+        # equal bytes, so -0.0 and 0.0 stay apart and a NaN meets only its
+        # own bit pattern; unique's index is each key's first occurrence
+        _, first, inverse = np.unique(
+            v.view(np.uint64), axis=0, return_index=True, return_inverse=True
+        )
+        remap = first[inverse.reshape(-1)]
+    elif n:
+        from scipy.spatial import cKDTree
 
-            tree = cKDTree(v)
-            for i in range(n):
-                target = i
-                for j in sorted(tree.query_ball_point(v[i], eps)):
-                    if j < i and remap[j] == j:
-                        target = j
-                        break
-                remap[i] = target
+        # a vertex goes to its lowest-index partner within eps that is not
+        # merged itself; partners are visited by ascending (higher, lower)
+        # index, so only the vertices with a lower partner are looked at
+        pairs = cKDTree(v).query_pairs(eps, output_type="ndarray")
+        pairs = pairs[np.lexsort((pairs[:, 0], pairs[:, 1]))]
+        target = list(range(n))
+        for j, i in pairs.tolist():
+            if target[i] == i and target[j] == j:
+                target[i] = j
+        remap = np.array(target, dtype=np.int64)
     keep = np.flatnonzero(remap == np.arange(n))
     new_index = np.full(n, -1, dtype=np.int64)
     new_index[keep] = np.arange(len(keep))

@@ -34,7 +34,7 @@ import numpy as np
 from meshseg import autodiff as ad
 from meshseg.autodiff import Tensor
 from meshseg.errors import ConfigError, check_config
-from meshseg.preprocess import COORD_COLS, NORMAL_COLS, SPECTRAL_COLS, Sample
+from meshseg.preprocess import COORD_COLS, NORMAL_COLS, SPECTRAL_COLS, Sample, write_zip
 
 __all__ = [
     "ModelConfig",
@@ -366,7 +366,8 @@ def met_forward(
 
 def save_checkpoint(path, params: dict[str, Tensor], cfg: ModelConfig) -> None:
     """Zip of a flat little-endian float32 blob plus a JSON manifest
-    mapping parameter names to shape and offset."""
+    mapping parameter names to shape and offset; the same parameters and
+    config always give the same bytes."""
     manifest_params = {}
     blob = io.BytesIO()
     offset = 0
@@ -381,9 +382,10 @@ def save_checkpoint(path, params: dict[str, Tensor], cfg: ModelConfig) -> None:
         "params": manifest_params,
         "config": asdict(cfg),
     }
-    with zipfile.ZipFile(path, "w", compression=zipfile.ZIP_DEFLATED) as zf:
-        zf.writestr("params.bin", blob.getvalue())
-        zf.writestr("manifest.json", json.dumps(manifest, indent=2, sort_keys=True))
+    write_zip(path, {
+        "params.bin": blob.getvalue(),
+        "manifest.json": json.dumps(manifest, indent=2, sort_keys=True),
+    })
 
 
 def load_checkpoint(path) -> tuple[dict[str, Tensor], ModelConfig]:

@@ -41,6 +41,7 @@ __all__ = [
     "build_sample",
     "save_sample",
     "load_sample",
+    "write_zip",
 ]
 
 #: Sentinel label for padding faces; ignored by loss and metrics.
@@ -84,7 +85,11 @@ class Sample:
 
     ``cluster_ids`` uses ids 0..num_clusters-1 for real clusters and the
     dedicated id ``num_clusters`` for padding faces (present only when the
-    sample is padded).
+    sample is padded). ``diagnostics``, set by ``build_sample``, records
+    how the pipeline went: the QEM vertex counts before and after and
+    whether it reached its target (None when it was skipped), the
+    dual-graph component count, the worst eigenpair residual, and the
+    smallest, median and largest cluster size.
     """
 
     features: np.ndarray  # (n_total, 12 + E) float64
@@ -97,6 +102,7 @@ class Sample:
     num_classes: int
     eigen_count: int
     config: dict | None = field(default=None, compare=False)
+    diagnostics: dict | None = field(default=None, compare=False)
 
     @property
     def n_total(self) -> int:
@@ -268,7 +274,7 @@ def build_sample(mesh: Mesh, labels: LabelVec | None, cfg: PreprocessConfig) -> 
     )
     label_arr = labels.labels[face_mask] if labels is not None else None
 
-    reached = "skipped"
+    reached = None
     if cfg.simplify and merged.num_vertices > cfg.target_vertices:
         simplified, reached = timed("qem", simplify_qem, merged, cfg.target_vertices)
         if not reached:
@@ -305,8 +311,21 @@ def build_sample(mesh: Mesh, labels: LabelVec | None, cfg: PreprocessConfig) -> 
         ", ".join(f"{stage} {t:.3f} s" for stage, t in seconds.items()),
         merged.num_vertices,
         simplified.num_vertices,
-        reached,
+        "skipped" if reached is None else reached,
     )
+    cluster_sizes = np.bincount(assignment.assignment)
+    # stage seconds stay in the log: in the manifest they would make two
+    # saves of one mesh differ
+    diagnostics = {
+        "qem_input_vertices": merged.num_vertices,
+        "qem_output_vertices": simplified.num_vertices,
+        "qem_reached": reached,
+        "dual_graph_components": adj.component_count(),
+        "eigen_residual": spec_feats.residual,
+        "cluster_size_min": int(cluster_sizes.min()),
+        "cluster_size_median": float(np.median(cluster_sizes)),
+        "cluster_size_max": int(cluster_sizes.max()),
+    }
 
     if label_arr is None:
         label_arr = np.full(n, PAD_LABEL, dtype=np.int64)
@@ -325,6 +344,7 @@ def build_sample(mesh: Mesh, labels: LabelVec | None, cfg: PreprocessConfig) -> 
         num_classes=num_classes,
         eigen_count=cfg.eigen_count,
         config=asdict(cfg),
+        diagnostics=diagnostics,
     )
     if cfg.target_faces > n:
         sample = pad_sample(sample, cfg.target_faces)
@@ -337,7 +357,8 @@ def build_sample(mesh: Mesh, labels: LabelVec | None, cfg: PreprocessConfig) -> 
 
 
 def save_sample(sample: Sample, path) -> None:
-    """Write a sample as a zip of named .npy arrays plus a JSON manifest."""
+    """Write a sample as a zip of named .npy arrays plus a JSON manifest;
+    one sample always gives the same bytes."""
     arrays = {
         "T": sample.features,
         "A": sample.adjacency.pairs,
@@ -357,13 +378,27 @@ def save_sample(sample: Sample, path) -> None:
             name: {"shape": list(a.shape), "dtype": str(a.dtype)} for name, a in arrays.items()
         },
         "config": sample.config,
+        "diagnostics": sample.diagnostics,
     }
-    with zipfile.ZipFile(path, "w", compression=zipfile.ZIP_DEFLATED) as zf:
-        for name, arr in arrays.items():
-            buf = io.BytesIO()
-            np.save(buf, np.ascontiguousarray(arr))
-            zf.writestr(f"{name}.npy", buf.getvalue())
-        zf.writestr("manifest.json", json.dumps(manifest, indent=2, sort_keys=True))
+    entries = {}
+    for name, arr in arrays.items():
+        buf = io.BytesIO()
+        np.save(buf, np.ascontiguousarray(arr))
+        entries[f"{name}.npy"] = buf.getvalue()
+    entries["manifest.json"] = json.dumps(manifest, indent=2, sort_keys=True)
+    write_zip(path, entries)
+
+
+def write_zip(path, entries: dict) -> None:
+    """Write ``{name: bytes or str}`` as a deflated zip whose bytes depend
+    on the entries alone: each one carries the fixed date 1980-01-01, not
+    the time of the save."""
+    with zipfile.ZipFile(path, "w") as zf:
+        for name, data in entries.items():
+            info = zipfile.ZipInfo(name, date_time=(1980, 1, 1, 0, 0, 0))
+            info.compress_type = zipfile.ZIP_DEFLATED
+            info.external_attr = 0o600 << 16  # rw-------, as writestr(name) sets
+            zf.writestr(info, data)
 
 
 def load_sample(path) -> Sample:
@@ -410,6 +445,7 @@ def load_sample(path) -> Sample:
             num_classes=manifest["num_classes"],
             eigen_count=manifest["eigen_count"],
             config=manifest.get("config"),
+            diagnostics=manifest.get("diagnostics"),
         )
     except KeyError as exc:
         raise SampleFormatError(f"sample {path}: manifest lacks {exc.args[0]!r}") from exc

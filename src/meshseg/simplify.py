@@ -11,14 +11,18 @@ q12, q13, q22, q23, q33)`` of the symmetric 4x4 matrix, and positions as
 
 Heap entries are ``(cost, a, b, stamp)`` with ``a < b``, and each edge has
 at most one live entry: the one whose stamp ``live[a, b]`` holds. A popped
-or superseded entry is stale and skipped. After ``v`` merges into ``u``,
-every edge at ``u`` gets a fresh entry, since ``u``'s quadric and position
-changed. An edge at one of ``u``'s neighbors gets an entry only when it has
-no live one, that is when it was popped earlier and rejected as illegal:
-neither of its endpoints changed, so its cost is bit-identical to that of
-its live entry, which pops exactly where a fresh one would. Re-pushing all
-edges at ``u`` and at its neighbors would therefore pop the same edges in
-the same order; it only costs more quadric solves.
+or superseded entry is stale and skipped. The initial entries come from one
+numpy pass over all edges, with the float operations of
+``_optimal_position`` in the same order, so their costs are bit-identical
+to the scalar ones. After ``v`` merges into ``u``, every edge at ``u`` gets
+a fresh entry, since ``u``'s quadric and position changed. Every other edge
+keeps its live entry, since neither of its endpoints changed; the only
+edges without one are those popped earlier and rejected as illegal. Each
+of these is recorded in a rejected-edge set at both endpoints, and pushed
+again, at its unchanged cost, once a collapse leaves one of its endpoints
+next to the surviving vertex. Re-pushing all edges at ``u`` and at its
+neighbors would pop the same edges in the same order; it only costs more
+quadric solves.
 """
 
 from __future__ import annotations
@@ -72,6 +76,41 @@ def _optimal_position(quadric, p_u, p_v):
     return best, best_cost
 
 
+def _collapse_costs(quadrics: np.ndarray, positions: np.ndarray, a, b) -> np.ndarray:
+    """``_optimal_position(quadrics[a] + quadrics[b], positions[a],
+    positions[b])[1]`` for every edge (a, b) at once, bit-identical: the
+    same float operations in the same order, one column at a time."""
+    qa, qb, qc, qd, qe, qf, qg, qh, qi, qj = (quadrics[a] + quadrics[b]).T
+    pu, pv = positions[a], positions[b]
+
+    def cost(x, y, z):
+        return (
+            x * (qa * x + 2.0 * (qb * y + qc * z + qd))
+            + y * (qe * y + 2.0 * (qf * z + qg))
+            + z * (qh * z + 2.0 * qi)
+            + qj
+        )
+
+    m00 = qe * qh - qf * qf
+    m01 = qc * qf - qb * qh
+    m02 = qb * qf - qc * qe
+    det = qa * m00 + qb * m01 + qc * m02
+    m11 = qa * qh - qc * qc
+    m12 = qb * qc - qa * qf
+    m22 = qa * qe - qb * qb
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        solved = cost(
+            -(m00 * qd + m01 * qg + m02 * qi) / det,
+            -(m01 * qd + m11 * qg + m12 * qi) / det,
+            -(m02 * qd + m12 * qg + m22 * qi) / det,
+        )
+    at_u = cost(*pu.T)
+    best = np.where(np.abs(det) > _SINGULAR_DET, solved, at_u)
+    for later in (at_u, cost(*pv.T), cost(*(0.5 * (pu + pv)).T)):
+        best = np.where(later < best, later, best)
+    return best
+
+
 def _cross(p0, p1, p2):
     """Normal (p1 - p0) x (p2 - p0), unnormalized."""
     ax, ay, az = p1[0] - p0[0], p1[1] - p0[1], p1[2] - p0[2]
@@ -96,10 +135,20 @@ def _vertex_quadrics(mesh: Mesh) -> np.ndarray:
     return quadrics
 
 
+def _edges(faces: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Endpoints ``(a, b)``, ``a < b``, of every edge, in order of first
+    appearance over the faces' (0, 1), (1, 2), (0, 2) corner pairs."""
+    corners = faces[:, [0, 1, 1, 2, 0, 2]].reshape(-1, 2)
+    low, high = corners.min(axis=1), corners.max(axis=1)
+    _, first = np.unique(low * (faces.max(initial=0) + 1) + high, return_index=True)
+    first.sort()
+    return low[first], high[first]
+
+
 class _MeshState:
-    def __init__(self, mesh: Mesh):
+    def __init__(self, mesh: Mesh, quadrics: np.ndarray):
         self.positions = [tuple(p) for p in mesh.vertices.tolist()]
-        self.quadrics = _vertex_quadrics(mesh).tolist()
+        self.quadrics = quadrics.tolist()
         self.faces = mesh.faces.tolist()
         self.face_alive = [True] * len(self.faces)
         self.vertex_alive = [True] * len(self.positions)
@@ -114,18 +163,6 @@ class _MeshState:
             out.update(self.faces[fi])
         out.discard(u)
         return out
-
-    def edges(self):
-        seen = set()
-        for fi, alive in enumerate(self.face_alive):
-            if not alive:
-                continue
-            a, b, c = self.faces[fi]
-            for u, v in ((a, b), (b, c), (a, c)):
-                key = (u, v) if u < v else (v, u)
-                if key not in seen:
-                    seen.add(key)
-                    yield key
 
     def collapse_target(self, u: int, v: int):
         """(position, cost) of the best collapse of edge (u, v)."""
@@ -199,18 +236,20 @@ def simplify_qem(mesh: Mesh, target_vertices: int) -> tuple[Mesh, bool]:
     if mesh.num_vertices <= target_vertices:
         return mesh, True
 
-    state = _MeshState(mesh)
-    heap: list[tuple[float, int, int, int]] = []
-    live: dict[tuple[int, int], int] = {}
-    stamps = count()
+    quadrics = _vertex_quadrics(mesh)
+    state = _MeshState(mesh, quadrics)
+    a, b = _edges(mesh.faces)
+    costs = _collapse_costs(quadrics, mesh.vertices, a, b)
+    heap = list(zip(costs.tolist(), a.tolist(), b.tolist(), range(len(a))))
+    heapq.heapify(heap)
+    live = {(u, v): stamp for _, u, v, stamp in heap}
+    stamps = count(len(heap))
+    rejected: dict[int, set[tuple[int, int]]] = {}
 
     def push_edge(a, b):
         _, cost = state.collapse_target(a, b)
         stamp = live[a, b] = next(stamps)
         heapq.heappush(heap, (cost, a, b, stamp))
-
-    for a, b in state.edges():
-        push_edge(a, b)
 
     remaining = mesh.num_vertices
     while remaining > target_vertices and heap:
@@ -222,6 +261,8 @@ def simplify_qem(mesh: Mesh, target_vertices: int) -> tuple[Mesh, bool]:
             continue
         new_pos, _ = state.collapse_target(u, v)
         if not state.collapse_is_legal(u, v, new_pos):
+            rejected.setdefault(u, set()).add((u, v))
+            rejected.setdefault(v, set()).add((u, v))
             continue
         state.collapse(u, v, new_pos)
         remaining -= 1
@@ -229,8 +270,9 @@ def simplify_qem(mesh: Mesh, target_vertices: int) -> tuple[Mesh, bool]:
         for w in neighbors:
             push_edge(*((u, w) if u < w else (w, u)))
         for w in neighbors:
-            for x in state.vertex_neighbors(w):
-                key = (w, x) if w < x else (x, w)
-                if key not in live:
+            for key in rejected.pop(w, ()):
+                # an edge at u, or one pushed from its other endpoint's
+                # set, is live already; a dead endpoint ends the edge
+                if key not in live and state.vertex_alive[key[0] + key[1] - w]:
                     push_edge(*key)
     return state.to_mesh(), remaining <= target_vertices

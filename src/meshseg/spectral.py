@@ -58,6 +58,21 @@ class AdjacencyMatrix:
             np.add.at(d, self.pairs[:, 1], 1)
         return d
 
+    def component_count(self) -> int:
+        """Connected components, an isolated node counting as one."""
+        root = np.arange(self.n)
+        i, j = self.pairs[:, 0], self.pairs[:, 1]
+        while True:
+            ri, rj = root[i], root[j]
+            cross = ri != rj
+            if not cross.any():
+                return int((root == np.arange(self.n)).sum())
+            # hang each larger root under the smallest root it is linked
+            # to, then point every node straight at its root
+            np.minimum.at(root, np.maximum(ri, rj)[cross], np.minimum(ri, rj)[cross])
+            while (root[root] != root).any():
+                root = root[root]
+
     def with_n(self, n: int) -> "AdjacencyMatrix":
         """Same edge set on a larger node count (extra nodes isolated)."""
         if n < self.n:
@@ -91,20 +106,23 @@ def build_dual_adjacency(mesh: Mesh) -> AdjacencyMatrix:
     """Adjacency of the triangle dual graph: faces sharing a mesh edge.
 
     An edge shared by more than two faces links every incident face pair.
+    The face corners' edge keys are sorted once; each run of equal keys
+    lists the faces at one edge in ascending order.
     """
-    edge_faces: dict[tuple[int, int], list[int]] = {}
-    for fi, (a, b, c) in enumerate(mesh.faces):
-        for u, v in ((a, b), (b, c), (a, c)):
-            key = (int(u), int(v)) if u < v else (int(v), int(u))
-            edge_faces.setdefault(key, []).append(fi)
-    pairs = set()
-    for faces in edge_faces.values():
-        if len(faces) > 1:
-            for x in range(len(faces)):
-                for y in range(x + 1, len(faces)):
-                    i, j = faces[x], faces[y]
-                    pairs.add((i, j) if i < j else (j, i))
-    arr = np.array(sorted(pairs), dtype=np.int64).reshape(-1, 2)
+    faces = mesh.faces
+    corners = faces[:, [0, 1, 1, 2, 0, 2]].reshape(-1, 2)
+    keys = corners.min(axis=1) * (mesh.num_vertices + 1) + corners.max(axis=1)
+    order = np.argsort(keys, kind="stable")
+    keys, face_of = keys[order], order // 3
+    starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
+    runs = np.diff(np.r_[starts, len(keys)])
+    # faces after each one in its run; the k-th later face is k rows down
+    later = np.repeat(starts + runs, runs) - np.arange(len(keys)) - 1
+    pairs = []
+    for k in range(1, later.max(initial=0) + 1):
+        first = np.flatnonzero(later >= k)
+        pairs.append(np.column_stack([face_of[first], face_of[first + k]]))
+    arr = np.concatenate(pairs) if pairs else np.empty((0, 2), dtype=np.int64)
     return AdjacencyMatrix(n=mesh.num_faces, pairs=arr)
 
 
@@ -123,6 +141,12 @@ def normalized_laplacian(adj: AdjacencyMatrix) -> LaplacianMatrix:
     else:
         lap = eye
     return LaplacianMatrix(matrix=lap)
+
+
+def _worst_residual(lap: LaplacianMatrix, values: np.ndarray, vectors: np.ndarray) -> float:
+    """Largest ``|L u - lam u|`` over the eigenpairs (0 for none)."""
+    residual = lap.matrix @ vectors - vectors * values[np.newaxis, :]
+    return float(np.linalg.norm(residual, axis=0).max(initial=0.0))
 
 
 def smallest_eigenpairs(lap: LaplacianMatrix, k: int, tol: float = 1e-8):
@@ -157,8 +181,7 @@ def smallest_eigenpairs(lap: LaplacianMatrix, k: int, tol: float = 1e-8):
             raise EigensolverError(f"eigensolver failed to converge: {exc}") from exc
         order = np.argsort(values, kind="stable")
         values, vectors = values[order], vectors[:, order]
-    residual = lap.matrix @ vectors - vectors * values[np.newaxis, :]
-    worst = float(np.linalg.norm(residual, axis=0).max(initial=0.0))
+    worst = _worst_residual(lap, values, vectors)
     limit = tol * max(lap.frobenius_norm(), 1.0)
     if worst > limit:
         raise EigensolverError(
@@ -173,6 +196,7 @@ class SpectralFeatures:
 
     features: np.ndarray  # (N, E)
     eigenvalues: np.ndarray  # (E,), zero-padded past the available modes
+    residual: float  # worst residual of the eigenpairs solved for
 
 
 def _canonical_sign(column: np.ndarray) -> np.ndarray:
@@ -215,4 +239,6 @@ def laplacian_positional_features(
     for out_col, src_col in enumerate(keep):
         feats[:, out_col] = _canonical_sign(vectors[:, src_col])
         eig[out_col] = values[src_col]
-    return SpectralFeatures(features=feats, eigenvalues=eig)
+    return SpectralFeatures(
+        features=feats, eigenvalues=eig, residual=_worst_residual(lap, values, vectors)
+    )

@@ -1,0 +1,152 @@
+"""Reference per-element loops for vertex merging, the dual graph and Ward
+clustering: the implementations that the numpy passes and plain-float
+loops in ``meshseg`` replaced.
+
+The parity tests hold ``meshseg.mesh_io.merge_duplicate_vertices``,
+``meshseg.spectral.build_dual_adjacency`` and
+``meshseg.clustering.ward_constrained`` to these. QEM's reference is
+``qem_oracle.py``.
+"""
+
+from __future__ import annotations
+
+import heapq
+
+import numpy as np
+
+from meshseg.clustering import ClusterAssignment
+from meshseg.mesh_io import Mesh
+from meshseg.spectral import AdjacencyMatrix
+
+
+def merge_duplicate_vertices_oracle(mesh: Mesh, eps: float = 0.0, return_face_mask=False):
+    """Per-vertex merge: a dict of coordinate bytes for ``eps == 0``, one
+    ball query per vertex otherwise."""
+    if eps < 0:
+        raise ValueError("eps must be nonnegative")
+    v = mesh.vertices
+    n = len(v)
+    remap = np.arange(n)
+    if n:
+        if eps == 0.0:
+            seen: dict[bytes, int] = {}
+            for i in range(n):
+                key = v[i].tobytes()
+                rep = seen.setdefault(key, i)
+                remap[i] = rep
+        else:
+            from scipy.spatial import cKDTree
+
+            tree = cKDTree(v)
+            for i in range(n):
+                target = i
+                for j in sorted(tree.query_ball_point(v[i], eps)):
+                    if j < i and remap[j] == j:
+                        target = j
+                        break
+                remap[i] = target
+    keep = np.flatnonzero(remap == np.arange(n))
+    new_index = np.full(n, -1, dtype=np.int64)
+    new_index[keep] = np.arange(len(keep))
+    faces = new_index[remap[mesh.faces]]
+    nondegenerate = (
+        (faces[:, 0] != faces[:, 1])
+        & (faces[:, 1] != faces[:, 2])
+        & (faces[:, 0] != faces[:, 2])
+    )
+    merged = Mesh(vertices=v[keep], faces=faces[nondegenerate])
+    if return_face_mask:
+        return merged, nondegenerate
+    return merged
+
+
+def build_dual_adjacency_oracle(mesh: Mesh) -> AdjacencyMatrix:
+    """Per-face dict of edge -> incident faces, then every face pair per edge."""
+    edge_faces: dict[tuple[int, int], list[int]] = {}
+    for fi, (a, b, c) in enumerate(mesh.faces):
+        for u, v in ((a, b), (b, c), (a, c)):
+            key = (int(u), int(v)) if u < v else (int(v), int(u))
+            edge_faces.setdefault(key, []).append(fi)
+    pairs = set()
+    for faces in edge_faces.values():
+        if len(faces) > 1:
+            for x in range(len(faces)):
+                for y in range(x + 1, len(faces)):
+                    i, j = faces[x], faces[y]
+                    pairs.add((i, j) if i < j else (j, i))
+    arr = np.array(sorted(pairs), dtype=np.int64).reshape(-1, 2)
+    return AdjacencyMatrix(n=mesh.num_faces, pairs=arr)
+
+
+def _ward_delta(size_a, centroid_a, size_b, centroid_b) -> float:
+    diff = centroid_a - centroid_b
+    return size_a * size_b / (size_a + size_b) * float(diff @ diff)
+
+
+def ward_constrained_oracle(points, adj: AdjacencyMatrix, num_clusters: int,
+                            return_merges: bool = False) -> ClusterAssignment:
+    """Heap-driven Ward agglomeration with numpy centroids and ``diff @ diff``
+    squared distances."""
+    points = np.asarray(points, dtype=np.float64)
+    if points.ndim != 2:
+        raise ValueError(f"points must be 2-D, got shape {points.shape}")
+    n = len(points)
+    if adj.n != n:
+        raise ValueError(f"adjacency size {adj.n} != point count {n}")
+    if not 1 <= num_clusters <= n:
+        raise ValueError(f"cluster count {num_clusters} outside [1, {n}]")
+
+    size = {i: 1 for i in range(n)}
+    centroid = {i: points[i].copy() for i in range(n)}
+    min_member = {i: i for i in range(n)}
+    members = {i: [i] for i in range(n)}
+    neighbors: dict[int, set[int]] = {i: set() for i in range(n)}
+
+    def entry(a: int, b: int):
+        ma, mb = min_member[a], min_member[b]
+        key = (ma, mb) if ma < mb else (mb, ma)
+        return (_ward_delta(size[a], centroid[a], size[b], centroid[b]), key, a, b)
+
+    heap = []
+    for a, b in adj.pairs.tolist():
+        neighbors[a].add(b)
+        neighbors[b].add(a)
+        heap.append(entry(a, b))
+    heapq.heapify(heap)
+
+    merges = []
+    next_id = n
+    while len(size) > num_clusters:
+        if not heap:
+            ids = sorted(size)
+            neighbors.update({x: set(ids) - {x} for x in ids})
+            heap = [entry(x, y) for xi, x in enumerate(ids) for y in ids[xi + 1 :]]
+            heapq.heapify(heap)
+        _, _, a, b = heapq.heappop(heap)
+        if a not in size or b not in size:
+            continue
+        if return_merges:
+            merges.append((tuple(sorted(members[a])), tuple(sorted(members[b]))))
+        new = next_id
+        next_id += 1
+        total = size[a] + size[b]
+        centroid[new] = (size[a] * centroid[a] + size[b] * centroid[b]) / total
+        size[new] = total
+        min_member[new] = min(min_member[a], min_member[b])
+        members[new] = members[a] + members[b]
+        neighbors[new] = (neighbors[a] | neighbors[b]) - {a, b}
+        for old in (a, b):
+            for k in neighbors[old]:
+                neighbors[k].discard(old)
+            del size[old], centroid[old], min_member[old], members[old], neighbors[old]
+        for k in neighbors[new]:
+            neighbors[k].add(new)
+            heapq.heappush(heap, entry(k, new))
+
+    order = sorted(size, key=lambda c: min_member[c])
+    assignment = np.empty(n, dtype=np.int64)
+    for cid, cluster in enumerate(order):
+        assignment[members[cluster]] = cid
+    return ClusterAssignment(
+        assignment=assignment, num_clusters=len(order), merges=tuple(merges)
+    )

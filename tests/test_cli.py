@@ -1,6 +1,7 @@
 """End-to-end CLI flows on a tiny synthetic dataset."""
 
 import json
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -249,6 +250,50 @@ def test_preprocess_config_out_of_range_exits_2(command, case, dataset_dir, tmp_
     assert result.exit_code == 2, result.output
     assert result.output.startswith(f"error: {name} must be")
     assert len(result.output.splitlines()) == 1
+
+
+# damage -> (mesh file, its text, what the one-line error names)
+MESH_DAMAGE = {
+    "off-negative-count": (
+        "bad.off", "OFF\n-3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n",
+        "counts must be nonnegative, line 2",
+    ),
+    "off-nan-coordinate": (
+        "bad.off", "OFF\n3 1 0\n0 0 0\n1 nan 0\n0 1 0\n3 0 1 2\n",
+        "non-finite vertex coordinate, line 4",
+    ),
+    "obj-inf-coordinate": (
+        "bad.obj", "v 0 0 0\nv 1 0 inf\nv 0 1 0\nf 1 2 3\n",
+        "non-finite vertex coordinate, line 2",
+    ),
+}
+
+
+@pytest.mark.parametrize("damage", sorted(MESH_DAMAGE))
+@pytest.mark.parametrize("command", ["preprocess", "segment", "inspect"])
+def test_malformed_mesh_exits_1_naming_its_line(command, damage, dataset_dir, tmp_path,
+                                                request):
+    """A data error (exit 1), never numpy's or scipy's message with exit 2."""
+    name, text, message = MESH_DAMAGE[damage]
+    if command == "preprocess":
+        (dataset_dir / "shapes" / name).write_text(text)
+        (dataset_dir / "labels" / "bad.txt").write_text("0\n")
+        out = tmp_path / "samples"
+        result = run(["preprocess", str(dataset_dir), str(out), *PREPROCESS_FLAGS])
+        assert result.exit_code == 1, result.output
+        assert re.search(rf"^bad +FAILED: {message}$", result.output, re.MULTILINE)
+        assert len(list(out.glob("*.sample"))) == 3
+        return
+    mesh_path = tmp_path / name
+    mesh_path.write_text(text)
+    if command == "segment":
+        checkpoint = request.getfixturevalue("untrained_checkpoint")
+        args = [str(mesh_path), str(checkpoint), str(tmp_path / "seg.ply")]
+    else:
+        args = [str(mesh_path), str(tmp_path / "out")]
+    result = run([command, *args, *PREPROCESS_FLAGS])
+    assert result.exit_code == 1, result.output
+    assert result.output == f"error: {message}\n"
 
 
 class TestSegment:
@@ -532,6 +577,10 @@ class TestInspect:
         np.testing.assert_allclose(stats["eigenvalues"], [4 / 3] * 3, atol=1e-8)
         assert stats["num_clusters"] == 1
         assert (out / "clusters.ply").exists()
+        diagnostics = stats["diagnostics"]
+        assert diagnostics["qem_reached"] is None
+        assert diagnostics["dual_graph_components"] == 1
+        assert diagnostics["cluster_size_max"] == 4
 
     def test_deterministic_colors(self, tmp_path):
         mesh_path = tmp_path / "tetra.off"

@@ -9,9 +9,16 @@ from meshseg.clustering import (
     cluster_count,
     ward_constrained,
 )
-from meshseg.spectral import AdjacencyMatrix
+from meshseg.spectral import AdjacencyMatrix, build_dual_adjacency
 
-from conftest import connected_components, neighbor_lists, one_hot, ward_oracle
+from conftest import (
+    bumpy_sphere_mesh,
+    connected_components,
+    neighbor_lists,
+    one_hot,
+    ward_oracle,
+)
+from loop_oracles import ward_constrained_oracle
 from dense_model import co_membership
 
 
@@ -140,6 +147,33 @@ class TestWardConstrained:
             result = ward_constrained(points, adj, m, return_merges=True)
             assert list(result.merges) == ward_oracle(points, adj.pairs, m)
             checked += 1
+
+    def test_matches_loop_oracle(self, rng):
+        """The batched singleton costs against the per-pair heap loop they
+        replaced: the same merges and assignment, on graphs with ties
+        (repeated points), wide points and disconnected parts."""
+        for trial in range(60):
+            n = int(rng.integers(2, 60))
+            adj = (random_connected_adjacency(rng, n) if trial % 3
+                   else AdjacencyMatrix(n=n, pairs=[[i, i + 1] for i in range(0, n - 1, 2)]))
+            dims = int(rng.choice([1, 3, 28]))
+            points = rng.normal(size=(n, dims)) * 10.0 ** rng.integers(-3, 4)
+            if trial % 2:
+                points[rng.integers(0, n, size=n // 2)] = points[0]
+            m = int(rng.integers(1, n + 1))
+            got = ward_constrained(points, adj, m, return_merges=True)
+            want = ward_constrained_oracle(points, adj, m, return_merges=True)
+            assert got.merges == want.merges
+            np.testing.assert_array_equal(got.assignment, want.assignment)
+
+    def test_matches_loop_oracle_on_mesh_centroids(self):
+        rng = np.random.default_rng(3)
+        mesh = bumpy_sphere_mesh(rng, 400, 0.1)
+        points = mesh.vertices[mesh.faces].mean(axis=1)
+        adj = build_dual_adjacency(mesh)
+        got = ward_constrained(points, adj, 50, return_merges=True)
+        want = ward_constrained_oracle(points, adj, 50, return_merges=True)
+        assert got.merges == want.merges
 
     def test_similarity_invariance(self, rng):
         """Rotation + translation + uniform scaling preserves the merge

@@ -17,6 +17,7 @@ from meshseg.mesh_io import (
 from meshseg.spectral import build_dual_adjacency
 
 from conftest import icosphere, random_hull_mesh, shared_edge_count, tetrahedron
+from loop_oracles import merge_duplicate_vertices_oracle
 
 TRIANGLE_OFF = "OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n"
 
@@ -75,6 +76,18 @@ class TestParseOff:
         with pytest.raises(MeshFormatError, match="counts line"):
             parse_off("OFF\n3 x 0\n")
 
+    @pytest.mark.parametrize("counts", ["-1 1 0", "3 -1 0", "3 1 -2"])
+    def test_negative_count_names_its_line(self, counts):
+        text = TRIANGLE_OFF.replace("3 1 0", counts)
+        with pytest.raises(MeshFormatError, match="counts must be nonnegative, line 2"):
+            parse_off(text)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999"])
+    def test_non_finite_coordinate_names_its_line(self, value):
+        text = TRIANGLE_OFF.replace("1 0 0", f"1 {value} 0")
+        with pytest.raises(MeshFormatError, match="non-finite vertex coordinate, line 4"):
+            parse_off(text)
+
 
 class TestParseObj:
     def test_minimal(self):
@@ -107,6 +120,12 @@ class TestParseObj:
     def test_zero_index_rejected(self):
         with pytest.raises(MeshFormatError, match="1-based"):
             parse_obj("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 0 1 2\n")
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999"])
+    def test_non_finite_coordinate_names_its_line(self, value):
+        text = f"# header\nv 0 0 0\nv 1 0 {value}\nv 0 1 0\nf 1 2 3\n"
+        with pytest.raises(MeshFormatError, match="non-finite vertex coordinate, line 3"):
+            parse_obj(text)
 
 
 class TestParseFaceLabels:
@@ -241,6 +260,71 @@ class TestMergeDuplicateVertices:
     def test_negative_eps_rejected(self):
         with pytest.raises(ValueError):
             merge_duplicate_vertices(tetrahedron(), eps=-1.0)
+
+
+def fan_mesh(vertices) -> Mesh:
+    """Every vertex in one face with its two successors, so a merge drops
+    and remaps faces."""
+    n = len(vertices)
+    faces = [[i, (i + 1) % n, (i + 2) % n] for i in range(n)]
+    return Mesh(vertices=vertices, faces=faces)
+
+
+def assert_merge_matches_oracle(mesh, eps):
+    got, got_mask = merge_duplicate_vertices(mesh, eps, return_face_mask=True)
+    want, want_mask = merge_duplicate_vertices_oracle(mesh, eps, return_face_mask=True)
+    np.testing.assert_array_equal(got.vertices, want.vertices)
+    np.testing.assert_array_equal(got.faces, want.faces)
+    np.testing.assert_array_equal(got_mask, want_mask)
+    return got
+
+
+class TestMergeMatchesLoopOracle:
+    """The numpy and pair-list merge against the per-vertex loops it replaced."""
+
+    def test_pairs_at_exactly_eps(self):
+        # exact binary fractions: 0.25 apart is within eps = 0.25, and
+        # 0.25 + 2^-50 apart is not
+        step = 0.25
+        xs = [0.0, step, 2 * step, 3 * step + 2.0**-50, 10.0, 10.0 + step]
+        vertices = np.array([[x, 0.0, 0.0] for x in xs] + [[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+        merged = assert_merge_matches_oracle(fan_mesh(vertices), step)
+        # 1 goes to 0 and 5 to 4; 2's only partner is 1, which is merged
+        # away, so 2 stays, and 3 is just out of reach of 2
+        np.testing.assert_array_equal(merged.vertices[:4, 0], [0.0, 2 * step, 3 * step + 2.0**-50, 10.0])
+        assert merged.num_vertices == 6
+
+    def test_chain_of_near_duplicates(self):
+        """Each link of the chain is within eps, its ends are not: a vertex
+        goes to its lowest partner that was not merged itself."""
+        eps = 1e-6
+        xs = 0.6e-6 * np.arange(8)
+        vertices = np.vstack([np.column_stack([xs, np.zeros(8), np.zeros(8)]),
+                              [[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]])
+        rng = np.random.default_rng(5)
+        for order in [np.arange(10)] + [rng.permutation(10) for _ in range(20)]:
+            assert_merge_matches_oracle(fan_mesh(vertices[order]), eps)
+
+    def test_random_clusters_of_near_duplicates(self, rng):
+        for _ in range(30):
+            base = rng.normal(size=(int(rng.integers(3, 20)), 3))
+            copies = base[rng.integers(0, len(base), size=int(rng.integers(1, 30)))]
+            copies = copies + rng.uniform(-1, 1, size=copies.shape) * 1e-9
+            vertices = rng.permutation(np.vstack([base, copies]))
+            for eps in (1e-9, 2e-9, 1e-3):
+                assert_merge_matches_oracle(fan_mesh(vertices), eps)
+
+    def test_exact_merge_keeps_signed_zeros_and_nan_bit_patterns(self):
+        nan = np.float64("nan")
+        other_nan = np.frombuffer(
+            (np.array([nan]).view(np.uint64) | np.uint64(1)).tobytes(), dtype=np.float64
+        )[0]
+        vertices = np.array([
+            [0.0, 1.0, 2.0], [-0.0, 1.0, 2.0], [0.0, 1.0, 2.0],
+            [nan, 0.0, 0.0], [nan, 0.0, 0.0], [other_nan, 0.0, 0.0], [5.0, 5.0, 5.0],
+        ])
+        merged = assert_merge_matches_oracle(fan_mesh(vertices), 0.0)
+        assert merged.num_vertices == 5
 
 
 class TestMeshInvariants:

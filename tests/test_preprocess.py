@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
+from meshseg import clustering, preprocess, spectral
 from meshseg.errors import DegenerateGeometryError
 from meshseg.mesh_io import LabelVec, Mesh
 from meshseg.preprocess import (
@@ -29,6 +30,7 @@ from meshseg.preprocess import (
 from meshseg.simplify import simplify_qem
 
 from conftest import (
+    bumpy_sphere_mesh,
     hemisphere_labeled_sphere,
     icosphere,
     one_hot,
@@ -37,6 +39,11 @@ from conftest import (
     seven_vertex_torus,
     tetrahedron,
     transfer_labels_oracle,
+)
+from loop_oracles import (
+    build_dual_adjacency_oracle,
+    merge_duplicate_vertices_oracle,
+    ward_constrained_oracle,
 )
 
 
@@ -248,6 +255,29 @@ class TestBuildSample:
         np.testing.assert_array_equal(a.features, b.features)
         np.testing.assert_array_equal(a.cluster_ids, b.cluster_ids)
 
+    def test_diagnostics(self):
+        mesh, labels = hemisphere_labeled_sphere(subdivisions=2)  # 162 verts
+        cfg = PreprocessConfig(target_vertices=42, target_faces=90, eigen_count=4,
+                               clustering_lambda=8)
+        sample = build_sample(mesh, labels, cfg)
+        d = sample.diagnostics
+        assert (d["qem_input_vertices"], d["qem_output_vertices"], d["qem_reached"]) == (
+            162, 42, True)
+        assert d["dual_graph_components"] == 1
+        assert 0 <= d["eigen_residual"] < 1e-8
+        sizes = np.bincount(sample.cluster_ids[sample.real_mask])
+        assert (d["cluster_size_min"], d["cluster_size_median"], d["cluster_size_max"]) == (
+            sizes.min(), np.median(sizes), sizes.max())
+        assert tetra_sample().diagnostics["qem_reached"] is None
+
+    def test_diagnostics_of_a_split_mesh(self):
+        """Two disjoint tetrahedra: two dual-graph components."""
+        tet = tetrahedron()
+        mesh = Mesh(vertices=np.vstack([tet.vertices, tet.vertices + 5.0]),
+                    faces=np.vstack([tet.faces, tet.faces + 4]))
+        sample = build_sample(mesh, None, tiny_config(target_faces=8))
+        assert sample.diagnostics["dual_graph_components"] == 2
+
     def test_cluster_on_features_flag(self):
         mesh, labels = hemisphere_labeled_sphere(subdivisions=1)
         cfg = PreprocessConfig(
@@ -255,6 +285,44 @@ class TestBuildSample:
         )
         sample = build_sample(mesh, labels, cfg)
         sample.validate()
+
+
+def seamed_bumpy_sphere():
+    """5,120 faces with three labels. The faces above the equator use
+    copies of their corners moved by at most 1e-10, so the merge stitches a
+    seam and the copies no face of its own uses merge into their originals."""
+    rng = np.random.default_rng(13)
+    mesh = bumpy_sphere_mesh(rng, 2562, 0.1)
+    v, faces = mesh.vertices, mesh.faces.copy()
+    centroids = v[faces].mean(axis=1)
+    upper = centroids[:, 2] > 0
+    faces[upper] += len(v)
+    vertices = np.vstack([v, v + rng.uniform(-1e-10, 1e-10, size=v.shape)])
+    angle = np.arctan2(centroids[:, 1], centroids[:, 0]) + np.pi
+    labels = np.minimum((angle / (2 * np.pi / 3)).astype(np.int64), 2)
+    return Mesh(vertices=vertices, faces=faces), LabelVec(labels=labels, num_classes=3)
+
+
+def test_pipeline_matches_loop_oracles(monkeypatch):
+    """build_sample with the default config on a 5k-face mesh, and again
+    with the replaced merge, dual-graph and Ward loops patched in: the same
+    sample, array for array. (QEM's oracle in qem_oracle.py solves with
+    numpy's 4 x 4 products, so its positions differ in the last bits; the
+    QEM parity tests compare its collapses instead.)"""
+    mesh, labels = seamed_bumpy_sphere()
+    cfg = PreprocessConfig()
+    got = build_sample(mesh, labels, cfg)
+    with monkeypatch.context() as patch:
+        patch.setattr(preprocess, "merge_duplicate_vertices", merge_duplicate_vertices_oracle)
+        patch.setattr(spectral, "build_dual_adjacency", build_dual_adjacency_oracle)
+        patch.setattr(clustering, "ward_constrained", ward_constrained_oracle)
+        want = build_sample(mesh, labels, cfg)
+    assert got.diagnostics["qem_input_vertices"] == 2562
+    assert got.diagnostics["qem_reached"]
+    for name in ("features", "cluster_ids", "labels", "areas", "real_mask"):
+        np.testing.assert_array_equal(getattr(got, name), getattr(want, name), err_msg=name)
+    np.testing.assert_array_equal(got.adjacency.pairs, want.adjacency.pairs)
+    assert got.diagnostics == want.diagnostics
 
 
 class TestTransferLabels:
@@ -356,7 +424,38 @@ class TestSampleSerialization:
         assert back.num_classes == sample.num_classes
         assert back.eigen_count == sample.eigen_count
         assert back.config == sample.config
+        assert back.diagnostics == sample.diagnostics
         back.validate()
+
+    def test_file_without_diagnostics_loads_none(self, tmp_path):
+        import dataclasses
+
+        sample = tetra_sample(target_faces=6)
+        path = tmp_path / "t.sample"
+        save_sample(dataclasses.replace(sample, diagnostics=None), path)
+        back = load_sample(path)
+        assert back.diagnostics is None
+
+    def test_saves_are_byte_identical(self, tmp_path, monkeypatch):
+        """Two saves an hour apart on the clock write the same bytes, for a
+        sample and for a checkpoint."""
+        import time
+
+        from meshseg.model import init_params, save_checkpoint
+
+        from conftest import small_model_config
+
+        sample = tetra_sample(target_faces=6)
+        cfg = small_model_config()
+        params = init_params(cfg, np.random.default_rng(0))
+        now = time.time()
+        for hours, folder in ((0, "a"), (1, "b")):
+            monkeypatch.setattr(time, "time", lambda: now + 3600 * hours)
+            (tmp_path / folder).mkdir()
+            save_sample(sample, tmp_path / folder / "t.sample")
+            save_checkpoint(tmp_path / folder / "m.ckpt", params, cfg)
+        for name in ("t.sample", "m.ckpt"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
     def test_manifest_contents(self, tmp_path):
         import json

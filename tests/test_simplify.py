@@ -106,7 +106,7 @@ def assert_matches_oracle(mesh, target, monkeypatch, atol=1e-9):
     assert reached == want_reached
     np.testing.assert_array_equal(out.faces, want.faces)
     np.testing.assert_allclose(out.vertices, want.vertices, rtol=0, atol=atol)
-    return out
+    return out, collapses
 
 
 def grid_patch(n: int) -> Mesh:
@@ -141,18 +141,33 @@ class TestOracleParity:
 
     def test_bumpy_spheres_same_collapses(self, monkeypatch):
         """Dented meshes reject collapses that fold faces, and an edge
-        rejected earlier is pushed again once a neighbor collapses."""
+        rejected earlier is pushed again from the rejected-edge set once a
+        collapse lands next to it; some of those edges collapse later."""
+        rejected = []
+        legal = simplify._MeshState.collapse_is_legal
+
+        def counted(state, u, v, new_pos):
+            ok = legal(state, u, v, new_pos)
+            if not ok:
+                rejected.append((u, v))
+            return ok
+
+        monkeypatch.setattr(simplify._MeshState, "collapse_is_legal", counted)
         rng = np.random.default_rng(0)
+        retried = 0
         for _ in range(8):
             mesh = bumpy_sphere_mesh(rng, 100, 0.15)
             target = int(rng.integers(4, 50))
-            assert_matches_oracle(mesh, target, monkeypatch)
+            rejected.clear()
+            _, collapses = assert_matches_oracle(mesh, target, monkeypatch)
+            retried += len(set(rejected) & set(collapses))
+        assert retried >= 1
 
     def test_planar_patch_keeps_input_positions(self, monkeypatch):
         """Every quadric of a flat patch is singular, so each collapse lands
         on an endpoint or a midpoint; at cost 0 the first endpoint wins."""
         mesh = grid_patch(6)
-        out = assert_matches_oracle(mesh, 12, monkeypatch, atol=0)
+        out, _ = assert_matches_oracle(mesh, 12, monkeypatch, atol=0)
         assert out.num_vertices == 12
         inputs = {tuple(p) for p in mesh.vertices.tolist()}
         assert all(tuple(p) in inputs for p in out.vertices.tolist())

@@ -24,6 +24,7 @@ from conftest import (
     random_hull_mesh,
     tetrahedron,
 )
+from loop_oracles import build_dual_adjacency_oracle
 
 TWO_FACES = Mesh(
     vertices=[[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0]],
@@ -80,6 +81,32 @@ class TestDualAdjacency:
                     if len(faces[i] & faces[j]) == 2:
                         expected.add((i, j))
             assert {tuple(p) for p in adj.pairs.tolist()} == expected
+
+    def test_matches_loop_oracle_on_non_manifold_soups(self, rng):
+        """Random triangle soups over few vertices: edges shared by one to
+        many faces, faces sharing two edges, isolated faces."""
+        for _ in range(50):
+            n_vertices = int(rng.integers(3, 9))
+            faces = [rng.choice(n_vertices, size=3, replace=False)
+                     for _ in range(int(rng.integers(0, 25)))]
+            mesh = Mesh(vertices=rng.normal(size=(n_vertices, 3)),
+                        faces=np.array(faces, dtype=np.int64).reshape(-1, 3))
+            got, want = build_dual_adjacency(mesh), build_dual_adjacency_oracle(mesh)
+            assert got.n == want.n
+            np.testing.assert_array_equal(got.pairs, want.pairs)
+
+    def test_component_count_matches_csgraph(self, rng):
+        """Isolated nodes count as components; paths need many hooks."""
+        assert AdjacencyMatrix(n=3, pairs=[]).component_count() == 3
+        path = AdjacencyMatrix(n=500, pairs=[[k, k + 1] for k in range(499)][::-1])
+        assert path.component_count() == 1
+        for _ in range(200):
+            n = int(rng.integers(1, 40))
+            pairs = {(min(a, b), max(a, b))
+                     for a, b in rng.integers(0, n, size=(int(rng.integers(0, 2 * n)), 2))
+                     if a != b}
+            adj = AdjacencyMatrix(n=n, pairs=sorted(pairs))
+            assert adj.component_count() == connected_components(adj)
 
 
 class TestNormalizedLaplacian:
