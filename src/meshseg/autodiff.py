@@ -198,7 +198,8 @@ def linear(x: Tensor, w: Tensor, b: Tensor, relu: bool = False) -> Tensor:
 
     The bias and the ReLU are applied in place on the product, so the node
     keeps no pre-bias or pre-activation copy; the backward pass masks by
-    ``out > 0``, which takes the subgradient at 0 as 0.
+    ``out > 0``, which takes the subgradient at 0 as 0. Without the ReLU
+    the backward closure keeps no reference to ``out``.
     """
     x, w, b = _as_tensor(x), _as_tensor(w, like=x), _as_tensor(b, like=x)
     _check(
@@ -214,9 +215,12 @@ def linear(x: Tensor, w: Tensor, b: Tensor, relu: bool = False) -> Tensor:
     if relu:
         np.maximum(y, 0, out=y)
 
+    # the closure keeps the output only when the ReLU mask needs it
+    active = y if relu else None
+
     def backward_fn(g):
-        if relu:
-            g = g * (y > 0)
+        if active is not None:
+            g = g * (active > 0)
         return g @ w.data.T, x.data.T @ g, g.sum(axis=0)
 
     return _op_output(y, (x, w, b), backward_fn)
@@ -235,7 +239,8 @@ def reduce_sum(a: Tensor, axis: int | None = None) -> Tensor:
 
 
 def embedding_lookup(table: Tensor, ids) -> Tensor:
-    """Row gather from an embedding table; gradients scatter-add back."""
+    """Row gather from an embedding table; gradients scatter-add back
+    through one sparse map."""
     table = _as_tensor(table)
     ids = np.asarray(ids, dtype=np.int64)
     _check(table.data.ndim == 2, "embedding_lookup", table.shape)
@@ -244,12 +249,20 @@ def embedding_lookup(table: Tensor, ids) -> Tensor:
             f"embedding id out of range: max {ids.max()} for table of {table.shape[0]} rows"
         )
 
-    shape, dtype = table.shape, table.dtype
+    (rows, width), dtype = table.shape, table.dtype
 
     def backward_fn(g):
-        gt = np.zeros(shape, dtype=dtype)
-        np.add.at(gt, ids, g)
-        return (gt,)
+        # lookup i sends its gradient to table row ids[i]; the stable sort
+        # lists each row's lookups in ascending order, so each row sums them
+        # in the order np.add.at would
+        flat = ids.reshape(-1)
+        indptr = np.zeros(rows + 1, dtype=np.int64)
+        np.cumsum(np.bincount(flat, minlength=rows), out=indptr[1:])
+        scatter = sp.csr_matrix(
+            (np.ones(flat.size, dtype=dtype), np.argsort(flat, kind="stable"), indptr),
+            shape=(rows, flat.size),
+        )
+        return (scatter @ g.reshape(flat.size, width),)
 
     return _op_output(table.data[ids], (table,), backward_fn)
 
@@ -327,7 +340,9 @@ def neighbor_attention(
     heads split the columns as in :func:`attention`. Costs O(R·m·d) for m
     slots per row instead of O(R·C·d). The backward pass gathers the slot
     rows again and scatter-adds their key and value gradients through one
-    sparse map.
+    sparse map; it makes its (R, m, d) arrays (the value gather, the key
+    gather and the two slot gradients) one after another and drops each
+    before the next, so it holds at most one of them at a time.
     """
     q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
     _check_heads("neighbor_attention", q, k, v, num_heads)
@@ -349,24 +364,21 @@ def neighbor_attention(
     merged = np.einsum("nmh,nmhd->nhd", w, gather(v)).reshape(rows, width)
 
     def backward_fn(g):
-        # gathering again costs less than keeping two (R, m, d) copies alive
-        kg, vg = gather(k), gather(v)
+        # gathering again costs less than keeping (R, m, d) copies alive, and
+        # each (R, m, d) array below dies before the next one is made
         gh = g.reshape(rows, num_heads, -1)
-        dw = np.einsum("nhd,nmhd->nmh", gh, vg)
+        dw = np.einsum("nhd,nmhd->nmh", gh, gather(v))
         ds = w * (dw - (dw * w).sum(axis=1, keepdims=True)) * s
+        dq = np.einsum("nmh,nmhd->nhd", ds, gather(k)).reshape(rows, width)
         # slot (r, j) sends its gradient to key row index[r, j]
         live = np.flatnonzero(np.isfinite(bias).reshape(-1))
         scatter = sp.csr_matrix(
             (np.ones(live.size, dtype=q.dtype), (index.reshape(-1)[live], live)),
             shape=(k.shape[0], rows * m),
         )
-        dkg = ds[..., np.newaxis] * qh[:, np.newaxis]
-        dvg = w[..., np.newaxis] * gh[:, np.newaxis]
-        return (
-            np.einsum("nmh,nmhd->nhd", ds, kg).reshape(rows, width),
-            scatter @ dkg.reshape(rows * m, width),
-            scatter @ dvg.reshape(rows * m, width),
-        )
+        dk = scatter @ (ds[..., np.newaxis] * qh[:, np.newaxis]).reshape(rows * m, width)
+        dv = scatter @ (w[..., np.newaxis] * gh[:, np.newaxis]).reshape(rows * m, width)
+        return dq, dk, dv
 
     return _op_output(merged, (q, k, v), backward_fn)
 
@@ -410,22 +422,28 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     width = x.shape[-1]
     _check(gamma.shape == (width,) and beta.shape == (width,), "layer_norm", x.shape, gamma.shape)
     mean = x.data.mean(axis=-1, keepdims=True)
-    centered = x.data - mean
-    var = (centered**2).mean(axis=-1, keepdims=True)
+    out = x.data - mean
+    var = (out**2).mean(axis=-1, keepdims=True)
     inv_std = 1.0 / np.sqrt(var + eps)
-    out = (centered * inv_std * gamma.data + beta.data).astype(x.dtype, copy=False)
+    # normalize, scale and shift the centered array in place
+    out *= inv_std
+    out *= gamma.data
+    out += beta.data
 
     def backward_fn(g):
-        xhat = (x.data - mean) * inv_std
+        xhat = x.data - mean
+        xhat *= inv_std
         lead = tuple(range(g.ndim - 1))
         dgamma = (g * xhat).sum(axis=lead)
         dbeta = g.sum(axis=lead)
-        dxhat = g * gamma.data
-        dx = (
-            dxhat
-            - dxhat.mean(axis=-1, keepdims=True)
-            - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
-        ) * inv_std
+        # dx = (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)) * inv_std,
+        # built in the dxhat buffer, with xhat turned into the last term
+        dx = g * gamma.data
+        dx_mean = dx.mean(axis=-1, keepdims=True)
+        xhat *= (dx * xhat).mean(axis=-1, keepdims=True)
+        dx -= dx_mean
+        dx -= xhat
+        dx *= inv_std
         return dx, dgamma, dbeta
 
     return _op_output(out, (x, gamma, beta), backward_fn)
@@ -470,8 +488,10 @@ def backward(loss: Tensor) -> None:
     The graph is consumed: right after a node's closure has run, the node
     drops the closure and its parent links, so each array the closure read
     is freed as soon as the traversal has passed it (unless the caller holds
-    it). A second call that reaches a consumed node raises ValueError before
-    any gradient is computed.
+    it). A node's gradient leaves the traversal's bookkeeping as it is passed
+    to the closure, so it dies as soon as the closure stops using it. A
+    second call that reaches a consumed node raises ValueError before any
+    gradient is computed.
     """
     if loss.data.size != 1:
         raise ValueError(f"loss must be scalar, got shape {loss.shape}")
@@ -500,11 +520,12 @@ def backward(loss: Tensor) -> None:
     # popping walks the reverse post-order and drops the list's reference
     while topo:
         node = topo.pop()
-        g = grads.pop(id(node))
         if node._parents:
-            _accumulate(grads, node._parents, node._backward_fn(g))
+            # backward keeps no reference to the gradient it hands the closure
+            _accumulate(grads, node._parents, node._backward_fn(grads.pop(id(node))))
             node._parents = node._backward_fn = None
         else:
+            g = grads.pop(id(node))
             node.grad = g.copy() if node.grad is None else node.grad + g
 
 

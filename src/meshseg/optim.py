@@ -16,7 +16,9 @@ class AdamW:
     A step skips every parameter whose ``.grad`` is None, as
     ``torch.optim.AdamW`` does: it gets no moment update and no decay, so
     it does not shrink by ``1 - lr * weight_decay`` either. Its moments are
-    allocated on its first gradient; the step counter is shared by all.
+    allocated on its first gradient; the step counter is shared by all. A
+    step consumes the gradients: each ``.grad`` is None afterwards, and an
+    applied gradient is freed before the next parameter's update.
     """
 
     def __init__(
@@ -47,7 +49,11 @@ class AdamW:
     def step(self):
         """Update ``m``, ``v`` and ``p.data`` in place, bit-identical to
         ``p - lr * (m / bc1) / (sqrt(v / bc2) + eps) - (lr * wd) * p``, for
-        every parameter that has a gradient."""
+        every parameter that has a gradient, and leave every ``.grad`` None.
+
+        Each ``.grad`` is set to None as its update starts, so an applied
+        gradient is freed before the next parameter's update: the step holds
+        the moments, the gradients not yet applied and the one in use."""
         self.t += 1
         t = self.t
         bc1 = 1.0 - self.beta1**t
@@ -57,6 +63,7 @@ class AdamW:
             g = p.grad
             if g is None:
                 continue
+            p.grad = None
             if name not in self.m:
                 self.m[name] = np.zeros_like(p.data)
                 self.v[name] = np.zeros_like(p.data)

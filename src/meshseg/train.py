@@ -209,9 +209,9 @@ def train(
     Holds the samples and nothing derived from them: each step augments a
     sample, runs its training forward (which builds the sample's masks)
     and computes its area weights afresh. Each sample's backward pass
-    consumes its graph, and gradients are cleared before the first step
-    and right after each optimizer step, so evaluations run with neither
-    a graph nor gradients alive.
+    consumes its graph, and gradients are cleared before the first step;
+    each optimizer step consumes them, freeing each one once applied, so
+    evaluations run with neither a graph nor gradients alive.
 
     Returns ``(best_params, history)``: the parameters with the best
     validation area accuracy (training accuracy when the validation split
@@ -334,7 +334,6 @@ def train(
                                      "non_finite": bad},
                     )
                 optimizer.step()
-                optimizer.zero_grad()
                 phase_s["optim_s"] += perf_counter() - t0
                 step += 1
                 if step % train_cfg.eval_every == 0 or step == train_cfg.max_steps:

@@ -4,6 +4,7 @@ exported surface, and the AdamW optimizer's closed-form behavior."""
 import ast
 import gc
 import re
+import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -24,6 +25,7 @@ from dense_model import (
     slice_last,
     transpose,
 )
+from op_oracles import embedding_lookup_oracle, layer_norm_oracle
 
 # ops the dense oracle (tests/dense_model.py) adds for its unfused linear
 # layers and its per-head attention
@@ -99,6 +101,37 @@ class TestForwardValues:
         np.testing.assert_array_equal(out.data, [2.0, 3.0])
 
 
+def run_op(op, dtype, weight, *arrays):
+    """The output and the input gradients of ``sum(op(*inputs) * weight)``,
+    where each input array becomes a leaf."""
+    leaves = [Tensor(a.astype(dtype), requires_grad=True) for a in arrays]
+    out = op(*leaves)
+    ad.backward(ad.reduce_sum(ad.mul(out, Tensor(weight.astype(dtype)))))
+    return (out.data, *(t.grad for t in leaves))
+
+
+def assert_bit_identical(runs, dtype):
+    for new, old in zip(*runs):
+        assert new.dtype == old.dtype == dtype
+        np.testing.assert_array_equal(new, old)
+
+
+class TestEmbeddingLookup:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("ids_shape", [(300,), (60, 5)])
+    def test_sparse_scatter_matches_add_at_oracle_bit_for_bit(self, rng, dtype, ids_shape):
+        """Each table row sums its lookups' gradients in ascending order,
+        as ``np.add.at`` does: many repeats of few rows, values of mixed
+        magnitude, and a row that is never looked up."""
+        table = rng.normal(size=(6, 5))
+        ids = rng.integers(0, 5, size=ids_shape)
+        weight = rng.normal(size=(*ids_shape, 5)) * 10.0 ** rng.integers(-6, 7, size=(*ids_shape, 1))
+        runs = [run_op(lambda t: op(t, ids), dtype, weight, table)
+                for op in (ad.embedding_lookup, embedding_lookup_oracle)]
+        assert_bit_identical(runs, dtype)
+        np.testing.assert_array_equal(runs[0][1][5], 0.0)
+
+
 class TestLinear:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("activation", [False, True])
@@ -127,6 +160,16 @@ class TestLinear:
         for fused, unfused in zip(*runs):
             assert fused.dtype == unfused.dtype == dtype
             np.testing.assert_array_equal(fused, unfused)
+
+    @pytest.mark.parametrize("activation", [False, True])
+    def test_closure_keeps_output_only_for_relu_mask(self, rng, activation):
+        x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+        w = Tensor(rng.normal(size=(4, 2)), requires_grad=True)
+        out = ad.linear(x, w, Tensor(np.zeros(2)), relu=activation)
+        alive = weakref.ref(out.data)
+        node = out._node
+        del out
+        assert (alive() is not None) == activation and node._parents is not None
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatchError):
@@ -240,6 +283,29 @@ class TestAttention:
         np.testing.assert_allclose(kt.grad, k2.grad, atol=1e-14)
         np.testing.assert_allclose(vt.grad, v2.grad, atol=1e-14)
 
+    def test_neighbor_backward_holds_one_gathered_array(self, rng):
+        """One backward call allocates at most its three outputs, one
+        (R, m, d) array and a slack of half of one: it never holds two
+        gathered or slot-gradient copies at once."""
+        rows, m, width, heads = 600, 4, 64, 4
+        q, k, v = (Tensor(rng.normal(size=(rows, width)), requires_grad=True)
+                   for _ in range(3))
+        index = rng.integers(0, rows, size=(rows, m))
+        bias = np.zeros((rows, m))
+        bias[::3, -1] = -np.inf
+        out = ad.neighbor_attention(q, k, v, index, bias, heads, 0.125)
+        g = rng.normal(size=out.shape)
+        slot_bytes = rows * m * width * 8
+        tracemalloc.start()
+        try:
+            grads = out._backward_fn(g)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        outputs = sum(a.nbytes for a in grads)
+        assert outputs == 3 * rows * width * 8
+        assert peak <= outputs + slot_bytes + slot_bytes // 2, peak
+
     def test_neighbor_index_out_of_range(self, rng):
         x = Tensor(rng.normal(size=(2, 2)))
         with pytest.raises(IndexError):
@@ -267,6 +333,18 @@ class TestLayerNorm:
         x = Tensor(np.full((1, 3), 2.0))
         out = ad.layer_norm(x, Tensor(np.ones(3)), Tensor(np.full(3, 5.0)))
         np.testing.assert_allclose(out.data, 5.0, atol=1e-10)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_in_place_op_matches_oracle_bit_for_bit(self, rng, dtype):
+        """The output and all three gradients equal those of the version
+        built from full-size temporaries, a constant row included."""
+        x = rng.normal(size=(9, 16)) * 3.0 + 1.0
+        x[4] = 2.5
+        gamma, beta = rng.normal(size=16), rng.normal(size=16)
+        weight = rng.normal(size=(9, 16))
+        runs = [run_op(op, dtype, weight, x, gamma, beta)
+                for op in (ad.layer_norm, layer_norm_oracle)]
+        assert_bit_identical(runs, dtype)
 
 
 class TestDropout:
@@ -476,6 +554,26 @@ class TestBackwardMechanics:
         assert alive() is None
         assert loss.item() == 2 * 3.0**2 + 2 * 12.0**2
         np.testing.assert_array_equal(w.grad, [[72.0, 72.0], [102.0, 102.0], [132.0, 132.0]])
+
+    def test_closure_gradient_dies_with_the_closure_argument(self):
+        """backward() keeps no reference to the gradient it hands a
+        closure, so the array is freed as soon as the closure drops it."""
+        x = Tensor(np.arange(4.0), requires_grad=True)
+        y = ad.scale(x, 2.0)
+        inner = y._backward_fn
+        freed = []
+
+        def probe(g):
+            alive = weakref.ref(g)
+            shape = g.shape
+            del g
+            freed.append(alive() is None)
+            return inner(np.ones(shape))
+
+        y._backward_fn = probe
+        ad.backward(ad.reduce_sum(ad.mul(y, Tensor(np.ones(4)))))
+        assert freed == [True]
+        np.testing.assert_array_equal(x.grad, np.full(4, 2.0))
 
     def test_second_backward_raises(self):
         x = Tensor(np.array([3.0]), requires_grad=True)
@@ -743,17 +841,31 @@ class TestAdamW:
         v = {name: np.zeros_like(x) for name, x in ref.items()}
         opt = AdamW(params, lr=lr, weight_decay=wd)
         for t in range(1, 4):
-            for p in params.values():
-                p.grad = rng.normal(size=p.data.shape).astype(dtype)
+            # step() drops p.grad, so the test keeps its own reference
+            grads = {}
+            for name, p in params.items():
+                p.grad = grads[name] = rng.normal(size=p.data.shape).astype(dtype)
             opt.step()
             for name, p in params.items():
-                g = p.grad
+                g = grads[name]
                 m[name] = b1 * m[name] + (1.0 - b1) * g
                 v[name] = b2 * v[name] + (1.0 - b2) * g * g
                 update = (m[name] / (1.0 - b1**t)) / (np.sqrt(v[name] / (1.0 - b2**t)) + eps)
                 ref[name] = ref[name] - lr * update - lr * wd * ref[name]
                 np.testing.assert_array_equal(p.data, ref[name])
                 assert p.data is arrays[name]
+
+    def test_step_consumes_gradients(self):
+        """A step leaves every ``.grad`` None and frees each gradient it
+        applied."""
+        p = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+        q = Tensor(np.array([3.0]), requires_grad=True)
+        opt = AdamW({"p": p, "q": q})
+        p.grad = np.array([0.5, -0.5])
+        alive = weakref.ref(p.grad)
+        opt.step()
+        assert p.grad is None and q.grad is None
+        assert alive() is None
 
     def test_zero_grad_clears(self):
         p = Tensor(np.array([1.0]), requires_grad=True)
