@@ -238,6 +238,21 @@ def reduce_sum(a: Tensor, axis: int | None = None) -> Tensor:
     return _op_output(a.data.sum(axis=axis), (a,), backward_fn)
 
 
+def _scatter_add_map(ids: np.ndarray, rows: int, dtype, live=None) -> sp.csr_matrix:
+    """(rows, ids.size) map of ones whose product with an (ids.size, w)
+    array adds row i into row ``ids.flat[i]``, for the slots where ``live``
+    (of ids' shape; all when None) holds. Sorting the distinct keys
+    target · ids.size + slot lists each row's slots in ascending order, so
+    each row sums them in the order np.add.at would; on large maps a plain
+    sort of the keys beats a stable argsort of the targets several times."""
+    slots = np.arange(ids.size) if live is None else np.flatnonzero(live.reshape(-1))
+    targets = ids.reshape(-1)[slots]
+    indptr = np.zeros(rows + 1, dtype=np.int64)
+    np.cumsum(np.bincount(targets, minlength=rows), out=indptr[1:])
+    cols = np.sort(targets * ids.size + slots) % ids.size
+    return sp.csr_matrix((np.ones(slots.size, dtype=dtype), cols, indptr), shape=(rows, ids.size))
+
+
 def embedding_lookup(table: Tensor, ids) -> Tensor:
     """Row gather from an embedding table; gradients scatter-add back
     through one sparse map."""
@@ -252,17 +267,8 @@ def embedding_lookup(table: Tensor, ids) -> Tensor:
     (rows, width), dtype = table.shape, table.dtype
 
     def backward_fn(g):
-        # lookup i sends its gradient to table row ids[i]; the stable sort
-        # lists each row's lookups in ascending order, so each row sums them
-        # in the order np.add.at would
-        flat = ids.reshape(-1)
-        indptr = np.zeros(rows + 1, dtype=np.int64)
-        np.cumsum(np.bincount(flat, minlength=rows), out=indptr[1:])
-        scatter = sp.csr_matrix(
-            (np.ones(flat.size, dtype=dtype), np.argsort(flat, kind="stable"), indptr),
-            shape=(rows, flat.size),
-        )
-        return (scatter @ g.reshape(flat.size, width),)
+        # lookup i sends its gradient to table row ids[i]
+        return (_scatter_add_map(ids, rows, dtype) @ g.reshape(ids.size, width),)
 
     return _op_output(table.data[ids], (table,), backward_fn)
 
@@ -370,12 +376,8 @@ def neighbor_attention(
         dw = np.einsum("nhd,nmhd->nmh", gh, gather(v))
         ds = w * (dw - (dw * w).sum(axis=1, keepdims=True)) * s
         dq = np.einsum("nmh,nmhd->nhd", ds, gather(k)).reshape(rows, width)
-        # slot (r, j) sends its gradient to key row index[r, j]
-        live = np.flatnonzero(np.isfinite(bias).reshape(-1))
-        scatter = sp.csr_matrix(
-            (np.ones(live.size, dtype=q.dtype), (index.reshape(-1)[live], live)),
-            shape=(k.shape[0], rows * m),
-        )
+        # live slot (r, j) sends its gradient to key row index[r, j]
+        scatter = _scatter_add_map(index, k.shape[0], q.dtype, live=np.isfinite(bias))
         dk = scatter @ (ds[..., np.newaxis] * qh[:, np.newaxis]).reshape(rows * m, width)
         dv = scatter @ (w[..., np.newaxis] * gh[:, np.newaxis]).reshape(rows * m, width)
         return dq, dk, dv

@@ -275,13 +275,17 @@ def cmd_segment(mesh_path, checkpoint, out_ply, config_path,
                 no_simplify):
     """Segment one mesh and write a colored PLY of the prediction.
 
-    The eval forward runs on gradient-free views of the checkpoint's
-    parameters, so it records no graph."""
+    The eigen count defaults to the checkpoint's; a flag or config value
+    that differs from it is a config error. The eval forward runs on
+    gradient-free views of the checkpoint's parameters, so it records no
+    graph."""
     base = load_run_config(config_path) if config_path else {}
     params, model_cfg = modelmod.load_checkpoint(checkpoint)
-    cfg = _preprocess_cfg(base, target_vertices, target_faces, None,
-                          clustering_lambda, no_simplify)
-    cfg = dataclasses.replace(cfg, eigen_count=model_cfg.eigen_count)
+    cfg = _preprocess_cfg({"eigen_count": model_cfg.eigen_count, **base}, target_vertices,
+                          target_faces, eigen_count, clustering_lambda, no_simplify)
+    if cfg.eigen_count != model_cfg.eigen_count:
+        raise ConfigError(f"eigen count {cfg.eigen_count} differs from the checkpoint's "
+                          f"eigen count {model_cfg.eigen_count}")
     mesh = datamod.load_mesh_file(Path(mesh_path))
     sample = build_sample(mesh, None, cfg)
     views = {name: Tensor(p.data) for name, p in params.items()}

@@ -22,11 +22,6 @@ cluster-stream parameters at all.
 
 from __future__ import annotations
 
-import io
-import json
-import math
-import zipfile
-import zlib
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -34,7 +29,14 @@ import numpy as np
 from meshseg import autodiff as ad
 from meshseg.autodiff import Tensor
 from meshseg.errors import ConfigError, check_config
-from meshseg.preprocess import COORD_COLS, NORMAL_COLS, SPECTRAL_COLS, Sample, write_zip
+from meshseg.preprocess import (
+    COORD_COLS,
+    NORMAL_COLS,
+    SPECTRAL_COLS,
+    Sample,
+    read_archive,
+    write_archive,
+)
 
 __all__ = [
     "ModelConfig",
@@ -46,7 +48,7 @@ __all__ = [
     "load_checkpoint",
 ]
 
-CHECKPOINT_FORMAT_VERSION = 2
+CHECKPOINT_FORMAT_VERSION = 3
 
 
 @dataclass(frozen=True)
@@ -365,94 +367,36 @@ def met_forward(
 
 
 def save_checkpoint(path, params: dict[str, Tensor], cfg: ModelConfig) -> None:
-    """Zip of a flat little-endian float32 blob plus a JSON manifest
-    mapping parameter names to shape and offset; the same parameters and
-    config always give the same bytes."""
-    manifest_params = {}
-    blob = io.BytesIO()
-    offset = 0
-    for name in sorted(params):
-        arr = np.ascontiguousarray(params[name].data.astype("<f4"))
-        blob.write(arr.tobytes())
-        manifest_params[name] = {"shape": list(arr.shape), "offset": offset}
-        offset += arr.size
-    manifest = {
-        "format_version": CHECKPOINT_FORMAT_VERSION,
-        "dtype": "<f4",
-        "params": manifest_params,
-        "config": asdict(cfg),
-    }
-    write_zip(path, {
-        "params.bin": blob.getvalue(),
-        "manifest.json": json.dumps(manifest, indent=2, sort_keys=True),
-    })
+    """Zip of one little-endian float32 ``<name>.npy`` per parameter, in
+    name order, plus a JSON manifest holding the config; the same
+    parameters and config always give the same bytes."""
+    arrays = {name: np.asarray(params[name].data, dtype="<f4") for name in sorted(params)}
+    write_archive(path, arrays, {"format_version": CHECKPOINT_FORMAT_VERSION,
+                                 "config": asdict(cfg)})
 
 
 def load_checkpoint(path) -> tuple[dict[str, Tensor], ModelConfig]:
-    """Parameters and config of a checkpoint. The parameter names and
-    shapes must be those ``init_params`` gives the stored config, and
-    ``params.bin`` must hold exactly their values; otherwise, or when the
-    file is not a zip with a JSON manifest, or when the manifest lacks a
-    field or has a format version other than CHECKPOINT_FORMAT_VERSION,
-    ConfigError."""
-    try:
-        with zipfile.ZipFile(path, "r") as zf:
-            manifest = json.loads(zf.read("manifest.json"))
-            blob = zf.read("params.bin")
-    except KeyError as exc:
-        raise ConfigError(f"checkpoint {path}: {exc.args[0]}") from exc
-    except (zipfile.BadZipFile, zlib.error, EOFError, ValueError) as exc:
-        raise ConfigError(f"checkpoint {path} is unreadable: {exc}") from exc
-    version = manifest.get("format_version") if isinstance(manifest, dict) else None
-    if version != CHECKPOINT_FORMAT_VERSION:
-        raise ConfigError(
-            f"checkpoint {path}: unsupported checkpoint format version {version}, "
-            f"expected {CHECKPOINT_FORMAT_VERSION}; retrain the model with meshseg train"
-        )
-
-    def field(mapping, key, kind, where="manifest"):
-        if key not in mapping:
-            raise ConfigError(f"checkpoint {path}: {where} lacks {key!r}")
-        value = mapping[key]
-        if not isinstance(value, kind) or isinstance(value, bool):
-            raise ConfigError(f"checkpoint {path}: {where} field {key!r} is not a {kind.__name__}")
-        return value
-
-    cfg = ModelConfig.from_dict(field(manifest, "config", dict))
-    entries = field(manifest, "params", dict)
-    for name, meta in entries.items():
-        if not isinstance(meta, dict):
-            raise ConfigError(f"checkpoint {path}: manifest entry {name!r} is not a dict")
-        field(meta, "shape", list, f"manifest entry {name!r}")
-        field(meta, "offset", int, f"manifest entry {name!r}")
+    """Parameters and config of a checkpoint. Its arrays must be float32
+    and have exactly the names and shapes that ``init_params`` gives the
+    stored config; otherwise, or when ``read_archive`` refuses the file or
+    the manifest lacks the config, ConfigError."""
+    manifest, arrays = read_archive(
+        path, "checkpoint", CHECKPOINT_FORMAT_VERSION, ConfigError,
+        "retrain the model with meshseg train",
+    )
+    if not isinstance(manifest.get("config"), dict):
+        raise ConfigError(f"checkpoint {path}: manifest lacks 'config' or it is not an object")
+    cfg = ModelConfig.from_dict(manifest["config"])
     expected = {name: shape for name, shape, _ in _param_specs(cfg)}
-    stored = {name: tuple(meta["shape"]) for name, meta in entries.items()}
-    if stored != expected:
-        problems = [f"missing {name}" for name in sorted(expected.keys() - stored.keys())]
-        problems += [f"unexpected {name}" for name in sorted(stored.keys() - expected.keys())]
-        problems += [
-            f"{name} has shape {stored[name]}, expected {expected[name]}"
-            for name in sorted(expected.keys() & stored.keys())
-            if stored[name] != expected[name]
-        ]
+    problems = [f"missing {name}" for name in sorted(expected.keys() - arrays.keys())]
+    problems += [f"unexpected {name}" for name in sorted(arrays.keys() - expected.keys())]
+    problems += [
+        f"{name} has shape {arrays[name].shape}, expected {expected[name]}"
+        for name in sorted(expected.keys() & arrays.keys())
+        if arrays[name].shape != expected[name]
+    ]
+    problems += [f"{name} is {arr.dtype}, not float32"
+                 for name, arr in arrays.items() if arr.dtype != np.float32]
+    if problems:
         raise ConfigError(f"checkpoint {path} does not match its config: {'; '.join(problems)}")
-    try:
-        dtype = np.dtype(field(manifest, "dtype", str))
-    except TypeError as exc:
-        raise ConfigError(f"checkpoint {path}: unknown dtype: {exc}") from exc
-    sizes = {name: math.prod(shape) for name, shape in expected.items()}
-    total = sum(sizes.values())
-    if len(blob) != total * dtype.itemsize:
-        raise ConfigError(
-            f"checkpoint {path}: params.bin holds {len(blob)} bytes, "
-            f"its {len(sizes)} parameters need {total * dtype.itemsize}"
-        )
-    flat = np.frombuffer(blob, dtype=dtype)
-    params = {}
-    for name, meta in entries.items():
-        offset, size = meta["offset"], sizes[name]
-        if not 0 <= offset <= total - size:
-            raise ConfigError(f"checkpoint {path}: parameter {name} lies outside params.bin")
-        arr = flat[offset : offset + size].reshape(expected[name]).copy()
-        params[name] = Tensor(arr, requires_grad=True)
-    return params, cfg
+    return {name: Tensor(arr, requires_grad=True) for name, arr in arrays.items()}, cfg

@@ -41,7 +41,8 @@ __all__ = [
     "build_sample",
     "save_sample",
     "load_sample",
-    "write_zip",
+    "write_archive",
+    "read_archive",
 ]
 
 #: Sentinel label for padding faces; ignored by loss and metrics.
@@ -380,56 +381,77 @@ def save_sample(sample: Sample, path) -> None:
         "config": sample.config,
         "diagnostics": sample.diagnostics,
     }
-    entries = {}
-    for name, arr in arrays.items():
-        buf = io.BytesIO()
-        np.save(buf, np.ascontiguousarray(arr))
-        entries[f"{name}.npy"] = buf.getvalue()
-    entries["manifest.json"] = json.dumps(manifest, indent=2, sort_keys=True)
-    write_zip(path, entries)
+    write_archive(path, arrays, manifest)
 
 
-def write_zip(path, entries: dict) -> None:
-    """Write ``{name: bytes or str}`` as a deflated zip whose bytes depend
-    on the entries alone: each one carries the fixed date 1980-01-01, not
-    the time of the save."""
+def write_archive(path, arrays: dict, manifest: dict) -> None:
+    """Write each of ``{name: array}`` as ``<name>.npy``, in the dict's
+    order, then ``manifest`` as ``manifest.json``, into a deflated zip whose
+    bytes depend on the contents alone: each entry carries the fixed date
+    1980-01-01, not the time of the save."""
     with zipfile.ZipFile(path, "w") as zf:
-        for name, data in entries.items():
+
+        def write(name, data):
             info = zipfile.ZipInfo(name, date_time=(1980, 1, 1, 0, 0, 0))
             info.compress_type = zipfile.ZIP_DEFLATED
             info.external_attr = 0o600 << 16  # rw-------, as writestr(name) sets
             zf.writestr(info, data)
 
+        for name, arr in arrays.items():
+            buf = io.BytesIO()
+            np.save(buf, np.ascontiguousarray(arr))
+            write(f"{name}.npy", buf.getvalue())
+        write("manifest.json", json.dumps(manifest, indent=2, sort_keys=True))
+
+
+def read_archive(path, kind: str, version: int, error: type[Exception],
+                 remedy: str) -> tuple[dict, dict[str, np.ndarray]]:
+    """The manifest and the ``{name: array}`` of every ``<name>.npy`` entry
+    of a file that ``write_archive`` wrote. A file that is not a zip, a
+    missing or undecodable manifest, an undecodable or pickled array, or a
+    format version other than ``version`` raise ``error``, whose one-line
+    message calls the file a ``kind`` and, for the version, says ``remedy``."""
+    try:
+        zf = zipfile.ZipFile(path, "r")
+    except (zipfile.BadZipFile, EOFError) as exc:
+        raise error(f"{kind} {path} is not a readable zip file: {exc}") from exc
+    with zf:
+        names = zf.namelist()
+
+        def read(name, decode):
+            if name not in names:
+                raise error(f"{kind} {path} lacks {name}")
+            try:
+                return decode(zf.read(name))
+            except (ValueError, EOFError, zipfile.BadZipFile, zlib.error) as exc:
+                raise error(f"{kind} {path}: unreadable {name}: {exc}") from exc
+
+        manifest = read("manifest.json", json.loads)
+        found = manifest.get("format_version") if isinstance(manifest, dict) else None
+        if found != version:
+            raise error(
+                f"{kind} {path}: unsupported {kind} format version {found}, "
+                f"expected {version}; {remedy}"
+            )
+        # one entry's bytes at a time: each dies once its array is decoded
+        arrays = {
+            name[: -len(".npy")]: read(name, lambda blob: np.load(io.BytesIO(blob)))
+            for name in names if name.endswith(".npy")
+        }
+    return manifest, arrays
+
 
 def load_sample(path) -> Sample:
-    """Read and validate a sample. A file that is not a zip, a missing or
-    unreadable entry, a format version other than SAMPLE_FORMAT_VERSION, a
-    missing manifest field, or arrays that disagree raise SampleFormatError."""
-    try:
-        with zipfile.ZipFile(path, "r") as zf:
-            blobs = {name: zf.read(name) for name in zf.namelist()}
-    except (zipfile.BadZipFile, zlib.error, EOFError) as exc:
-        raise SampleFormatError(f"sample {path} is not a readable zip file: {exc}") from exc
-
-    def read(name, decode):
-        if name not in blobs:
-            raise SampleFormatError(f"sample {path} lacks {name}")
-        try:
-            return decode(blobs[name])
-        except (ValueError, EOFError) as exc:
-            raise SampleFormatError(f"sample {path}: unreadable {name}: {exc}") from exc
-
-    manifest = read("manifest.json", json.loads)
-    version = manifest.get("format_version") if isinstance(manifest, dict) else None
-    if version != SAMPLE_FORMAT_VERSION:
-        raise SampleFormatError(
-            f"sample {path}: unsupported sample format version {version}, "
-            f"expected {SAMPLE_FORMAT_VERSION}"
-        )
-    arrays = {
-        name: read(f"{name}.npy", lambda blob: np.load(io.BytesIO(blob)))
-        for name in SAMPLE_ARRAYS
-    }
+    """Read and validate a sample. A file that ``read_archive`` refuses, a
+    missing array or manifest field, or arrays that disagree raise
+    SampleFormatError."""
+    manifest, arrays = read_archive(
+        path, "sample", SAMPLE_FORMAT_VERSION, SampleFormatError,
+        "preprocess the mesh again with meshseg preprocess",
+    )
+    for name in SAMPLE_ARRAYS:
+        if name not in arrays:
+            raise SampleFormatError(f"sample {path} lacks {name}.npy")
     if not np.issubdtype(arrays["cluster_ids"].dtype, np.integer):
         raise SampleFormatError(f"sample {path}: cluster_ids are not integers")
     try:

@@ -195,7 +195,6 @@ class SpectralFeatures:
     """Per-triangle components of the retained Laplacian eigenvectors."""
 
     features: np.ndarray  # (N, E)
-    eigenvalues: np.ndarray  # (E,), zero-padded past the available modes
     residual: float  # worst residual of the eigenpairs solved for
 
 
@@ -235,10 +234,6 @@ def laplacian_positional_features(
             k = min(n, len(values) + 1)
     keep = np.flatnonzero(nonzero)[:count]
     feats = np.zeros((n, count), dtype=np.float64)
-    eig = np.zeros(count, dtype=np.float64)
     for out_col, src_col in enumerate(keep):
         feats[:, out_col] = _canonical_sign(vectors[:, src_col])
-        eig[out_col] = values[src_col]
-    return SpectralFeatures(
-        features=feats, eigenvalues=eig, residual=_worst_residual(lap, values, vectors)
-    )
+    return SpectralFeatures(features=feats, residual=_worst_residual(lap, values, vectors))

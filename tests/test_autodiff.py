@@ -3,6 +3,7 @@ exported surface, and the AdamW optimizer's closed-form behavior."""
 
 import ast
 import gc
+import inspect
 import re
 import tracemalloc
 import weakref
@@ -14,6 +15,7 @@ import pytest
 from meshseg import autodiff as ad
 from meshseg.autodiff import ShapeMismatchError, Tensor
 from meshseg.optim import AdamW
+from meshseg.preprocess import read_archive, write_archive
 
 from conftest import finite_difference
 from dense_model import (
@@ -283,6 +285,32 @@ class TestAttention:
         np.testing.assert_allclose(kt.grad, k2.grad, atol=1e-14)
         np.testing.assert_allclose(vt.grad, v2.grad, atol=1e-14)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_key_value_gradients_match_add_at_bit_for_bit(self, rng, dtype):
+        """Each key row sums its live slots' gradients in ascending slot
+        order, as ``np.add.at`` does: keys listed in many slots, values of
+        mixed magnitude, and empty slots that point at a key row."""
+        rows, m, keys, width = 60, 5, 7, 8
+        q, k, v = (rng.normal(size=(n, width)) for n in (rows, keys, keys))
+        index = rng.integers(0, keys, size=(rows, m))
+        bias = np.where(rng.random((rows, m)) < 0.3, -np.inf, 0.0)
+        weight = rng.normal(size=(rows, width)) * 10.0 ** rng.integers(-6, 7, size=(rows, 1))
+
+        def run(table, k_rows, v_rows):
+            op = lambda a, b, c: ad.neighbor_attention(a, b, c, table, bias, 2, 0.3)
+            return run_op(op, dtype, weight, q, k_rows, v_rows)[2:]
+
+        dk, dv = run(index, k, v)
+        # one key row per slot: each row's gradient is that slot's alone
+        per_slot = run(np.arange(rows * m).reshape(rows, m),
+                       k[index].reshape(-1, width), v[index].reshape(-1, width))
+        live = np.isfinite(bias).reshape(-1)
+        for got, slot_grads in zip((dk, dv), per_slot):
+            expected = np.zeros_like(got)
+            np.add.at(expected, index.reshape(-1)[live], slot_grads[live])
+            assert got.dtype == dtype
+            np.testing.assert_array_equal(got, expected)
+
     def test_neighbor_backward_holds_one_gathered_array(self, rng):
         """One backward call allocates at most its three outputs, one
         (R, m, d) array and a slack of half of one: it never holds two
@@ -520,6 +548,26 @@ def test_library_exports_only_what_the_pipeline_calls():
                 continue
             for module in imported:
                 assert module.split(".")[0] not in test_modules, f"{name} imports {module}"
+
+
+def test_one_module_touches_zip_files():
+    """Only the module holding ``write_archive`` and ``read_archive`` imports
+    zipfile or zlib: samples and checkpoints share one container."""
+    package = Path(ad.__file__).parent
+    owner = Path(inspect.getsourcefile(write_archive)).name
+    assert Path(inspect.getsourcefile(read_archive)).name == owner
+    importers = set()
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported = [node.module]
+            else:
+                continue
+            if {module.split(".")[0] for module in imported} & {"zipfile", "zlib"}:
+                importers.add(path.name)
+    assert importers == {owner}
 
 
 class TestBackwardMechanics:

@@ -1,5 +1,6 @@
 """End-to-end CLI flows on a tiny synthetic dataset."""
 
+import io
 import json
 import re
 from dataclasses import replace
@@ -310,6 +311,28 @@ class TestSegment:
         assert colors is not None
         assert len(colors) == 20
 
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_eigen_count_other_than_the_checkpoints_exits_2(self, source, dataset_dir,
+                                                            untrained_checkpoint, tmp_path):
+        """The checkpoint holds 4 eigenvectors: asking for 8 by flag or by
+        config is a one-line config error naming both counts, not a run
+        with 4."""
+        args = ["segment", str(dataset_dir / "shapes" / "sphere0.off"),
+                str(untrained_checkpoint), str(tmp_path / "seg.ply"),
+                "--no-simplify", "--target-faces", "20", "--lambda", "4"]
+        if source == "flag":
+            args += ["--eigen-count", "8"]
+        else:
+            cfg_path = tmp_path / "cfg.json"
+            cfg_path.write_text(json.dumps({"eigen_count": 8}))
+            args += ["--config", str(cfg_path)]
+        result = run(args)
+        assert result.exit_code == 2, result.output
+        assert result.output == (
+            "error: eigen count 8 differs from the checkpoint's eigen count 4\n"
+        )
+        assert not (tmp_path / "seg.ply").exists()
+
 
 SIMPLIFY_FLAGS = [
     "--target-vertices", "42", "--target-faces", "100", "--lambda", "4",
@@ -355,55 +378,65 @@ def edit_manifest(change):
     return edit
 
 
-def truncate_blob(entries):
-    entries["params.bin"] = entries["params.bin"][:-4]
+def edit_array(name, change):
+    """Replace the entry ``<name>.npy`` by ``change`` of its array."""
+
+    def edit(entries):
+        buf = io.BytesIO()
+        np.save(buf, change(np.load(io.BytesIO(entries[f"{name}.npy"]))))
+        entries[f"{name}.npy"] = buf.getvalue()
+
+    return edit
+
+
+def as_format_version_2(entries):
+    """Rewrite a checkpoint in the version-2 layout: one float32 params.bin
+    with the name, shape and offset of each parameter in the manifest."""
+    manifest = json.loads(entries.pop("manifest.json"))
+    blob, offset, params = b"", 0, {}
+    for entry in sorted(entries):
+        arr = np.load(io.BytesIO(entries.pop(entry)))
+        params[entry[: -len(".npy")]] = {"shape": list(arr.shape), "offset": offset}
+        blob += arr.tobytes()
+        offset += arr.size
+    entries["params.bin"] = blob
+    entries["manifest.json"] = json.dumps(
+        {**manifest, "format_version": 2, "dtype": "<f4", "params": params}
+    ).encode()
 
 
 # damage -> (edit, what the one-line error names)
 CHECKPOINT_DAMAGE = {
-    "missing-parameter": (
-        edit_manifest(lambda m: m["params"].pop("head.ff2.b")), "missing head.ff2.b"
-    ),
+    "missing-parameter": (lambda entries: entries.pop("head.ff2.b.npy"), "missing head.ff2.b"),
     # (16, 2) stored as (2, 16): same size, so only the shape check sees it
     "wrong-shape": (
-        edit_manifest(lambda m: m["params"]["head.ff2.w"].update(shape=[2, 16])),
+        edit_array("head.ff2.w", lambda w: w.reshape(2, 16)),
         "head.ff2.w has shape (2, 16), expected (16, 2)",
     ),
-    "truncated-blob": (truncate_blob, "params.bin holds"),
-    "offset-past-blob": (
-        edit_manifest(lambda m: m["params"]["head.ff2.b"].update(offset=10**6)),
-        "head.ff2.b lies outside params.bin",
+    "unexpected-array": (
+        lambda entries: entries.update({"extra.npy": entries["head.ff2.b.npy"]}),
+        "unexpected extra",
+    ),
+    "float64-parameter": (
+        edit_array("head.ff2.b", lambda b: b.astype(np.float64)),
+        "head.ff2.b is float64, not float32",
+    ),
+    "corrupt-npy": (
+        lambda entries: entries.update({"head.ff2.b.npy": b"\x93NUMPY\x01\x00garbage"}),
+        "unreadable head.ff2.b.npy",
     ),
     "config-without-num-classes": (
         edit_manifest(lambda m: m["config"].pop("num_classes")), "num_classes"
     ),
     "manifest-not-json": (
-        lambda entries: entries.update({"manifest.json": b"{not json"}), "is unreadable"
+        lambda entries: entries.update({"manifest.json": b"{not json"}),
+        "unreadable manifest.json",
     ),
-    "format-version-1": (
-        edit_manifest(lambda m: m.update(format_version=1)),
-        "unsupported checkpoint format version 1, expected 2; retrain",
+    "format-version-2": (
+        as_format_version_2,
+        "unsupported checkpoint format version 2, expected 3; retrain the model with meshseg train",
     ),
     "manifest-without-config": (edit_manifest(lambda m: m.pop("config")), "lacks 'config'"),
-    "manifest-without-params": (edit_manifest(lambda m: m.pop("params")), "lacks 'params'"),
-    "manifest-without-dtype": (edit_manifest(lambda m: m.pop("dtype")), "lacks 'dtype'"),
-    "unknown-dtype": (edit_manifest(lambda m: m.update(dtype="bogus")), "unknown dtype"),
-    "entry-without-shape": (
-        edit_manifest(lambda m: m["params"]["head.ff2.b"].pop("shape")),
-        "entry 'head.ff2.b' lacks 'shape'",
-    ),
-    "entry-without-offset": (
-        edit_manifest(lambda m: m["params"]["head.ff2.b"].pop("offset")),
-        "entry 'head.ff2.b' lacks 'offset'",
-    ),
-    "params-not-a-dict": (
-        edit_manifest(lambda m: m.update(params=list(m["params"]))),
-        "field 'params' is not a dict",
-    ),
-    "params-entry-not-a-dict": (
-        edit_manifest(lambda m: m["params"].update({"head.ff2.b": [2]})),
-        "entry 'head.ff2.b' is not a dict",
-    ),
     "num-heads-0": (
         edit_manifest(lambda m: m["config"].update(num_heads=0)), "num_heads must be >= 1"
     ),
@@ -482,7 +515,7 @@ class TestBrokenArtifacts:
         result = run_with_checkpoint(command, untrained_checkpoint, samples_dir, dataset_dir,
                                      tmp_path)
         assert result.exit_code == 2, result.output
-        assert result.output.startswith("error: ") and "is unreadable" in result.output
+        assert result.output.startswith("error: ") and "not a readable zip" in result.output
         assert len(result.output.splitlines()) == 1
 
     def test_sample_not_a_zip_exits_1(self, samples_dir, untrained_checkpoint):

@@ -440,6 +440,7 @@ class TestCheckpoint:
         assert (base == again).all()
 
     def test_manifest_self_describing(self, tmp_path):
+        import io
         import json
         import zipfile
 
@@ -448,11 +449,16 @@ class TestCheckpoint:
         path = tmp_path / "model.ckpt"
         save_checkpoint(path, params, cfg)
         with zipfile.ZipFile(path) as zf:
+            names = zf.namelist()
             manifest = json.loads(zf.read("manifest.json"))
-        assert manifest["dtype"] == "<f4"
+            embed = np.load(io.BytesIO(zf.read("embed.w.npy")))
+        assert names == [f"{name}.npy" for name in sorted(params)] + ["manifest.json"]
+        assert set(manifest) == {"format_version", "config"}
+        assert manifest["format_version"] == 3
         assert manifest["config"]["d_t"] == cfg.d_t
         assert manifest["config"]["use_cluster_stream"] is True
-        assert manifest["params"]["embed.w"]["shape"] == [cfg.feature_width, cfg.d_t]
+        assert embed.dtype.str == "<f4"
+        assert embed.shape == (cfg.feature_width, cfg.d_t)
 
     def test_unknown_version_rejected(self, tmp_path):
         import json
@@ -472,3 +478,24 @@ class TestCheckpoint:
                 zf.writestr(name, blob)
         with pytest.raises(ConfigError, match="format version"):
             load_checkpoint(path)
+
+    def test_load_holds_the_parameters_and_one_entry(self, tmp_path):
+        """Loading decodes one entry at a time: beyond the parameters it
+        returns, it holds at most one entry's bytes and its compressed
+        copy, where a loader of one flat blob held every parameter twice."""
+        import tracemalloc
+
+        cfg = small_model_config(d_t=64, d_p=64, num_layers=2)
+        params = init_params(cfg, np.random.default_rng(0))
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, params, cfg)
+        largest = max(p.data.nbytes for p in params.values())
+        tracemalloc.start()
+        try:
+            loaded, _ = load_checkpoint(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        total = sum(p.data.nbytes for p in loaded.values())
+        assert total == sum(p.data.nbytes for p in params.values())
+        assert peak <= total + 2 * largest + 256 * 1024, (peak, total, largest)
