@@ -323,7 +323,7 @@ def cmd_inspect(mesh_path, out_dir, eigenvectors, config_path,
     feats = sample.features[:, SPECTRAL_COLS][:, :n_vecs]
     # unit eigenvectors (or zero padding): v^T L v is each one's eigenvalue
     lap = normalized_laplacian(sample.adjacency)
-    eigenvalues = np.einsum("ij,ij->j", feats, lap.matrix @ feats)
+    eigenvalues = np.einsum("ij,ij->j", feats, lap @ feats)
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -47,9 +47,16 @@ def diverging_color(t: float) -> tuple[int, int, int]:
     return (255, int(255 * (1 - f)), int(255 * (1 - f)))
 
 
+def _read_text(path: Path) -> str:
+    try:
+        return path.read_text()
+    except UnicodeDecodeError as exc:
+        raise MeshFormatError(f"{path}: not a text file ({exc.reason} at byte {exc.start})") from None
+
+
 def load_mesh_file(path: Path) -> Mesh:
     path = Path(path)
-    text = path.read_text()
+    text = _read_text(path)
     if path.suffix.lower() == ".off":
         return parse_off(text)
     if path.suffix.lower() == ".obj":
@@ -83,5 +90,5 @@ def list_dataset(root: Path, split: list[str] | None = None) -> list[tuple[Path,
 
 def load_pair(mesh_path: Path, label_path: Path) -> tuple[Mesh, LabelVec]:
     mesh = load_mesh_file(mesh_path)
-    labels = parse_face_labels(Path(label_path).read_text(), mesh.num_faces)
+    labels = parse_face_labels(_read_text(Path(label_path)), mesh.num_faces)
     return mesh, labels

@@ -8,7 +8,7 @@ float32-precision inputs exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -61,15 +61,10 @@ class Mesh:
 
 @dataclass(frozen=True)
 class LabelVec:
-    """Per-face class labels, remapped to a dense 0-based range.
-
-    ``raw_values[k]`` is the raw label that was mapped to dense id ``k``
-    (first-appearance order), so outputs can be reported in dataset terms.
-    """
+    """Per-face class ids, each below ``num_classes``."""
 
     labels: np.ndarray  # (N,) int64
     num_classes: int
-    raw_values: tuple = field(default_factory=tuple)
 
     def __post_init__(self):
         lab = np.ascontiguousarray(np.asarray(self.labels, dtype=np.int64))
@@ -218,10 +213,10 @@ def parse_obj(text: str) -> Mesh:
 
 
 def parse_face_labels(text: str, n_faces: int) -> LabelVec:
-    """Parse one-integer-per-line face labels, remapping to dense 0-based ids.
+    """Parse one non-negative integer class id per line.
 
-    Raw label values are remapped in first-appearance order;
-    ``num_classes`` is the number of distinct raw values.
+    Ids are kept as they are, so one id means one class in every file;
+    ``num_classes`` is the largest id plus one.
     """
     raw: list[int] = []
     for line_no, line in enumerate(_lines(text), start=1):
@@ -229,18 +224,16 @@ def parse_face_labels(text: str, n_faces: int) -> LabelVec:
         if not token:
             continue
         try:
-            raw.append(int(token))
+            value = int(token)
         except ValueError:
             raise MeshFormatError(f"non-integer label {token!r}", line=line_no) from None
+        if value < 0:
+            raise MeshFormatError(f"negative label {value}", line=line_no)
+        raw.append(value)
     if len(raw) != n_faces:
         raise MeshFormatError(f"label count mismatch: {len(raw)} labels for {n_faces} faces")
-    mapping: dict[int, int] = {}
-    dense = np.empty(n_faces, dtype=np.int64)
-    for i, value in enumerate(raw):
-        if value not in mapping:
-            mapping[value] = len(mapping)
-        dense[i] = mapping[value]
-    return LabelVec(labels=dense, num_classes=len(mapping), raw_values=tuple(mapping))
+    labels = np.array(raw, dtype=np.int64)
+    return LabelVec(labels=labels, num_classes=int(labels.max(initial=-1)) + 1)
 
 
 def write_ply_colored(mesh: Mesh, labels: LabelVec, palette) -> str:

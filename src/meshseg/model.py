@@ -190,15 +190,12 @@ def _neighbor_table(sample: Sample, dtype) -> tuple[np.ndarray, np.ndarray]:
     """Padded rows of self plus dual-graph neighbors, in ascending id order;
     an empty slot points at the row itself under bias -inf."""
     n = sample.n_total
-    pairs = sample.adjacency.pairs
-    rows = np.concatenate([np.arange(n), pairs[:, 0], pairs[:, 1]])
-    cols = np.concatenate([np.arange(n), pairs[:, 1], pairs[:, 0]])
-    order = np.lexsort((cols, rows))
-    rows, cols = rows[order], cols[order]
-    counts = np.bincount(rows, minlength=n)
-    slots = np.arange(rows.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    indptr, ids = sample.adjacency.closed_neighborhoods()
+    counts = np.diff(indptr)
+    rows = np.repeat(np.arange(n), counts)
+    slots = np.arange(ids.size) - np.repeat(indptr[:-1], counts)
     index = np.repeat(np.arange(n)[:, np.newaxis], counts.max(), axis=1)
-    index[rows, slots] = cols
+    index[rows, slots] = ids
     bias = np.full(index.shape, -np.inf, dtype=dtype)
     bias[rows, slots] = 0.0
     return index, bias

@@ -241,9 +241,11 @@ def _transfer_labels(original: Mesh, original_labels: np.ndarray, simplified: Me
     src_centroids = triangle_centroids(original)
     dst_centroids = triangle_centroids(simplified)
     _, nearest = cKDTree(dst_centroids).query(src_centroids)
-    counts = np.zeros((simplified.num_faces, original_labels.max(initial=0) + 1), dtype=np.int64)
-    np.add.at(counts, (nearest, original_labels), 1)
-    out = counts.argmax(axis=1).astype(np.int64)  # argmax picks the smallest index on ties
+    # count over the classes present: ids need not be dense
+    classes, class_of = np.unique(original_labels, return_inverse=True)
+    counts = np.zeros((simplified.num_faces, classes.size), dtype=np.int64)
+    np.add.at(counts, (nearest, class_of), 1)
+    out = classes[counts.argmax(axis=1)]  # argmax picks the smallest class on ties
     orphans = np.flatnonzero(~counts.any(axis=1))
     if orphans.size:
         back = cKDTree(src_centroids)
@@ -294,8 +296,7 @@ def build_sample(mesh: Mesh, labels: LabelVec | None, cfg: PreprocessConfig) -> 
     areas = triangle_areas(standardized)
 
     adj = timed("dual_graph", spectral.build_dual_adjacency, standardized)
-    lap = timed("laplacian", spectral.normalized_laplacian, adj)
-    spec_feats = timed("eigen", spectral.laplacian_positional_features, lap, cfg.eigen_count)
+    spec_feats = timed("spectral", spectral.laplacian_positional_features, adj, cfg.eigen_count)
 
     n = standardized.num_faces
     coords = standardized.vertices[standardized.faces].reshape(n, 9)

@@ -19,7 +19,6 @@ from meshseg.mesh_io import Mesh
 
 __all__ = [
     "AdjacencyMatrix",
-    "LaplacianMatrix",
     "SpectralFeatures",
     "build_dual_adjacency",
     "normalized_laplacian",
@@ -52,11 +51,22 @@ class AdjacencyMatrix:
         object.__setattr__(self, "pairs", p)
 
     def degrees(self) -> np.ndarray:
-        d = np.zeros(self.n, dtype=np.int64)
-        if self.pairs.size:
-            np.add.at(d, self.pairs[:, 0], 1)
-            np.add.at(d, self.pairs[:, 1], 1)
-        return d
+        return np.bincount(self.pairs.ravel(), minlength=self.n)
+
+    def closed_neighborhoods(self) -> tuple[np.ndarray, np.ndarray]:
+        """CSR ``(indptr, ids)`` of A + I: row i lists node i and its
+        neighbors in ascending order.
+
+        The pairs are sorted with i < j, so a stable sort by row puts the
+        smaller neighbors (ascending i of the pairs (i, r)) before r itself
+        and the larger ones (ascending j of the pairs (r, j)) after it.
+        """
+        i, j, node = self.pairs[:, 0], self.pairs[:, 1], np.arange(self.n)
+        rows = np.concatenate([j, node, i])
+        ids = np.concatenate([i, node, j])[np.argsort(rows, kind="stable")]
+        indptr = np.zeros(self.n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows, minlength=self.n), out=indptr[1:])
+        return indptr, ids
 
     def component_count(self) -> int:
         """Connected components, an isolated node counting as one."""
@@ -78,28 +88,6 @@ class AdjacencyMatrix:
         if n < self.n:
             raise ValueError(f"cannot shrink adjacency from {self.n} to {n}")
         return AdjacencyMatrix(n=n, pairs=self.pairs)
-
-
-@dataclass(frozen=True)
-class LaplacianMatrix:
-    """Symmetric normalized Laplacian of an adjacency matrix.
-
-    ``L = I - D^{-1/2} A D^{-1/2}``, with the convention that
-    ``D^{-1/2}_{ii} = 0`` for isolated nodes (which therefore carry a plain
-    1 on the diagonal and eigenvalue 1).
-    """
-
-    matrix: sp.csr_matrix
-
-    @property
-    def n(self) -> int:
-        return self.matrix.shape[0]
-
-    def to_dense(self) -> np.ndarray:
-        return self.matrix.toarray()
-
-    def frobenius_norm(self) -> float:
-        return float(np.sqrt((self.matrix.data**2).sum()))
 
 
 def build_dual_adjacency(mesh: Mesh) -> AdjacencyMatrix:
@@ -126,30 +114,29 @@ def build_dual_adjacency(mesh: Mesh) -> AdjacencyMatrix:
     return AdjacencyMatrix(n=mesh.num_faces, pairs=arr)
 
 
-def normalized_laplacian(adj: AdjacencyMatrix) -> LaplacianMatrix:
-    """Build ``L = I - D^{-1/2} A D^{-1/2}`` from adjacency-list degrees."""
-    deg = adj.degrees()
-    dinv = np.zeros(adj.n, dtype=np.float64)
-    nz = deg > 0
-    dinv[nz] = 1.0 / np.sqrt(deg[nz])
-    eye = sp.identity(adj.n, format="csr")
-    if adj.pairs.size:
-        i = np.concatenate([adj.pairs[:, 0], adj.pairs[:, 1]])
-        j = np.concatenate([adj.pairs[:, 1], adj.pairs[:, 0]])
-        off = sp.csr_matrix((-dinv[i] * dinv[j], (i, j)), shape=(adj.n, adj.n))
-        lap = (eye + off).tocsr()
-    else:
-        lap = eye
-    return LaplacianMatrix(matrix=lap)
+def normalized_laplacian(adj: AdjacencyMatrix) -> sp.csr_matrix:
+    """``L = I - D^{-1/2} A D^{-1/2}`` on the pattern of A + I.
+
+    The diagonal is 1 and entry (i, j) of an edge is ``-d_i^{-1/2} d_j^{-1/2}``;
+    an isolated node keeps a plain 1 on the diagonal and eigenvalue 1.
+    """
+    indptr, ids = adj.closed_neighborhoods()
+    size = np.diff(indptr)
+    # an isolated node's row holds only its diagonal, so its dinv is unread
+    dinv = 1.0 / np.sqrt(np.maximum(size - 1, 1))
+    rows = np.repeat(np.arange(adj.n), size)
+    data = -dinv[rows] * dinv[ids]
+    data[rows == ids] = 1.0
+    return sp.csr_matrix((data, ids, indptr), shape=(adj.n, adj.n))
 
 
-def _worst_residual(lap: LaplacianMatrix, values: np.ndarray, vectors: np.ndarray) -> float:
+def _worst_residual(lap: sp.csr_matrix, values: np.ndarray, vectors: np.ndarray) -> float:
     """Largest ``|L u - lam u|`` over the eigenpairs (0 for none)."""
-    residual = lap.matrix @ vectors - vectors * values[np.newaxis, :]
+    residual = lap @ vectors - vectors * values[np.newaxis, :]
     return float(np.linalg.norm(residual, axis=0).max(initial=0.0))
 
 
-def smallest_eigenpairs(lap: LaplacianMatrix, k: int, tol: float = 1e-8):
+def smallest_eigenpairs(lap: sp.csr_matrix, k: int, tol: float = 1e-8):
     """The k algebraically smallest eigenpairs of L.
 
     Returns ``(eigenvalues, eigenvectors)`` with eigenvalues ascending and
@@ -158,13 +145,13 @@ def smallest_eigenpairs(lap: LaplacianMatrix, k: int, tol: float = 1e-8):
     per-pair residual must satisfy ``|L u - lam u| <= tol * |L|_F`` or an
     :class:`EigensolverError` is raised.
     """
-    n = lap.n
+    n = lap.shape[0]
     if k > n:
         raise ValueError(f"k={k} exceeds matrix size {n}")
     if k == 0:
         return np.empty(0), np.empty((n, 0))
     if n <= DENSE_SOLVE_THRESHOLD or k >= n - 1:
-        values, vectors = np.linalg.eigh(lap.to_dense())
+        values, vectors = np.linalg.eigh(lap.toarray())
         values, vectors = values[:k], vectors[:, :k]
     else:
         # shift-invert around a point left of the spectrum keeps the
@@ -175,14 +162,14 @@ def smallest_eigenpairs(lap: LaplacianMatrix, k: int, tol: float = 1e-8):
         ncv = min(n, max(2 * k + 1, 40))
         try:
             values, vectors = spla.eigsh(
-                lap.matrix.tocsc(), k=k, sigma=-0.1, which="LM", v0=v0, ncv=ncv
+                lap.tocsc(), k=k, sigma=-0.1, which="LM", v0=v0, ncv=ncv
             )
         except spla.ArpackNoConvergence as exc:
             raise EigensolverError(f"eigensolver failed to converge: {exc}") from exc
         order = np.argsort(values, kind="stable")
         values, vectors = values[order], vectors[:, order]
     worst = _worst_residual(lap, values, vectors)
-    limit = tol * max(lap.frobenius_norm(), 1.0)
+    limit = tol * max(np.linalg.norm(lap.data), 1.0)
     if worst > limit:
         raise EigensolverError(
             f"eigenpair residual {worst:.3e} exceeds {limit:.3e}", residual=worst
@@ -198,42 +185,33 @@ class SpectralFeatures:
     residual: float  # worst residual of the eigenpairs solved for
 
 
-def _canonical_sign(column: np.ndarray) -> np.ndarray:
-    """Flip a column so its largest-magnitude entry (lowest index on ties)
-    is positive."""
-    if not column.size:
-        return column
-    idx = int(np.argmax(np.abs(column)))
-    if column[idx] < 0:
-        return -column
-    return column
+def _canonical_sign(vectors: np.ndarray) -> np.ndarray:
+    """Flip each column so its largest-magnitude entry (lowest index on
+    ties) is positive."""
+    if not vectors.size:
+        return vectors
+    top = vectors[np.argmax(np.abs(vectors), axis=0), np.arange(vectors.shape[1])]
+    return np.where(top < 0, -vectors, vectors)
 
 
 def laplacian_positional_features(
-    lap: LaplacianMatrix, count: int, tol: float = ZERO_EIGENVALUE_TOL
+    adj: AdjacencyMatrix, count: int, tol: float = ZERO_EIGENVALUE_TOL
 ) -> SpectralFeatures:
     """Positional features from the ``count`` smallest nonzero-eigenvalue
-    eigenvectors.
+    eigenvectors of the normalized Laplacian of ``adj``.
 
-    Eigenpairs with eigenvalue below ``tol`` (the zero modes, one per
-    connected component with edges) are discarded. Columns are
-    sign-canonicalized deterministically and zero-padded when fewer than
-    ``count`` nontrivial modes exist.
+    Each connected component with an edge has one zero mode; an isolated
+    node has eigenvalue 1. So one solve for ``count`` plus the number of
+    zero modes covers the wanted columns. Eigenpairs below ``tol`` are
+    discarded; columns are sign-canonicalized deterministically and
+    zero-padded when fewer than ``count`` nontrivial modes exist.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    n = lap.n
-    k = min(n, count + 1)
-    while True:
-        values, vectors = smallest_eigenpairs(lap, k)
-        nonzero = values >= tol
-        if nonzero.sum() >= count or k == n:
-            break
-        k = min(n, count + int((~nonzero).sum()))
-        if k <= len(values):
-            k = min(n, len(values) + 1)
-    keep = np.flatnonzero(nonzero)[:count]
-    feats = np.zeros((n, count), dtype=np.float64)
-    for out_col, src_col in enumerate(keep):
-        feats[:, out_col] = _canonical_sign(vectors[:, src_col])
+    lap = normalized_laplacian(adj)
+    zero_modes = adj.component_count() - int((adj.degrees() == 0).sum())
+    values, vectors = smallest_eigenpairs(lap, min(adj.n, count + zero_modes))
+    keep = np.flatnonzero(values >= tol)[:count]
+    feats = np.zeros((adj.n, count), dtype=np.float64)
+    feats[:, : keep.size] = _canonical_sign(vectors[:, keep])
     return SpectralFeatures(features=feats, residual=_worst_residual(lap, values, vectors))

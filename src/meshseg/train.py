@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import json
 import logging
+import math
+import numbers
 import resource
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from time import perf_counter
 
@@ -57,6 +59,15 @@ class TrainConfig:
         check_config(self, {"batch_size": 1, "max_steps": 0, "seed": 0, "eval_every": 1})
         if not 0 <= self.validation_fraction < 1:
             raise ConfigError("validation_fraction must be in [0, 1)")
+        bounds = self.scale_range
+        if not (isinstance(bounds, (tuple, list)) and len(bounds) == 2
+                and all(isinstance(b, numbers.Real) and not isinstance(b, bool)
+                        and math.isfinite(b) for b in bounds)
+                and 0 < bounds[0] <= bounds[1]):
+            raise ConfigError(
+                f"scale_range must be two finite numbers 0 < low <= high, got {bounds!r}"
+            )
+        object.__setattr__(self, "scale_range", tuple(bounds))
 
 
 @dataclass(frozen=True)

@@ -182,43 +182,58 @@ def sample_area_weights(sample) -> np.ndarray:
 # numerical oracles
 
 
-def jacobi_eigh(matrix: np.ndarray, sweeps: int = 100):
-    """Cyclic Jacobi eigensolver for symmetric matrices.
+def round_robin_pairs(n: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Brent-Luk parallel ordering of the pairs of n indices (n even): n - 1
+    rounds of n / 2 disjoint pairs (p, q), p < q, covering every pair once.
+    Index 0 stays put while the others turn one place per round."""
+    others = np.arange(1, n)
+    rounds = []
+    for r in range(n - 1):
+        ring = np.concatenate([[0], np.roll(others, r)])
+        left, right = ring[: n // 2], ring[::-1][: n // 2]
+        rounds.append((np.minimum(left, right), np.maximum(left, right)))
+    return rounds
 
-    Independent of numpy.linalg.eigh; used as the brute-force oracle for
-    the spectral module. Returns ascending eigenvalues and the matching
-    orthonormal eigenvector columns.
+
+def jacobi_eigh(matrix: np.ndarray, sweeps: int = 100):
+    """Jacobi eigensolver for symmetric matrices, in round-robin order.
+
+    Independent of numpy.linalg.eigh and of any LAPACK or ARPACK routine;
+    used as the brute-force oracle for the spectral module. Each round
+    applies n / 2 rotations on disjoint index pairs at once; their angles
+    read only their own rows and columns, so a round equals the same
+    rotations applied one after another. An odd-sized matrix gets one
+    decoupled zero row and column, whose rotations are all skipped. Returns
+    ascending eigenvalues and the matching orthonormal eigenvector columns.
     """
-    a = np.array(matrix, dtype=np.float64)
-    n = len(a)
-    v = np.eye(n)
+    given = np.array(matrix, dtype=np.float64)
+    n = len(given)
+    size = n + n % 2
+    a = np.zeros((size, size))
+    a[:n, :n] = given
+    v = np.eye(size)
+    rounds = round_robin_pairs(size)
     for _ in range(sweeps):
         off = np.sqrt((np.tril(a, -1) ** 2).sum())
         if off < 1e-13:
             break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) < 1e-16:
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2 * apq)
-                t = np.sign(theta) / (abs(theta) + np.sqrt(theta * theta + 1))
-                if theta == 0:
-                    t = 1.0
-                c = 1.0 / np.sqrt(t * t + 1)
-                s = t * c
-                rot_p = c * a[:, p] - s * a[:, q]
-                rot_q = s * a[:, p] + c * a[:, q]
-                a[:, p], a[:, q] = rot_p, rot_q
-                rot_p = c * a[p, :] - s * a[q, :]
-                rot_q = s * a[p, :] + c * a[q, :]
-                a[p, :], a[q, :] = rot_p, rot_q
-                rot_p = c * v[:, p] - s * v[:, q]
-                rot_q = s * v[:, p] + c * v[:, q]
-                v[:, p], v[:, q] = rot_p, rot_q
-    values = np.diag(a).copy()
+        for p, q in rounds:
+            apq = a[p, q]
+            active = np.abs(apq) >= 1e-16
+            theta = (a[q, q] - a[p, p]) / (2 * np.where(active, apq, 1.0))
+            t = np.sign(theta) / (np.abs(theta) + np.sqrt(theta * theta + 1))
+            t = np.where(active, np.where(theta == 0, 1.0, t), 0.0)
+            c = 1.0 / np.sqrt(t * t + 1)
+            s = t * c
+            for m in (a, v):
+                mp, mq = m[:, p], m[:, q]
+                m[:, p], m[:, q] = c * mp - s * mq, s * mp + c * mq
+            ap, aq = a[p, :], a[q, :]
+            a[p, :] = c[:, np.newaxis] * ap - s[:, np.newaxis] * aq
+            a[q, :] = s[:, np.newaxis] * ap + c[:, np.newaxis] * aq
+    values = np.diag(a)[:n].copy()
     order = np.argsort(values, kind="stable")
-    return values[order], v[:, order]
+    return values[order], v[:n, :n][:, order]
 
 
 def ward_oracle(points, adj_pairs, num_clusters):

@@ -1,9 +1,13 @@
-"""Reference per-element loops for vertex merging, the dual graph and Ward
-clustering: the implementations that the numpy passes and plain-float
-loops in ``meshseg`` replaced.
+"""Reference per-element loops for vertex merging, the dual graph, the
+normalized Laplacian, the positional features, the attention neighbor
+table and Ward clustering: the implementations that the numpy passes and
+plain-float loops in ``meshseg`` replaced.
 
 The parity tests hold ``meshseg.mesh_io.merge_duplicate_vertices``,
-``meshseg.spectral.build_dual_adjacency`` and
+``meshseg.spectral.build_dual_adjacency``,
+``meshseg.spectral.normalized_laplacian``,
+``meshseg.spectral.laplacian_positional_features``,
+``meshseg.model._neighbor_table`` and
 ``meshseg.clustering.ward_constrained`` to these. QEM's reference is
 ``qem_oracle.py``.
 """
@@ -13,10 +17,17 @@ from __future__ import annotations
 import heapq
 
 import numpy as np
+import scipy.sparse as sp
 
 from meshseg.clustering import ClusterAssignment
 from meshseg.mesh_io import Mesh
-from meshseg.spectral import AdjacencyMatrix
+from meshseg.spectral import (
+    ZERO_EIGENVALUE_TOL,
+    AdjacencyMatrix,
+    SpectralFeatures,
+    _worst_residual,
+    smallest_eigenpairs,
+)
 
 
 def merge_duplicate_vertices_oracle(mesh: Mesh, eps: float = 0.0, return_face_mask=False):
@@ -76,6 +87,67 @@ def build_dual_adjacency_oracle(mesh: Mesh) -> AdjacencyMatrix:
                     pairs.add((i, j) if i < j else (j, i))
     arr = np.array(sorted(pairs), dtype=np.int64).reshape(-1, 2)
     return AdjacencyMatrix(n=mesh.num_faces, pairs=arr)
+
+
+def normalized_laplacian_oracle(adj: AdjacencyMatrix) -> sp.csr_matrix:
+    """Degrees by ``np.add.at``, both directions of every pair as COO
+    triples, plus a sparse identity."""
+    deg = np.zeros(adj.n, dtype=np.int64)
+    if adj.pairs.size:
+        np.add.at(deg, adj.pairs[:, 0], 1)
+        np.add.at(deg, adj.pairs[:, 1], 1)
+    dinv = np.zeros(adj.n, dtype=np.float64)
+    nz = deg > 0
+    dinv[nz] = 1.0 / np.sqrt(deg[nz])
+    eye = sp.identity(adj.n, format="csr")
+    if not adj.pairs.size:
+        return eye
+    i = np.concatenate([adj.pairs[:, 0], adj.pairs[:, 1]])
+    j = np.concatenate([adj.pairs[:, 1], adj.pairs[:, 0]])
+    off = sp.csr_matrix((-dinv[i] * dinv[j], (i, j)), shape=(adj.n, adj.n))
+    return (eye + off).tocsr()
+
+
+def laplacian_positional_features_oracle(
+    lap: sp.csr_matrix, count: int, tol: float = ZERO_EIGENVALUE_TOL
+) -> SpectralFeatures:
+    """Grow-and-retry: solve for ``count + 1`` pairs, and again with more
+    while fewer than ``count`` nonzero eigenvalues came back; sign-fix one
+    column at a time."""
+    n = lap.shape[0]
+    k = min(n, count + 1)
+    while True:
+        values, vectors = smallest_eigenpairs(lap, k)
+        nonzero = values >= tol
+        if nonzero.sum() >= count or k == n:
+            break
+        k = min(n, count + int((~nonzero).sum()))
+        if k <= len(values):
+            k = min(n, len(values) + 1)
+    keep = np.flatnonzero(nonzero)[:count]
+    feats = np.zeros((n, count), dtype=np.float64)
+    for out_col, src_col in enumerate(keep):
+        column = vectors[:, src_col]
+        feats[:, out_col] = -column if column[np.argmax(np.abs(column))] < 0 else column
+    return SpectralFeatures(features=feats, residual=_worst_residual(lap, values, vectors))
+
+
+def neighbor_table_oracle(adj: AdjacencyMatrix, dtype) -> tuple[np.ndarray, np.ndarray]:
+    """Self and both directions of every pair, ordered by ``np.lexsort``,
+    scattered into padded rows."""
+    n = adj.n
+    pairs = adj.pairs
+    rows = np.concatenate([np.arange(n), pairs[:, 0], pairs[:, 1]])
+    cols = np.concatenate([np.arange(n), pairs[:, 1], pairs[:, 0]])
+    order = np.lexsort((cols, rows))
+    rows, cols = rows[order], cols[order]
+    counts = np.bincount(rows, minlength=n)
+    slots = np.arange(rows.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    index = np.repeat(np.arange(n)[:, np.newaxis], counts.max(), axis=1)
+    index[rows, slots] = cols
+    bias = np.full(index.shape, -np.inf, dtype=dtype)
+    bias[rows, slots] = 0.0
+    return index, bias
 
 
 def _ward_delta(size_a, centroid_a, size_b, centroid_b) -> float:

@@ -200,6 +200,13 @@ BAD_CONFIGS = {
     "batch_size-str": ([], {"batch_size": "2"}, "batch_size"),
     "dropout-str": ([], {"dropout": "0.1"}, "dropout"),
     "lr-str": ([], {"lr": "x"}, "lr"),
+    "scale_range-number": ([], {"scale_range": 1.0}, "scale_range"),
+    "scale_range-three": ([], {"scale_range": [0.9, 1.0, 1.1]}, "scale_range"),
+    "scale_range-reversed": ([], {"scale_range": [1.1, 0.9]}, "scale_range"),
+    "scale_range-zero": ([], {"scale_range": [0, 1.1]}, "scale_range"),
+    "scale_range-str": ([], {"scale_range": ["0.9", 1.1]}, "scale_range"),
+    "scale_range-bool": ([], {"scale_range": [True, 1.1]}, "scale_range"),
+    "scale_range-infinite": ([], {"scale_range": [0.9, float("inf")]}, "scale_range"),
 }
 
 
@@ -295,6 +302,39 @@ def test_malformed_mesh_exits_1_naming_its_line(command, damage, dataset_dir, tm
     result = run([command, *args, *PREPROCESS_FLAGS])
     assert result.exit_code == 1, result.output
     assert result.output == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("damaged", ["mesh", "labels"])
+def test_undecodable_file_in_preprocess_fails_naming_it(damaged, dataset_dir, tmp_path):
+    """Bytes that are not UTF-8 are a data error that names the file (exit
+    1), not a codec message with exit 2."""
+    mesh_path = dataset_dir / "shapes" / "bad.off"
+    label_path = dataset_dir / "labels" / "bad.txt"
+    mesh_path.write_text("OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n")
+    label_path.write_text("0\n")
+    bad = mesh_path if damaged == "mesh" else label_path
+    bad.write_bytes(b"\xff\xfe" + bad.read_bytes())
+    out = tmp_path / "samples"
+    result = run(["preprocess", str(dataset_dir), str(out), *PREPROCESS_FLAGS])
+    assert result.exit_code == 1, result.output
+    assert re.search(rf"^bad +FAILED: {re.escape(str(bad))}: not a text file \(",
+                     result.output, re.MULTILINE), result.output
+    assert len(list(out.glob("*.sample"))) == 3
+
+
+@pytest.mark.parametrize("command", ["segment", "inspect"])
+def test_undecodable_mesh_exits_1_naming_it(command, tmp_path, request):
+    mesh_path = tmp_path / "bad.off"
+    mesh_path.write_bytes(b"OFF\n\xff 1 0\n")
+    if command == "segment":
+        checkpoint = request.getfixturevalue("untrained_checkpoint")
+        args = [str(mesh_path), str(checkpoint), str(tmp_path / "seg.ply")]
+    else:
+        args = [str(mesh_path), str(tmp_path / "out")]
+    result = run([command, *args, *PREPROCESS_FLAGS])
+    assert result.exit_code == 1, result.output
+    assert result.output.startswith(f"error: {mesh_path}: not a text file (")
+    assert len(result.output.splitlines()) == 1
 
 
 class TestSegment:
@@ -443,27 +483,9 @@ CHECKPOINT_DAMAGE = {
 }
 
 
-def float_cluster_ids(entries):
-    import io
-
-    buf = io.BytesIO()
-    np.save(buf, np.load(io.BytesIO(entries["cluster_ids.npy"])).astype(np.float64))
-    entries["cluster_ids.npy"] = buf.getvalue()
-
-
 def set_first_label(value):
     """Give face 0, a real face of the unpadded test samples, label ``value``."""
-
-    def edit(entries):
-        import io
-
-        labels = np.load(io.BytesIO(entries["labels.npy"]))
-        labels[0] = value
-        buf = io.BytesIO()
-        np.save(buf, labels)
-        entries["labels.npy"] = buf.getvalue()
-
-    return edit
+    return edit_array("labels", lambda labels: np.r_[value, labels[1:]])
 
 
 # damage -> (edit, what the one-line error names)
@@ -479,7 +501,10 @@ SAMPLE_DAMAGE = {
     "format-version-1": (
         edit_manifest(lambda m: m.update(format_version=1)), "format version 1"
     ),
-    "float-cluster-ids": (float_cluster_ids, "cluster_ids are not integers"),
+    "float-cluster-ids": (
+        edit_array("cluster_ids", lambda ids: ids.astype(np.float64)),
+        "cluster_ids are not integers",
+    ),
     "negative-label": (set_first_label(-2), "real face with a label outside 0..1"),
     "label-past-num-classes": (set_first_label(2), "real face with a label outside 0..1"),
 }

@@ -129,11 +129,21 @@ class TestParseObj:
 
 
 class TestParseFaceLabels:
-    def test_dense_remap_first_appearance(self):
+    def test_ids_kept_as_class_ids(self):
         lv = parse_face_labels("1\n1\n2\n", 3)
-        assert lv.labels.tolist() == [0, 0, 1]
-        assert lv.num_classes == 2
-        assert lv.raw_values == (1, 2)
+        assert lv.labels.tolist() == [1, 1, 2]
+        assert lv.num_classes == 3
+
+    def test_one_id_means_one_class_in_every_file(self):
+        first = parse_face_labels("2\n2\n1\n3\n", 4)
+        second = parse_face_labels("1\n3\n3\n2\n", 4)
+        assert first.labels.tolist() == [2, 2, 1, 3]
+        assert second.labels.tolist() == [1, 3, 3, 2]
+        assert first.num_classes == second.num_classes == 4
+
+    def test_negative_label_names_its_line(self):
+        with pytest.raises(MeshFormatError, match="negative label -1, line 3"):
+            parse_face_labels("0\n1\n-1\n", 3)
 
     def test_single_class(self):
         lv = parse_face_labels("0\n0\n0\n0\n", 4)
@@ -150,7 +160,7 @@ class TestParseFaceLabels:
 
     def test_crlf_and_blank_lines(self):
         lv = parse_face_labels("3\r\n\r\n3\r\n7\r\n", 3)
-        assert lv.labels.tolist() == [0, 0, 1]
+        assert lv.labels.tolist() == [3, 3, 7]
 
 
 class TestPlyRoundTrip:

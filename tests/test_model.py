@@ -30,6 +30,7 @@ from conftest import (
 )
 from dense_model import dense_forward, dense_masks
 from dense_model import multi_head_attention as dense_attention
+from loop_oracles import neighbor_table_oracle
 
 
 def make_model(sample, dtype=np.float64, seed=0, **overrides):
@@ -108,6 +109,19 @@ class TestBuildMasks:
         # real clusters never see the padding cluster; it sees itself once
         assert np.isneginf(masks.cluster_bias[real, -1]).all()
         assert masks.cluster_bias[-1, -1] == 0.0
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_neighbor_table_equals_the_lexsort_build(self, dtype):
+        """Tables from the adjacency's closed neighborhoods equal the
+        concat-and-lexsort build they replaced, on padded, unpadded and
+        non-manifold samples."""
+        samples = [small_sample(target_faces=24), small_sample(subdivisions=2), fin_sample()]
+        for sample in samples:
+            want = neighbor_table_oracle(sample.adjacency, dtype)
+            masks = build_masks(sample, dtype=dtype)
+            np.testing.assert_array_equal(masks.neighbors, want[0])
+            np.testing.assert_array_equal(masks.neighbor_bias, want[1])
+            assert masks.neighbor_bias.dtype == want[1].dtype
 
     def test_unpadded_has_no_padding_cluster(self):
         sample = small_sample()

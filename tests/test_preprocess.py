@@ -42,7 +42,9 @@ from conftest import (
 )
 from loop_oracles import (
     build_dual_adjacency_oracle,
+    laplacian_positional_features_oracle,
     merge_duplicate_vertices_oracle,
+    normalized_laplacian_oracle,
     ward_constrained_oracle,
 )
 
@@ -225,7 +227,7 @@ class TestBuildSample:
         (record,) = [r for r in caplog.records if r.levelno == logging.INFO]
         message = record.getMessage()
         assert message.startswith("build_sample: merge ")
-        for stage in ("qem", "dual_graph", "laplacian", "eigen", "ward"):
+        for stage in ("qem", "dual_graph", "spectral", "ward"):
             assert re.search(rf"\b{stage} \d+\.\d{{3}} s", message), stage
         assert message.endswith("qem 162 -> 42 vertices, reached True")
 
@@ -325,6 +327,21 @@ def test_pipeline_matches_loop_oracles(monkeypatch):
     assert got.diagnostics == want.diagnostics
 
 
+def test_pipeline_spectral_matches_the_retry_loop(monkeypatch):
+    """The default pipeline's features on a 5k-face mesh equal those of the
+    COO Laplacian and the grow-and-retry eigensolve it replaced."""
+    mesh, labels = seamed_bumpy_sphere()
+    cfg = PreprocessConfig()
+    got = build_sample(mesh, labels, cfg)
+    with monkeypatch.context() as patch:
+        patch.setattr(spectral, "laplacian_positional_features",
+                      lambda adj, count: laplacian_positional_features_oracle(
+                          normalized_laplacian_oracle(adj), count))
+        want = build_sample(mesh, labels, cfg)
+    np.testing.assert_array_equal(got.features, want.features)
+    assert got.diagnostics == want.diagnostics
+
+
 class TestTransferLabels:
     """The counting-pass label transfer against the per-face bucket oracle."""
 
@@ -362,6 +379,14 @@ class TestTransferLabels:
         np.testing.assert_array_equal(out, transfer_labels_oracle(mesh, labels, simplified))
         gap = np.linalg.norm(triangle_centroids(mesh) - far.mean(axis=0), axis=1)
         assert out[4] == labels[gap.argmin()]
+
+    def test_sparse_class_ids_count_only_the_classes_present(self):
+        """Class ids are raw dataset ids; a large one costs one count
+        column, not one per id below it."""
+        mesh = tetrahedron()
+        labels = np.array([7, 10**12, 10**12, 7])
+        out = _transfer_labels(mesh, labels, mesh)
+        np.testing.assert_array_equal(out, labels)
 
     def test_negative_label_rejected(self):
         mesh = tetrahedron()

@@ -7,24 +7,32 @@ oracle (conftest) rather than re-running the production solver.
 import numpy as np
 import pytest
 
+import meshseg.spectral as spectral_mod
 from meshseg.mesh_io import Mesh
 from meshseg.spectral import (
+    DENSE_SOLVE_THRESHOLD,
     ZERO_EIGENVALUE_TOL,
     AdjacencyMatrix,
     build_dual_adjacency,
     laplacian_positional_features,
     normalized_laplacian,
+    _canonical_sign,
     smallest_eigenpairs,
 )
 
 from conftest import (
     connected_components,
     dense_adjacency,
+    icosphere,
     jacobi_eigh,
     random_hull_mesh,
     tetrahedron,
 )
-from loop_oracles import build_dual_adjacency_oracle
+from loop_oracles import (
+    build_dual_adjacency_oracle,
+    laplacian_positional_features_oracle,
+    normalized_laplacian_oracle,
+)
 
 TWO_FACES = Mesh(
     vertices=[[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0]],
@@ -112,17 +120,17 @@ class TestDualAdjacency:
 class TestNormalizedLaplacian:
     def test_single_edge_pair(self):
         lap = normalized_laplacian(AdjacencyMatrix(n=2, pairs=[[0, 1]]))
-        np.testing.assert_allclose(lap.to_dense(), [[1, -1], [-1, 1]])
+        np.testing.assert_allclose(lap.toarray(), [[1, -1], [-1, 1]])
 
     def test_k4(self):
         adj = build_dual_adjacency(tetrahedron())
-        dense = normalized_laplacian(adj).to_dense()
+        dense = normalized_laplacian(adj).toarray()
         expected = np.eye(4) - (1 - np.eye(4)) / 3.0
         np.testing.assert_allclose(dense, expected)
 
     def test_isolated_node_row(self):
         adj = AdjacencyMatrix(n=3, pairs=[[0, 1]])
-        dense = normalized_laplacian(adj).to_dense()
+        dense = normalized_laplacian(adj).toarray()
         np.testing.assert_allclose(dense[2], [0, 0, 1])
         np.testing.assert_allclose(dense[:2, :2], [[1, -1], [-1, 1]])
 
@@ -150,9 +158,9 @@ class TestSmallestEigenpairs:
     def test_orthonormal_columns(self, rng):
         mesh = random_hull_mesh(rng, 20)
         lap = normalized_laplacian(build_dual_adjacency(mesh))
-        _, vectors = smallest_eigenpairs(lap, lap.n)
+        _, vectors = smallest_eigenpairs(lap, lap.shape[0])
         gram = vectors.T @ vectors
-        np.testing.assert_allclose(gram, np.eye(lap.n), atol=1e-8)
+        np.testing.assert_allclose(gram, np.eye(lap.shape[0]), atol=1e-8)
 
     def test_k_greater_than_n_rejected(self):
         lap = normalized_laplacian(AdjacencyMatrix(n=2, pairs=[[0, 1]]))
@@ -163,8 +171,8 @@ class TestSmallestEigenpairs:
         for _ in range(10):
             mesh = random_hull_mesh(rng, int(rng.integers(6, 24)))
             lap = normalized_laplacian(build_dual_adjacency(mesh))
-            values, vectors = smallest_eigenpairs(lap, lap.n)
-            ref_values, ref_vectors = jacobi_eigh(lap.to_dense())
+            values, vectors = smallest_eigenpairs(lap, lap.shape[0])
+            ref_values, ref_vectors = jacobi_eigh(lap.toarray())
             np.testing.assert_allclose(values, ref_values, atol=1e-7)
             # compare subspace projectors per eigenvalue cluster, which is
             # well defined even for degenerate multiplets
@@ -177,10 +185,6 @@ class TestSmallestEigenpairs:
     def test_sparse_path_matches_dense_path(self, rng):
         """The iterative solver (forced via a monkeypatched threshold) agrees
         with the dense route on the same matrix."""
-        import meshseg.spectral as spectral_mod
-
-        from conftest import icosphere
-
         mesh = icosphere(1)  # 80 faces
         lap = normalized_laplacian(build_dual_adjacency(mesh))
         dense_vals, dense_vecs = smallest_eigenpairs(lap, 10)
@@ -205,7 +209,7 @@ class TestSpectrumStructure:
             mesh = random_hull_mesh(rng, int(rng.integers(5, 24)))
             adj = build_dual_adjacency(mesh)
             lap = normalized_laplacian(adj)
-            values, _ = smallest_eigenpairs(lap, lap.n)
+            values, _ = smallest_eigenpairs(lap, lap.shape[0])
             assert values.min() >= -1e-8
             assert values.max() <= 2 + 1e-8
             zero_modes = int((values < ZERO_EIGENVALUE_TOL).sum())
@@ -217,53 +221,149 @@ class TestSpectrumStructure:
 def rayleigh_quotients(lap, feats):
     """v^T L v of each feature column: the eigenvalue of a unit eigenvector,
     and 0 for a zero-padded column."""
-    return np.einsum("ij,ij->j", feats.features, lap.matrix @ feats.features)
+    return np.einsum("ij,ij->j", feats.features, lap @ feats.features)
 
 
 class TestPositionalFeatures:
     def test_two_face_single_column_canonical(self):
-        lap = normalized_laplacian(build_dual_adjacency(TWO_FACES))
-        feats = laplacian_positional_features(lap, 1)
+        adj = build_dual_adjacency(TWO_FACES)
+        feats = laplacian_positional_features(adj, 1)
         np.testing.assert_allclose(
             feats.features[:, 0], [1 / np.sqrt(2), -1 / np.sqrt(2)], atol=1e-12
         )
+        lap = normalized_laplacian(adj)
         np.testing.assert_allclose(rayleigh_quotients(lap, feats), [2.0], atol=1e-12)
 
     def test_zero_padding_when_not_enough_modes(self):
-        lap = normalized_laplacian(build_dual_adjacency(TWO_FACES))
-        feats = laplacian_positional_features(lap, 5)
+        adj = build_dual_adjacency(TWO_FACES)
+        feats = laplacian_positional_features(adj, 5)
         assert feats.features.shape == (2, 5)
         np.testing.assert_array_equal(feats.features[:, 1:], 0)
+        lap = normalized_laplacian(adj)
         np.testing.assert_array_equal(rayleigh_quotients(lap, feats)[1:], 0)
 
     def test_first_column_orthogonal_to_zero_mode(self, rng):
         mesh = random_hull_mesh(rng, 20)
-        lap = normalized_laplacian(build_dual_adjacency(mesh))
-        values, vectors = smallest_eigenpairs(lap, 1)
+        adj = build_dual_adjacency(mesh)
+        values, vectors = smallest_eigenpairs(normalized_laplacian(adj), 1)
         assert values[0] < ZERO_EIGENVALUE_TOL
-        feats = laplacian_positional_features(lap, 3)
+        feats = laplacian_positional_features(adj, 3)
         for col in range(3):
             assert abs(feats.features[:, col] @ vectors[:, 0]) < 1e-6
 
     def test_zero_modes_discarded(self):
         # two disjoint pairs: two zero modes, then eigenvalue-2 modes
         adj = AdjacencyMatrix(n=4, pairs=[[0, 1], [2, 3]])
+        feats = laplacian_positional_features(adj, 2)
         lap = normalized_laplacian(adj)
-        feats = laplacian_positional_features(lap, 2)
         np.testing.assert_allclose(rayleigh_quotients(lap, feats), [2, 2], atol=1e-10)
 
     def test_deterministic_recomputation(self, rng):
         mesh = random_hull_mesh(rng, 24)
-        lap = normalized_laplacian(build_dual_adjacency(mesh))
-        a = laplacian_positional_features(lap, 8)
-        b = laplacian_positional_features(lap, 8)
+        adj = build_dual_adjacency(mesh)
+        a = laplacian_positional_features(adj, 8)
+        b = laplacian_positional_features(adj, 8)
         np.testing.assert_array_equal(a.features, b.features)
 
     def test_canonical_sign_largest_entry_positive(self, rng):
         mesh = random_hull_mesh(rng, 16)
-        lap = normalized_laplacian(build_dual_adjacency(mesh))
-        feats = laplacian_positional_features(lap, 4)
+        feats = laplacian_positional_features(build_dual_adjacency(mesh), 4)
         for col in range(4):
             column = feats.features[:, col]
             if np.abs(column).max() > 0:
                 assert column[np.argmax(np.abs(column))] > 0
+
+    def test_canonical_sign_tie_goes_to_the_lowest_index(self):
+        vectors = np.array([[0.5, -0.5, 0.0], [-0.5, 0.5, 0.0], [0.1, 0.1, 0.0]])
+        np.testing.assert_array_equal(
+            _canonical_sign(vectors), [[0.5, 0.5, 0.0], [-0.5, -0.5, 0.0], [0.1, -0.1, 0.0]]
+        )
+
+
+def disjoint_union(*meshes: Mesh) -> Mesh:
+    """The meshes side by side, vertex ids shifted, sharing no edge."""
+    offsets = np.cumsum([0] + [m.num_vertices for m in meshes])
+    return Mesh(
+        vertices=np.vstack([m.vertices + 3.0 * k for k, m in enumerate(meshes)]),
+        faces=np.vstack([m.faces + offsets[k] for k, m in enumerate(meshes)]),
+    )
+
+
+LONE_FACE = Mesh(vertices=np.eye(3), faces=[[0, 1, 2]])
+
+GRAPHS = {
+    "connected": lambda: build_dual_adjacency(icosphere(2)),
+    "two-component": lambda: build_dual_adjacency(disjoint_union(icosphere(1), icosphere(1))),
+    "isolated-face": lambda: build_dual_adjacency(disjoint_union(icosphere(1), LONE_FACE)),
+    "padded": lambda: build_dual_adjacency(icosphere(1)).with_n(90),
+    "edgeless": lambda: AdjacencyMatrix(n=40, pairs=[]),
+}
+
+
+class TestLoopOracleParity:
+    """The one-listing Laplacian and the one-solve features equal the COO
+    build and the grow-and-retry loop they replaced, bit for bit."""
+
+    @pytest.mark.parametrize("graph", GRAPHS)
+    def test_laplacian_csr_arrays_equal_the_coo_build(self, graph):
+        adj = GRAPHS[graph]()
+        got, want = normalized_laplacian(adj), normalized_laplacian_oracle(adj)
+        for name in ("indptr", "indices", "data"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype
+            np.testing.assert_array_equal(a, b)
+
+    def test_laplacian_equals_the_coo_build_on_soups(self, rng):
+        for _ in range(50):
+            n_vertices = int(rng.integers(3, 9))
+            faces = [rng.choice(n_vertices, size=3, replace=False)
+                     for _ in range(int(rng.integers(1, 25)))]
+            adj = build_dual_adjacency(Mesh(vertices=rng.normal(size=(n_vertices, 3)),
+                                            faces=np.array(faces, dtype=np.int64)))
+            got, want = normalized_laplacian(adj), normalized_laplacian_oracle(adj)
+            for name in ("indptr", "indices", "data"):
+                np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+
+    def test_closed_neighborhoods_list_self_and_neighbors_ascending(self, rng):
+        for _ in range(50):
+            n = int(rng.integers(1, 30))
+            pairs = {(min(a, b), max(a, b))
+                     for a, b in rng.integers(0, n, size=(int(rng.integers(0, 3 * n)), 2))
+                     if a != b}
+            adj = AdjacencyMatrix(n=n, pairs=sorted(pairs))
+            indptr, ids = adj.closed_neighborhoods()
+            dense = dense_adjacency(adj) + np.eye(n)
+            for i in range(n):
+                assert ids[indptr[i]:indptr[i + 1]].tolist() == np.flatnonzero(dense[i]).tolist()
+            np.testing.assert_array_equal(np.diff(indptr) - 1, adj.degrees())
+
+    @pytest.mark.parametrize("threshold", [DENSE_SOLVE_THRESHOLD, 10], ids=["dense", "arpack"])
+    @pytest.mark.parametrize("graph", GRAPHS)
+    def test_features_and_residual_equal_the_loop(self, graph, threshold, monkeypatch):
+        monkeypatch.setattr(spectral_mod, "DENSE_SOLVE_THRESHOLD", threshold)
+        adj = GRAPHS[graph]()
+        lap = normalized_laplacian(adj)
+        for count in (4, 8, 16):
+            got = laplacian_positional_features(adj, count)
+            want = laplacian_positional_features_oracle(lap, count)
+            np.testing.assert_array_equal(got.features, want.features)
+            assert got.residual == want.residual
+
+    def test_one_solve_on_a_two_component_mesh(self, monkeypatch):
+        import loop_oracles
+
+        sizes = []
+        solve = spectral_mod.smallest_eigenpairs
+
+        def counted(lap, k, *args, **kwargs):
+            sizes.append(k)
+            return solve(lap, k, *args, **kwargs)
+
+        monkeypatch.setattr(spectral_mod, "smallest_eigenpairs", counted)
+        monkeypatch.setattr(loop_oracles, "smallest_eigenpairs", counted)
+        adj = GRAPHS["two-component"]()
+        laplacian_positional_features(adj, 8)
+        assert sizes == [10]  # 8 columns plus one zero mode per component
+        sizes.clear()
+        laplacian_positional_features_oracle(normalized_laplacian(adj), 8)
+        assert sizes == [9, 10]
