@@ -40,6 +40,8 @@ __all__ = [
     "backward",
 ]
 
+LAYER_NORM_EPS = 1e-5
+
 
 class ShapeMismatchError(ValueError):
     pass
@@ -414,10 +416,11 @@ def gather_rows(a: Tensor, cols) -> Tensor:
     return _op_output(a.data[rows, cols].copy(), (a,), backward_fn)
 
 
-def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
+def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     """Normalization over the last axis with learnable gain and shift.
 
-    Uses the population variance of each row. The backward pass recomputes
+    Uses the population variance of each row plus ``LAYER_NORM_EPS``, the
+    default of ``torch.nn.LayerNorm``. The backward pass recomputes
     the normalized input from the kept row mean and inverse deviation.
     """
     x, gamma, beta = _as_tensor(x), _as_tensor(gamma), _as_tensor(beta)
@@ -426,7 +429,7 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     mean = x.data.mean(axis=-1, keepdims=True)
     out = x.data - mean
     var = (out**2).mean(axis=-1, keepdims=True)
-    inv_std = 1.0 / np.sqrt(var + eps)
+    inv_std = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
     # normalize, scale and shift the centered array in place
     out *= inv_std
     out *= gamma.data

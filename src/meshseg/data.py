@@ -65,7 +65,7 @@ def load_mesh_file(path: Path) -> Mesh:
 
 
 def read_split_file(path: Path) -> list[str]:
-    return [line.strip() for line in Path(path).read_text().splitlines() if line.strip()]
+    return [line.strip() for line in _read_text(Path(path)).splitlines() if line.strip()]
 
 
 def list_dataset(root: Path, split: list[str] | None = None) -> list[tuple[Path, Path]]:

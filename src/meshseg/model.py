@@ -6,9 +6,10 @@ over a padded neighbor table of about four slots per row, O(N·m·d),
 instead of over an N x N mask. The other stream carries one token per
 cluster, plus one for the padding cluster when the sample is padded. Each
 layer exchanges information across the streams: every triangle token
-receives a projection of its cluster's token, and each cluster token
-attends over its member triangles through masked cross-attention. Every
-attention computes all of its heads in one op.
+receives a projection of its cluster's token (the paper's C·P read as the
+average over the cluster's per-triangle copies, not their sum), and each
+cluster token attends over its member triangles through masked
+cross-attention. Every attention computes all of its heads in one op.
 
 The paper holds the cluster stream as N rows, one copy of the cluster's
 token per triangle. Attending over n_c identical key/value rows equals
@@ -48,7 +49,7 @@ __all__ = [
     "load_checkpoint",
 ]
 
-CHECKPOINT_FORMAT_VERSION = 3
+CHECKPOINT_FORMAT_VERSION = 4
 
 
 @dataclass(frozen=True)
@@ -68,7 +69,6 @@ class ModelConfig:
     use_normals: bool = True
     use_laplacian: bool = True
     use_cluster_stream: bool = True
-    tc_sum: bool = False  # literal C*P sum instead of the cluster average
 
     def __post_init__(self):
         check_config(self, {"num_classes": 1, "eigen_count": 0, "d_t": 1, "d_p": 1,
@@ -183,7 +183,6 @@ class AttentionMasks:
     neighbor_bias: np.ndarray  # (N, m) 0 on self and each neighbor, -inf on empty slots
     membership: np.ndarray  # (K, N) bool, True where the triangle is in the cluster
     cluster_bias: np.ndarray  # (K, K) cluster-to-cluster, log n_c per key
-    cluster_sizes: np.ndarray  # (K,) member count n_c
 
 
 def _neighbor_table(sample: Sample, dtype) -> tuple[np.ndarray, np.ndarray]:
@@ -220,7 +219,6 @@ def build_masks(sample: Sample, dtype=np.float32) -> AttentionMasks:
         neighbor_bias=neighbor_bias,
         membership=member,
         cluster_bias=bias.astype(dtype),
-        cluster_sizes=sizes.astype(dtype),
     )
 
 
@@ -279,12 +277,8 @@ def met_layer(p, prefix, e_tok, p_tok, masks, cluster_ids, cfg, training, rng, l
     e_in = e_tok
     if cfg.use_cluster_stream:
         # triangle-from-cluster: the paper's average C·P over per-triangle
-        # copies is the triangle's own cluster token; the sum is n_c times it
-        mix = p_tok
-        if cfg.tc_sum:
-            sizes = np.broadcast_to(masks.cluster_sizes[:, np.newaxis], p_tok.shape)
-            mix = ad.mul(p_tok, Tensor(sizes))
-        tc_ff = _linear(p, f"{prefix}.tc.ff", mix, activation=True)
+        # copies is the triangle's own cluster token
+        tc_ff = _linear(p, f"{prefix}.tc.ff", p_tok, activation=True)
         e_in = _residual(
             _layer_norm(p, f"{prefix}.tc.ln", e_tok),
             ad.embedding_lookup(tc_ff, cluster_ids), cfg, training, rng,
@@ -343,7 +337,7 @@ def met_forward(
         )
     dtype = params["embed.w"].dtype
     masks = build_masks(sample, dtype=dtype)
-    k = len(masks.cluster_sizes)
+    k = masks.cluster_bias.shape[0]
     if cfg.use_cluster_stream and k > cfg.max_clusters:
         raise ConfigError(f"sample needs {k} cluster embeddings, table has {cfg.max_clusters}")
 

@@ -8,10 +8,15 @@ from meshseg.autodiff import Tensor
 
 __all__ = ["AdamW"]
 
+#: Decay rates of the two moment estimates, and the guard of the denominator.
+BETAS, EPS = (0.9, 0.999), 1e-8
+
 
 class AdamW:
     """Standard AdamW: bias-corrected Adam step plus decay applied directly
-    to the parameters (not through the gradients).
+    to the parameters (not through the gradients), with the moment decay
+    rates ``BETAS`` and the guard ``EPS`` of ``torch.optim.AdamW``'s
+    defaults.
 
     A step skips every parameter whose ``.grad`` is None, as
     ``torch.optim.AdamW`` does: it gets no moment update and no decay, so
@@ -21,20 +26,9 @@ class AdamW:
     applied gradient is freed before the next parameter's update.
     """
 
-    def __init__(
-        self,
-        params: dict[str, Tensor],
-        lr: float = 5e-5,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
-        weight_decay: float = 0.01,
-    ):
+    def __init__(self, params: dict[str, Tensor], lr: float = 5e-5, weight_decay: float = 0.01):
         self.params = params
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.weight_decay = weight_decay
         # first and second moment accumulators of the parameters that have
         # had a gradient, and the shared step counter
@@ -48,7 +42,7 @@ class AdamW:
 
     def step(self):
         """Update ``m``, ``v`` and ``p.data`` in place, bit-identical to
-        ``p - lr * (m / bc1) / (sqrt(v / bc2) + eps) - (lr * wd) * p``, for
+        ``p - lr * (m / bc1) / (sqrt(v / bc2) + EPS) - (lr * wd) * p``, for
         every parameter that has a gradient, and leave every ``.grad`` None.
 
         Each ``.grad`` is set to None as its update starts, so an applied
@@ -56,8 +50,9 @@ class AdamW:
         the moments, the gradients not yet applied and the one in use."""
         self.t += 1
         t = self.t
-        bc1 = 1.0 - self.beta1**t
-        bc2 = 1.0 - self.beta2**t
+        b1, b2 = BETAS
+        bc1 = 1.0 - b1**t
+        bc2 = 1.0 - b2**t
         for name in sorted(self.params):
             p = self.params[name]
             g = p.grad
@@ -69,16 +64,16 @@ class AdamW:
                 self.v[name] = np.zeros_like(p.data)
             m = self.m[name]
             v = self.v[name]
-            update = np.multiply(1.0 - self.beta1, g, out=np.empty_like(p.data))
-            m *= self.beta1
+            update = np.multiply(1.0 - b1, g, out=np.empty_like(p.data))
+            m *= b1
             m += update
-            np.multiply(1.0 - self.beta2, g, out=update)
+            np.multiply(1.0 - b2, g, out=update)
             update *= g
-            v *= self.beta2
+            v *= b2
             v += update
             denom = np.divide(v, bc2)
             np.sqrt(denom, out=denom)
-            denom += self.eps
+            denom += EPS
             np.divide(m, bc1, out=update)
             update /= denom
             update *= self.lr

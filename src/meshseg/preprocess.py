@@ -69,7 +69,6 @@ class PreprocessConfig:
     clustering_lambda: float = 8.0
     merge_eps: float = 1e-8
     simplify: bool = True
-    cluster_on_features: bool = False
 
     def __post_init__(self):
         # the minimums the pipeline needs: QEM keeps a tetrahedron, the
@@ -306,8 +305,8 @@ def build_sample(mesh: Mesh, labels: LabelVec | None, cfg: PreprocessConfig) -> 
         standardized.num_vertices, cfg.clustering_lambda
     )
     num_clusters = min(num_clusters, n)
-    cluster_points = features if cfg.cluster_on_features else triangle_centroids(standardized)
-    assignment = timed("ward", clustering.ward_constrained, cluster_points, adj, num_clusters)
+    assignment = timed("ward", clustering.ward_constrained, triangle_centroids(standardized),
+                       adj, num_clusters)
     logger.info(
         "build_sample: %s; qem %d -> %d vertices, reached %s",
         ", ".join(f"{stage} {t:.3f} s" for stage, t in seconds.items()),

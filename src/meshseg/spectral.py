@@ -32,6 +32,9 @@ ZERO_EIGENVALUE_TOL = 1e-8
 #: Matrix sizes up to which a dense symmetric solve is used directly.
 DENSE_SOLVE_THRESHOLD = 512
 
+#: Largest eigenpair residual accepted, relative to ``max(|L|_F, 1)``.
+EIGEN_RESIDUAL_TOL = 1e-8
+
 
 @dataclass(frozen=True)
 class AdjacencyMatrix:
@@ -136,14 +139,14 @@ def _worst_residual(lap: sp.csr_matrix, values: np.ndarray, vectors: np.ndarray)
     return float(np.linalg.norm(residual, axis=0).max(initial=0.0))
 
 
-def smallest_eigenpairs(lap: sp.csr_matrix, k: int, tol: float = 1e-8):
+def smallest_eigenpairs(lap: sp.csr_matrix, k: int):
     """The k algebraically smallest eigenpairs of L.
 
     Returns ``(eigenvalues, eigenvectors)`` with eigenvalues ascending and
     eigenvectors orthonormal in columns. Dense symmetric solve up to
-    ``DENSE_SOLVE_THRESHOLD`` nodes; shift-invert Lanczos above. The
-    per-pair residual must satisfy ``|L u - lam u| <= tol * |L|_F`` or an
-    :class:`EigensolverError` is raised.
+    ``DENSE_SOLVE_THRESHOLD`` nodes; shift-invert Lanczos above. Unless
+    ``|L u - lam u| <= EIGEN_RESIDUAL_TOL * max(|L|_F, 1)`` for every pair,
+    an :class:`EigensolverError` is raised.
     """
     n = lap.shape[0]
     if k > n:
@@ -169,7 +172,7 @@ def smallest_eigenpairs(lap: sp.csr_matrix, k: int, tol: float = 1e-8):
         order = np.argsort(values, kind="stable")
         values, vectors = values[order], vectors[:, order]
     worst = _worst_residual(lap, values, vectors)
-    limit = tol * max(np.linalg.norm(lap.data), 1.0)
+    limit = EIGEN_RESIDUAL_TOL * max(np.linalg.norm(lap.data), 1.0)
     if worst > limit:
         raise EigensolverError(
             f"eigenpair residual {worst:.3e} exceeds {limit:.3e}", residual=worst
@@ -194,24 +197,23 @@ def _canonical_sign(vectors: np.ndarray) -> np.ndarray:
     return np.where(top < 0, -vectors, vectors)
 
 
-def laplacian_positional_features(
-    adj: AdjacencyMatrix, count: int, tol: float = ZERO_EIGENVALUE_TOL
-) -> SpectralFeatures:
+def laplacian_positional_features(adj: AdjacencyMatrix, count: int) -> SpectralFeatures:
     """Positional features from the ``count`` smallest nonzero-eigenvalue
     eigenvectors of the normalized Laplacian of ``adj``.
 
     Each connected component with an edge has one zero mode; an isolated
     node has eigenvalue 1. So one solve for ``count`` plus the number of
-    zero modes covers the wanted columns. Eigenpairs below ``tol`` are
-    discarded; columns are sign-canonicalized deterministically and
-    zero-padded when fewer than ``count`` nontrivial modes exist.
+    zero modes covers the wanted columns. Eigenpairs below
+    ``ZERO_EIGENVALUE_TOL`` are discarded; columns are sign-canonicalized
+    deterministically and zero-padded when fewer than ``count`` nontrivial
+    modes exist.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
     lap = normalized_laplacian(adj)
     zero_modes = adj.component_count() - int((adj.degrees() == 0).sum())
     values, vectors = smallest_eigenpairs(lap, min(adj.n, count + zero_modes))
-    keep = np.flatnonzero(values >= tol)[:count]
+    keep = np.flatnonzero(values >= ZERO_EIGENVALUE_TOL)[:count]
     feats = np.zeros((adj.n, count), dtype=np.float64)
     feats[:, : keep.size] = _canonical_sign(vectors[:, keep])
     return SpectralFeatures(features=feats, residual=_worst_residual(lap, values, vectors))

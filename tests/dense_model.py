@@ -157,12 +157,9 @@ def dense_layer(p, prefix, e_tok, p_tok, masks, cfg, training, rng, last):
     e_in = e_tok
     if cfg.use_cluster_stream:
         # triangle-from-cluster update: normalized tokens plus a projection
-        # of the per-cluster average (or literal sum) of cluster tokens
-        if cfg.tc_sum:
-            cp = (masks.cluster_avg > 0).astype(masks.cluster_avg.dtype)
-        else:
-            cp = masks.cluster_avg
-        cluster_mix = ad.matmul(Tensor(cp), p_tok)
+        # of C·P, the average of the cluster tokens over each triangle's
+        # cluster (the N x N row-normalized co-membership times P)
+        cluster_mix = ad.matmul(Tensor(masks.cluster_avg), p_tok)
         e_in = ad.add(
             _layer_norm(p, f"{prefix}.tc.ln", e_tok),
             _dropout(_linear(p, f"{prefix}.tc.ff", cluster_mix, activation=True),

@@ -96,6 +96,15 @@ class TestPreprocess:
         assert result.exit_code == 0
         assert [p.name for p in out.glob("*.sample")] == ["sphere1.sample"]
 
+    def test_split_file_not_utf8_exits_1(self, dataset_dir, tmp_path):
+        split = tmp_path / "split.txt"
+        split.write_bytes(b"\xffsphere1\n")
+        result = run(["preprocess", str(dataset_dir), str(tmp_path / "samples"),
+                      "--split", str(split), *PREPROCESS_FLAGS])
+        assert result.exit_code == 1, result.output
+        assert result.output.startswith(f"error: {split}: not a text file")
+        assert len(result.output.splitlines()) == 1
+
     def test_unknown_config_key_exits_2(self, dataset_dir, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"not_a_key": 1}))
@@ -207,6 +216,11 @@ BAD_CONFIGS = {
     "scale_range-str": ([], {"scale_range": ["0.9", 1.1]}, "scale_range"),
     "scale_range-bool": ([], {"scale_range": [True, 1.1]}, "scale_range"),
     "scale_range-infinite": ([], {"scale_range": [0.9, float("inf")]}, "scale_range"),
+    # json.dumps writes these as the raw JSON extensions NaN and Infinity
+    "lr-nan": ([], {"lr": float("nan")}, "lr"),
+    "weight_decay-infinite": ([], {"weight_decay": float("inf")}, "weight_decay"),
+    "translation_range-infinite": ([], {"translation_range": float("inf")},
+                                   "translation_range"),
 }
 
 
@@ -233,6 +247,8 @@ BAD_PREPROCESS_CONFIGS = {
     "clustering_lambda-str": ({"clustering_lambda": "4"}, "clustering_lambda"),
     "eigen_count-0": ({"eigen_count": 0}, "eigen_count"),
     "target_vertices-negative": ({"target_vertices": -5}, "target_vertices"),
+    "clustering_lambda-infinite": ({"clustering_lambda": float("inf")}, "clustering_lambda"),
+    "merge_eps-nan": ({"merge_eps": float("nan")}, "merge_eps"),
 }
 
 
@@ -258,6 +274,27 @@ def test_preprocess_config_out_of_range_exits_2(command, case, dataset_dir, tmp_
     assert result.exit_code == 2, result.output
     assert result.output.startswith(f"error: {name} must be")
     assert len(result.output.splitlines()) == 1
+
+
+@pytest.mark.parametrize("command, key", [
+    ("train", "tc_sum"), ("preprocess", "cluster_on_features"), ("inspect", "cluster_on_features"),
+])
+def test_removed_config_key_exits_2(command, key, dataset_dir, tmp_path, request):
+    """Keys of options that no longer exist are refused like any unknown key;
+    the other entries keep a run that wrongly accepts the key short."""
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"d_t": 16, "d_p": 16, "num_layers": 1, "num_heads": 2,
+                                    "max_steps": 1, "target_faces": 20, "eigen_count": 4,
+                                    "simplify": False, key: True}))
+    if command == "train":
+        args = [str(request.getfixturevalue("samples_dir")), str(tmp_path / "m.ckpt")]
+    elif command == "preprocess":
+        args = [str(dataset_dir), str(tmp_path / "out")]
+    else:
+        args = [str(dataset_dir / "shapes" / "sphere0.off"), str(tmp_path / "out")]
+    result = run([command, *args, "--config", str(cfg_path)])
+    assert result.exit_code == 2, result.output
+    assert result.output == f"error: unknown config keys: ['{key}']\n"
 
 
 # damage -> (mesh file, its text, what the one-line error names)
@@ -474,7 +511,12 @@ CHECKPOINT_DAMAGE = {
     ),
     "format-version-2": (
         as_format_version_2,
-        "unsupported checkpoint format version 2, expected 3; retrain the model with meshseg train",
+        "unsupported checkpoint format version 2, expected 4; retrain the model with meshseg train",
+    ),
+    # a version-3 config may hold tc_sum, a model this version cannot build
+    "format-version-3": (
+        edit_manifest(lambda m: m.update(format_version=3, config={**m["config"], "tc_sum": True})),
+        "unsupported checkpoint format version 3, expected 4; retrain the model with meshseg train",
     ),
     "manifest-without-config": (edit_manifest(lambda m: m.pop("config")), "lacks 'config'"),
     "num-heads-0": (
@@ -650,24 +692,25 @@ class TestInspect:
             assert (out1 / name).read_text() == (out2 / name).read_text()
 
     def test_clusters_follow_the_config(self, dataset_dir, tmp_path):
+        """A clustering lambda set in the config file alone, with no flag,
+        decides the clusters that inspect draws."""
         mesh_path = dataset_dir / "shapes" / "sphere0.off"
         config = tmp_path / "cfg.json"
-        config.write_text(json.dumps({"cluster_on_features": True}))
+        config.write_text(json.dumps({"clustering_lambda": 2}))
         out = tmp_path / "inspect"
         result = run(["inspect", str(mesh_path), str(out), "--config", str(config),
-                      *PREPROCESS_FLAGS])
+                      "--no-simplify", "--target-faces", "20", "--eigen-count", "4"])
         assert result.exit_code == 0, result.output
         mesh = datamod.load_mesh_file(mesh_path)
-        cfg = PreprocessConfig(target_faces=20, eigen_count=4, clustering_lambda=4,
-                               simplify=False)
-        by_features = build_sample(mesh, None, replace(cfg, cluster_on_features=True))
-        by_centroids = build_sample(mesh, None, cfg)
-        assert (by_features.cluster_ids != by_centroids.cluster_ids).any()
-        palette = np.array(datamod.class_palette(by_features.num_clusters))
+        cfg = PreprocessConfig(target_faces=20, eigen_count=4, simplify=False)
+        configured = build_sample(mesh, None, replace(cfg, clustering_lambda=2))
+        assert configured.num_clusters != build_sample(mesh, None, cfg).num_clusters
+        palette = np.array(datamod.class_palette(configured.num_clusters))
         _, colors = parse_ply((out / "clusters.ply").read_text())
-        np.testing.assert_array_equal(colors, palette[by_features.cluster_ids])
+        np.testing.assert_array_equal(colors, palette[configured.cluster_ids])
         stats = json.loads((out / "stats.json").read_text())
-        assert stats["num_clusters"] == by_features.num_clusters
+        assert stats["num_clusters"] == configured.num_clusters
+        assert stats["lambda"] == 2
 
     def test_more_eigenvectors_than_eigen_count_exits_2(self, tmp_path):
         mesh_path = tmp_path / "tetra.off"

@@ -99,7 +99,7 @@ class TestBuildMasks:
         np.testing.assert_array_equal(np.argmax(masks.membership, axis=0), sample.cluster_ids)
         np.testing.assert_array_equal(masks.membership.sum(axis=0), 1)
         sizes = np.bincount(sample.cluster_ids, minlength=k)
-        np.testing.assert_array_equal(masks.cluster_sizes, sizes)
+        np.testing.assert_array_equal(masks.membership.sum(axis=1), sizes)
         # every query cluster weighs a real key cluster by log n_c
         assert masks.cluster_bias.shape == (k, k)
         real = slice(0, sample.num_clusters)
@@ -129,7 +129,9 @@ class TestBuildMasks:
         k = sample.num_clusters
         assert masks.membership.shape == (k, sample.n_total)
         assert np.isfinite(masks.cluster_bias).all()
-        np.testing.assert_array_equal(masks.cluster_sizes, np.bincount(sample.cluster_ids))
+        sizes = np.bincount(sample.cluster_ids)
+        np.testing.assert_array_equal(masks.membership.sum(axis=1), sizes)
+        np.testing.assert_array_equal(masks.cluster_bias, np.tile(np.log(sizes), (k, 1)))
 
     def test_dense_oracle_structure(self):
         sample = small_sample(target_faces=24)
@@ -166,11 +168,10 @@ class TestDenseOracle:
         [
             {},
             {"num_layers": 3},
-            {"num_layers": 3, "tc_sum": True},
             {"num_layers": 1},
             {"use_cluster_stream": False},
         ],
-        ids=["2-layer", "3-layer", "3-layer-tc-sum", "1-layer", "ablated"],
+        ids=["2-layer", "3-layer", "1-layer", "ablated"],
     )
     def test_eval_scores_match(self, target_faces, overrides):
         sample = small_sample(target_faces=target_faces)
@@ -422,14 +423,6 @@ class TestAblations:
         blocks = {name.split(".")[2] for name in params if name.startswith("layers.")}
         assert blocks == {"sa_t", "res_t"}
 
-    def test_tc_sum_flag_changes_output_with_multi_member_clusters(self):
-        sample = small_sample(lam=4.0)  # 3 clusters over 20 faces
-        cfg, params = make_model(sample)
-        sum_cfg = small_model_config(eigen_count=sample.eigen_count, tc_sum=True)
-        avg = met_forward(sample, params, cfg).data
-        total = met_forward(sample, params, sum_cfg).data
-        assert np.abs(avg - total).max() > 1e-8
-
 
 class TestCheckpoint:
     def test_round_trip(self, tmp_path):
@@ -468,7 +461,7 @@ class TestCheckpoint:
             embed = np.load(io.BytesIO(zf.read("embed.w.npy")))
         assert names == [f"{name}.npy" for name in sorted(params)] + ["manifest.json"]
         assert set(manifest) == {"format_version", "config"}
-        assert manifest["format_version"] == 3
+        assert manifest["format_version"] == 4
         assert manifest["config"]["d_t"] == cfg.d_t
         assert manifest["config"]["use_cluster_stream"] is True
         assert embed.dtype.str == "<f4"

@@ -280,14 +280,6 @@ class TestBuildSample:
         sample = build_sample(mesh, None, tiny_config(target_faces=8))
         assert sample.diagnostics["dual_graph_components"] == 2
 
-    def test_cluster_on_features_flag(self):
-        mesh, labels = hemisphere_labeled_sphere(subdivisions=1)
-        cfg = PreprocessConfig(
-            target_faces=80, eigen_count=4, simplify=False, cluster_on_features=True
-        )
-        sample = build_sample(mesh, labels, cfg)
-        sample.validate()
-
 
 def seamed_bumpy_sphere():
     """5,120 faces with three labels. The faces above the equator use
