@@ -33,6 +33,7 @@ __all__ = [
     "embedding_lookup",
     "attention",
     "neighbor_attention",
+    "cluster_attention",
     "log_softmax",
     "gather_rows",
     "layer_norm",
@@ -382,6 +383,78 @@ def neighbor_attention(
         scatter = _scatter_add_map(index, k.shape[0], q.dtype, live=np.isfinite(bias))
         dk = scatter @ (ds[..., np.newaxis] * qh[:, np.newaxis]).reshape(rows * m, width)
         dv = scatter @ (w[..., np.newaxis] * gh[:, np.newaxis]).reshape(rows * m, width)
+        return dq, dk, dv
+
+    return _op_output(merged, (q, k, v), backward_fn)
+
+
+def cluster_attention(
+    q: Tensor, k: Tensor, v: Tensor, members, member_ptr, num_heads: int, scale: float
+) -> Tensor:
+    """Multi-head attention of each query row over its own segment of keys.
+
+    Row r of ``q`` (R, d) attends only to the key/value rows
+    ``members[member_ptr[r]:member_ptr[r + 1]]`` of ``k`` and ``v`` (C, d).
+    The listing is in CSR form and names every key row exactly once, as the
+    clusters of a mesh list its faces. The heads split the columns as in
+    :func:`attention`; a row whose segment is empty outputs zeros.
+
+    Scores, weights and gradients stay in key-row order, one row per key;
+    each per-segment max and sum is one ``reduceat`` over the key rows in
+    listing order. Forward and backward cost O(C·d), and no (R, C) array is
+    made. Each key row has one query, so its gradients need no scatter.
+    """
+    q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
+    _check_heads("cluster_attention", q, k, v, num_heads)
+    members = np.asarray(members, dtype=np.int64)
+    member_ptr = np.asarray(member_ptr, dtype=np.int64)
+    (rows, width), keys = q.shape, k.shape[0]
+    sizes = np.diff(member_ptr)
+    _check(members.shape == (keys,) and member_ptr.shape == (rows + 1,)
+           and member_ptr[0] == 0 and member_ptr[-1] == keys and (sizes >= 0).all(),
+           "cluster_attention", q.shape, k.shape, members.shape, member_ptr.shape)
+    if keys and members.min() < 0:
+        raise IndexError(f"cluster member out of range for {keys} key rows")
+    live = np.flatnonzero(sizes)  # the query rows whose segment is not empty
+    starts = member_ptr[live]
+    segment_of = np.full(keys, -1)  # each key row's segment, counted among live ones
+    segment_of[members] = np.repeat(np.arange(live.size), sizes[live])
+    if (segment_of < 0).any():
+        raise ValueError("cluster_attention: the listing must name every key row once")
+    owner = live[segment_of]  # the query row of each key row
+    s = q.dtype.type(scale)
+    qh = q.data.reshape(rows, num_heads, -1)  # (R, h, dh)
+
+    def heads(x):  # (C, d) -> (C, h, dh) view
+        return x.reshape(keys, num_heads, -1)
+
+    def segment(reduce, x):  # (C, ...) in key order -> one row per live segment
+        return reduce.reduceat(x[members], starts, axis=0)
+
+    def per_query(x):  # one row per live segment -> (R, d), zero on empty ones
+        out = np.zeros((rows, width), dtype=q.dtype)
+        out[live] = x.reshape(live.size, width)
+        return out
+
+    # softmax over each segment of the (C, h) scores, in place
+    w = np.einsum("nhd,nhd->nh", qh[owner], heads(k.data))
+    w *= s
+    w -= segment(np.maximum, w)[segment_of]
+    np.exp(w, out=w)
+    w /= segment(np.add, w)[segment_of]
+    merged = per_query(segment(np.add, w[..., np.newaxis] * heads(v.data)))
+
+    def backward_fn(g):
+        # each key row reads the gradient of its own query row
+        gk = g.reshape(rows, num_heads, -1)[owner]
+        dw = np.einsum("nhd,nhd->nh", gk, heads(v.data))
+        dv = (w[..., np.newaxis] * gk).reshape(keys, width)
+        del gk
+        ds = dw - segment(np.add, dw * w)[segment_of]
+        ds *= w
+        ds *= s
+        dq = per_query(segment(np.add, ds[..., np.newaxis] * heads(k.data)))
+        dk = (ds[..., np.newaxis] * qh[owner]).reshape(keys, width)
         return dq, dk, dv
 
     return _op_output(merged, (q, k, v), backward_fn)

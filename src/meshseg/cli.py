@@ -64,7 +64,11 @@ def _setup_logging():
 def load_run_config(path) -> dict:
     """JSON config with every key checked against the known field names."""
     try:
-        raw = json.loads(Path(path).read_text())
+        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ConfigError(
+            f"config {path} is not UTF-8 text ({exc.reason} at byte {exc.start})"
+        ) from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
     if not isinstance(raw, dict):

@@ -48,8 +48,8 @@ def check_config(cfg, minimums: dict[str, int]) -> None:
     """Raise ConfigError naming the first field of the config dataclass
     ``cfg`` whose value does not match its ``int``, ``float`` or ``bool``
     annotation (a bool is never a number, an int is also a float), that is
-    a NaN or infinite ``float``, or that lies below its entry in
-    ``minimums``. Other fields are not checked."""
+    a NaN or infinite ``float`` or an int too large for one, or that lies
+    below its entry in ``minimums``. Other fields are not checked."""
     for f in dataclasses.fields(cfg):
         value = getattr(cfg, f.name)
         kind = getattr(f.type, "__name__", f.type)
@@ -61,8 +61,13 @@ def check_config(cfg, minimums: dict[str, int]) -> None:
         }.get(kind, True)
         if not ok:
             raise ConfigError(f"{f.name} must be of type {kind}, got {value!r}")
-        # a comparison, since math.isfinite overflows on a huge int
-        if kind == "float" and not -math.inf < value < math.inf:
-            raise ConfigError(f"{f.name} must be finite, got {value!r}")
+        if kind == "float":
+            try:
+                finite = math.isfinite(value)
+            except OverflowError:  # its repr could be thousands of digits
+                raise ConfigError(f"{f.name} must be finite, got an int too large "
+                                  "for a float") from None
+            if not finite:
+                raise ConfigError(f"{f.name} must be finite, got {value!r}")
         if f.name in minimums and value < minimums[f.name]:
             raise ConfigError(f"{f.name} must be >= {minimums[f.name]}, got {value}")

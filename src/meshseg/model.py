@@ -8,8 +8,10 @@ cluster, plus one for the padding cluster when the sample is padded. Each
 layer exchanges information across the streams: every triangle token
 receives a projection of its cluster's token (the paper's C·P read as the
 average over the cluster's per-triangle copies, not their sum), and each
-cluster token attends over its member triangles through masked
-cross-attention. Every attention computes all of its heads in one op.
+cluster token attends over its member triangles. The clusters partition
+the faces, so that cross-attention runs over one listing of the faces
+sorted by cluster, a softmax per segment in O(N·d), instead of over a
+K x N mask. Every attention computes all of its heads in one op.
 
 The paper holds the cluster stream as N rows, one copy of the cluster's
 token per triangle. Attending over n_c identical key/value rows equals
@@ -177,11 +179,15 @@ class AttentionMasks:
     """Which keys each attention may see. Biases are additive: 0 allows,
     -inf blocks, a finite value biases the score. K counts the cluster
     tokens: one per cluster, and one more for the padding cluster when
-    padded. m is 1 plus the largest dual-graph degree."""
+    padded. m is 1 plus the largest dual-graph degree. The clusters'
+    faces form one listing in CSR form (compressed sparse rows), which
+    names every face once; a cluster id that no face carries is an empty
+    segment."""
 
     neighbors: np.ndarray  # (N, m) int64 key rows: self and neighbors, in id order
     neighbor_bias: np.ndarray  # (N, m) 0 on self and each neighbor, -inf on empty slots
-    membership: np.ndarray  # (K, N) bool, True where the triangle is in the cluster
+    members: np.ndarray  # (N,) int64 face ids sorted by cluster, in id order within one
+    member_ptr: np.ndarray  # (K + 1,) int64: cluster c is members[member_ptr[c]:member_ptr[c + 1]]
     cluster_bias: np.ndarray  # (K, K) cluster-to-cluster, log n_c per key
 
 
@@ -202,14 +208,16 @@ def _neighbor_table(sample: Sample, dtype) -> tuple[np.ndarray, np.ndarray]:
 
 def build_masks(sample: Sample, dtype=np.float32) -> AttentionMasks:
     k = sample.num_clusters + (1 if sample.has_padding else 0)
-    member = np.arange(k)[:, np.newaxis] == sample.cluster_ids[np.newaxis, :]
-    sizes = member.sum(axis=1)
+    sizes = np.bincount(sample.cluster_ids, minlength=k)
+    member_ptr = np.zeros(k + 1, dtype=np.int64)
+    np.cumsum(sizes, out=member_ptr[1:])
 
     # one key with bias log n_c weighs as much as n_c identical keys. Real
     # clusters never attend to the padding cluster; the padding cluster
     # attends to the real ones and to one copy of itself, as each padding
     # face attended to the real faces and to itself alone
-    bias = np.tile(np.log(sizes), (k, 1))
+    with np.errstate(divide="ignore"):  # a cluster with no face is no key
+        bias = np.tile(np.log(sizes), (k, 1))
     if sample.has_padding:
         bias[:-1, -1] = -np.inf
         bias[-1, -1] = 0.0
@@ -217,7 +225,8 @@ def build_masks(sample: Sample, dtype=np.float32) -> AttentionMasks:
     return AttentionMasks(
         neighbors=neighbors,
         neighbor_bias=neighbor_bias,
-        membership=member,
+        members=np.argsort(sample.cluster_ids, kind="stable"),
+        member_ptr=member_ptr,
         cluster_bias=bias.astype(dtype),
     )
 
@@ -230,19 +239,24 @@ def _layer_norm(p, name, x):
     return ad.layer_norm(x, p[f"{name}.g"], p[f"{name}.b"])
 
 
-def multi_head_attention(p, name, q_in, k_in, v_in, mask, num_heads, neighbors=None):
+def multi_head_attention(p, name, q_in, k_in, v_in, mask, num_heads, neighbors=None,
+                         members=None):
     """Multi-head attention of the ``q_in`` rows over the ``k_in``/``v_in``
     rows, per-head width d / num_heads, all heads in one op.
 
     ``mask`` is an additive bias of shape (rows, keys), or, when the
     (rows, m) table ``neighbors`` is given, of shape (rows, m) over the key
-    rows that the table lists.
+    rows that the table lists. When the CSR listing ``members``, a pair
+    (members, member_ptr), is given instead, ``mask`` is None and row r
+    attends to the key rows ``members[member_ptr[r]:member_ptr[r + 1]]``.
     """
     q = ad.matmul(q_in, p[f"{name}.wq"])
     k = ad.matmul(k_in, p[f"{name}.wk"])
     v = ad.matmul(v_in, p[f"{name}.wv"])
     scale = 1.0 / np.sqrt(q.shape[-1] // num_heads)
-    if neighbors is None:
+    if members is not None:
+        merged = ad.cluster_attention(q, k, v, *members, num_heads, scale)
+    elif neighbors is None:
         merged = ad.attention(q, k, v, mask, num_heads, scale)
     else:
         merged = ad.neighbor_attention(q, k, v, neighbors, mask, num_heads, scale)
@@ -295,7 +309,7 @@ def met_layer(p, prefix, e_tok, p_tok, masks, cluster_ids, cfg, training, rng, l
     # keys/values from the raw tokens of the cluster's own triangles
     ct_attn = multi_head_attention(
         p, f"{prefix}.ct", _layer_norm(p, f"{prefix}.ct.ln", p_tok), e_tok, e_tok,
-        np.where(masks.membership, 0.0, -np.inf), cfg.num_heads,
+        None, cfg.num_heads, members=(masks.members, masks.member_ptr),
     )
     ct = _residual(p_tok, ct_attn, cfg, training, rng)
     p_mid = _residual(

@@ -10,26 +10,27 @@ q12, q13, q22, q23, q33)`` of the symmetric 4x4 matrix, and positions as
 3-tuples, so the collapse loop runs in plain Python floats.
 
 Heap entries are ``(cost, a, b, stamp)`` with ``a < b``, and each edge has
-at most one live entry: the one whose stamp ``live[a, b]`` holds. A popped
-or superseded entry is stale and skipped. The initial entries come from one
-numpy pass over all edges, with the float operations of
-``_optimal_position`` in the same order, so their costs are bit-identical
-to the scalar ones. After ``v`` merges into ``u``, every edge at ``u`` gets
-a fresh entry, since ``u``'s quadric and position changed. Every other edge
-keeps its live entry, since neither of its endpoints changed; the only
-edges without one are those popped earlier and rejected as illegal. Each
-of these is recorded in a rejected-edge set at both endpoints, and pushed
-again, at its unchanged cost, once a collapse leaves one of its endpoints
-next to the surviving vertex. Re-pushing all edges at ``u`` and at its
-neighbors would pop the same edges in the same order; it only costs more
-quadric solves.
+at most one live entry: the one whose stamp ``live[a, b]`` holds. The
+stamp also indexes the collapse position solved when the entry was pushed,
+which a live entry's collapse uses as it is. A popped or superseded entry
+is stale and skipped. The initial entries come from one numpy pass over
+all edges, with the float operations of ``_optimal_position`` in the same
+order, so their positions and costs are bit-identical to the scalar ones.
+After ``v`` merges into ``u``, every edge at ``u`` gets a fresh entry,
+since ``u``'s quadric and position changed. Every other edge keeps its live
+entry, since neither of its endpoints changed; the only edges without one
+are those popped earlier and rejected as illegal. Each of these is
+recorded in a rejected-edge set at both endpoints, and pushed again, at its
+unchanged cost, once a collapse leaves one of its endpoints next to the
+surviving vertex. Re-pushing all edges at ``u`` and at its neighbors would
+pop the same edges in the same order; it only costs more quadric solves.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from itertools import count
+from array import array
 
 import numpy as np
 
@@ -76,10 +77,13 @@ def _optimal_position(quadric, p_u, p_v):
     return best, best_cost
 
 
-def _collapse_costs(quadrics: np.ndarray, positions: np.ndarray, a, b) -> np.ndarray:
+def _collapse_targets(
+    quadrics: np.ndarray, positions: np.ndarray, a, b
+) -> tuple[np.ndarray, np.ndarray]:
     """``_optimal_position(quadrics[a] + quadrics[b], positions[a],
-    positions[b])[1]`` for every edge (a, b) at once, bit-identical: the
-    same float operations in the same order, one column at a time."""
+    positions[b])`` for every edge (a, b) at once, as (E, 3) positions and
+    (E,) costs, bit-identical: the same float operations in the same order,
+    one column at a time, and the same candidate chosen."""
     qa, qb, qc, qd, qe, qf, qg, qh, qi, qj = (quadrics[a] + quadrics[b]).T
     pu, pv = positions[a], positions[b]
 
@@ -99,16 +103,22 @@ def _collapse_costs(quadrics: np.ndarray, positions: np.ndarray, a, b) -> np.nda
     m12 = qb * qc - qa * qf
     m22 = qa * qe - qb * qb
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        solved = cost(
+        solved_at = np.column_stack([
             -(m00 * qd + m01 * qg + m02 * qi) / det,
             -(m01 * qd + m11 * qg + m12 * qi) / det,
             -(m02 * qd + m12 * qg + m22 * qi) / det,
-        )
+        ])
+        solved = cost(*solved_at.T)
     at_u = cost(*pu.T)
-    best = np.where(np.abs(det) > _SINGULAR_DET, solved, at_u)
-    for later in (at_u, cost(*pv.T), cost(*(0.5 * (pu + pv)).T)):
-        best = np.where(later < best, later, best)
-    return best
+    invertible = np.abs(det) > _SINGULAR_DET
+    best = np.where(invertible, solved, at_u)
+    best_at = np.where(invertible[:, np.newaxis], solved_at, pu)
+    mid = 0.5 * (pu + pv)
+    for later, at in ((at_u, pu), (cost(*pv.T), pv), (cost(*mid.T), mid)):
+        better = later < best
+        best = np.where(better, later, best)
+        best_at = np.where(better[:, np.newaxis], at, best_at)
+    return best_at, best
 
 
 def _cross(p0, p1, p2):
@@ -239,16 +249,19 @@ def simplify_qem(mesh: Mesh, target_vertices: int) -> tuple[Mesh, bool]:
     quadrics = _vertex_quadrics(mesh)
     state = _MeshState(mesh, quadrics)
     a, b = _edges(mesh.faces)
-    costs = _collapse_costs(quadrics, mesh.vertices, a, b)
+    targets, costs = _collapse_targets(quadrics, mesh.vertices, a, b)
     heap = list(zip(costs.tolist(), a.tolist(), b.tolist(), range(len(a))))
     heapq.heapify(heap)
     live = {(u, v): stamp for _, u, v, stamp in heap}
-    stamps = count(len(heap))
+    # by stamp, the collapse position solved when the entry was pushed, as
+    # three flat doubles, so that the stale entries' positions take little room
+    solved = array("d", targets.tobytes())
     rejected: dict[int, set[tuple[int, int]]] = {}
 
     def push_edge(a, b):
-        _, cost = state.collapse_target(a, b)
-        stamp = live[a, b] = next(stamps)
+        position, cost = state.collapse_target(a, b)
+        stamp = live[a, b] = len(solved) // 3
+        solved.extend(position)
         heapq.heappush(heap, (cost, a, b, stamp))
 
     remaining = mesh.num_vertices
@@ -259,7 +272,8 @@ def simplify_qem(mesh: Mesh, target_vertices: int) -> tuple[Mesh, bool]:
         del live[u, v]
         if not state.vertex_alive[u] or not state.vertex_alive[v]:
             continue
-        new_pos, _ = state.collapse_target(u, v)
+        # a live entry's endpoints are unchanged since it was pushed
+        new_pos = tuple(solved[3 * stamp:3 * stamp + 3])
         if not state.collapse_is_legal(u, v, new_pos):
             rejected.setdefault(u, set()).add((u, v))
             rejected.setdefault(v, set()).add((u, v))

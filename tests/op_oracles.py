@@ -7,12 +7,18 @@ each op as it was before, kept as the oracle for ``meshseg.autodiff``.
   where ``autodiff.embedding_lookup`` uses one sparse product.
 
 Both must agree with the library ops bit for bit.
+
+- ``cluster_attention_oracle`` is the cluster-from-triangle attention as
+  the model ran it before ``autodiff.cluster_attention``: ``ad.attention``
+  under a dense (K, N) membership mask, which makes (heads, K, N) scores.
+  It sums in another order, so the two agree to rounding, not bit for bit.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from meshseg import autodiff as ad
 from meshseg.autodiff import Tensor, _as_tensor, _op_output
 
 
@@ -51,3 +57,18 @@ def embedding_lookup_oracle(table: Tensor, ids) -> Tensor:
         return (gt,)
 
     return _op_output(table.data[ids], (table,), backward_fn)
+
+
+def membership_mask(members, member_ptr, keys) -> np.ndarray:
+    """The dense (K, C) additive mask of a CSR listing: 0 where key row i is
+    listed in segment r, -inf elsewhere."""
+    member_ptr = np.asarray(member_ptr)
+    segment = np.repeat(np.arange(member_ptr.size - 1), np.diff(member_ptr))
+    membership = np.zeros((member_ptr.size - 1, keys), dtype=bool)
+    membership[segment, members] = True
+    return np.where(membership, 0.0, -np.inf)
+
+
+def cluster_attention_oracle(q, k, v, members, member_ptr, num_heads, scale) -> Tensor:
+    mask = membership_mask(members, member_ptr, _as_tensor(k).shape[0])
+    return ad.attention(q, k, v, mask, num_heads, scale)

@@ -318,6 +318,11 @@ def test_criterion_04_autodiff_finite_differences():
     pre = x @ w + b
     assert (pre < 0).any() and (pre > 0).any() and np.abs(pre).min() > 0.01
     check_op(lambda a, ww, bb: ad.linear(a, ww, bb, relu=True), x, w, b)
+
+    # the model's cluster attention over a listing of the key rows: one
+    # segment of a single key, an empty one, and one of the other four
+    members, member_ptr = [3, 0, 2, 4, 1], [0, 1, 1, 5]
+    check_op(lambda a, b, c: ad.cluster_attention(a, b, c, members, member_ptr, 2, 0.7), q, k, v)
     assert time.monotonic() - start < 120
 
 

@@ -27,7 +27,7 @@ from dense_model import (
     slice_last,
     transpose,
 )
-from op_oracles import embedding_lookup_oracle, layer_norm_oracle
+from op_oracles import cluster_attention_oracle, embedding_lookup_oracle, layer_norm_oracle
 
 # ops the dense oracle (tests/dense_model.py) adds for its unfused linear
 # layers and its per-head attention
@@ -345,6 +345,95 @@ class TestAttention:
             ad.attention(x, x, x, np.zeros((2, 2)), 2, 1.0)
 
 
+def cluster_listing(ids, k):
+    """The CSR listing of ``ids``: keys sorted by segment, then segment starts."""
+    member_ptr = np.zeros(k + 1, dtype=np.int64)
+    np.cumsum(np.bincount(ids, minlength=k), out=member_ptr[1:])
+    return np.argsort(ids, kind="stable"), member_ptr
+
+
+class TestClusterAttention:
+    """Attention of each query row over its own segment of key rows agrees
+    with ``ad.attention`` under the dense membership mask it replaced."""
+
+    @staticmethod
+    def run(op, dtype, q, k, v, listing, upstream, heads=4):
+        tensors = [Tensor(a.astype(dtype), requires_grad=True) for a in (q, k, v)]
+        out = op(*tensors, *listing, heads, 0.3)
+        ad.backward(ad.reduce_sum(ad.mul(out, Tensor(upstream.astype(dtype)))))
+        return [out.data] + [t.grad for t in tensors]
+
+    @pytest.mark.parametrize("dtype, tol", [(np.float64, 1e-12), (np.float32, 1e-6)])
+    def test_matches_dense_oracle(self, rng, dtype, tol):
+        # a large last segment, as pad_sample gives the padding faces,
+        # singletons, and segments interleaved across the key order
+        k, n, d = 9, 80, 16
+        ids = rng.integers(0, k - 3, size=n)
+        ids[rng.permutation(n)[:30]] = k - 1
+        ids[[5, 17]] = [k - 3, k - 2]
+        listing = cluster_listing(ids, k)
+        q, keys, values, upstream = (rng.normal(size=(m, d)) for m in (k, n, n, k))
+        got = self.run(ad.cluster_attention, dtype, q, keys, values, listing, upstream)
+        want = self.run(cluster_attention_oracle, dtype, q, keys, values, listing, upstream)
+        for a, b in zip(got, want):
+            assert a.dtype == dtype
+            assert np.abs(a - b).max() <= tol
+
+    def test_empty_segment_is_a_zero_row_with_finite_gradients(self, rng):
+        """A cluster id that no face carries gives the zero row that the
+        dense mask's all-blocked row gives, and no NaN gradient."""
+        ids = np.array([0, 2, 2, 0, 3, 2])  # cluster 1 is empty
+        listing = cluster_listing(ids, 4)
+        q, keys, values, upstream = (rng.normal(size=(m, 4)) for m in (4, 6, 6, 4))
+        got = self.run(ad.cluster_attention, np.float64, q, keys, values, listing, upstream, 2)
+        want = self.run(cluster_attention_oracle, np.float64, q, keys, values, listing,
+                        upstream, 2)
+        assert all(np.isfinite(a).all() for a in got)
+        np.testing.assert_array_equal(got[0][1], 0.0)
+        np.testing.assert_array_equal(got[1][1], 0.0)
+        for a, b in zip(got, want):
+            np.testing.assert_allclose(a, b, atol=1e-12)
+
+    def test_extreme_scores_stable(self):
+        # scores of 2e4 overflow exp unless each segment's max comes off first
+        q = Tensor(np.full((2, 2), 100.0))
+        keys = Tensor(np.array([[100.0, 100.0], [99.0, 99.0], [1.0, 1.0]]))
+        out = ad.cluster_attention(q, keys, keys, [0, 1, 2], [0, 2, 3], 1, 1.0)
+        np.testing.assert_allclose(out.data, [[100.0, 100.0], [1.0, 1.0]], atol=1e-12)
+
+    def test_holds_a_few_key_sized_arrays(self, rng):
+        """One forward and backward at the raw-mesh size (N=2412, K=151,
+        d=64) peak under four (N, d) arrays, two of them the key and value
+        gradients: no (heads, K, N) score array exists."""
+        k, n, d = 151, 2412, 64
+        ids = rng.integers(0, k - 1, size=n)
+        ids[1200:] = k - 1
+        listing = cluster_listing(ids, k)
+        q, keys, values = (Tensor(rng.normal(size=(m, d)), requires_grad=True)
+                           for m in (k, n, n))
+        g = rng.normal(size=(k, d))
+        tracemalloc.start()
+        try:
+            out = ad.cluster_attention(q, keys, values, *listing, 4, 0.125)
+            grads = out._backward_fn(g)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert [a.shape for a in grads] == [(k, d), (n, d), (n, d)]
+        assert peak <= 4 * n * d * 8, peak
+
+    def test_listing_must_name_every_key_once(self, rng):
+        q, keys = Tensor(rng.normal(size=(2, 2))), Tensor(rng.normal(size=(3, 2)))
+        with pytest.raises(ValueError, match="once"):
+            ad.cluster_attention(q, keys, keys, [0, 1, 1], [0, 1, 3], 1, 1.0)
+        with pytest.raises(IndexError):
+            ad.cluster_attention(q, keys, keys, [0, 1, 3], [0, 1, 3], 1, 1.0)
+        with pytest.raises(ShapeMismatchError):
+            ad.cluster_attention(q, keys, keys, [0, 1], [0, 1, 2], 1, 1.0)
+        with pytest.raises(ShapeMismatchError):
+            ad.cluster_attention(q, keys, keys, [0, 1, 2], [0, 3], 1, 1.0)
+
+
 class TestLayerNorm:
     def test_constant_row_zero(self):
         x = Tensor(np.full((2, 4), 3.0))
@@ -474,6 +563,19 @@ class TestFiniteDifference:
         check_grad(
             lambda a, b, c: ad.reduce_sum(ad.mul(
                 ad.neighbor_attention(a, b, c, table, slot_bias, 2, 0.8), Tensor(w))),
+            q, k, v,
+        )
+
+    def test_cluster_attention(self, rng):
+        # three heads; a padding-like segment of five keys, two singleton
+        # segments and one of two keys, listed out of key order
+        ids = np.array([4, 0, 4, 2, 4, 1, 4, 1, 4, 3])
+        members, member_ptr = cluster_listing(ids, 5)
+        q, k, v = rng.normal(size=(5, 6)), rng.normal(size=(10, 6)), rng.normal(size=(10, 6))
+        w = rng.normal(size=(5, 6))
+        check_grad(
+            lambda a, b, c: ad.reduce_sum(ad.mul(
+                ad.cluster_attention(a, b, c, members, member_ptr, 3, 0.8), Tensor(w))),
             q, k, v,
         )
 
@@ -795,6 +897,9 @@ class TestBackwardMechanics:
             "neighbor_attention": lambda a: ad.neighbor_attention(
                 a, a, a, [[0, 1], [1, 1], [2, 0]], [[0.0, 0.0], [0.0, -np.inf], [0.0, 0.0]],
                 2, 0.5),
+            "cluster_attention": lambda a: ad.cluster_attention(
+                a, Tensor(k, requires_grad=True), Tensor(k, requires_grad=True),
+                [3, 0, 4, 1, 2], [0, 2, 2, 5], 2, 0.5),
             "log_softmax": ad.log_softmax,
             "gather_rows": lambda a: ad.gather_rows(a, [3, 0, 1]),
             "layer_norm": lambda a: ad.layer_norm(

@@ -115,6 +115,16 @@ class TestPreprocess:
         assert result.exit_code == 2
         assert "unknown config keys" in result.output
 
+    @pytest.mark.parametrize("command", ["preprocess", "inspect"])
+    def test_config_not_utf8_exits_2(self, command, dataset_dir, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(b'{"target_faces": 20}\xff')
+        target = dataset_dir if command == "preprocess" else dataset_dir / "shapes" / "sphere0.off"
+        result = run([command, str(target), str(tmp_path / "out"), "--config", str(cfg)])
+        assert result.exit_code == 2, result.output
+        assert result.output.startswith(f"error: config {cfg} is not UTF-8 text")
+        assert len(result.output.splitlines()) == 1
+
     def test_eigensolver_failure_is_a_per_file_failure(self, dataset_dir, tmp_path,
                                                         monkeypatch):
         solve = spectral.smallest_eigenpairs
@@ -221,6 +231,8 @@ BAD_CONFIGS = {
     "weight_decay-infinite": ([], {"weight_decay": float("inf")}, "weight_decay"),
     "translation_range-infinite": ([], {"translation_range": float("inf")},
                                    "translation_range"),
+    # json.dumps writes this as a raw JSON integer of 401 digits
+    "lr-int-too-large": ([], {"lr": 10**400}, "lr"),
 }
 
 

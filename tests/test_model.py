@@ -2,6 +2,7 @@
 ablations, and checkpointing."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -77,6 +78,17 @@ class TestParameters:
         assert "cluster_embed" in params
 
 
+def assert_lists_clusters(masks, cluster_ids, k):
+    """The CSR listing names every face once: segment c holds exactly the
+    faces of cluster c, in ascending id order, as plain int64 arrays."""
+    assert masks.members.dtype == masks.member_ptr.dtype == np.int64
+    assert masks.member_ptr.shape == (k + 1,) and masks.member_ptr[0] == 0
+    np.testing.assert_array_equal(np.sort(masks.members), np.arange(cluster_ids.size))
+    for c in range(k):
+        segment = masks.members[masks.member_ptr[c]:masks.member_ptr[c + 1]]
+        np.testing.assert_array_equal(segment, np.flatnonzero(cluster_ids == c))
+
+
 class TestBuildMasks:
     def test_structure(self):
         sample = small_sample(target_faces=24)
@@ -93,13 +105,9 @@ class TestBuildMasks:
         for i in range(n):
             assert sorted(masks.neighbors[i, live[i]].tolist()) == sorted([i, *neighbors[i]])
         assert (~live[~sample.real_mask, 1:]).all()  # padding rows see themselves only
-        # each triangle is a member of exactly its own cluster
-        assert masks.membership.shape == (k, n)
-        assert masks.membership.dtype == bool
-        np.testing.assert_array_equal(np.argmax(masks.membership, axis=0), sample.cluster_ids)
-        np.testing.assert_array_equal(masks.membership.sum(axis=0), 1)
+        # each triangle is listed once, in the segment of its own cluster
         sizes = np.bincount(sample.cluster_ids, minlength=k)
-        np.testing.assert_array_equal(masks.membership.sum(axis=1), sizes)
+        assert_lists_clusters(masks, sample.cluster_ids, k)
         # every query cluster weighs a real key cluster by log n_c
         assert masks.cluster_bias.shape == (k, k)
         real = slice(0, sample.num_clusters)
@@ -127,10 +135,9 @@ class TestBuildMasks:
         sample = small_sample()
         masks = build_masks(sample, dtype=np.float64)
         k = sample.num_clusters
-        assert masks.membership.shape == (k, sample.n_total)
+        assert_lists_clusters(masks, sample.cluster_ids, k)
         assert np.isfinite(masks.cluster_bias).all()
         sizes = np.bincount(sample.cluster_ids)
-        np.testing.assert_array_equal(masks.membership.sum(axis=1), sizes)
         np.testing.assert_array_equal(masks.cluster_bias, np.tile(np.log(sizes), (k, 1)))
 
     def test_dense_oracle_structure(self):
@@ -188,6 +195,26 @@ class TestDenseOracle:
         cfg, params = make_model(sample, num_layers=3, max_clusters=16)
         scores = met_forward(sample, params, cfg).data
         assert np.abs(scores - dense_forward(sample, params, cfg).data).max() <= 1e-6
+
+
+    def test_empty_cluster_is_valid_and_matches(self, rng):
+        """A sample whose real cluster ids skip one passes ``validate``. The
+        skipped cluster's token attends over no face and feeds no triangle,
+        so the scores still match the oracle, and a backward pass through
+        its zero cross-attention row gives finite gradients."""
+        sample = small_sample(target_faces=24)
+        ids = sample.cluster_ids.copy()
+        ids[ids >= 1] += 1  # no face in cluster 1; the padding id moves up too
+        sample = replace(sample, cluster_ids=ids, num_clusters=sample.num_clusters + 1)
+        sample.validate()
+        masks = build_masks(sample, dtype=np.float64)
+        assert masks.member_ptr[1] == masks.member_ptr[2]
+        cfg, params = make_model(sample, seed=4, num_layers=3, max_clusters=16)
+        scores = met_forward(sample, params, cfg)
+        assert np.abs(scores.data - dense_forward(sample, params, cfg).data).max() <= 1e-6
+        weight = Tensor(rng.normal(size=scores.shape))
+        ad.backward(ad.reduce_sum(ad.mul(scores, weight)))
+        assert all(np.isfinite(p.grad).all() for p in params.values())
 
 
 def attend(path, params, x, mask, num_heads):

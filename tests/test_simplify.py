@@ -121,6 +121,16 @@ def grid_patch(n: int) -> Mesh:
     return Mesh(vertices=vertices, faces=np.array(faces))
 
 
+def creased_patch(n: int) -> Mesh:
+    """``grid_patch`` with the part beyond x = 1 bent up along that line: a
+    crease vertex's quadric holds both planes, so an edge from the flat
+    side onto the crease is singular and its second endpoint costs 0."""
+    mesh = grid_patch(n)
+    vertices = mesh.vertices.copy()
+    vertices[:, 2] = np.maximum(vertices[:, 0] - 1.0, 0.0)
+    return Mesh(vertices=vertices, faces=mesh.faces)
+
+
 def quadric_entries(matrix) -> tuple:
     rows, cols = np.triu_indices(4)
     return tuple(matrix[rows, cols].tolist())
@@ -195,6 +205,54 @@ class TestOracleParity:
         assert not reached and collapses == []
         np.testing.assert_array_equal(out.faces, mesh.faces)
         assert_matches_oracle(mesh, 4, monkeypatch, atol=0)
+
+
+class TestCollapseTargets:
+    """Each collapse is tried at the position solved when its live entry
+    was pushed, which equals a fresh solve of the current quadrics."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: bumpy_sphere_mesh(np.random.default_rng(3), 120, 0.2),
+        lambda: grid_patch(5),
+        lambda: creased_patch(5),
+    ], ids=["bumpy", "planar", "creased"])
+    def test_initial_targets_equal_scalar_solves_bit_for_bit(self, make):
+        """The numpy pass picks the scalar candidate, solved or not, and
+        computes it with the same float operations."""
+        mesh = make()
+        quadrics = simplify._vertex_quadrics(mesh)
+        a, b = simplify._edges(mesh.faces)
+        positions, costs = simplify._collapse_targets(quadrics, mesh.vertices, a, b)
+        p = mesh.vertices.tolist()
+        for u, v, got_at, got in zip(a, b, positions.tolist(), costs.tolist()):
+            q = [x + y for x, y in zip(quadrics[u].tolist(), quadrics[v].tolist())]
+            want_at, want = simplify._optimal_position(q, tuple(p[u]), tuple(p[v]))
+            assert tuple(got_at) == want_at and got == want
+
+    def test_creased_patch_picks_second_endpoints(self):
+        """On the crease test mesh some singular edges collapse onto their
+        second endpoint, so the parity above covers a later candidate."""
+        mesh = creased_patch(5)
+        a, b = simplify._edges(mesh.faces)
+        positions, _ = simplify._collapse_targets(
+            simplify._vertex_quadrics(mesh), mesh.vertices, a, b)
+        at_v = (positions == mesh.vertices[b]).all(axis=1)
+        assert (at_v & ~(positions == mesh.vertices[a]).all(axis=1)).any()
+
+    def test_popped_entry_keeps_its_solved_position(self, monkeypatch):
+        legal = simplify._MeshState.collapse_is_legal
+        solve = simplify._MeshState.collapse_target
+        tried = []
+
+        def checked(state, u, v, new_pos):
+            assert new_pos == solve(state, u, v)[0]
+            tried.append((u, v))
+            return legal(state, u, v, new_pos)
+
+        monkeypatch.setattr(simplify._MeshState, "collapse_is_legal", checked)
+        mesh = bumpy_sphere_mesh(np.random.default_rng(5), 150, 0.15)
+        simplify_qem(mesh, 40)
+        assert len(tried) >= 110
 
 
 class TestOptimalPosition:
