@@ -32,8 +32,7 @@ __all__ = [
     "reduce_sum",
     "embedding_lookup",
     "attention",
-    "neighbor_attention",
-    "cluster_attention",
+    "segment_attention",
     "log_softmax",
     "gather_rows",
     "layer_norm",
@@ -241,19 +240,17 @@ def reduce_sum(a: Tensor, axis: int | None = None) -> Tensor:
     return _op_output(a.data.sum(axis=axis), (a,), backward_fn)
 
 
-def _scatter_add_map(ids: np.ndarray, rows: int, dtype, live=None) -> sp.csr_matrix:
+def _scatter_add_map(ids: np.ndarray, rows: int, dtype) -> sp.csr_matrix:
     """(rows, ids.size) map of ones whose product with an (ids.size, w)
-    array adds row i into row ``ids.flat[i]``, for the slots where ``live``
-    (of ids' shape; all when None) holds. Sorting the distinct keys
+    array adds row i into row ``ids.flat[i]``. Sorting the distinct keys
     target · ids.size + slot lists each row's slots in ascending order, so
     each row sums them in the order np.add.at would; on large maps a plain
     sort of the keys beats a stable argsort of the targets several times."""
-    slots = np.arange(ids.size) if live is None else np.flatnonzero(live.reshape(-1))
-    targets = ids.reshape(-1)[slots]
+    targets = ids.reshape(-1)
     indptr = np.zeros(rows + 1, dtype=np.int64)
     np.cumsum(np.bincount(targets, minlength=rows), out=indptr[1:])
-    cols = np.sort(targets * ids.size + slots) % ids.size
-    return sp.csr_matrix((np.ones(slots.size, dtype=dtype), cols, indptr), shape=(rows, ids.size))
+    cols = np.sort(targets * ids.size + np.arange(ids.size)) % ids.size
+    return sp.csr_matrix((np.ones(ids.size, dtype=dtype), cols, indptr), shape=(rows, ids.size))
 
 
 def embedding_lookup(table: Tensor, ids) -> Tensor:
@@ -338,124 +335,99 @@ def attention(q: Tensor, k: Tensor, v: Tensor, bias, num_heads: int, scale: floa
     return _op_output(merge(np.matmul(w, vh)), (q, k, v), backward_fn)
 
 
-def neighbor_attention(
-    q: Tensor, k: Tensor, v: Tensor, index, bias, num_heads: int, scale: float
+# entries per gathered block of a pairwise dot product: two blocks stay in
+# cache, and no (pairs, d) copy of either side exists
+_GATHER_BLOCK = 1 << 16
+
+
+def _pair_dots(a: np.ndarray, a_rows, b: np.ndarray, b_rows, num_heads: int) -> np.ndarray:
+    """(P, num_heads) dot products of row ``a_rows[p]`` of ``a`` with row
+    ``b_rows[p]`` of ``b``, one per head's columns, gathered in blocks."""
+    pairs, width = len(a_rows), a.shape[1]
+    out = np.empty((pairs, num_heads), dtype=a.dtype)
+    step = max(1, _GATHER_BLOCK // width)
+    for i in range(0, pairs, step):
+        block = slice(i, i + step)
+        out[block] = np.einsum("phd,phd->ph",
+                               a[a_rows[block]].reshape(-1, num_heads, width // num_heads),
+                               b[b_rows[block]].reshape(-1, num_heads, width // num_heads))
+    return out
+
+
+def segment_attention(
+    q: Tensor, k: Tensor, v: Tensor, keys, ptr, num_heads: int, scale: float
 ) -> Tensor:
-    """Multi-head attention over a padded neighbor table.
+    """Multi-head attention of each query row over its own list of key rows.
 
     Row r of ``q`` (R, d) attends only to the key/value rows
-    ``index[r, j]`` of ``k`` and ``v`` (C, d), with the additive bias
-    ``bias[r, j]``; -inf marks an empty slot, whose index is ignored. The
-    heads split the columns as in :func:`attention`. Costs O(R·m·d) for m
-    slots per row instead of O(R·C·d). The backward pass gathers the slot
-    rows again and scatter-adds their key and value gradients through one
-    sparse map; it makes its (R, m, d) arrays (the value gather, the key
-    gather and the two slot gradients) one after another and drops each
-    before the next, so it holds at most one of them at a time.
+    ``keys[ptr[r]:ptr[r + 1]]`` of ``k`` and ``v`` (C, d), a listing in CSR
+    form (compressed sparse rows) of P pairs. A key row may be listed in
+    many segments, and a key listed twice in one segment weighs as much as
+    two copies of it. The heads split the columns as in :func:`attention`;
+    a row whose segment is empty outputs zeros.
+
+    The weights are the data of one sparse (R·h, C·h) map whose row
+    r·h + j holds query r's weights in head j, so the output is that map
+    times the (C·h, d / h) view of ``v``, and the transposed maps send the
+    key and value gradients back, each key row summing its pairs in listing
+    order. Scores and their per-segment max and sum live on narrow arrays
+    of one entry per pair and head. Forward and backward cost O(P·d); no
+    (R, C) array and no (P, d) copy is made.
     """
     q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
-    _check_heads("neighbor_attention", q, k, v, num_heads)
-    index = np.asarray(index, dtype=np.int64)
-    bias = np.asarray(bias, dtype=q.dtype)
-    rows, width = q.shape
-    _check(index.ndim == 2 and index.shape[0] == rows and bias.shape == index.shape,
-           "neighbor_attention", q.shape, index.shape, bias.shape)
-    if index.size and (index.min() < 0 or index.max() >= k.shape[0]):
-        raise IndexError(f"neighbor index out of range for {k.shape[0]} key rows")
-    m = index.shape[1]
+    _check_heads("segment_attention", q, k, v, num_heads)
+    keys = np.asarray(keys, dtype=np.int64)
+    ptr = np.asarray(ptr, dtype=np.int64)
+    (rows, width), cols, h = q.shape, k.shape[0], num_heads
+    sizes = np.diff(ptr)
+    _check(keys.ndim == 1 and ptr.shape == (rows + 1,) and ptr[0] == 0
+           and ptr[-1] == keys.size and (sizes >= 0).all(),
+           "segment_attention", q.shape, k.shape, keys.shape, ptr.shape)
+    if keys.size and (keys.min() < 0 or keys.max() >= cols):
+        raise IndexError(f"segment key out of range for {cols} key rows")
+    pairs = keys.size
+    owner = np.repeat(np.arange(rows), sizes)  # the query row of each pair
+    # map row r·h + j holds query r's pairs in head j, in listing order,
+    # from entry start[r, j] = ptr[r]·h + j·sizes[r] on
+    start = ptr[:-1, np.newaxis] * h + np.arange(h) * sizes[:, np.newaxis]
+    entry = start[owner] + (np.arange(pairs) - ptr[owner])[:, np.newaxis]  # (P, h)
+    order = np.empty(pairs * h, dtype=np.int64)  # map entry -> (pair, head) entry
+    order[entry.reshape(-1)] = np.arange(pairs * h)
+    indices = (keys[:, np.newaxis] * h + np.arange(h)).reshape(-1)[order]
+    indptr = np.append(start.reshape(-1), pairs * h)
+    row_sizes = np.repeat(sizes, h)
+    starts, live_sizes = indptr[:-1][row_sizes > 0], row_sizes[row_sizes > 0]
     s = q.dtype.type(scale)
-    qh = q.data.reshape(rows, num_heads, -1)  # (R, h, dh)
 
-    def gather(x):  # (C, d) -> (R, m, h, dh) copy of the slots' rows
-        return x.data[index].reshape(rows, m, num_heads, -1)
+    def per_row(reduce, x):  # each entry's reduction over its map row
+        return np.repeat(reduce.reduceat(x, starts), live_sizes)
 
-    w = _softmax(np.einsum("nhd,nmhd->nmh", qh, gather(k)) * s + bias[:, :, np.newaxis], axis=1)
-    merged = np.einsum("nmh,nmhd->nhd", w, gather(v)).reshape(rows, width)
+    def weight_map(data):
+        return sp.csr_matrix((data, indices, indptr), shape=(rows * h, cols * h))
 
-    def backward_fn(g):
-        # gathering again costs less than keeping (R, m, d) copies alive, and
-        # each (R, m, d) array below dies before the next one is made
-        gh = g.reshape(rows, num_heads, -1)
-        dw = np.einsum("nhd,nmhd->nmh", gh, gather(v))
-        ds = w * (dw - (dw * w).sum(axis=1, keepdims=True)) * s
-        dq = np.einsum("nmh,nmhd->nhd", ds, gather(k)).reshape(rows, width)
-        # live slot (r, j) sends its gradient to key row index[r, j]
-        scatter = _scatter_add_map(index, k.shape[0], q.dtype, live=np.isfinite(bias))
-        dk = scatter @ (ds[..., np.newaxis] * qh[:, np.newaxis]).reshape(rows * m, width)
-        dv = scatter @ (w[..., np.newaxis] * gh[:, np.newaxis]).reshape(rows * m, width)
-        return dq, dk, dv
+    def by_head(x):  # (n, d) -> (n·h, d / h) view, row n·h + j holding head j
+        return x.reshape(-1, width // h)
 
-    return _op_output(merged, (q, k, v), backward_fn)
-
-
-def cluster_attention(
-    q: Tensor, k: Tensor, v: Tensor, members, member_ptr, num_heads: int, scale: float
-) -> Tensor:
-    """Multi-head attention of each query row over its own segment of keys.
-
-    Row r of ``q`` (R, d) attends only to the key/value rows
-    ``members[member_ptr[r]:member_ptr[r + 1]]`` of ``k`` and ``v`` (C, d).
-    The listing is in CSR form and names every key row exactly once, as the
-    clusters of a mesh list its faces. The heads split the columns as in
-    :func:`attention`; a row whose segment is empty outputs zeros.
-
-    Scores, weights and gradients stay in key-row order, one row per key;
-    each per-segment max and sum is one ``reduceat`` over the key rows in
-    listing order. Forward and backward cost O(C·d), and no (R, C) array is
-    made. Each key row has one query, so its gradients need no scatter.
-    """
-    q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
-    _check_heads("cluster_attention", q, k, v, num_heads)
-    members = np.asarray(members, dtype=np.int64)
-    member_ptr = np.asarray(member_ptr, dtype=np.int64)
-    (rows, width), keys = q.shape, k.shape[0]
-    sizes = np.diff(member_ptr)
-    _check(members.shape == (keys,) and member_ptr.shape == (rows + 1,)
-           and member_ptr[0] == 0 and member_ptr[-1] == keys and (sizes >= 0).all(),
-           "cluster_attention", q.shape, k.shape, members.shape, member_ptr.shape)
-    if keys and members.min() < 0:
-        raise IndexError(f"cluster member out of range for {keys} key rows")
-    live = np.flatnonzero(sizes)  # the query rows whose segment is not empty
-    starts = member_ptr[live]
-    segment_of = np.full(keys, -1)  # each key row's segment, counted among live ones
-    segment_of[members] = np.repeat(np.arange(live.size), sizes[live])
-    if (segment_of < 0).any():
-        raise ValueError("cluster_attention: the listing must name every key row once")
-    owner = live[segment_of]  # the query row of each key row
-    s = q.dtype.type(scale)
-    qh = q.data.reshape(rows, num_heads, -1)  # (R, h, dh)
-
-    def heads(x):  # (C, d) -> (C, h, dh) view
-        return x.reshape(keys, num_heads, -1)
-
-    def segment(reduce, x):  # (C, ...) in key order -> one row per live segment
-        return reduce.reduceat(x[members], starts, axis=0)
-
-    def per_query(x):  # one row per live segment -> (R, d), zero on empty ones
-        out = np.zeros((rows, width), dtype=q.dtype)
-        out[live] = x.reshape(live.size, width)
-        return out
-
-    # softmax over each segment of the (C, h) scores, in place
-    w = np.einsum("nhd,nhd->nh", qh[owner], heads(k.data))
+    # softmax over each map row of the scores, in place
+    w = _pair_dots(q.data, owner, k.data, keys, h).reshape(-1)[order]
     w *= s
-    w -= segment(np.maximum, w)[segment_of]
+    w -= per_row(np.maximum, w)
     np.exp(w, out=w)
-    w /= segment(np.add, w)[segment_of]
-    merged = per_query(segment(np.add, w[..., np.newaxis] * heads(v.data)))
+    w /= per_row(np.add, w)
+    weights = weight_map(w)
+    merged = (weights @ by_head(v.data)).reshape(rows, width)
 
     def backward_fn(g):
-        # each key row reads the gradient of its own query row
-        gk = g.reshape(rows, num_heads, -1)[owner]
-        dw = np.einsum("nhd,nhd->nh", gk, heads(v.data))
-        dv = (w[..., np.newaxis] * gk).reshape(keys, width)
-        del gk
-        ds = dw - segment(np.add, dw * w)[segment_of]
+        dw = _pair_dots(g, owner, v.data, keys, h).reshape(-1)[order]
+        ds = dw - per_row(np.add, dw * w)
         ds *= w
         ds *= s
-        dq = per_query(segment(np.add, ds[..., np.newaxis] * heads(k.data)))
-        dk = (ds[..., np.newaxis] * qh[owner]).reshape(keys, width)
-        return dq, dk, dv
+        dscores = weight_map(ds)
+        return (
+            (dscores @ by_head(k.data)).reshape(rows, width),
+            (dscores.T @ by_head(q.data)).reshape(cols, width),
+            (weights.T @ by_head(g)).reshape(cols, width),
+        )
 
     return _op_output(merged, (q, k, v), backward_fn)
 

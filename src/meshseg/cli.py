@@ -305,7 +305,7 @@ def cmd_segment(mesh_path, checkpoint, out_ply, config_path,
 @click.argument("mesh_path", type=click.Path(exists=True, dir_okay=False))
 @click.argument("out_dir", type=click.Path(file_okay=False))
 @click.option("--eigenvectors", type=int, default=3, show_default=True,
-              help="How many eigenvector PLYs to write (at most the eigen count).")
+              help="How many eigenvector PLYs to write, from 1 to the eigen count.")
 @common_options
 @preprocess_options
 @handles_errors
@@ -318,13 +318,13 @@ def cmd_inspect(mesh_path, out_dir, eigenvectors, config_path,
     base = load_run_config(config_path) if config_path else {}
     cfg = _preprocess_cfg(base, target_vertices, target_faces, eigen_count,
                           clustering_lambda, no_simplify)
-    n_vecs = max(eigenvectors, 1)
-    if n_vecs > cfg.eigen_count:
-        raise ConfigError(f"--eigenvectors {eigenvectors} > eigen count {cfg.eigen_count}")
+    if not 1 <= eigenvectors <= cfg.eigen_count:
+        raise ConfigError(f"--eigenvectors {eigenvectors} outside [1, {cfg.eigen_count}], "
+                          "the eigen count")
     sample = build_sample(datamod.load_mesh_file(Path(mesh_path)), None, cfg)
     mesh = sample.mesh()
     real = sample.real_mask
-    feats = sample.features[:, SPECTRAL_COLS][:, :n_vecs]
+    feats = sample.features[:, SPECTRAL_COLS][:, :eigenvectors]
     # unit eigenvectors (or zero padding): v^T L v is each one's eigenvalue
     lap = normalized_laplacian(sample.adjacency)
     eigenvalues = np.einsum("ij,ij->j", feats, lap @ feats)
@@ -332,7 +332,7 @@ def cmd_inspect(mesh_path, out_dir, eigenvectors, config_path,
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     face_ids = LabelVec(labels=np.arange(mesh.num_faces), num_classes=mesh.num_faces)
-    for col in range(n_vecs):
+    for col in range(eigenvectors):
         column = feats[real, col]
         lo, hi = column.min(), column.max()
         span = hi - lo if hi > lo else 1.0
@@ -353,7 +353,7 @@ def cmd_inspect(mesh_path, out_dir, eigenvectors, config_path,
         "diagnostics": sample.diagnostics,
     }
     (out / "stats.json").write_text(json.dumps(stats, indent=2))
-    click.echo(f"wrote {n_vecs} eigenvector PLYs, clusters.ply and stats.json to {out}")
+    click.echo(f"wrote {eigenvectors} eigenvector PLYs, clusters.ply and stats.json to {out}")
 
 
 if __name__ == "__main__":

@@ -1,17 +1,17 @@
 """The two-stream mesh transformer.
 
 One stream carries N per-triangle tokens. Each triangle attends to
-itself and its dual-graph neighbors only, so triangle self-attention runs
-over a padded neighbor table of about four slots per row, O(N·m·d),
-instead of over an N x N mask. The other stream carries one token per
-cluster, plus one for the padding cluster when the sample is padded. Each
-layer exchanges information across the streams: every triangle token
-receives a projection of its cluster's token (the paper's C·P read as the
-average over the cluster's per-triangle copies, not their sum), and each
-cluster token attends over its member triangles. The clusters partition
-the faces, so that cross-attention runs over one listing of the faces
-sorted by cluster, a softmax per segment in O(N·d), instead of over a
-K x N mask. Every attention computes all of its heads in one op.
+itself and its dual-graph neighbors only: triangle self-attention runs
+over the listing of each face's closed neighborhood, about four keys per
+row, O(N·d), instead of over an N x N mask. The other stream carries one
+token per cluster, plus one for the padding cluster when the sample is
+padded. Each layer exchanges information across the streams: every
+triangle token receives a projection of its cluster's token (the paper's
+C·P read as the average over the cluster's per-triangle copies, not their
+sum), and each cluster token attends over its member triangles, a listing
+of the faces sorted by cluster, in O(N·d) instead of over a K x N mask.
+Both are one sparse attention op, a softmax over each query's own list of
+keys. Every attention computes all of its heads in one op.
 
 The paper holds the cluster stream as N rows, one copy of the cluster's
 token per triangle. Attending over n_c identical key/value rows equals
@@ -176,34 +176,19 @@ def init_params(
 
 @dataclass(frozen=True)
 class AttentionMasks:
-    """Which keys each attention may see. Biases are additive: 0 allows,
-    -inf blocks, a finite value biases the score. K counts the cluster
-    tokens: one per cluster, and one more for the padding cluster when
-    padded. m is 1 plus the largest dual-graph degree. The clusters'
-    faces form one listing in CSR form (compressed sparse rows), which
-    names every face once; a cluster id that no face carries is an empty
-    segment."""
+    """Which keys each attention may see. Two listings in CSR form
+    (compressed sparse rows) give the keys of the sparse attentions:
+    query row r sees the key rows ``ids[ptr[r]:ptr[r + 1]]``. The clusters'
+    listing names every face once; a cluster id that no face carries is an
+    empty segment. K counts the cluster tokens: one per cluster, and one
+    more for the padding cluster when padded. The cluster bias is
+    additive: 0 allows, -inf blocks, a finite value biases the score."""
 
-    neighbors: np.ndarray  # (N, m) int64 key rows: self and neighbors, in id order
-    neighbor_bias: np.ndarray  # (N, m) 0 on self and each neighbor, -inf on empty slots
+    neighbor_ids: np.ndarray  # int64 face ids: each face, then its neighbors, ascending per face
+    neighbor_ptr: np.ndarray  # (N + 1,) int64: face i's keys start at neighbor_ptr[i]
     members: np.ndarray  # (N,) int64 face ids sorted by cluster, in id order within one
     member_ptr: np.ndarray  # (K + 1,) int64: cluster c is members[member_ptr[c]:member_ptr[c + 1]]
     cluster_bias: np.ndarray  # (K, K) cluster-to-cluster, log n_c per key
-
-
-def _neighbor_table(sample: Sample, dtype) -> tuple[np.ndarray, np.ndarray]:
-    """Padded rows of self plus dual-graph neighbors, in ascending id order;
-    an empty slot points at the row itself under bias -inf."""
-    n = sample.n_total
-    indptr, ids = sample.adjacency.closed_neighborhoods()
-    counts = np.diff(indptr)
-    rows = np.repeat(np.arange(n), counts)
-    slots = np.arange(ids.size) - np.repeat(indptr[:-1], counts)
-    index = np.repeat(np.arange(n)[:, np.newaxis], counts.max(), axis=1)
-    index[rows, slots] = ids
-    bias = np.full(index.shape, -np.inf, dtype=dtype)
-    bias[rows, slots] = 0.0
-    return index, bias
 
 
 def build_masks(sample: Sample, dtype=np.float32) -> AttentionMasks:
@@ -221,10 +206,10 @@ def build_masks(sample: Sample, dtype=np.float32) -> AttentionMasks:
     if sample.has_padding:
         bias[:-1, -1] = -np.inf
         bias[-1, -1] = 0.0
-    neighbors, neighbor_bias = _neighbor_table(sample, dtype)
+    neighbor_ptr, neighbor_ids = sample.adjacency.closed_neighborhoods()
     return AttentionMasks(
-        neighbors=neighbors,
-        neighbor_bias=neighbor_bias,
+        neighbor_ids=neighbor_ids,
+        neighbor_ptr=neighbor_ptr,
         members=np.argsort(sample.cluster_ids, kind="stable"),
         member_ptr=member_ptr,
         cluster_bias=bias.astype(dtype),
@@ -239,27 +224,22 @@ def _layer_norm(p, name, x):
     return ad.layer_norm(x, p[f"{name}.g"], p[f"{name}.b"])
 
 
-def multi_head_attention(p, name, q_in, k_in, v_in, mask, num_heads, neighbors=None,
-                         members=None):
+def multi_head_attention(p, name, q_in, k_in, v_in, mask, num_heads):
     """Multi-head attention of the ``q_in`` rows over the ``k_in``/``v_in``
     rows, per-head width d / num_heads, all heads in one op.
 
-    ``mask`` is an additive bias of shape (rows, keys), or, when the
-    (rows, m) table ``neighbors`` is given, of shape (rows, m) over the key
-    rows that the table lists. When the CSR listing ``members``, a pair
-    (members, member_ptr), is given instead, ``mask`` is None and row r
-    attends to the key rows ``members[member_ptr[r]:member_ptr[r + 1]]``.
+    ``mask`` is either an additive bias of shape (rows, keys), or a CSR
+    listing, a pair (ids, ptr) under which row r attends to the key rows
+    ``ids[ptr[r]:ptr[r + 1]]``.
     """
     q = ad.matmul(q_in, p[f"{name}.wq"])
     k = ad.matmul(k_in, p[f"{name}.wk"])
     v = ad.matmul(v_in, p[f"{name}.wv"])
     scale = 1.0 / np.sqrt(q.shape[-1] // num_heads)
-    if members is not None:
-        merged = ad.cluster_attention(q, k, v, *members, num_heads, scale)
-    elif neighbors is None:
-        merged = ad.attention(q, k, v, mask, num_heads, scale)
+    if isinstance(mask, tuple):
+        merged = ad.segment_attention(q, k, v, *mask, num_heads, scale)
     else:
-        merged = ad.neighbor_attention(q, k, v, neighbors, mask, num_heads, scale)
+        merged = ad.attention(q, k, v, mask, num_heads, scale)
     return ad.matmul(merged, p[f"{name}.wo"])
 
 
@@ -271,9 +251,9 @@ def _residual(x, update, cfg, training, rng):
     return ad.add(_dropout(update, cfg, training, rng), x)
 
 
-def _self_attention(p, name, x, mask, cfg, neighbors=None):
+def _self_attention(p, name, x, mask, cfg):
     h = _layer_norm(p, f"{name}.ln", x)
-    return multi_head_attention(p, name, h, h, h, mask, cfg.num_heads, neighbors)
+    return multi_head_attention(p, name, h, h, h, mask, cfg.num_heads)
 
 
 def _feed_forward(p, name, x):
@@ -298,7 +278,7 @@ def met_layer(p, prefix, e_tok, p_tok, masks, cluster_ids, cfg, training, rng, l
             ad.embedding_lookup(tc_ff, cluster_ids), cfg, training, rng,
         )
     sa_t = _self_attention(
-        p, f"{prefix}.sa_t", e_in, masks.neighbor_bias, cfg, neighbors=masks.neighbors
+        p, f"{prefix}.sa_t", e_in, (masks.neighbor_ids, masks.neighbor_ptr), cfg
     )
     e_mid = _residual(e_in, sa_t, cfg, training, rng)
     e_out = _residual(e_mid, _feed_forward(p, f"{prefix}.res_t", e_mid), cfg, training, rng)
@@ -309,7 +289,7 @@ def met_layer(p, prefix, e_tok, p_tok, masks, cluster_ids, cfg, training, rng, l
     # keys/values from the raw tokens of the cluster's own triangles
     ct_attn = multi_head_attention(
         p, f"{prefix}.ct", _layer_norm(p, f"{prefix}.ct.ln", p_tok), e_tok, e_tok,
-        None, cfg.num_heads, members=(masks.members, masks.member_ptr),
+        (masks.members, masks.member_ptr), cfg.num_heads,
     )
     ct = _residual(p_tok, ct_attn, cfg, training, rng)
     p_mid = _residual(

@@ -126,8 +126,9 @@ class Sample:
 
     def validate(self) -> None:
         """Raise SampleFormatError unless the per-face arrays agree in length,
-        the padding faces satisfy the padding invariants, and every real
-        face carries a cluster id of a real cluster and a label that is
+        the features are finite and the areas finite and non-negative, the
+        padding faces satisfy the padding invariants, and every real face
+        carries a cluster id of a real cluster and a label that is
         ``PAD_LABEL`` or one of the sample's classes."""
 
         def require(ok, message):
@@ -142,6 +143,9 @@ class Sample:
             shape = getattr(self, name).shape
             require(shape == (n,), f"{name} has shape {shape}, expected ({n},)")
         require(self.adjacency.n == n, f"adjacency over {self.adjacency.n} faces, not {n}")
+        require(np.isfinite(self.features).all(), "non-finite feature")
+        require((self.areas >= 0).all() and np.isfinite(self.areas).all(),
+                "negative or non-finite area")
         if self.adjacency.pairs.size:
             require(self.real_mask[self.adjacency.pairs].all(), "padding face with edges")
         pad = ~self.real_mask
@@ -274,6 +278,8 @@ def build_sample(mesh: Mesh, labels: LabelVec | None, cfg: PreprocessConfig) -> 
     merged, face_mask = timed(
         "merge", merge_duplicate_vertices, mesh, cfg.merge_eps, return_face_mask=True
     )
+    if merged.num_faces == 0:
+        raise DegenerateGeometryError("mesh has no faces")
     label_arr = labels.labels[face_mask] if labels is not None else None
 
     reached = None
@@ -452,8 +458,9 @@ def load_sample(path) -> Sample:
     for name in SAMPLE_ARRAYS:
         if name not in arrays:
             raise SampleFormatError(f"sample {path} lacks {name}.npy")
-    if not np.issubdtype(arrays["cluster_ids"].dtype, np.integer):
-        raise SampleFormatError(f"sample {path}: cluster_ids are not integers")
+    for name in ("cluster_ids", "labels"):
+        if not np.issubdtype(arrays[name].dtype, np.integer):
+            raise SampleFormatError(f"sample {path}: {name} are not integers")
     try:
         adjacency = AdjacencyMatrix(n=manifest["n_total"], pairs=arrays["A"].reshape(-1, 2))
         sample = Sample(

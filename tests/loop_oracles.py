@@ -1,13 +1,13 @@
 """Reference per-element loops for vertex merging, the dual graph, the
 normalized Laplacian, the positional features, the attention neighbor
-table and Ward clustering: the implementations that the numpy passes and
+listing and Ward clustering: the implementations that the numpy passes and
 plain-float loops in ``meshseg`` replaced.
 
 The parity tests hold ``meshseg.mesh_io.merge_duplicate_vertices``,
 ``meshseg.spectral.build_dual_adjacency``,
 ``meshseg.spectral.normalized_laplacian``,
 ``meshseg.spectral.laplacian_positional_features``,
-``meshseg.model._neighbor_table`` and
+``meshseg.model.build_masks``' neighbor listing and
 ``meshseg.clustering.ward_constrained`` to these. QEM's reference is
 ``qem_oracle.py``.
 """
@@ -132,22 +132,17 @@ def laplacian_positional_features_oracle(
     return SpectralFeatures(features=feats, residual=_worst_residual(lap, values, vectors))
 
 
-def neighbor_table_oracle(adj: AdjacencyMatrix, dtype) -> tuple[np.ndarray, np.ndarray]:
+def neighbor_listing_oracle(adj: AdjacencyMatrix) -> tuple[np.ndarray, np.ndarray]:
     """Self and both directions of every pair, ordered by ``np.lexsort``,
-    scattered into padded rows."""
+    as the CSR listing (indptr, ids) of each node's closed neighborhood."""
     n = adj.n
     pairs = adj.pairs
     rows = np.concatenate([np.arange(n), pairs[:, 0], pairs[:, 1]])
     cols = np.concatenate([np.arange(n), pairs[:, 1], pairs[:, 0]])
     order = np.lexsort((cols, rows))
-    rows, cols = rows[order], cols[order]
-    counts = np.bincount(rows, minlength=n)
-    slots = np.arange(rows.size) - np.repeat(np.cumsum(counts) - counts, counts)
-    index = np.repeat(np.arange(n)[:, np.newaxis], counts.max(), axis=1)
-    index[rows, slots] = cols
-    bias = np.full(index.shape, -np.inf, dtype=dtype)
-    bias[rows, slots] = 0.0
-    return index, bias
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    return indptr, cols[order]
 
 
 def _ward_delta(size_a, centroid_a, size_b, centroid_b) -> float:

@@ -8,10 +8,16 @@ each op as it was before, kept as the oracle for ``meshseg.autodiff``.
 
 Both must agree with the library ops bit for bit.
 
+The two oracles of ``autodiff.segment_attention`` sum in other orders, so
+they agree with it to rounding, not bit for bit:
+
+- ``neighbor_attention_oracle`` is the triangle self-attention as the model
+  ran it before: attention over a padded (R, m) table of key rows, with
+  -inf on the empty slots, whose key and value gradients scatter back with
+  ``np.add.at``.
 - ``cluster_attention_oracle`` is the cluster-from-triangle attention as
-  the model ran it before ``autodiff.cluster_attention``: ``ad.attention``
-  under a dense (K, N) membership mask, which makes (heads, K, N) scores.
-  It sums in another order, so the two agree to rounding, not bit for bit.
+  the model ran it before its CSR op: ``ad.attention`` under a dense
+  (K, N) membership mask, which makes (heads, K, N) scores.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ from __future__ import annotations
 import numpy as np
 
 from meshseg import autodiff as ad
-from meshseg.autodiff import Tensor, _as_tensor, _op_output
+from meshseg.autodiff import Tensor, _as_tensor, _check_heads, _op_output, _softmax
 
 
 def layer_norm_oracle(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
@@ -72,3 +78,43 @@ def membership_mask(members, member_ptr, keys) -> np.ndarray:
 def cluster_attention_oracle(q, k, v, members, member_ptr, num_heads, scale) -> Tensor:
     mask = membership_mask(members, member_ptr, _as_tensor(k).shape[0])
     return ad.attention(q, k, v, mask, num_heads, scale)
+
+
+def neighbor_attention_oracle(q, k, v, index, bias, num_heads, scale) -> Tensor:
+    """Row r of ``q`` attends to the key/value rows ``index[r, j]`` under
+    the additive bias ``bias[r, j]``; -inf marks an empty slot."""
+    q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
+    _check_heads("neighbor_attention", q, k, v, num_heads)
+    index = np.asarray(index, dtype=np.int64)
+    bias = np.asarray(bias, dtype=q.dtype)
+    (rows, width), m = q.shape, index.shape[1]
+    s = q.dtype.type(scale)
+    qh = q.data.reshape(rows, num_heads, -1)  # (R, h, dh)
+
+    def gather(x):  # (C, d) -> (R, m, h, dh) copy of the slots' rows
+        return x.data[index].reshape(rows, m, num_heads, -1)
+
+    w = _softmax(np.einsum("nhd,nmhd->nmh", qh, gather(k)) * s + bias[:, :, np.newaxis], axis=1)
+    merged = np.einsum("nmh,nmhd->nhd", w, gather(v)).reshape(rows, width)
+
+    def backward_fn(g):
+        gh = g.reshape(rows, num_heads, -1)
+        dw = np.einsum("nhd,nmhd->nmh", gh, gather(v))
+        ds = w * (dw - (dw * w).sum(axis=1, keepdims=True)) * s
+        dq = np.einsum("nmh,nmhd->nhd", ds, gather(k)).reshape(rows, width)
+        live = np.isfinite(bias)
+        dk, dv = np.zeros(k.shape, dtype=q.dtype), np.zeros(v.shape, dtype=q.dtype)
+        np.add.at(dk, index[live], (ds[..., np.newaxis] * qh[:, np.newaxis])[live].reshape(-1, width))
+        np.add.at(dv, index[live], (w[..., np.newaxis] * gh[:, np.newaxis])[live].reshape(-1, width))
+        return dq, dk, dv
+
+    return _op_output(merged, (q, k, v), backward_fn)
+
+
+def table_listing(index, bias):
+    """The CSR listing (keys, ptr) of a padded table's live slots, each
+    row's slots in table order."""
+    live = np.isfinite(np.asarray(bias))
+    ptr = np.zeros(live.shape[0] + 1, dtype=np.int64)
+    np.cumsum(live.sum(axis=1), out=ptr[1:])
+    return np.asarray(index)[live], ptr

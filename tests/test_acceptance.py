@@ -299,17 +299,17 @@ def test_criterion_04_autodiff_finite_differences():
     assert worst <= 1e-3
 
     # the model's attention ops: two heads under a dense bias with a
-    # blocked key and a log-count bias, and over a neighbor table with an
-    # empty slot and a key listed twice in one row
+    # blocked key and a log-count bias, and over a neighbor listing (the
+    # live slots of a table with one empty slot) with a key listed twice
+    # in one row
     q, k, v = rng.normal(size=(3, 4)), rng.normal(size=(5, 4)), rng.normal(size=(5, 4))
     bias = np.zeros((3, 5))
     bias[0, 1] = -np.inf
     bias[2, :] = np.log([1.0, 2.0, 3.0, 1.0, 5.0])
     check_op(lambda a, b, c: ad.attention(a, b, c, bias, 2, 0.7), q, k, v)
-    table = np.array([[0, 2, 4], [1, 3, 1], [2, 4, 2]])
-    slot_bias = np.zeros((3, 3))
-    slot_bias[1, 2] = -np.inf
-    check_op(lambda a, b, c: ad.neighbor_attention(a, b, c, table, slot_bias, 2, 0.7), q, k, v)
+    neighbors, neighbor_ptr = [0, 2, 4, 1, 3, 2, 4, 2], [0, 3, 5, 8]
+    check_op(lambda a, b, c: ad.segment_attention(a, b, c, neighbors, neighbor_ptr, 2, 0.7),
+             q, k, v)
 
     # the model's fused linear layer, without and with its ReLU, whose
     # inputs take both signs away from the kink
@@ -319,10 +319,10 @@ def test_criterion_04_autodiff_finite_differences():
     assert (pre < 0).any() and (pre > 0).any() and np.abs(pre).min() > 0.01
     check_op(lambda a, ww, bb: ad.linear(a, ww, bb, relu=True), x, w, b)
 
-    # the model's cluster attention over a listing of the key rows: one
-    # segment of a single key, an empty one, and one of the other four
+    # the same op over the clusters' listing of the key rows: one segment
+    # of a single key, an empty one, and one of the other four
     members, member_ptr = [3, 0, 2, 4, 1], [0, 1, 1, 5]
-    check_op(lambda a, b, c: ad.cluster_attention(a, b, c, members, member_ptr, 2, 0.7), q, k, v)
+    check_op(lambda a, b, c: ad.segment_attention(a, b, c, members, member_ptr, 2, 0.7), q, k, v)
     assert time.monotonic() - start < 120
 
 

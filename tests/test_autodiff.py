@@ -27,7 +27,13 @@ from dense_model import (
     slice_last,
     transpose,
 )
-from op_oracles import cluster_attention_oracle, embedding_lookup_oracle, layer_norm_oracle
+from op_oracles import (
+    cluster_attention_oracle,
+    embedding_lookup_oracle,
+    layer_norm_oracle,
+    neighbor_attention_oracle,
+    table_listing,
+)
 
 # ops the dense oracle (tests/dense_model.py) adds for its unfused linear
 # layers and its per-head attention
@@ -258,28 +264,51 @@ class TestAttention:
         np.testing.assert_array_equal(out[1], 0.0)
 
     def test_neighbor_table_equals_dense_bias(self, rng):
-        # the table lists a subset of keys per row; the dense bias blocks
-        # the others. Empty slots point anywhere and are ignored.
+        # the listing of a table's live slots names a subset of keys per
+        # row; the dense bias blocks the others
         q, k, v = rng.normal(size=(4, 6)), rng.normal(size=(5, 6)), rng.normal(size=(5, 6))
         table = np.array([[0, 1, 4], [1, 2, 0], [3, 3, 3], [4, 0, 2]])
-        slot_bias = np.array([[0.0, 0.5, 0.0], [0.0, 0.0, -np.inf],
-                              [0.0, -np.inf, -np.inf], [0.0, -1.0, 0.0]])
+        slot_bias = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, -np.inf],
+                              [0.0, -np.inf, -np.inf], [0.0, 0.0, 0.0]])
         dense = np.full((4, 5), -np.inf)
         for r, c in zip(*np.nonzero(np.isfinite(slot_bias))):
             dense[r, table[r, c]] = slot_bias[r, c]
-        out = ad.neighbor_attention(Tensor(q), Tensor(k), Tensor(v), table, slot_bias, 2, 0.4)
+        out = ad.segment_attention(Tensor(q), Tensor(k), Tensor(v),
+                                   *table_listing(table, slot_bias), 2, 0.4)
         np.testing.assert_allclose(out.data, per_head_attention(q, k, v, dense, 2, 0.4),
                                    atol=1e-14)
 
+    @pytest.mark.parametrize("dtype, tol", [(np.float64, 1e-12), (np.float32, 1e-5)])
+    def test_matches_neighbor_table_oracle(self, rng, dtype, tol):
+        """Values and gradients equal those of the padded-table op that the
+        triangle stream ran before, on a table with keys repeated within
+        and across rows, single-key rows and an empty row."""
+        rows, m, keys, width = 40, 5, 12, 16
+        q, k, v, weight = (rng.normal(size=(n, width)) for n in (rows, keys, keys, rows))
+        index = rng.integers(0, keys, size=(rows, m))
+        index[3, :] = 7
+        bias = np.where(rng.random((rows, m)) < 0.3, -np.inf, 0.0)
+        bias[5] = -np.inf  # an empty segment
+        bias[6, 1:] = -np.inf  # a single key
+        listing = table_listing(index, bias)
+        got = run_op(lambda a, b, c: ad.segment_attention(a, b, c, *listing, 4, 0.3),
+                     dtype, weight, q, k, v)
+        want = run_op(lambda a, b, c: neighbor_attention_oracle(a, b, c, index, bias, 4, 0.3),
+                      dtype, weight, q, k, v)
+        for a, b in zip(got, want):
+            assert a.dtype == dtype
+            assert np.abs(a - b).max() <= tol * max(1.0, np.abs(b).max())
+        np.testing.assert_array_equal(got[0][5], 0.0)
+
     def test_repeated_key_gradients_add_up(self, rng):
         # a key listed twice in one row weighs as its log 2 bias and
-        # receives the gradient of both slots
+        # receives the gradient of both pairs
         q, k, v = rng.normal(size=(1, 2)), rng.normal(size=(2, 2)), rng.normal(size=(2, 2))
         kt, vt = Tensor(k, requires_grad=True), Tensor(v, requires_grad=True)
-        twice = ad.neighbor_attention(Tensor(q), kt, vt, [[0, 0, 1]], np.zeros((1, 3)), 1, 1.0)
+        twice = ad.segment_attention(Tensor(q), kt, vt, [0, 0, 1], [0, 3], 1, 1.0)
         ad.backward(ad.reduce_sum(twice))
         k2, v2 = Tensor(k, requires_grad=True), Tensor(v, requires_grad=True)
-        once = ad.neighbor_attention(Tensor(q), k2, v2, [[0, 1]], [[np.log(2.0), 0.0]], 1, 1.0)
+        once = ad.attention(Tensor(q), k2, v2, [[np.log(2.0), 0.0]], 1, 1.0)
         ad.backward(ad.reduce_sum(once))
         np.testing.assert_allclose(twice.data, once.data, atol=1e-14)
         np.testing.assert_allclose(kt.grad, k2.grad, atol=1e-14)
@@ -287,43 +316,44 @@ class TestAttention:
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_key_value_gradients_match_add_at_bit_for_bit(self, rng, dtype):
-        """Each key row sums its live slots' gradients in ascending slot
-        order, as ``np.add.at`` does: keys listed in many slots, values of
-        mixed magnitude, and empty slots that point at a key row."""
+        """Each key row sums its pairs' gradients in listing order, as
+        ``np.add.at`` does: keys listed in many rows and twice in one, and
+        values of mixed magnitude."""
         rows, m, keys, width = 60, 5, 7, 8
         q, k, v = (rng.normal(size=(n, width)) for n in (rows, keys, keys))
         index = rng.integers(0, keys, size=(rows, m))
         bias = np.where(rng.random((rows, m)) < 0.3, -np.inf, 0.0)
+        listed, ptr = table_listing(index, bias)
         weight = rng.normal(size=(rows, width)) * 10.0 ** rng.integers(-6, 7, size=(rows, 1))
 
-        def run(table, k_rows, v_rows):
-            op = lambda a, b, c: ad.neighbor_attention(a, b, c, table, bias, 2, 0.3)
+        def run(ids, k_rows, v_rows):
+            op = lambda a, b, c: ad.segment_attention(a, b, c, ids, ptr, 2, 0.3)
             return run_op(op, dtype, weight, q, k_rows, v_rows)[2:]
 
-        dk, dv = run(index, k, v)
-        # one key row per slot: each row's gradient is that slot's alone
-        per_slot = run(np.arange(rows * m).reshape(rows, m),
-                       k[index].reshape(-1, width), v[index].reshape(-1, width))
-        live = np.isfinite(bias).reshape(-1)
-        for got, slot_grads in zip((dk, dv), per_slot):
+        dk, dv = run(listed, k, v)
+        # one key row per pair: each row's gradient is that pair's alone
+        per_pair = run(np.arange(listed.size), k[listed], v[listed])
+        for got, pair_grads in zip((dk, dv), per_pair):
             expected = np.zeros_like(got)
-            np.add.at(expected, index.reshape(-1)[live], slot_grads[live])
+            np.add.at(expected, listed, pair_grads)
             assert got.dtype == dtype
             np.testing.assert_array_equal(got, expected)
 
     def test_neighbor_backward_holds_one_gathered_array(self, rng):
-        """One backward call allocates at most its three outputs, one
-        (R, m, d) array and a slack of half of one: it never holds two
-        gathered or slot-gradient copies at once."""
+        """One backward call allocates at most its three outputs and half
+        of one (pairs, d) array: its pairwise dot products gather their
+        rows in blocks, so it never holds a gathered copy of a whole side.
+        Gathering both sides whole reads about 1.3 here."""
         rows, m, width, heads = 600, 4, 64, 4
         q, k, v = (Tensor(rng.normal(size=(rows, width)), requires_grad=True)
                    for _ in range(3))
         index = rng.integers(0, rows, size=(rows, m))
         bias = np.zeros((rows, m))
         bias[::3, -1] = -np.inf
-        out = ad.neighbor_attention(q, k, v, index, bias, heads, 0.125)
+        listed, ptr = table_listing(index, bias)
+        out = ad.segment_attention(q, k, v, listed, ptr, heads, 0.125)
         g = rng.normal(size=out.shape)
-        slot_bytes = rows * m * width * 8
+        pair_bytes = listed.size * width * 8
         tracemalloc.start()
         try:
             grads = out._backward_fn(g)
@@ -332,12 +362,12 @@ class TestAttention:
             tracemalloc.stop()
         outputs = sum(a.nbytes for a in grads)
         assert outputs == 3 * rows * width * 8
-        assert peak <= outputs + slot_bytes + slot_bytes // 2, peak
+        assert peak <= outputs + pair_bytes // 2, peak
 
     def test_neighbor_index_out_of_range(self, rng):
         x = Tensor(rng.normal(size=(2, 2)))
         with pytest.raises(IndexError):
-            ad.neighbor_attention(x, x, x, [[0], [2]], np.zeros((2, 1)), 1, 1.0)
+            ad.segment_attention(x, x, x, [0, 2], [0, 1, 2], 1, 1.0)
 
     def test_heads_must_divide_width(self, rng):
         x = Tensor(rng.normal(size=(2, 3)))
@@ -353,8 +383,9 @@ def cluster_listing(ids, k):
 
 
 class TestClusterAttention:
-    """Attention of each query row over its own segment of key rows agrees
-    with ``ad.attention`` under the dense membership mask it replaced."""
+    """Attention of each cluster over the segment of its member rows
+    agrees with ``ad.attention`` under the dense membership mask that the
+    listing replaced."""
 
     @staticmethod
     def run(op, dtype, q, k, v, listing, upstream, heads=4):
@@ -373,7 +404,7 @@ class TestClusterAttention:
         ids[[5, 17]] = [k - 3, k - 2]
         listing = cluster_listing(ids, k)
         q, keys, values, upstream = (rng.normal(size=(m, d)) for m in (k, n, n, k))
-        got = self.run(ad.cluster_attention, dtype, q, keys, values, listing, upstream)
+        got = self.run(ad.segment_attention, dtype, q, keys, values, listing, upstream)
         want = self.run(cluster_attention_oracle, dtype, q, keys, values, listing, upstream)
         for a, b in zip(got, want):
             assert a.dtype == dtype
@@ -385,7 +416,7 @@ class TestClusterAttention:
         ids = np.array([0, 2, 2, 0, 3, 2])  # cluster 1 is empty
         listing = cluster_listing(ids, 4)
         q, keys, values, upstream = (rng.normal(size=(m, 4)) for m in (4, 6, 6, 4))
-        got = self.run(ad.cluster_attention, np.float64, q, keys, values, listing, upstream, 2)
+        got = self.run(ad.segment_attention, np.float64, q, keys, values, listing, upstream, 2)
         want = self.run(cluster_attention_oracle, np.float64, q, keys, values, listing,
                         upstream, 2)
         assert all(np.isfinite(a).all() for a in got)
@@ -398,7 +429,7 @@ class TestClusterAttention:
         # scores of 2e4 overflow exp unless each segment's max comes off first
         q = Tensor(np.full((2, 2), 100.0))
         keys = Tensor(np.array([[100.0, 100.0], [99.0, 99.0], [1.0, 1.0]]))
-        out = ad.cluster_attention(q, keys, keys, [0, 1, 2], [0, 2, 3], 1, 1.0)
+        out = ad.segment_attention(q, keys, keys, [0, 1, 2], [0, 2, 3], 1, 1.0)
         np.testing.assert_allclose(out.data, [[100.0, 100.0], [1.0, 1.0]], atol=1e-12)
 
     def test_holds_a_few_key_sized_arrays(self, rng):
@@ -414,7 +445,7 @@ class TestClusterAttention:
         g = rng.normal(size=(k, d))
         tracemalloc.start()
         try:
-            out = ad.cluster_attention(q, keys, values, *listing, 4, 0.125)
+            out = ad.segment_attention(q, keys, values, *listing, 4, 0.125)
             grads = out._backward_fn(g)
             _, peak = tracemalloc.get_traced_memory()
         finally:
@@ -422,16 +453,20 @@ class TestClusterAttention:
         assert [a.shape for a in grads] == [(k, d), (n, d), (n, d)]
         assert peak <= 4 * n * d * 8, peak
 
-    def test_listing_must_name_every_key_once(self, rng):
+    def test_listing_is_validated(self, rng):
         q, keys = Tensor(rng.normal(size=(2, 2))), Tensor(rng.normal(size=(3, 2)))
-        with pytest.raises(ValueError, match="once"):
-            ad.cluster_attention(q, keys, keys, [0, 1, 1], [0, 1, 3], 1, 1.0)
+        # a key may be listed twice or not at all
+        ad.segment_attention(q, keys, keys, [0, 1, 1], [0, 1, 3], 1, 1.0)
         with pytest.raises(IndexError):
-            ad.cluster_attention(q, keys, keys, [0, 1, 3], [0, 1, 3], 1, 1.0)
+            ad.segment_attention(q, keys, keys, [0, 1, 3], [0, 1, 3], 1, 1.0)
+        with pytest.raises(IndexError):
+            ad.segment_attention(q, keys, keys, [0, -1], [0, 1, 2], 1, 1.0)
         with pytest.raises(ShapeMismatchError):
-            ad.cluster_attention(q, keys, keys, [0, 1], [0, 1, 2], 1, 1.0)
+            ad.segment_attention(q, keys, keys, [0, 1], [0, 1, 3], 1, 1.0)
         with pytest.raises(ShapeMismatchError):
-            ad.cluster_attention(q, keys, keys, [0, 1, 2], [0, 3], 1, 1.0)
+            ad.segment_attention(q, keys, keys, [0, 1, 2], [0, 3], 1, 1.0)
+        with pytest.raises(ShapeMismatchError):
+            ad.segment_attention(q, keys, keys, [0, 1, 2], [0, 4, 3], 1, 1.0)
 
 
 class TestLayerNorm:
@@ -555,14 +590,16 @@ class TestFiniteDifference:
         )
 
     def test_neighbor_attention(self, rng):
+        # a table's live slots: a key twice in one row, a single-key row
         q, k, v = rng.normal(size=(4, 4)), rng.normal(size=(3, 4)), rng.normal(size=(3, 4))
         table = np.array([[0, 1, 2], [1, 0, 0], [2, 2, 1], [0, 1, 1]])
-        slot_bias = np.array([[0.0, 0.0, 0.3], [0.0, 0.0, -np.inf],
+        slot_bias = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, -np.inf],
                               [0.0, 0.0, 0.0], [0.0, -np.inf, -np.inf]])
+        listing = table_listing(table, slot_bias)
         w = rng.normal(size=(4, 4))
         check_grad(
             lambda a, b, c: ad.reduce_sum(ad.mul(
-                ad.neighbor_attention(a, b, c, table, slot_bias, 2, 0.8), Tensor(w))),
+                ad.segment_attention(a, b, c, *listing, 2, 0.8), Tensor(w))),
             q, k, v,
         )
 
@@ -575,7 +612,7 @@ class TestFiniteDifference:
         w = rng.normal(size=(5, 6))
         check_grad(
             lambda a, b, c: ad.reduce_sum(ad.mul(
-                ad.cluster_attention(a, b, c, members, member_ptr, 3, 0.8), Tensor(w))),
+                ad.segment_attention(a, b, c, members, member_ptr, 3, 0.8), Tensor(w))),
             q, k, v,
         )
 
@@ -894,10 +931,9 @@ class TestBackwardMechanics:
             "masked_softmax": lambda a: masked_softmax(a, np.where(x > 1.0, -np.inf, 0.0)),
             "attention": lambda a: ad.attention(
                 a, Tensor(k, requires_grad=True), Tensor(k, requires_grad=True), bias, 2, 0.5),
-            "neighbor_attention": lambda a: ad.neighbor_attention(
-                a, a, a, [[0, 1], [1, 1], [2, 0]], [[0.0, 0.0], [0.0, -np.inf], [0.0, 0.0]],
-                2, 0.5),
-            "cluster_attention": lambda a: ad.cluster_attention(
+            "segment_attention neighbors": lambda a: ad.segment_attention(
+                a, a, a, [0, 1, 1, 2, 0], [0, 2, 3, 5], 2, 0.5),
+            "segment_attention clusters": lambda a: ad.segment_attention(
                 a, Tensor(k, requires_grad=True), Tensor(k, requires_grad=True),
                 [3, 0, 4, 1, 2], [0, 2, 2, 5], 2, 0.5),
             "log_softmax": ad.log_softmax,

@@ -559,8 +559,19 @@ SAMPLE_DAMAGE = {
         edit_array("cluster_ids", lambda ids: ids.astype(np.float64)),
         "cluster_ids are not integers",
     ),
+    "float-labels": (
+        edit_array("labels", lambda labels: labels + 0.5), "labels are not integers"
+    ),
     "negative-label": (set_first_label(-2), "real face with a label outside 0..1"),
     "label-past-num-classes": (set_first_label(2), "real face with a label outside 0..1"),
+    "nan-feature": (
+        edit_array("T", lambda t: np.vstack([np.full_like(t[:1], np.nan), t[1:]])),
+        "non-finite feature",
+    ),
+    "negative-area": (
+        edit_array("areas", lambda areas: np.r_[-1.0, areas[1:]]),
+        "negative or non-finite area",
+    ),
 }
 
 
@@ -731,6 +742,29 @@ class TestInspect:
                       "--eigen-count", "4", "--eigenvectors", "5", "--no-simplify"])
         assert result.exit_code == 2
         assert "--eigenvectors 5" in result.output
+
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_fewer_than_one_eigenvector_exits_2(self, count, tmp_path):
+        mesh_path = tmp_path / "tetra.off"
+        mesh_path.write_text(off_text(tetrahedron()))
+        out = tmp_path / "out"
+        result = run(["inspect", str(mesh_path), str(out), "--eigenvectors", count,
+                      "--no-simplify"])
+        assert result.exit_code == 2, result.output
+        assert f"--eigenvectors {count} outside [1, " in result.output
+        assert not out.exists()
+
+    # no face at all, and one face whose corners merge into one vertex
+    @pytest.mark.parametrize("off", [
+        "OFF\n3 0 0\n0 0 0\n1 0 0\n0 1 0\n",
+        "OFF\n3 1 0\n0 0 0\n0 0 0\n0 0 0\n3 0 1 2\n",
+    ], ids=["no-faces", "merged-away"])
+    def test_mesh_without_faces_exits_1(self, off, tmp_path):
+        mesh_path = tmp_path / "empty.off"
+        mesh_path.write_text(off)
+        result = run(["inspect", str(mesh_path), str(tmp_path / "out"), "--no-simplify"])
+        assert result.exit_code == 1, result.output
+        assert result.output == "error: mesh has no faces\n"
 
 
 class TestHelp:

@@ -31,7 +31,7 @@ from conftest import (
 )
 from dense_model import dense_forward, dense_masks
 from dense_model import multi_head_attention as dense_attention
-from loop_oracles import neighbor_table_oracle
+from loop_oracles import neighbor_listing_oracle
 
 
 def make_model(sample, dtype=np.float64, seed=0, **overrides):
@@ -95,16 +95,15 @@ class TestBuildMasks:
         masks = build_masks(sample, dtype=np.float64)
         n = sample.n_total
         k = sample.num_clusters + 1  # plus the padding cluster
-        # the neighbor table covers exactly self plus the dual-graph
-        # neighbors, and every empty slot carries -inf
+        # the neighbor listing names exactly self plus the dual-graph
+        # neighbors of each face, in ascending id order
         neighbors = neighbor_lists(sample.adjacency)
-        m = 1 + max(len(row) for row in neighbors)
-        assert masks.neighbors.shape == masks.neighbor_bias.shape == (n, m)
-        live = masks.neighbor_bias == 0
-        assert np.isneginf(masks.neighbor_bias[~live]).all()
+        ids, ptr = masks.neighbor_ids, masks.neighbor_ptr
+        assert ids.dtype == ptr.dtype == np.int64 and ptr.shape == (n + 1,)
         for i in range(n):
-            assert sorted(masks.neighbors[i, live[i]].tolist()) == sorted([i, *neighbors[i]])
-        assert (~live[~sample.real_mask, 1:]).all()  # padding rows see themselves only
+            assert ids[ptr[i]:ptr[i + 1]].tolist() == sorted([i, *neighbors[i]])
+        for i in np.flatnonzero(~sample.real_mask):  # padding rows see themselves only
+            assert ids[ptr[i]:ptr[i + 1]].tolist() == [i]
         # each triangle is listed once, in the segment of its own cluster
         sizes = np.bincount(sample.cluster_ids, minlength=k)
         assert_lists_clusters(masks, sample.cluster_ids, k)
@@ -118,18 +117,16 @@ class TestBuildMasks:
         assert np.isneginf(masks.cluster_bias[real, -1]).all()
         assert masks.cluster_bias[-1, -1] == 0.0
 
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_neighbor_table_equals_the_lexsort_build(self, dtype):
-        """Tables from the adjacency's closed neighborhoods equal the
-        concat-and-lexsort build they replaced, on padded, unpadded and
-        non-manifold samples."""
+    def test_neighbor_listing_equals_the_lexsort_build(self):
+        """The listing from the adjacency's closed neighborhoods equals the
+        concat-and-lexsort build, on padded, unpadded and non-manifold
+        samples."""
         samples = [small_sample(target_faces=24), small_sample(subdivisions=2), fin_sample()]
         for sample in samples:
-            want = neighbor_table_oracle(sample.adjacency, dtype)
-            masks = build_masks(sample, dtype=dtype)
-            np.testing.assert_array_equal(masks.neighbors, want[0])
-            np.testing.assert_array_equal(masks.neighbor_bias, want[1])
-            assert masks.neighbor_bias.dtype == want[1].dtype
+            want_ptr, want_ids = neighbor_listing_oracle(sample.adjacency)
+            masks = build_masks(sample)
+            np.testing.assert_array_equal(masks.neighbor_ptr, want_ptr)
+            np.testing.assert_array_equal(masks.neighbor_ids, want_ids)
 
     def test_unpadded_has_no_padding_cluster(self):
         sample = small_sample()
@@ -151,11 +148,10 @@ class TestBuildMasks:
         # keys of the model's neighbor table
         dense = dense_adjacency(sample.adjacency) + np.eye(n)
         np.testing.assert_array_equal(masks.adjacency == 0, dense > 0)
-        table = build_masks(sample, np.float64)
+        listing = build_masks(sample, np.float64)
         scattered = np.full((n, n), -np.inf)
-        rows = np.repeat(np.arange(n)[:, np.newaxis], table.neighbors.shape[1], axis=1)
-        live = np.isfinite(table.neighbor_bias)
-        scattered[rows[live], table.neighbors[live]] = table.neighbor_bias[live]
+        rows = np.repeat(np.arange(n), np.diff(listing.neighbor_ptr))
+        scattered[rows, listing.neighbor_ids] = 0.0
         np.testing.assert_array_equal(masks.adjacency, scattered)
         # co-membership rows of cluster_avg sum to 1
         np.testing.assert_allclose(masks.cluster_avg.sum(axis=1), 1.0, atol=1e-12)
@@ -218,12 +214,13 @@ class TestDenseOracle:
 
 
 def attend(path, params, x, mask, num_heads):
-    """Self-attention of x under a dense additive mask, given to the model
-    either as that bias or as a neighbor table that lists every key."""
+    """Self-attention of x under a dense mask of 0 and -inf, given to the
+    model either as that bias or as the listing of its allowed keys."""
     if path == "dense":
         return multi_head_attention(params, "a", x, x, x, mask, num_heads)
-    table = np.tile(np.arange(mask.shape[1]), (mask.shape[0], 1))
-    return multi_head_attention(params, "a", x, x, x, mask, num_heads, neighbors=table)
+    allowed = np.isfinite(mask)
+    ptr = np.concatenate([[0], np.cumsum(allowed.sum(axis=1))])
+    return multi_head_attention(params, "a", x, x, x, (np.nonzero(allowed)[1], ptr), num_heads)
 
 
 class TestMultiHeadAttention:
@@ -267,7 +264,8 @@ class TestMultiHeadAttention:
 
 
 class TestNeighborTableAttention(TestMultiHeadAttention):
-    """The same hand-computed cases through the neighbor-table path."""
+    """The same hand-computed cases through a listing of the allowed keys,
+    the path of the triangle stream's neighbor listing."""
 
     path = "neighbors"
 
@@ -294,8 +292,9 @@ def fin_sample():
 
 class TestTriangleAttention:
     def test_matches_dense_oracle_attention(self, rng):
-        """Neighbor-table self-attention equals the oracle's dense per-head
-        attention under the N x N adjacency mask, values and gradients."""
+        """Self-attention over the neighbor listing equals the oracle's
+        dense per-head attention under the N x N adjacency mask, values and
+        gradients."""
         sample = fin_sample()
         degrees = sample.adjacency.degrees()
         assert degrees[~sample.real_mask].max() == 0
@@ -315,7 +314,7 @@ class TestTriangleAttention:
             return out.data, x.grad, {k: p.grad for k, p in params.items()}
 
         out, gx, gp = run(lambda p, x: multi_head_attention(
-            p, "a", x, x, x, masks.neighbor_bias, heads, neighbors=masks.neighbors))
+            p, "a", x, x, x, (masks.neighbor_ids, masks.neighbor_ptr), heads))
         ref, ref_gx, ref_gp = run(lambda p, x: dense_attention(
             p, "a", x, x, x, oracle_mask, heads))
         assert np.abs(out - ref).max() <= 1e-12
