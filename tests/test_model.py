@@ -117,16 +117,19 @@ class TestBuildMasks:
         assert np.isneginf(masks.cluster_bias[real, -1]).all()
         assert masks.cluster_bias[-1, -1] == 0.0
 
-    def test_neighbor_listing_equals_the_lexsort_build(self):
-        """The listing from the adjacency's closed neighborhoods equals the
-        concat-and-lexsort build, on padded, unpadded and non-manifold
-        samples."""
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_neighbor_table_equals_the_lexsort_build(self, dtype):
+        """The neighbor listing from the adjacency's closed neighborhoods
+        equals the concat-and-lexsort build, on padded, unpadded and
+        non-manifold samples, whatever the dtype of the masks."""
         samples = [small_sample(target_faces=24), small_sample(subdivisions=2), fin_sample()]
         for sample in samples:
             want_ptr, want_ids = neighbor_listing_oracle(sample.adjacency)
-            masks = build_masks(sample)
+            masks = build_masks(sample, dtype=dtype)
             np.testing.assert_array_equal(masks.neighbor_ptr, want_ptr)
             np.testing.assert_array_equal(masks.neighbor_ids, want_ids)
+            assert masks.neighbor_ids.dtype == masks.neighbor_ptr.dtype == np.int64
+            assert masks.cluster_bias.dtype == dtype
 
     def test_unpadded_has_no_padding_cluster(self):
         sample = small_sample()
