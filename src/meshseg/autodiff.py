@@ -12,8 +12,8 @@ forward over gradient-free tensors builds no graph and keeps no array past
 its last reader. ``backward`` walks the nodes in reverse topological order
 with a deterministic accumulation order and consumes them as it goes: a
 graph can be backpropagated once. Only the primitives the segmentation
-network needs are provided: no general broadcasting beyond bias addition,
-no views, no in-place math on live graph values.
+network and its loss need are provided: addition of same-shape operands
+only, no views, no in-place math on live graph values.
 """
 
 from __future__ import annotations
@@ -26,15 +26,11 @@ __all__ = [
     "ShapeMismatchError",
     "matmul",
     "add",
-    "mul",
-    "scale",
     "linear",
-    "reduce_sum",
     "embedding_lookup",
     "attention",
     "segment_attention",
-    "log_softmax",
-    "gather_rows",
+    "weighted_nll",
     "layer_norm",
     "dropout",
     "backward",
@@ -161,38 +157,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise addition; the second operand may be a 1-D bias broadcast
-    over the last axis."""
     a, b = _as_tensor(a), _as_tensor(b, like=a)
-    bias = b.data.ndim == 1 and a.data.ndim > 1
-    _check(
-        a.shape == b.shape or (bias and a.shape[-1] == b.shape[0]),
-        "add",
-        a.shape,
-        b.shape,
-    )
-
-    def backward_fn(g):
-        gb = g.sum(axis=tuple(range(g.ndim - 1))) if bias else g
-        return g, gb
-
-    return _op_output(a.data + b.data, (a, b), backward_fn)
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b, like=a)
-    _check(a.shape == b.shape, "mul", a.shape, b.shape)
-
-    def backward_fn(g):
-        return g * b.data, g * a.data
-
-    return _op_output(a.data * b.data, (a, b), backward_fn)
-
-
-def scale(a: Tensor, s: float) -> Tensor:
-    a = _as_tensor(a)
-    s = a.dtype.type(s)
-    return _op_output(a.data * s, (a,), lambda g: (g * s,))
+    _check(a.shape == b.shape, "add", a.shape, b.shape)
+    return _op_output(a.data + b.data, (a, b), lambda g: (g, g))
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor, relu: bool = False) -> Tensor:
@@ -226,18 +193,6 @@ def linear(x: Tensor, w: Tensor, b: Tensor, relu: bool = False) -> Tensor:
         return g @ w.data.T, x.data.T @ g, g.sum(axis=0)
 
     return _op_output(y, (x, w, b), backward_fn)
-
-
-def reduce_sum(a: Tensor, axis: int | None = None) -> Tensor:
-    a = _as_tensor(a)
-    shape, dtype = a.shape, a.dtype
-
-    def backward_fn(g):
-        if axis is None:
-            return (np.full(shape, 1.0, dtype=dtype) * g,)
-        return (np.broadcast_to(np.expand_dims(g, axis), shape).copy(),)
-
-    return _op_output(a.data.sum(axis=axis), (a,), backward_fn)
 
 
 def _scatter_add_map(ids: np.ndarray, rows: int, dtype) -> sp.csr_matrix:
@@ -432,33 +387,36 @@ def segment_attention(
     return _op_output(merged, (q, k, v), backward_fn)
 
 
-def log_softmax(a: Tensor) -> Tensor:
-    """Numerically stable log-softmax over the last axis."""
-    a = _as_tensor(a)
-    shift = a.data - a.data.max(axis=-1, keepdims=True)
+def weighted_nll(scores: Tensor, labels, weights) -> Tensor:
+    """Weighted negative log-likelihood as one graph node:
+    ``-sum_i weights[i] * log_softmax(scores)[i, labels[i]]``.
+
+    ``scores`` is (N, C), and every label must lie in [0, C); ``weights`` is
+    cast to the scores' dtype. The closure keeps the (N, C) log-softmax, the
+    labels and the weights. The backward pass puts each row's weighted
+    gradient in its label's column and subtracts the softmax times the row
+    sum.
+    """
+    scores = _as_tensor(scores)
+    labels = np.asarray(labels, dtype=np.int64)
+    weights = np.asarray(weights, dtype=scores.dtype)
+    _check(scores.data.ndim == 2 and labels.shape == weights.shape == (scores.shape[0],),
+           "weighted_nll", scores.shape, labels.shape, weights.shape)
+    classes = scores.shape[1]
+    out_of_range = (labels < 0) | (labels >= classes)
+    if out_of_range.any():
+        raise ValueError(f"label {labels[out_of_range][0]} out of range for {classes} classes")
+    shift = scores.data - scores.data.max(axis=-1, keepdims=True)
     logp = shift - np.log(np.exp(shift).sum(axis=-1, keepdims=True))
-    logp = logp.astype(a.dtype, copy=False)
+    logp = logp.astype(scores.dtype, copy=False)
 
     def backward_fn(g):
-        return (g - np.exp(logp) * g.sum(axis=-1, keepdims=True),)
+        dlogp = np.zeros(logp.shape, dtype=logp.dtype)
+        dlogp[np.arange(labels.size), labels] = weights * -g
+        return (dlogp - np.exp(logp) * dlogp.sum(axis=-1, keepdims=True),)
 
-    return _op_output(logp, (a,), backward_fn)
-
-
-def gather_rows(a: Tensor, cols) -> Tensor:
-    """Pick one entry per row of a matrix: ``out[i] = a[i, cols[i]]``."""
-    a = _as_tensor(a)
-    cols = np.asarray(cols, dtype=np.int64)
-    _check(a.data.ndim == 2 and cols.shape == (a.shape[0],), "gather_rows", a.shape, cols.shape)
-    rows = np.arange(a.shape[0])
-    shape, dtype = a.shape, a.dtype
-
-    def backward_fn(g):
-        ga = np.zeros(shape, dtype=dtype)
-        ga[rows, cols] = g
-        return (ga,)
-
-    return _op_output(a.data[rows, cols].copy(), (a,), backward_fn)
+    loss = -(logp[np.arange(labels.size), labels] * weights).sum()
+    return _op_output(loss, (scores,), backward_fn)
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:

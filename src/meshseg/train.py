@@ -1,10 +1,11 @@
 """Loss, metrics, augmentation, and the training/evaluation loops.
 
 The loss is cross-entropy weighted by each triangle's share of the total
-surface; accuracy is correctly classified area over total area, pooled
-across meshes. Everything is reproducible from the seed: batches are
-processed in sample-index order and per-sample RNG streams are derived
-from (seed, epoch, sample index).
+surface, one ``autodiff.weighted_nll`` graph node per mesh; accuracy is
+correctly classified area over total area, pooled across meshes.
+Everything is reproducible from the seed: batches are processed in
+sample-index order and per-sample RNG streams are derived from (seed,
+epoch, sample index).
 """
 
 from __future__ import annotations
@@ -97,20 +98,12 @@ def weighted_cross_entropy(scores: Tensor, labels: np.ndarray, weights: np.ndarr
     """Sum over faces of weight * negative log-likelihood of the true class.
 
     Faces labeled ``PAD_LABEL`` contribute exactly zero (their weight is
-    forced to 0 and a dummy class 0 is gathered).
+    forced to 0 and a dummy class 0 is read); any other label outside
+    [0, C) raises ValueError.
     """
     labels = np.asarray(labels)
-    num_classes = scores.shape[-1]
     valid = labels != PAD_LABEL
-    if labels[valid].size and labels[valid].max() >= num_classes:
-        raise ValueError(
-            f"label {labels[valid].max()} out of range for {num_classes} classes"
-        )
-    safe_labels = np.where(valid, labels, 0)
-    w = np.where(valid, weights, 0.0).astype(scores.dtype)
-    logp = ad.log_softmax(scores)
-    picked = ad.gather_rows(logp, safe_labels)
-    return ad.scale(ad.reduce_sum(ad.mul(picked, Tensor(w))), -1.0)
+    return ad.weighted_nll(scores, np.where(valid, labels, 0), np.where(valid, weights, 0.0))
 
 
 def area_accuracy(

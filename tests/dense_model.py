@@ -20,6 +20,7 @@ from meshseg.errors import ConfigError
 from meshseg.model import _dropout, _layer_norm, _masked_features
 
 from conftest import dense_adjacency
+from op_oracles import reduce_sum, scale
 
 
 def co_membership(ids) -> np.ndarray:
@@ -29,8 +30,24 @@ def co_membership(ids) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# autodiff ops used only by this oracle: ReLU for its unfused linear layers,
-# the rest for its per-head attention
+# autodiff ops used only by this oracle: the bias addition and ReLU for its
+# unfused linear layers, the rest for its per-head attention
+
+
+def add_bias(a: Tensor, b: Tensor) -> Tensor:
+    """Addition of a 1-D bias broadcast over the last axis."""
+    a, b = _as_tensor(a), _as_tensor(b, like=a)
+    _check(
+        b.data.ndim == 1 and a.data.ndim > 1 and a.shape[-1] == b.shape[0],
+        "add_bias",
+        a.shape,
+        b.shape,
+    )
+
+    def backward_fn(g):
+        return g, g.sum(axis=tuple(range(g.ndim - 1)))
+
+    return _op_output(a.data + b.data, (a, b), backward_fn)
 
 
 def relu(a: Tensor) -> Tensor:
@@ -70,7 +87,7 @@ def slice_last(a: Tensor, start: int, stop: int) -> Tensor:
 def reduce_mean(a: Tensor, axis: int | None = None) -> Tensor:
     a = _as_tensor(a)
     count = a.data.size if axis is None else a.shape[axis]
-    return ad.scale(ad.reduce_sum(a, axis=axis), 1.0 / count)
+    return scale(reduce_sum(a, axis=axis), 1.0 / count)
 
 
 def masked_softmax(scores: Tensor, mask) -> Tensor:
@@ -94,7 +111,7 @@ def masked_softmax(scores: Tensor, mask) -> Tensor:
 
 def _linear(p, name, x, activation=False):
     """Linear layer as separate matmul, bias add and ReLU nodes."""
-    out = ad.add(ad.matmul(x, p[f"{name}.w"]), p[f"{name}.b"])
+    out = add_bias(ad.matmul(x, p[f"{name}.w"]), p[f"{name}.b"])
     return relu(out) if activation else out
 
 
@@ -106,14 +123,14 @@ def multi_head_attention(p, name, q_in, k_in, v_in, mask, num_heads):
     v = ad.matmul(v_in, p[f"{name}.wv"])
     d = q.shape[-1]
     head_dim = d // num_heads
-    scale = 1.0 / np.sqrt(head_dim)
+    factor = 1.0 / np.sqrt(head_dim)
     heads = []
     for h in range(num_heads):
         lo, hi = h * head_dim, (h + 1) * head_dim
         qh = slice_last(q, lo, hi)
         kh = slice_last(k, lo, hi)
         vh = slice_last(v, lo, hi)
-        scores = ad.scale(ad.matmul(qh, transpose(kh)), scale)
+        scores = scale(ad.matmul(qh, transpose(kh)), factor)
         weights = masked_softmax(scores, mask)
         heads.append(ad.matmul(weights, vh))
     merged = heads[0] if num_heads == 1 else concat_last(heads)

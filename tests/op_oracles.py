@@ -1,5 +1,13 @@
-"""Reference implementations of autodiff ops whose memory use was cut:
-each op as it was before, kept as the oracle for ``meshseg.autodiff``.
+"""Reference implementations of autodiff ops, kept as the oracles of
+``meshseg.autodiff``, and the small ops the tests build graphs from.
+
+The five ops ``mul``, ``scale``, ``reduce_sum``, ``log_softmax`` and
+``gather_rows`` are the ones the area-weighted loss was built from before
+it became ``autodiff.weighted_nll``. ``weighted_nll_oracle`` chains them
+as the loss did, and the fused op must agree with it bit for bit. The
+tests also use them to turn an op's output into a scalar loss.
+
+Two oracles are ops whose memory use was cut, each as it was before:
 
 - ``layer_norm_oracle`` builds its output and its input gradient from
   full-size temporaries, where ``autodiff.layer_norm`` works in place.
@@ -25,7 +33,71 @@ from __future__ import annotations
 import numpy as np
 
 from meshseg import autodiff as ad
-from meshseg.autodiff import Tensor, _as_tensor, _check_heads, _op_output, _softmax
+from meshseg.autodiff import Tensor, _as_tensor, _check, _check_heads, _op_output, _softmax
+
+
+def mul(a: Tensor, b: Tensor) -> Tensor:
+    a, b = _as_tensor(a), _as_tensor(b, like=a)
+    _check(a.shape == b.shape, "mul", a.shape, b.shape)
+
+    def backward_fn(g):
+        return g * b.data, g * a.data
+
+    return _op_output(a.data * b.data, (a, b), backward_fn)
+
+
+def scale(a: Tensor, s: float) -> Tensor:
+    a = _as_tensor(a)
+    s = a.dtype.type(s)
+    return _op_output(a.data * s, (a,), lambda g: (g * s,))
+
+
+def reduce_sum(a: Tensor, axis: int | None = None) -> Tensor:
+    a = _as_tensor(a)
+    shape, dtype = a.shape, a.dtype
+
+    def backward_fn(g):
+        if axis is None:
+            return (np.full(shape, 1.0, dtype=dtype) * g,)
+        return (np.broadcast_to(np.expand_dims(g, axis), shape).copy(),)
+
+    return _op_output(a.data.sum(axis=axis), (a,), backward_fn)
+
+
+def log_softmax(a: Tensor) -> Tensor:
+    """Numerically stable log-softmax over the last axis."""
+    a = _as_tensor(a)
+    shift = a.data - a.data.max(axis=-1, keepdims=True)
+    logp = shift - np.log(np.exp(shift).sum(axis=-1, keepdims=True))
+    logp = logp.astype(a.dtype, copy=False)
+
+    def backward_fn(g):
+        return (g - np.exp(logp) * g.sum(axis=-1, keepdims=True),)
+
+    return _op_output(logp, (a,), backward_fn)
+
+
+def gather_rows(a: Tensor, cols) -> Tensor:
+    """Pick one entry per row of a matrix: ``out[i] = a[i, cols[i]]``."""
+    a = _as_tensor(a)
+    cols = np.asarray(cols, dtype=np.int64)
+    _check(a.data.ndim == 2 and cols.shape == (a.shape[0],), "gather_rows", a.shape, cols.shape)
+    rows = np.arange(a.shape[0])
+    shape, dtype = a.shape, a.dtype
+
+    def backward_fn(g):
+        ga = np.zeros(shape, dtype=dtype)
+        ga[rows, cols] = g
+        return (ga,)
+
+    return _op_output(a.data[rows, cols].copy(), (a,), backward_fn)
+
+
+def weighted_nll_oracle(scores: Tensor, labels, weights) -> Tensor:
+    """The area-weighted loss as the five-op chain that ``train`` ran
+    before ``autodiff.weighted_nll``; labels must lie in [0, C)."""
+    w = Tensor(np.asarray(weights, dtype=scores.dtype))
+    return scale(reduce_sum(mul(gather_rows(log_softmax(scores), labels), w)), -1.0)
 
 
 def layer_norm_oracle(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:

@@ -57,6 +57,7 @@ from conftest import (
     trajectory,
     ward_oracle,
 )
+from op_oracles import gather_rows, log_softmax, mul, reduce_sum, scale
 from test_clustering import random_connected_adjacency
 from test_spectral import projector_for_groups
 
@@ -225,7 +226,7 @@ def test_criterion_04_autodiff_finite_differences():
             if weight is None:
                 weight = rng.normal(size=out.shape)
             if out.shape != ():
-                out = ad.reduce_sum(ad.mul(out, Tensor(weight)))
+                out = reduce_sum(mul(out, Tensor(weight)))
             return out
 
         loss = scalar()
@@ -241,8 +242,8 @@ def test_criterion_04_autodiff_finite_differences():
 
     check_op(ad.matmul, a34, b42)
     check_op(ad.add, a34, c34)
-    check_op(ad.mul, a34, c34)
-    check_op(lambda x: ad.scale(x, 1.7), a34)
+    check_op(mul, a34, c34)
+    check_op(lambda x: scale(x, 1.7), a34)
     # keep relu inputs away from the kink
     check_op(oracle.relu, a34 + 0.3 * np.sign(a34))
     # the dense oracle's per-head ops keep their place in this order, so
@@ -250,8 +251,8 @@ def test_criterion_04_autodiff_finite_differences():
     check_op(oracle.transpose, a34)
     check_op(lambda x, y: oracle.concat_last([x, y]), a34, c34)
     check_op(lambda x: oracle.slice_last(x, 1, 3), a34)
-    check_op(ad.reduce_sum, a34)
-    check_op(lambda x: ad.reduce_sum(x, axis=0), a34)
+    check_op(reduce_sum, a34)
+    check_op(lambda x: reduce_sum(x, axis=0), a34)
     check_op(oracle.reduce_mean, a34)
     check_op(lambda x: oracle.reduce_mean(x, axis=1), a34)
     check_op(lambda t: ad.embedding_lookup(t, np.array([0, 2, 2, 4])),
@@ -259,8 +260,8 @@ def test_criterion_04_autodiff_finite_differences():
     mask = np.zeros((3, 4))
     mask[0, 2] = mask[2, 0] = -np.inf
     check_op(lambda x: oracle.masked_softmax(x, mask), a34)
-    check_op(ad.log_softmax, a34)
-    check_op(lambda x: ad.gather_rows(ad.log_softmax(x), np.array([1, 0, 3])), a34)
+    check_op(log_softmax, a34)
+    check_op(lambda x: gather_rows(log_softmax(x), np.array([1, 0, 3])), a34)
     check_op(ad.layer_norm, a34, rng.normal(size=4), rng.normal(size=4))
     check_op(
         lambda x: ad.dropout(x, 0.3, training=True, rng=np.random.default_rng(7)),
@@ -323,6 +324,12 @@ def test_criterion_04_autodiff_finite_differences():
     # of a single key, an empty one, and one of the other four
     members, member_ptr = [3, 0, 2, 4, 1], [0, 1, 1, 5]
     check_op(lambda a, b, c: ad.segment_attention(a, b, c, members, member_ptr, 2, 0.7), q, k, v)
+
+    # the fused loss op, with a zero-weight row as a padding face has
+    nll_weights = rng.random(5)
+    nll_weights[4] = 0.0
+    nll_labels = np.array([2, 0, 1, 1, 0])
+    check_op(lambda x: ad.weighted_nll(x, nll_labels, nll_weights), rng.normal(size=(5, 3)))
     assert time.monotonic() - start < 120
 
 

@@ -20,6 +20,7 @@ from meshseg.preprocess import read_archive, write_archive
 from conftest import finite_difference
 from dense_model import (
     _linear as oracle_linear,
+    add_bias,
     concat_last,
     masked_softmax,
     reduce_mean,
@@ -30,14 +31,24 @@ from dense_model import (
 from op_oracles import (
     cluster_attention_oracle,
     embedding_lookup_oracle,
+    gather_rows,
     layer_norm_oracle,
+    log_softmax,
+    mul,
     neighbor_attention_oracle,
+    reduce_sum,
+    scale,
     table_listing,
+    weighted_nll_oracle,
 )
 
 # ops the dense oracle (tests/dense_model.py) adds for its unfused linear
-# layers and its per-head attention
-ORACLE_OPS = {"relu", "transpose", "concat_last", "slice_last", "reduce_mean", "masked_softmax"}
+# layers and its per-head attention, and the loss's former five-op chain
+# (tests/op_oracles.py)
+ORACLE_OPS = {
+    "add_bias", "relu", "transpose", "concat_last", "slice_last", "reduce_mean",
+    "masked_softmax", "mul", "scale", "reduce_sum", "log_softmax", "gather_rows",
+}
 
 
 def check_grad(build, *arrays, tol=1e-6):
@@ -64,12 +75,12 @@ class TestForwardValues:
         x = Tensor(np.array([-1.0, 2.0]), requires_grad=True)
         out = relu(x)
         np.testing.assert_array_equal(out.data, [0.0, 2.0])
-        ad.backward(ad.reduce_sum(out))
+        ad.backward(reduce_sum(out))
         np.testing.assert_array_equal(x.grad, [0.0, 1.0])
 
     def test_relu_subgradient_at_zero_is_zero(self):
         x = Tensor(np.array([0.0]), requires_grad=True)
-        ad.backward(ad.reduce_sum(relu(x)))
+        ad.backward(reduce_sum(relu(x)))
         np.testing.assert_array_equal(x.grad, [0.0])
 
     def test_mean_over_axis(self):
@@ -83,20 +94,20 @@ class TestForwardValues:
 
     def test_sum_x_squared_gradient(self):
         x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
-        ad.backward(ad.reduce_sum(ad.mul(x, x)))
+        ad.backward(reduce_sum(mul(x, x)))
         np.testing.assert_array_equal(x.grad, [2.0, 4.0])
 
     def test_unused_parameter_gets_no_gradient(self):
         x = Tensor(np.array([1.0]), requires_grad=True)
         unused = Tensor(np.array([5.0]), requires_grad=True)
-        ad.backward(ad.reduce_sum(ad.mul(x, x)))
+        ad.backward(reduce_sum(mul(x, x)))
         assert unused.grad is None
 
     def test_embedding_lookup_forward_and_scatter(self):
         table = Tensor(np.arange(6.0).reshape(3, 2), requires_grad=True)
         out = ad.embedding_lookup(table, [0, 0, 1])
         np.testing.assert_array_equal(out.data, [[0, 1], [0, 1], [2, 3]])
-        ad.backward(ad.reduce_sum(out))
+        ad.backward(reduce_sum(out))
         np.testing.assert_array_equal(table.grad, [[2, 2], [1, 1], [0, 0]])
 
     def test_embedding_id_overflow(self):
@@ -105,7 +116,7 @@ class TestForwardValues:
 
     def test_gather_rows(self):
         m = Tensor(np.array([[1.0, 2.0], [3.0, 4.0]]))
-        out = ad.gather_rows(m, [1, 0])
+        out = gather_rows(m, [1, 0])
         np.testing.assert_array_equal(out.data, [2.0, 3.0])
 
 
@@ -114,7 +125,7 @@ def run_op(op, dtype, weight, *arrays):
     where each input array becomes a leaf."""
     leaves = [Tensor(a.astype(dtype), requires_grad=True) for a in arrays]
     out = op(*leaves)
-    ad.backward(ad.reduce_sum(ad.mul(out, Tensor(weight.astype(dtype)))))
+    ad.backward(reduce_sum(mul(out, Tensor(weight.astype(dtype)))))
     return (out.data, *(t.grad for t in leaves))
 
 
@@ -163,7 +174,7 @@ class TestLinear:
                  "l.b": Tensor(b.copy(), requires_grad=True)}
             xt = Tensor(x.copy(), requires_grad=True)
             out = layer(p, xt)
-            ad.backward(ad.reduce_sum(ad.mul(out, weight)))
+            ad.backward(reduce_sum(mul(out, weight)))
             runs.append((out.data, xt.grad, p["l.w"].grad, p["l.b"].grad))
         for fused, unfused in zip(*runs):
             assert fused.dtype == unfused.dtype == dtype
@@ -182,6 +193,37 @@ class TestLinear:
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatchError):
             ad.linear(Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 4))), Tensor(np.zeros(3)))
+
+
+class TestWeightedNll:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("rows", [210, 2412])
+    def test_matches_five_op_chain_bit_for_bit(self, rng, dtype, rows):
+        """The loss and the score gradient have the bytes of the
+        log_softmax, gather_rows, mul, reduce_sum and scale chain that the
+        loss was built from, with padding rows as weighted_cross_entropy
+        passes them: class 0 and weight 0."""
+        classes = 8
+        scores = rng.normal(size=(rows, classes)) * 3.0
+        labels = rng.integers(0, classes, size=rows)
+        weights = rng.random(rows)
+        pad = rng.random(rows) < 0.05
+        assert pad.any()
+        labels[pad], weights[pad] = 0, 0.0
+        weights /= weights.sum()
+        runs = []
+        for op in (ad.weighted_nll, weighted_nll_oracle):
+            x = Tensor(scores.astype(dtype), requires_grad=True)
+            loss = op(x, labels, weights.astype(dtype))
+            ad.backward(loss)
+            runs.append((loss.data, x.grad))
+        assert_bit_identical(runs, dtype)
+        for new, old in zip(*runs):  # also the sign of each zero
+            assert new.tobytes() == old.tobytes()
+
+    def test_shape_mismatch(self):
+        with pytest.raises(ShapeMismatchError):
+            ad.weighted_nll(Tensor(np.zeros((2, 3))), [0, 1, 2], [0.5, 0.5])
 
 
 class TestMaskedSoftmax:
@@ -214,7 +256,7 @@ class TestMaskedSoftmax:
     def test_all_masked_backward_is_zero(self):
         x = Tensor(np.ones((1, 2)), requires_grad=True)
         out = masked_softmax(x, np.full((1, 2), -np.inf))
-        ad.backward(ad.reduce_sum(out))
+        ad.backward(reduce_sum(out))
         np.testing.assert_array_equal(x.grad, [[0.0, 0.0]])
 
     def test_log_count_bias_equals_repeated_keys(self, rng):
@@ -306,10 +348,10 @@ class TestAttention:
         q, k, v = rng.normal(size=(1, 2)), rng.normal(size=(2, 2)), rng.normal(size=(2, 2))
         kt, vt = Tensor(k, requires_grad=True), Tensor(v, requires_grad=True)
         twice = ad.segment_attention(Tensor(q), kt, vt, [0, 0, 1], [0, 3], 1, 1.0)
-        ad.backward(ad.reduce_sum(twice))
+        ad.backward(reduce_sum(twice))
         k2, v2 = Tensor(k, requires_grad=True), Tensor(v, requires_grad=True)
         once = ad.attention(Tensor(q), k2, v2, [[np.log(2.0), 0.0]], 1, 1.0)
-        ad.backward(ad.reduce_sum(once))
+        ad.backward(reduce_sum(once))
         np.testing.assert_allclose(twice.data, once.data, atol=1e-14)
         np.testing.assert_allclose(kt.grad, k2.grad, atol=1e-14)
         np.testing.assert_allclose(vt.grad, v2.grad, atol=1e-14)
@@ -391,7 +433,7 @@ class TestClusterAttention:
     def run(op, dtype, q, k, v, listing, upstream, heads=4):
         tensors = [Tensor(a.astype(dtype), requires_grad=True) for a in (q, k, v)]
         out = op(*tensors, *listing, heads, 0.3)
-        ad.backward(ad.reduce_sum(ad.mul(out, Tensor(upstream.astype(dtype)))))
+        ad.backward(reduce_sum(mul(out, Tensor(upstream.astype(dtype)))))
         return [out.data] + [t.grad for t in tensors]
 
     @pytest.mark.parametrize("dtype, tol", [(np.float64, 1e-12), (np.float32, 1e-6)])
@@ -528,20 +570,21 @@ class TestFiniteDifference:
 
     def test_matmul(self, rng):
         a, b = rng.normal(size=(3, 4)), rng.normal(size=(4, 2))
-        check_grad(lambda x, y: ad.reduce_sum(ad.mul(m := ad.matmul(x, y), m)), a, b)
+        check_grad(lambda x, y: reduce_sum(mul(m := ad.matmul(x, y), m)), a, b)
 
     def test_add_and_bias(self, rng):
-        a, b = rng.normal(size=(3, 4)), rng.normal(size=4)
-        check_grad(lambda x, y: ad.reduce_sum(ad.mul(s := ad.add(x, y), s)), a, b)
+        a, b, c = rng.normal(size=(3, 4)), rng.normal(size=(3, 4)), rng.normal(size=4)
+        check_grad(lambda x, y: reduce_sum(mul(s := ad.add(x, y), s)), a, b)
+        check_grad(lambda x, y: reduce_sum(mul(s := add_bias(x, y), s)), a, c)
 
     def test_mul(self, rng):
         a, b = rng.normal(size=(3, 3)), rng.normal(size=(3, 3))
-        check_grad(lambda x, y: ad.reduce_sum(ad.mul(ad.mul(x, y), x)), a, b)
+        check_grad(lambda x, y: reduce_sum(mul(mul(x, y), x)), a, b)
 
     def test_scale_relu_transpose(self, rng):
         a = rng.normal(size=(4, 3))
         check_grad(
-            lambda x: ad.reduce_sum(relu(ad.scale(transpose(x), 2.5))), a
+            lambda x: reduce_sum(relu(scale(transpose(x), 2.5))), a
         )
 
     def test_concat_and_slice(self, rng):
@@ -550,21 +593,21 @@ class TestFiniteDifference:
         def build(x, y):
             cat = concat_last([x, y])
             piece = slice_last(cat, 1, 4)
-            return ad.reduce_sum(ad.mul(piece, piece))
+            return reduce_sum(mul(piece, piece))
 
         check_grad(build, a, b)
 
     def test_reduce_ops(self, rng):
         a = rng.normal(size=(3, 5))
-        check_grad(lambda x: ad.reduce_sum(ad.mul(m := reduce_mean(x, axis=1), m)), a)
-        check_grad(lambda x: ad.reduce_sum(ad.mul(s := ad.reduce_sum(x, axis=0), s)), a)
+        check_grad(lambda x: reduce_sum(mul(m := reduce_mean(x, axis=1), m)), a)
+        check_grad(lambda x: reduce_sum(mul(s := reduce_sum(x, axis=0), s)), a)
 
     def test_embedding_lookup(self, rng):
         table = rng.normal(size=(5, 3))
         ids = np.array([0, 2, 2, 4])
         check_grad(
-            lambda t: ad.reduce_sum(
-                ad.mul(e := ad.embedding_lookup(t, ids), e)
+            lambda t: reduce_sum(
+                mul(e := ad.embedding_lookup(t, ids), e)
             ),
             table,
         )
@@ -575,7 +618,7 @@ class TestFiniteDifference:
         mask[:, 0] = 0.0
         weight = rng.normal(size=(4, 4))
         check_grad(
-            lambda x: ad.reduce_sum(ad.mul(masked_softmax(x, mask), Tensor(weight))),
+            lambda x: reduce_sum(mul(masked_softmax(x, mask), Tensor(weight))),
             scores,
         )
 
@@ -585,7 +628,7 @@ class TestFiniteDifference:
         bias[:, 0] = 0.5
         w = rng.normal(size=(3, 4))
         check_grad(
-            lambda a, b, c: ad.reduce_sum(ad.mul(ad.attention(a, b, c, bias, 2, 0.8), Tensor(w))),
+            lambda a, b, c: reduce_sum(mul(ad.attention(a, b, c, bias, 2, 0.8), Tensor(w))),
             q, k, v,
         )
 
@@ -598,7 +641,7 @@ class TestFiniteDifference:
         listing = table_listing(table, slot_bias)
         w = rng.normal(size=(4, 4))
         check_grad(
-            lambda a, b, c: ad.reduce_sum(ad.mul(
+            lambda a, b, c: reduce_sum(mul(
                 ad.segment_attention(a, b, c, *listing, 2, 0.8), Tensor(w))),
             q, k, v,
         )
@@ -611,7 +654,7 @@ class TestFiniteDifference:
         q, k, v = rng.normal(size=(5, 6)), rng.normal(size=(10, 6)), rng.normal(size=(10, 6))
         w = rng.normal(size=(5, 6))
         check_grad(
-            lambda a, b, c: ad.reduce_sum(ad.mul(
+            lambda a, b, c: reduce_sum(mul(
                 ad.segment_attention(a, b, c, members, member_ptr, 3, 0.8), Tensor(w))),
             q, k, v,
         )
@@ -621,8 +664,8 @@ class TestFiniteDifference:
         cols = rng.integers(0, 3, size=5)
         w = rng.normal(size=5)
         check_grad(
-            lambda x: ad.reduce_sum(
-                ad.mul(ad.gather_rows(ad.log_softmax(x), cols), Tensor(w))
+            lambda x: reduce_sum(
+                mul(gather_rows(log_softmax(x), cols), Tensor(w))
             ),
             scores,
         )
@@ -630,8 +673,8 @@ class TestFiniteDifference:
     def test_layer_norm_all_inputs(self, rng):
         x, g, b = rng.normal(size=(4, 6)), rng.normal(size=6), rng.normal(size=6)
         check_grad(
-            lambda xx, gg, bb: ad.reduce_sum(
-                ad.mul(ln := ad.layer_norm(xx, gg, bb), ln)
+            lambda xx, gg, bb: reduce_sum(
+                mul(ln := ad.layer_norm(xx, gg, bb), ln)
             ),
             x, g, b,
             tol=1e-5,
@@ -641,7 +684,7 @@ class TestFiniteDifference:
         # f(x) = sum(relu(W x)) vs central differences
         w = rng.normal(size=(4, 4))
         x = rng.normal(size=(4, 2))
-        check_grad(lambda ww, xx: ad.reduce_sum(relu(ad.matmul(ww, xx))), w, x)
+        check_grad(lambda ww, xx: reduce_sum(relu(ad.matmul(ww, xx))), w, x)
 
     def test_randomized_shapes_all_ops(self, rng):
         """Spec property: randomized shape sweep, max rel err <= 1e-4."""
@@ -653,8 +696,8 @@ class TestFiniteDifference:
             b = rng.normal(size=(inner, cols))
             g = rng.normal(size=cols)
             check_grad(
-                lambda x, y, gg: ad.reduce_sum(
-                    relu(ad.add(ad.matmul(x, y), gg))
+                lambda x, y, gg: reduce_sum(
+                    relu(add_bias(ad.matmul(x, y), gg))
                 ),
                 a, b, g,
                 tol=1e-4,
@@ -713,18 +756,18 @@ class TestBackwardMechanics:
     def test_loss_must_be_scalar(self):
         x = Tensor(np.ones(3), requires_grad=True)
         with pytest.raises(ValueError):
-            ad.backward(ad.mul(x, x))
+            ad.backward(mul(x, x))
 
     def test_repeated_backward_accumulates(self):
         x = Tensor(np.array([3.0]), requires_grad=True)
         for _ in range(2):
-            ad.backward(ad.reduce_sum(ad.mul(x, x)))
+            ad.backward(reduce_sum(mul(x, x)))
         np.testing.assert_array_equal(x.grad, [12.0])
 
     def test_diamond_graph_accumulation(self):
         x = Tensor(np.array([2.0]), requires_grad=True)
-        y = ad.scale(x, 3.0)
-        loss = ad.reduce_sum(ad.add(ad.mul(y, y), y))  # 9x^2 + 3x
+        y = scale(x, 3.0)
+        loss = reduce_sum(ad.add(mul(y, y), y))  # 9x^2 + 3x
         ad.backward(loss)
         np.testing.assert_allclose(x.grad, [18 * 2.0 + 3.0])
 
@@ -735,7 +778,7 @@ class TestBackwardMechanics:
         w = Tensor(np.ones((3, 2)), requires_grad=True)
         h = ad.linear(x, w, Tensor(np.zeros(2), requires_grad=True), relu=True)
         alive = weakref.ref(h.data)
-        loss = ad.reduce_sum(ad.mul(h, h))
+        loss = reduce_sum(mul(h, h))
         del h
         ad.backward(loss)
         assert alive() is None
@@ -746,7 +789,7 @@ class TestBackwardMechanics:
         """backward() keeps no reference to the gradient it hands a
         closure, so the array is freed as soon as the closure drops it."""
         x = Tensor(np.arange(4.0), requires_grad=True)
-        y = ad.scale(x, 2.0)
+        y = scale(x, 2.0)
         inner = y._backward_fn
         freed = []
 
@@ -758,27 +801,27 @@ class TestBackwardMechanics:
             return inner(np.ones(shape))
 
         y._backward_fn = probe
-        ad.backward(ad.reduce_sum(ad.mul(y, Tensor(np.ones(4)))))
+        ad.backward(reduce_sum(mul(y, Tensor(np.ones(4)))))
         assert freed == [True]
         np.testing.assert_array_equal(x.grad, np.full(4, 2.0))
 
     def test_second_backward_raises(self):
         x = Tensor(np.array([3.0]), requires_grad=True)
-        y = ad.mul(x, x)
-        loss = ad.reduce_sum(y)
+        y = mul(x, x)
+        loss = reduce_sum(y)
         ad.backward(loss)
         with pytest.raises(ValueError, match="consumed"):
             ad.backward(loss)
         # a new graph over a consumed node is refused before any gradient
         with pytest.raises(ValueError, match="consumed"):
-            ad.backward(ad.reduce_sum(ad.add(y, x)))
+            ad.backward(reduce_sum(ad.add(y, x)))
         np.testing.assert_array_equal(x.grad, [6.0])
 
     def test_gradient_free_ops_record_nothing(self):
         a = Tensor(np.ones((2, 3)))
         outs = [
             ad.matmul(a, Tensor(np.ones((3, 2)))),
-            ad.scale(a, 2.0),
+            scale(a, 2.0),
             ad.layer_norm(a, Tensor(np.ones(3)), Tensor(np.zeros(3))),
             ad.dropout(a, 0.5, training=True, rng=np.random.default_rng(0)),
         ]
@@ -811,7 +854,7 @@ class TestBackwardMechanics:
             h = ad.matmul(dropped, w)
             h_dropped = ad.dropout(h, 0.5, training=True, rng=drop)
             summed = ad.add(h_dropped, dropped)
-            return ad.reduce_sum(ad.mul(summed, summed)), (looked_up, h, h_dropped)
+            return reduce_sum(mul(summed, summed)), (looked_up, h, h_dropped)
 
         loss, unread = build()
         values = [weakref.ref(t.data) for t in unread]
@@ -827,14 +870,14 @@ class TestBackwardMechanics:
             np.testing.assert_array_equal(t.grad, g)
 
     @pytest.mark.parametrize("op", [
-        ad.reduce_sum,
-        lambda a: ad.reduce_sum(a, axis=0),
+        reduce_sum,
+        lambda a: reduce_sum(a, axis=0),
         lambda a: ad.embedding_lookup(a, [2, 0, 2]),
-        lambda a: ad.gather_rows(a, [1, 0, 1]),
+        lambda a: gather_rows(a, [1, 0, 1]),
     ], ids=["reduce_sum", "reduce_sum axis", "embedding_lookup", "gather_rows"])
     def test_closures_that_read_only_a_shape_keep_no_input(self, op):
         x = Tensor(np.arange(6.0).reshape(3, 2), requires_grad=True)
-        a = ad.scale(x, 2.0)
+        a = scale(x, 2.0)
         out = op(a)
         alive = weakref.ref(a.data)
         del a
@@ -850,7 +893,7 @@ class TestBackwardMechanics:
                 w = Tensor(rng.normal(size=(3, 3)), requires_grad=True)
                 b = Tensor(rng.normal(size=3), requires_grad=True)
                 x = Tensor(rng.normal(size=(2, 3)))
-                loss = ad.reduce_sum(ad.log_softmax(ad.layer_norm(ad.matmul(x, w), b, b)))
+                loss = reduce_sum(log_softmax(ad.layer_norm(ad.matmul(x, w), b, b)))
                 if consume:
                     ad.backward(loss)
                 alive = [weakref.ref(t.data) for t in (w, b, x)]
@@ -866,7 +909,7 @@ class TestBackwardMechanics:
         reassigned ``_backward_fn`` is the closure that backward runs."""
         x = Tensor(np.array([[1.0, 2.0], [3.0, 4.0]]), requires_grad=True)
         w = Tensor(np.array([0.5, -1.0]), requires_grad=True)
-        hidden = ad.add(ad.matmul(Tensor(np.eye(2)), x), w)
+        hidden = add_bias(ad.matmul(Tensor(np.eye(2)), x), w)
         calls = []
         inner = hidden._backward_fn
 
@@ -876,7 +919,7 @@ class TestBackwardMechanics:
 
         hidden._backward_fn = counted
         assert hidden._backward_fn is counted
-        loss = ad.reduce_sum(ad.mul(hidden, hidden))
+        loss = reduce_sum(mul(hidden, hidden))
         seen, stack, nbytes = {id(loss)}, [loss], 0
         while stack:
             node = stack.pop()
@@ -887,7 +930,7 @@ class TestBackwardMechanics:
                 if id(parent) not in seen:
                     seen.add(id(parent))
                     stack.append(parent)
-        # loss, mul, add, matmul, the constant, x and w; values of leaves and loss only
+        # loss, mul, add_bias, matmul, the constant, x and w; values of leaves and loss only
         assert len(seen) == 7
         assert nbytes == loss.data.nbytes + x.data.nbytes + w.data.nbytes
         ad.backward(loss)
@@ -896,9 +939,9 @@ class TestBackwardMechanics:
 
     def test_only_leaves_keep_gradients(self):
         x = Tensor(np.array([2.0]), requires_grad=True)
-        y = ad.scale(x, 3.0)
-        z = ad.mul(y, y)
-        loss = ad.reduce_sum(z)
+        y = scale(x, 3.0)
+        z = mul(y, y)
+        loss = reduce_sum(z)
         ad.backward(loss)
         assert y.grad is None and z.grad is None and loss.grad is None
         np.testing.assert_array_equal(x.grad, [36.0])  # d(9x^2)/dx at x = 2
@@ -913,9 +956,9 @@ class TestBackwardMechanics:
         ops = {
             "matmul": lambda a: ad.matmul(a, transpose(a)),
             "add": lambda a: ad.add(a, a),
-            "add bias": lambda a: ad.add(a, Tensor(y[0], requires_grad=True)),
-            "mul": lambda a: ad.mul(a, a),
-            "scale": lambda a: ad.scale(a, 2.0),
+            "add_bias": lambda a: add_bias(a, Tensor(y[0], requires_grad=True)),
+            "mul": lambda a: mul(a, a),
+            "scale": lambda a: scale(a, 2.0),
             "linear": lambda a: ad.linear(
                 a, Tensor(k.T, requires_grad=True), Tensor(k[:, 0], requires_grad=True)),
             "linear relu": lambda a: ad.linear(
@@ -924,8 +967,8 @@ class TestBackwardMechanics:
             "transpose": transpose,
             "concat_last": lambda a: concat_last([a, a]),
             "slice_last": lambda a: slice_last(a, 1, 3),
-            "reduce_sum": ad.reduce_sum,
-            "reduce_sum axis": lambda a: ad.reduce_sum(a, axis=0),
+            "reduce_sum": reduce_sum,
+            "reduce_sum axis": lambda a: reduce_sum(a, axis=0),
             "reduce_mean": lambda a: reduce_mean(a, axis=1),
             "embedding_lookup": lambda a: ad.embedding_lookup(a, [0, 2, 2]),
             "masked_softmax": lambda a: masked_softmax(a, np.where(x > 1.0, -np.inf, 0.0)),
@@ -936,8 +979,9 @@ class TestBackwardMechanics:
             "segment_attention clusters": lambda a: ad.segment_attention(
                 a, Tensor(k, requires_grad=True), Tensor(k, requires_grad=True),
                 [3, 0, 4, 1, 2], [0, 2, 2, 5], 2, 0.5),
-            "log_softmax": ad.log_softmax,
-            "gather_rows": lambda a: ad.gather_rows(a, [3, 0, 1]),
+            "log_softmax": log_softmax,
+            "gather_rows": lambda a: gather_rows(a, [3, 0, 1]),
+            "weighted_nll": lambda a: ad.weighted_nll(a, [3, 0, 1], y[:, 3]),
             "layer_norm": lambda a: ad.layer_norm(
                 a, Tensor(y[1], requires_grad=True), Tensor(y[2], requires_grad=True)),
             "dropout": lambda a: ad.dropout(a, 0.5, training=True, rng=np.random.default_rng(0)),
@@ -957,7 +1001,7 @@ class TestBackwardMechanics:
         # add() passes its upstream gradient to both parents as one array
         x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
         y = Tensor(np.array([3.0, 4.0]), requires_grad=True)
-        ad.backward(ad.reduce_sum(ad.add(x, y)))
+        ad.backward(reduce_sum(ad.add(x, y)))
         assert x.grad is not y.grad
         x.grad += 1.0
         np.testing.assert_array_equal(y.grad, [1.0, 1.0])
@@ -969,7 +1013,7 @@ class TestBackwardMechanics:
         def run():
             x = Tensor(a.copy(), requires_grad=True)
             y = Tensor(b.copy(), requires_grad=True)
-            loss = ad.reduce_sum(relu(ad.matmul(x, y)))
+            loss = reduce_sum(relu(ad.matmul(x, y)))
             ad.backward(loss)
             return loss.data.copy(), x.grad.copy(), y.grad.copy()
 

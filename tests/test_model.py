@@ -32,6 +32,7 @@ from conftest import (
 from dense_model import dense_forward, dense_masks
 from dense_model import multi_head_attention as dense_attention
 from loop_oracles import neighbor_listing_oracle
+from op_oracles import mul, reduce_sum
 
 
 def make_model(sample, dtype=np.float64, seed=0, **overrides):
@@ -212,7 +213,7 @@ class TestDenseOracle:
         scores = met_forward(sample, params, cfg)
         assert np.abs(scores.data - dense_forward(sample, params, cfg).data).max() <= 1e-6
         weight = Tensor(rng.normal(size=scores.shape))
-        ad.backward(ad.reduce_sum(ad.mul(scores, weight)))
+        ad.backward(reduce_sum(mul(scores, weight)))
         assert all(np.isfinite(p.grad).all() for p in params.values())
 
 
@@ -313,7 +314,7 @@ class TestTriangleAttention:
             params = {k: Tensor(w, requires_grad=True) for k, w in weights.items()}
             x = Tensor(x0, requires_grad=True)
             out = attention(params, x)
-            ad.backward(ad.reduce_sum(ad.mul(out, Tensor(upstream))))
+            ad.backward(reduce_sum(mul(out, Tensor(upstream))))
             return out.data, x.grad, {k: p.grad for k, p in params.items()}
 
         out, gx, gp = run(lambda p, x: multi_head_attention(
@@ -417,7 +418,7 @@ class TestForward:
         sample = small_sample()
         cfg, params = make_model(sample)
         scores = met_forward(sample, params, cfg)
-        ad.backward(ad.reduce_sum(ad.mul(scores, scores)))
+        ad.backward(reduce_sum(mul(scores, scores)))
         grad = params["cluster_embed"].grad
         used = set(sample.cluster_ids.tolist())
         for row in range(cfg.max_clusters):

@@ -24,6 +24,7 @@ from meshseg.train import (
 )
 
 from conftest import RUN_MEASUREMENTS, small_model_config, small_sample, trajectory
+from op_oracles import weighted_nll_oracle
 
 # held_bytes of the graph in test_training_graph_holds_only_what_backward_reads, as
 # measured with fused linear layers, lean op closures and value-less graph nodes
@@ -81,10 +82,12 @@ class TestWeightedCrossEntropy:
         np.testing.assert_allclose(loss.item(), np.log(2), atol=1e-15)
 
     def test_label_out_of_range(self):
-        with pytest.raises(ValueError, match="out of range"):
-            weighted_cross_entropy(
-                Tensor(np.zeros((1, 2))), np.array([5]), np.array([1.0])
-            )
+        # a label below PAD_LABEL would read a column from the end
+        for label in (5, -2):
+            with pytest.raises(ValueError, match="out of range"):
+                weighted_cross_entropy(
+                    Tensor(np.zeros((1, 2))), np.array([label]), np.array([1.0])
+                )
 
     def test_gradient_flows(self):
         scores = Tensor(np.zeros((2, 2)), requires_grad=True)
@@ -385,6 +388,24 @@ class TestTrainLoop:
         assert trajectory(h1) == trajectory(h2)
         for name in p1:
             assert p1[name].grad is None and p2[name].grad is None, name
+            np.testing.assert_array_equal(p1[name].data, p2[name].data, err_msg=name)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_fused_loss_trains_as_the_five_op_chain(self, monkeypatch, dtype):
+        """train() gives the same parameters and history losses, bit for
+        bit, when the fused loss op is swapped for the five-op chain it
+        replaced: augmented steps on a padded and an unpadded sample."""
+        samples = [pad_sample(small_sample(), 24), small_sample()]
+        model_cfg = small_model_config(eigen_count=4)
+        cfg = quick_train_cfg(max_steps=4, eval_every=2, augment=True)
+        runs = []
+        for loss_op in (ad.weighted_nll, weighted_nll_oracle):
+            monkeypatch.setattr(ad, "weighted_nll", loss_op)
+            runs.append(train(samples, model_cfg, cfg, dtype=dtype))
+        (p1, h1), (p2, h2) = runs
+        assert len(h1) == 2 and [h["loss"] for h in h1] == [h["loss"] for h in h2]
+        for name in p1:
+            assert p1[name].dtype == dtype
             np.testing.assert_array_equal(p1[name].data, p2[name].data, err_msg=name)
 
     def test_backward_frees_the_training_graph(self):
