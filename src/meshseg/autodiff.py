@@ -134,15 +134,7 @@ def _op_output(data, parents: tuple[Tensor, ...], backward_fn) -> Tensor:
     return out
 
 
-def _as_tensor(x, like: Tensor | None = None) -> Tensor:
-    if isinstance(x, Tensor):
-        return x
-    dtype = like.dtype if like is not None else None
-    return Tensor(np.asarray(x, dtype=dtype))
-
-
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b, like=a)
     _check(
         a.data.ndim == 2 and b.data.ndim == 2 and a.shape[1] == b.shape[0],
         "matmul",
@@ -157,7 +149,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b, like=a)
     _check(a.shape == b.shape, "add", a.shape, b.shape)
     return _op_output(a.data + b.data, (a, b), lambda g: (g, g))
 
@@ -170,7 +161,6 @@ def linear(x: Tensor, w: Tensor, b: Tensor, relu: bool = False) -> Tensor:
     ``out > 0``, which takes the subgradient at 0 as 0. Without the ReLU
     the backward closure keeps no reference to ``out``.
     """
-    x, w, b = _as_tensor(x), _as_tensor(w, like=x), _as_tensor(b, like=x)
     _check(
         x.data.ndim == 2 and w.data.ndim == 2 and x.shape[1] == w.shape[0]
         and b.shape == (w.shape[1],),
@@ -211,7 +201,6 @@ def _scatter_add_map(ids: np.ndarray, rows: int, dtype) -> sp.csr_matrix:
 def embedding_lookup(table: Tensor, ids) -> Tensor:
     """Row gather from an embedding table; gradients scatter-add back
     through one sparse map."""
-    table = _as_tensor(table)
     ids = np.asarray(ids, dtype=np.int64)
     _check(table.data.ndim == 2, "embedding_lookup", table.shape)
     if ids.size and (ids.min() < 0 or ids.max() >= table.shape[0]):
@@ -261,7 +250,6 @@ def attention(q: Tensor, k: Tensor, v: Tensor, bias, num_heads: int, scale: floa
     by the heads: -inf blocks a key, a finite value is added to its score.
     Rows that are entirely blocked output zeros.
     """
-    q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
     _check_heads("attention", q, k, v, num_heads)
     rows, width = q.shape
     bias = np.asarray(bias, dtype=q.dtype)
@@ -329,7 +317,6 @@ def segment_attention(
     of one entry per pair and head. Forward and backward cost O(P·d); no
     (R, C) array and no (P, d) copy is made.
     """
-    q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
     _check_heads("segment_attention", q, k, v, num_heads)
     keys = np.asarray(keys, dtype=np.int64)
     ptr = np.asarray(ptr, dtype=np.int64)
@@ -397,7 +384,6 @@ def weighted_nll(scores: Tensor, labels, weights) -> Tensor:
     gradient in its label's column and subtracts the softmax times the row
     sum.
     """
-    scores = _as_tensor(scores)
     labels = np.asarray(labels, dtype=np.int64)
     weights = np.asarray(weights, dtype=scores.dtype)
     _check(scores.data.ndim == 2 and labels.shape == weights.shape == (scores.shape[0],),
@@ -426,7 +412,6 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     default of ``torch.nn.LayerNorm``. The backward pass recomputes
     the normalized input from the kept row mean and inverse deviation.
     """
-    x, gamma, beta = _as_tensor(x), _as_tensor(gamma), _as_tensor(beta)
     width = x.shape[-1]
     _check(gamma.shape == (width,) and beta.shape == (width,), "layer_norm", x.shape, gamma.shape)
     mean = x.data.mean(axis=-1, keepdims=True)
@@ -462,7 +447,6 @@ def dropout(x: Tensor, p: float, training: bool, rng: np.random.Generator | None
     1/(1-p) at training time; identity in eval mode."""
     if not 0 <= p < 1:
         raise ValueError(f"dropout probability must be in [0, 1), got {p}")
-    x = _as_tensor(x)
     if not training or p == 0.0:
         return x
     if rng is None:

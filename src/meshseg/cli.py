@@ -114,8 +114,8 @@ ABLATIONS = {
 
 
 def common_options(fn):
-    fn = click.option("--config", "config_path", type=click.Path(exists=True), default=None,
-                      help="JSON config file; flags override its values.")(fn)
+    fn = click.option("--config", "config_path", type=click.Path(exists=True, dir_okay=False),
+                      default=None, help="JSON config file; flags override its values.")(fn)
     return fn
 
 
@@ -169,8 +169,8 @@ def _preprocess_cfg(base, target_vertices, target_faces, eigen_count, clustering
 @main.command("preprocess")
 @click.argument("in_dir", type=click.Path(exists=True, file_okay=False))
 @click.argument("out_dir", type=click.Path(file_okay=False))
-@click.option("--split", "split_path", type=click.Path(exists=True), default=None,
-              help="File listing the mesh stems to include, one per line.")
+@click.option("--split", "split_path", type=click.Path(exists=True, dir_okay=False),
+              default=None, help="File listing the mesh stems to include, one per line.")
 @common_options
 @preprocess_options
 @handles_errors

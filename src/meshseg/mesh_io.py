@@ -83,6 +83,38 @@ def _lines(text: str) -> list[str]:
     return text.split("\n")
 
 
+def _vertex_record(tokens: list[str], line_no: int) -> list[float]:
+    """The three finite coordinates a vertex record starts with; OFF, OBJ
+    (after its ``v`` tag) and PLY vertex records all read this way."""
+    if len(tokens) < 3:
+        raise MeshFormatError("vertex record needs 3 coordinates", line=line_no)
+    try:
+        x, y, z = map(float, tokens[:3])
+    except ValueError:
+        raise MeshFormatError("bad vertex coordinate", line=line_no) from None
+    if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
+        raise MeshFormatError("non-finite vertex coordinate", line=line_no)
+    return [x, y, z]
+
+
+def _face_record(tokens: list[str], line_no: int, n_vertices: int) -> list[int]:
+    """The indices of an OFF or PLY face record ``3 i j k ...``, each below
+    ``n_vertices``; the tokens after them (PLY colors) are the caller's."""
+    try:
+        arity = int(tokens[0])
+        idx = [int(p) for p in tokens[1 : 1 + arity]]
+    except (ValueError, IndexError):
+        raise MeshFormatError("bad face record", line=line_no) from None
+    if arity != 3:
+        raise MeshFormatError(f"non-triangular face (arity {arity})", line=line_no)
+    if len(idx) != 3:
+        raise MeshFormatError("face record needs 3 indices", line=line_no)
+    for j in idx:
+        if not 0 <= j < n_vertices:
+            raise MeshFormatError("index out of range", line=line_no)
+    return idx
+
+
 def parse_off(text: str) -> Mesh:
     """Parse an ASCII OFF file.
 
@@ -125,35 +157,15 @@ def parse_off(text: str) -> Mesh:
         raise MeshFormatError(
             f"truncated OFF file: expected {n_vertices} vertices and {n_faces} faces"
         )
+    # each record goes straight into its row, so no per-row list stays alive
+    # to be scanned and promoted by the garbage collector
     vertices = np.empty((n_vertices, 3), dtype=np.float64)
-    for k in range(n_vertices):
-        line_no, content = rows[pos + k]
-        parts = content.split()
-        if len(parts) < 3:
-            raise MeshFormatError("vertex line needs 3 coordinates", line=line_no)
-        try:
-            vertices[k] = [float(p) for p in parts[:3]]
-        except ValueError:
-            raise MeshFormatError("bad vertex coordinate", line=line_no) from None
-    non_finite = np.flatnonzero(~np.isfinite(vertices).all(axis=1))
-    if non_finite.size:
-        raise MeshFormatError("non-finite vertex coordinate", line=rows[pos + non_finite[0]][0])
+    for k, (line_no, content) in enumerate(rows[pos : pos + n_vertices]):
+        vertices[k] = _vertex_record(content.split(), line_no)
     pos += n_vertices
     faces = np.empty((n_faces, 3), dtype=np.int64)
-    for k in range(n_faces):
-        line_no, content = rows[pos + k]
-        parts = content.split()
-        try:
-            arity = int(parts[0])
-            idx = [int(p) for p in parts[1 : 1 + arity]]
-        except (ValueError, IndexError):
-            raise MeshFormatError("bad face record", line=line_no) from None
-        if arity != 3 or len(idx) != 3:
-            raise MeshFormatError(f"non-triangular face (arity {arity})", line=line_no)
-        for j in idx:
-            if j < 0 or j >= n_vertices:
-                raise MeshFormatError("index out of range", line=line_no)
-        faces[k] = idx
+    for k, (line_no, content) in enumerate(rows[pos : pos + n_faces]):
+        faces[k] = _face_record(content.split(), line_no, n_vertices)
     return Mesh(vertices=vertices, faces=faces)
 
 
@@ -173,15 +185,7 @@ def parse_obj(text: str) -> Mesh:
         parts = line.split()
         tag = parts[0]
         if tag == "v":
-            if len(parts) < 4:
-                raise MeshFormatError("vertex record needs 3 coordinates", line=line_no)
-            try:
-                coords = [float(p) for p in parts[1:4]]
-            except ValueError:
-                raise MeshFormatError("bad vertex coordinate", line=line_no) from None
-            if not all(map(math.isfinite, coords)):
-                raise MeshFormatError("non-finite vertex coordinate", line=line_no)
-            vertices.append(coords)
+            vertices.append(_vertex_record(parts[1:], line_no))
         elif tag == "f":
             tokens = parts[1:]
             if len(tokens) != 3:
@@ -270,7 +274,8 @@ def write_ply_colored(mesh: Mesh, labels: LabelVec, palette) -> str:
 def parse_ply(text: str) -> tuple[Mesh, np.ndarray | None]:
     """Parse an ASCII PLY 1.0 file; returns the mesh and per-face RGB (or None).
 
-    Binary PLY is rejected with a clear error.
+    Binary PLY is rejected with a clear error. Vertex and face records read
+    as in OFF, and errors carry 1-based line numbers.
     """
     lines = _lines(text)
     if not lines or lines[0].strip() != "ply":
@@ -287,8 +292,11 @@ def parse_ply(text: str) -> tuple[Mesh, np.ndarray | None]:
                     "binary PLY is not supported, re-export as ASCII", line=line_no
                 )
         elif line.startswith("element"):
-            _, name, count = line.split()
-            elements.append((name, int(count), []))
+            parts = line.split()
+            if len(parts) != 3 or not parts[2].isdecimal():
+                raise MeshFormatError("element line must be 'element <name> <count>'",
+                                      line=line_no)
+            elements.append((parts[1], int(parts[2]), []))
         elif line.startswith("property"):
             if not elements:
                 raise MeshFormatError("property before element", line=line_no)
@@ -300,13 +308,14 @@ def parse_ply(text: str) -> tuple[Mesh, np.ndarray | None]:
             raise MeshFormatError(f"unexpected header line {line!r}", line=line_no)
     if body_start is None:
         raise MeshFormatError("missing end_header")
+    counts = {name: count for name, count, _ in elements}
+    if "vertex" not in counts or "face" not in counts:
+        raise MeshFormatError("PLY missing vertex or face element")
     rows = [
         (i, ln.strip()) for i, ln in enumerate(lines[body_start:], start=body_start + 1)
         if ln.strip()
     ]
     pos = 0
-    vertices = None
-    faces = None
     colors = None
     for name, count, props in elements:
         if len(rows) - pos < count:
@@ -315,7 +324,8 @@ def parse_ply(text: str) -> tuple[Mesh, np.ndarray | None]:
         pos += count
         if name == "vertex":
             vertices = np.array(
-                [[float(p) for p in content.split()[:3]] for _, content in chunk]
+                [_vertex_record(content.split(), line_no) for line_no, content in chunk],
+                dtype=np.float64,
             ).reshape(count, 3)
         elif name == "face":
             face_rows = []
@@ -323,17 +333,15 @@ def parse_ply(text: str) -> tuple[Mesh, np.ndarray | None]:
             has_color = {"red", "green", "blue"} <= set(props)
             for line_no, content in chunk:
                 parts = content.split()
-                arity = int(parts[0])
-                if arity != 3:
-                    raise MeshFormatError(f"non-triangular face (arity {arity})", line=line_no)
-                face_rows.append([int(p) for p in parts[1:4]])
+                face_rows.append(_face_record(parts, line_no, counts["vertex"]))
                 if has_color:
-                    color_rows.append([int(p) for p in parts[4:7]])
+                    rgb = parts[4:7]
+                    if len(rgb) != 3 or not all(map(str.isdecimal, rgb)):
+                        raise MeshFormatError("face record needs 3 color values", line=line_no)
+                    color_rows.append([int(c) for c in rgb])
             faces = np.asarray(face_rows, dtype=np.int64).reshape(count, 3)
             if has_color:
                 colors = np.asarray(color_rows, dtype=np.int64).reshape(count, 3)
-    if vertices is None or faces is None:
-        raise MeshFormatError("PLY missing vertex or face element")
     return Mesh(vertices=vertices, faces=faces), colors
 
 

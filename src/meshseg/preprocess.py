@@ -22,7 +22,7 @@ import numpy as np
 from meshseg import clustering, spectral
 from meshseg.errors import ConfigError, DegenerateGeometryError, SampleFormatError, check_config
 from meshseg.mesh_io import LabelVec, Mesh, merge_duplicate_vertices
-from meshseg.simplify import simplify_qem
+from meshseg.simplify import DEGENERATE_NORM, simplify_qem
 from meshseg.spectral import AdjacencyMatrix
 
 logger = logging.getLogger(__name__)
@@ -34,8 +34,7 @@ __all__ = [
     "COORD_COLS",
     "NORMAL_COLS",
     "SPECTRAL_COLS",
-    "compute_normals",
-    "triangle_areas",
+    "normals_and_areas",
     "standardize_coords",
     "pad_sample",
     "build_sample",
@@ -164,35 +163,29 @@ class Sample:
                 f"and other than {PAD_LABEL}")
 
 
-def compute_normals(mesh: Mesh) -> np.ndarray:
-    """Unit normals from the counter-clockwise winding of each face."""
+def normals_and_areas(mesh: Mesh) -> tuple[np.ndarray, np.ndarray]:
+    """Unit normals from the counter-clockwise winding of each face, and the
+    face areas, from one cross product per face."""
     v = mesh.vertices
     f = mesh.faces
     raw = np.cross(v[f[:, 1]] - v[f[:, 0]], v[f[:, 2]] - v[f[:, 0]])
     norms = np.linalg.norm(raw, axis=1)
-    bad = np.flatnonzero(norms < 1e-14)
+    bad = np.flatnonzero(norms < DEGENERATE_NORM)
     if bad.size:
         raise DegenerateGeometryError(f"zero-area face {bad[0]}")
-    return raw / norms[:, np.newaxis]
+    return raw / norms[:, np.newaxis], 0.5 * norms
 
 
-def triangle_areas(mesh: Mesh) -> np.ndarray:
-    v = mesh.vertices
-    f = mesh.faces
-    raw = np.cross(v[f[:, 1]] - v[f[:, 0]], v[f[:, 2]] - v[f[:, 0]])
-    return 0.5 * np.linalg.norm(raw, axis=1)
-
-
-def standardize_coords(mesh: Mesh) -> Mesh:
-    """Uniformly scale and translate so the longest bounding-box axis spans
-    [-1, 1], centered at the box center. Aspect ratios are preserved."""
-    lo = mesh.vertices.min(axis=0)
-    hi = mesh.vertices.max(axis=0)
+def standardize_coords(points: np.ndarray) -> np.ndarray:
+    """Uniformly scale and translate (P, 3) points so the longest
+    bounding-box axis spans [-1, 1], centered at the box center. Aspect
+    ratios are preserved."""
+    lo = points.min(axis=0)
+    hi = points.max(axis=0)
     extent = float((hi - lo).max())
     if extent <= 0:
         raise DegenerateGeometryError("degenerate bounding box: all vertices identical")
-    center = 0.5 * (lo + hi)
-    return Mesh(vertices=(mesh.vertices - center) * (2.0 / extent), faces=mesh.faces)
+    return (points - 0.5 * (lo + hi)) * (2.0 / extent)
 
 
 def triangle_centroids(mesh: Mesh) -> np.ndarray:
@@ -296,9 +289,8 @@ def build_sample(mesh: Mesh, labels: LabelVec | None, cfg: PreprocessConfig) -> 
     else:
         simplified = merged
 
-    standardized = standardize_coords(simplified)
-    normals = compute_normals(standardized)
-    areas = triangle_areas(standardized)
+    standardized = Mesh(vertices=standardize_coords(simplified.vertices), faces=simplified.faces)
+    normals, areas = normals_and_areas(standardized)
 
     adj = timed("dual_graph", spectral.build_dual_adjacency, standardized)
     spec_feats = timed("spectral", spectral.laplacian_positional_features, adj, cfg.eigen_count)
@@ -327,7 +319,7 @@ def build_sample(mesh: Mesh, labels: LabelVec | None, cfg: PreprocessConfig) -> 
         "qem_input_vertices": merged.num_vertices,
         "qem_output_vertices": simplified.num_vertices,
         "qem_reached": reached,
-        "dual_graph_components": adj.component_count(),
+        "dual_graph_components": spec_feats.components,
         "eigen_residual": spec_feats.residual,
         "cluster_size_min": int(cluster_sizes.min()),
         "cluster_size_median": float(np.median(cluster_sizes)),

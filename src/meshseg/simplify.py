@@ -38,7 +38,8 @@ from meshseg.mesh_io import Mesh
 
 __all__ = ["simplify_qem"]
 
-_DEGENERATE_NORM = 1e-14
+#: Cross-product norm below which a face counts as zero-area.
+DEGENERATE_NORM = 1e-14
 _SINGULAR_DET = 1e-10
 
 
@@ -130,12 +131,12 @@ def _cross(p0, p1, p2):
 
 def _vertex_quadrics(mesh: Mesh) -> np.ndarray:
     """(V, 10) sum of the plane quadrics of each vertex's faces, in face
-    order; a face whose normal is shorter than _DEGENERATE_NORM adds none."""
+    order; a face whose normal is shorter than DEGENERATE_NORM adds none."""
     v, faces = mesh.vertices, mesh.faces
     p0 = v[faces[:, 0]]
     normal = np.cross(v[faces[:, 1]] - p0, v[faces[:, 2]] - p0)
     norm = np.linalg.norm(normal, axis=1)
-    keep = norm >= _DEGENERATE_NORM
+    keep = norm >= DEGENERATE_NORM
     normal = normal[keep] / norm[keep, np.newaxis]
     plane = np.column_stack([normal, -(normal * p0[keep]).sum(axis=1)])
     rows, cols = np.triu_indices(4)  # the 10 stored entries, row-major
@@ -199,7 +200,7 @@ class _MeshState:
             after = _cross(*(new_pos if w in (u, v) else pos[w] for w in corners))
             dot = before[0] * after[0] + before[1] * after[1] + before[2] * after[2]
             norm = math.sqrt(after[0] * after[0] + after[1] * after[1] + after[2] * after[2])
-            if norm < _DEGENERATE_NORM or dot < 0:
+            if norm < DEGENERATE_NORM or dot < 0:
                 return False
         return True
 

@@ -133,26 +133,21 @@ def normalized_laplacian(adj: AdjacencyMatrix) -> sp.csr_matrix:
     return sp.csr_matrix((data, ids, indptr), shape=(adj.n, adj.n))
 
 
-def _worst_residual(lap: sp.csr_matrix, values: np.ndarray, vectors: np.ndarray) -> float:
-    """Largest ``|L u - lam u|`` over the eigenpairs (0 for none)."""
-    residual = lap @ vectors - vectors * values[np.newaxis, :]
-    return float(np.linalg.norm(residual, axis=0).max(initial=0.0))
-
-
 def smallest_eigenpairs(lap: sp.csr_matrix, k: int):
     """The k algebraically smallest eigenpairs of L.
 
-    Returns ``(eigenvalues, eigenvectors)`` with eigenvalues ascending and
-    eigenvectors orthonormal in columns. Dense symmetric solve up to
-    ``DENSE_SOLVE_THRESHOLD`` nodes; shift-invert Lanczos above. Unless
-    ``|L u - lam u| <= EIGEN_RESIDUAL_TOL * max(|L|_F, 1)`` for every pair,
-    an :class:`EigensolverError` is raised.
+    Returns ``(eigenvalues, eigenvectors, residual)`` with eigenvalues
+    ascending, eigenvectors orthonormal in columns and ``residual`` the
+    largest ``|L u - lam u|`` over the pairs (0 for none). Dense symmetric
+    solve up to ``DENSE_SOLVE_THRESHOLD`` nodes; shift-invert Lanczos above.
+    Unless ``residual <= EIGEN_RESIDUAL_TOL * max(|L|_F, 1)``, an
+    :class:`EigensolverError` is raised.
     """
     n = lap.shape[0]
     if k > n:
         raise ValueError(f"k={k} exceeds matrix size {n}")
     if k == 0:
-        return np.empty(0), np.empty((n, 0))
+        return np.empty(0), np.empty((n, 0)), 0.0
     if n <= DENSE_SOLVE_THRESHOLD or k >= n - 1:
         values, vectors = np.linalg.eigh(lap.toarray())
         values, vectors = values[:k], vectors[:, :k]
@@ -171,13 +166,13 @@ def smallest_eigenpairs(lap: sp.csr_matrix, k: int):
             raise EigensolverError(f"eigensolver failed to converge: {exc}") from exc
         order = np.argsort(values, kind="stable")
         values, vectors = values[order], vectors[:, order]
-    worst = _worst_residual(lap, values, vectors)
+    worst = float(np.linalg.norm(lap @ vectors - vectors * values, axis=0).max(initial=0.0))
     limit = EIGEN_RESIDUAL_TOL * max(np.linalg.norm(lap.data), 1.0)
     if worst > limit:
         raise EigensolverError(
             f"eigenpair residual {worst:.3e} exceeds {limit:.3e}", residual=worst
         )
-    return values, vectors
+    return values, vectors, worst
 
 
 @dataclass(frozen=True)
@@ -186,6 +181,7 @@ class SpectralFeatures:
 
     features: np.ndarray  # (N, E)
     residual: float  # worst residual of the eigenpairs solved for
+    components: int  # connected components of the graph, isolated nodes included
 
 
 def _canonical_sign(vectors: np.ndarray) -> np.ndarray:
@@ -211,9 +207,10 @@ def laplacian_positional_features(adj: AdjacencyMatrix, count: int) -> SpectralF
     if count < 1:
         raise ValueError("count must be >= 1")
     lap = normalized_laplacian(adj)
-    zero_modes = adj.component_count() - int((adj.degrees() == 0).sum())
-    values, vectors = smallest_eigenpairs(lap, min(adj.n, count + zero_modes))
+    components = adj.component_count()
+    zero_modes = components - int((adj.degrees() == 0).sum())
+    values, vectors, residual = smallest_eigenpairs(lap, min(adj.n, count + zero_modes))
     keep = np.flatnonzero(values >= ZERO_EIGENVALUE_TOL)[:count]
     feats = np.zeros((adj.n, count), dtype=np.float64)
     feats[:, : keep.size] = _canonical_sign(vectors[:, keep])
-    return SpectralFeatures(features=feats, residual=_worst_residual(lap, values, vectors))
+    return SpectralFeatures(features=feats, residual=residual, components=components)

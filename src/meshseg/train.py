@@ -26,7 +26,7 @@ from meshseg.autodiff import Tensor
 from meshseg.errors import ConfigError, TrainingDivergedError, check_config
 from meshseg.model import ModelConfig, init_params, met_forward
 from meshseg.optim import AdamW
-from meshseg.preprocess import COORD_COLS, NORMAL_COLS, PAD_LABEL, Sample
+from meshseg.preprocess import COORD_COLS, NORMAL_COLS, PAD_LABEL, Sample, standardize_coords
 
 logger = logging.getLogger(__name__)
 
@@ -35,7 +35,6 @@ __all__ = [
     "Metrics",
     "area_weights",
     "weighted_cross_entropy",
-    "area_accuracy",
     "random_rotation",
     "augment",
     "train",
@@ -106,21 +105,6 @@ def weighted_cross_entropy(scores: Tensor, labels: np.ndarray, weights: np.ndarr
     return ad.weighted_nll(scores, np.where(valid, labels, 0), np.where(valid, weights, 0.0))
 
 
-def area_accuracy(
-    predicted: np.ndarray,
-    true_labels: np.ndarray,
-    areas: np.ndarray,
-    real_mask: np.ndarray,
-) -> float:
-    """Correctly classified surface area over total real surface area."""
-    real = np.asarray(real_mask, dtype=bool)
-    total = areas[real].sum()
-    if total <= 0:
-        raise ValueError("total face area is zero")
-    correct = areas[real & (np.asarray(predicted) == np.asarray(true_labels))].sum()
-    return float(correct / total)
-
-
 def random_rotation(rng: np.random.Generator) -> np.ndarray:
     """Uniform random rotation matrix via a normalized quaternion."""
     q = rng.normal(size=4)
@@ -149,13 +133,9 @@ def augment(sample: Sample, rng: np.random.Generator, cfg: TrainConfig | None = 
     features = sample.features.copy()
     real = sample.real_mask
     coords = features[real, COORD_COLS].reshape(-1, 3, 3)
-    coords = s * (coords @ rot.T) + t
-    flat = coords.reshape(-1, 3)
-    peak = np.abs(flat).max()
-    if peak > 1.0:
-        lo, hi = flat.min(axis=0), flat.max(axis=0)
-        extent = float((hi - lo).max())
-        coords = (coords - 0.5 * (lo + hi)) * (2.0 / extent)
+    coords = (s * (coords @ rot.T) + t).reshape(-1, 3)
+    if np.abs(coords).max() > 1.0:
+        coords = standardize_coords(coords)
     features[real, COORD_COLS] = coords.reshape(-1, 9)
     features[real, NORMAL_COLS] = features[real, NORMAL_COLS] @ rot.T
     return replace(sample, features=features)
@@ -238,8 +218,6 @@ def train(
     indices = rng.permutation(len(samples))
     n_val = int(np.floor(train_cfg.validation_fraction * len(samples)))
     val_idx, train_idx = indices[:n_val], indices[n_val:]
-    if not len(train_idx):
-        raise ValueError("validation split leaves no training samples")
     train_set = [samples[i] for i in train_idx]
     val_set = [samples[i] for i in val_idx]
 

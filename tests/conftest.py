@@ -178,6 +178,21 @@ def sample_area_weights(sample) -> np.ndarray:
     return sample.areas / sample.areas.sum()
 
 
+def area_accuracy(
+    predicted: np.ndarray,
+    true_labels: np.ndarray,
+    areas: np.ndarray,
+    real_mask: np.ndarray,
+) -> float:
+    """Correctly classified surface area over total real surface area."""
+    real = np.asarray(real_mask, dtype=bool)
+    total = areas[real].sum()
+    if total <= 0:
+        raise ValueError("total face area is zero")
+    correct = areas[real & (np.asarray(predicted) == np.asarray(true_labels))].sum()
+    return float(correct / total)
+
+
 # ---------------------------------------------------------------------------
 # numerical oracles
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from meshseg import autodiff as ad
-from meshseg.autodiff import Tensor, _as_tensor, _check, _op_output, _softmax
+from meshseg.autodiff import Tensor, _check, _op_output, _softmax
 from meshseg.errors import ConfigError
 from meshseg.model import _dropout, _layer_norm, _masked_features
 
@@ -36,7 +36,6 @@ def co_membership(ids) -> np.ndarray:
 
 def add_bias(a: Tensor, b: Tensor) -> Tensor:
     """Addition of a 1-D bias broadcast over the last axis."""
-    a, b = _as_tensor(a), _as_tensor(b, like=a)
     _check(
         b.data.ndim == 1 and a.data.ndim > 1 and a.shape[-1] == b.shape[0],
         "add_bias",
@@ -51,19 +50,16 @@ def add_bias(a: Tensor, b: Tensor) -> Tensor:
 
 
 def relu(a: Tensor) -> Tensor:
-    a = _as_tensor(a)
     # subgradient at 0 is taken as 0
     return _op_output(np.maximum(a.data, 0), (a,), lambda g: (g * (a.data > 0),))
 
 
 def transpose(a: Tensor) -> Tensor:
-    a = _as_tensor(a)
     _check(a.data.ndim == 2, "transpose", a.shape)
     return _op_output(a.data.T.copy(), (a,), lambda g: (g.T,))
 
 
 def concat_last(tensors) -> Tensor:
-    tensors = [_as_tensor(t) for t in tensors]
     widths = [t.shape[-1] for t in tensors]
 
     def backward_fn(g):
@@ -74,8 +70,6 @@ def concat_last(tensors) -> Tensor:
 
 
 def slice_last(a: Tensor, start: int, stop: int) -> Tensor:
-    a = _as_tensor(a)
-
     def backward_fn(g):
         ga = np.zeros_like(a.data)
         ga[..., start:stop] = g
@@ -85,7 +79,6 @@ def slice_last(a: Tensor, start: int, stop: int) -> Tensor:
 
 
 def reduce_mean(a: Tensor, axis: int | None = None) -> Tensor:
-    a = _as_tensor(a)
     count = a.data.size if axis is None else a.shape[axis]
     return scale(reduce_sum(a, axis=axis), 1.0 / count)
 
@@ -97,7 +90,6 @@ def masked_softmax(scores: Tensor, mask) -> Tensor:
     to the score (0 leaves it unchanged). Rows that are entirely blocked
     produce all zeros (not NaN) and contribute zero gradient.
     """
-    scores = _as_tensor(scores)
     mask = np.asarray(mask.data if isinstance(mask, Tensor) else mask, dtype=scores.dtype)
     _check(mask.shape == scores.shape, "masked_softmax", scores.shape, mask.shape)
     y = _softmax(scores.data + mask)

@@ -18,6 +18,7 @@ import heapq
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 
 from meshseg.clustering import ClusterAssignment
 from meshseg.mesh_io import Mesh
@@ -25,7 +26,6 @@ from meshseg.spectral import (
     ZERO_EIGENVALUE_TOL,
     AdjacencyMatrix,
     SpectralFeatures,
-    _worst_residual,
     smallest_eigenpairs,
 )
 
@@ -113,11 +113,11 @@ def laplacian_positional_features_oracle(
 ) -> SpectralFeatures:
     """Grow-and-retry: solve for ``count + 1`` pairs, and again with more
     while fewer than ``count`` nonzero eigenvalues came back; sign-fix one
-    column at a time."""
+    column at a time. Components are counted by scipy's csgraph."""
     n = lap.shape[0]
     k = min(n, count + 1)
     while True:
-        values, vectors = smallest_eigenpairs(lap, k)
+        values, vectors, residual = smallest_eigenpairs(lap, k)
         nonzero = values >= tol
         if nonzero.sum() >= count or k == n:
             break
@@ -129,7 +129,8 @@ def laplacian_positional_features_oracle(
     for out_col, src_col in enumerate(keep):
         column = vectors[:, src_col]
         feats[:, out_col] = -column if column[np.argmax(np.abs(column))] < 0 else column
-    return SpectralFeatures(features=feats, residual=_worst_residual(lap, values, vectors))
+    components = connected_components(lap, directed=False)[0]
+    return SpectralFeatures(features=feats, residual=residual, components=int(components))
 
 
 def neighbor_listing_oracle(adj: AdjacencyMatrix) -> tuple[np.ndarray, np.ndarray]:

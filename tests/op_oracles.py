@@ -33,11 +33,10 @@ from __future__ import annotations
 import numpy as np
 
 from meshseg import autodiff as ad
-from meshseg.autodiff import Tensor, _as_tensor, _check, _check_heads, _op_output, _softmax
+from meshseg.autodiff import Tensor, _check, _check_heads, _op_output, _softmax
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b, like=a)
     _check(a.shape == b.shape, "mul", a.shape, b.shape)
 
     def backward_fn(g):
@@ -47,13 +46,11 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def scale(a: Tensor, s: float) -> Tensor:
-    a = _as_tensor(a)
     s = a.dtype.type(s)
     return _op_output(a.data * s, (a,), lambda g: (g * s,))
 
 
 def reduce_sum(a: Tensor, axis: int | None = None) -> Tensor:
-    a = _as_tensor(a)
     shape, dtype = a.shape, a.dtype
 
     def backward_fn(g):
@@ -66,7 +63,6 @@ def reduce_sum(a: Tensor, axis: int | None = None) -> Tensor:
 
 def log_softmax(a: Tensor) -> Tensor:
     """Numerically stable log-softmax over the last axis."""
-    a = _as_tensor(a)
     shift = a.data - a.data.max(axis=-1, keepdims=True)
     logp = shift - np.log(np.exp(shift).sum(axis=-1, keepdims=True))
     logp = logp.astype(a.dtype, copy=False)
@@ -79,7 +75,6 @@ def log_softmax(a: Tensor) -> Tensor:
 
 def gather_rows(a: Tensor, cols) -> Tensor:
     """Pick one entry per row of a matrix: ``out[i] = a[i, cols[i]]``."""
-    a = _as_tensor(a)
     cols = np.asarray(cols, dtype=np.int64)
     _check(a.data.ndim == 2 and cols.shape == (a.shape[0],), "gather_rows", a.shape, cols.shape)
     rows = np.arange(a.shape[0])
@@ -101,7 +96,6 @@ def weighted_nll_oracle(scores: Tensor, labels, weights) -> Tensor:
 
 
 def layer_norm_oracle(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
-    x, gamma, beta = _as_tensor(x), _as_tensor(gamma), _as_tensor(beta)
     mean = x.data.mean(axis=-1, keepdims=True)
     centered = x.data - mean
     var = (centered**2).mean(axis=-1, keepdims=True)
@@ -125,7 +119,6 @@ def layer_norm_oracle(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5)
 
 
 def embedding_lookup_oracle(table: Tensor, ids) -> Tensor:
-    table = _as_tensor(table)
     ids = np.asarray(ids, dtype=np.int64)
     shape, dtype = table.shape, table.dtype
 
@@ -148,14 +141,13 @@ def membership_mask(members, member_ptr, keys) -> np.ndarray:
 
 
 def cluster_attention_oracle(q, k, v, members, member_ptr, num_heads, scale) -> Tensor:
-    mask = membership_mask(members, member_ptr, _as_tensor(k).shape[0])
+    mask = membership_mask(members, member_ptr, k.shape[0])
     return ad.attention(q, k, v, mask, num_heads, scale)
 
 
 def neighbor_attention_oracle(q, k, v, index, bias, num_heads, scale) -> Tensor:
     """Row r of ``q`` attends to the key/value rows ``index[r, j]`` under
     the additive bias ``bias[r, j]``; -inf marks an empty slot."""
-    q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
     _check_heads("neighbor_attention", q, k, v, num_heads)
     index = np.asarray(index, dtype=np.int64)
     bias = np.asarray(bias, dtype=q.dtype)

@@ -39,7 +39,6 @@ from meshseg.spectral import (
 )
 from meshseg.train import (
     TrainConfig,
-    area_accuracy,
     area_weights,
     evaluate,
     train,
@@ -48,6 +47,7 @@ from meshseg.train import (
 
 import dense_model as oracle
 from conftest import (
+    area_accuracy,
     finite_difference,
     hemisphere_labeled_sphere,
     jacobi_eigh,
@@ -136,7 +136,7 @@ def test_criterion_01_spectral_oracle(spectral_meshes):
     for mesh in spectral_meshes:
         lap = normalized_laplacian(build_dual_adjacency(mesh))
         n = lap.shape[0]
-        values, vectors = smallest_eigenpairs(lap, n)
+        values, vectors, _ = smallest_eigenpairs(lap, n)
         ref_values, ref_vectors = jacobi_eigh(lap.toarray())
         assert np.abs(values - ref_values).max() <= 1e-7
         got = projector_for_groups(ref_values, vectors, gap=1e-6)
@@ -145,7 +145,7 @@ def test_criterion_01_spectral_oracle(spectral_meshes):
             assert np.abs(p_got - p_want).max() <= 1e-6
 
     k4 = normalized_laplacian(build_dual_adjacency(tetrahedron()))
-    values, _ = smallest_eigenpairs(k4, 4)
+    values, _, _ = smallest_eigenpairs(k4, 4)
     np.testing.assert_allclose(values, [0.0, 4 / 3, 4 / 3, 4 / 3], atol=1e-8)
     assert time.monotonic() - start < 60
 
@@ -188,7 +188,7 @@ def test_criterion_02_laplacian_structure(spectral_meshes):
     for mesh in [*spectral_meshes, tetrahedron(), disjoint, single]:
         adj = build_dual_adjacency(mesh)
         lap = normalized_laplacian(adj)
-        values, _ = smallest_eigenpairs(lap, lap.shape[0])
+        values, _, _ = smallest_eigenpairs(lap, lap.shape[0])
         assert values.min() >= -1e-8
         assert values.max() <= 2 + 1e-8
         assert int((values < 1e-8).sum()) == edged_components(adj)

@@ -11,9 +11,10 @@ from click.testing import CliRunner
 
 from meshseg import data as datamod
 from meshseg import preprocess, simplify, spectral
+from meshseg import train as trainmod
 from meshseg.cli import main
 from meshseg.errors import EigensolverError
-from meshseg.mesh_io import merge_duplicate_vertices, parse_ply
+from meshseg.mesh_io import LabelVec, merge_duplicate_vertices, parse_ply, write_ply_colored
 from meshseg.model import ModelConfig, init_params, save_checkpoint
 from meshseg.preprocess import PreprocessConfig, build_sample, load_sample
 
@@ -115,6 +116,41 @@ class TestPreprocess:
         assert result.exit_code == 2
         assert "unknown config keys" in result.output
 
+    @pytest.mark.parametrize("text, message", [
+        ("{not json", "invalid JSON in "),
+        ("[1, 2]", "config root must be an object, got list"),
+    ], ids=["not-json", "list-root"])
+    def test_malformed_config_exits_2(self, text, message, dataset_dir, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        result = run(["preprocess", str(dataset_dir), str(tmp_path / "out"), "--config", str(cfg)])
+        assert result.exit_code == 2, result.output
+        assert result.output.startswith("error: ") and message in result.output
+        assert len(result.output.splitlines()) == 1
+
+    @pytest.mark.parametrize("option", ["--config", "--split"])
+    def test_directory_for_a_file_option_exits_2(self, option, dataset_dir, tmp_path):
+        result = run(["preprocess", str(dataset_dir), str(tmp_path / "out"),
+                      option, str(tmp_path)])
+        assert result.exit_code == 2, result.output
+        assert f"Invalid value for '{option}'" in result.output
+        assert "is a directory" in result.output and "Traceback" not in result.output
+
+    def test_dataset_without_pairs_exits_1(self, tmp_path):
+        root = tmp_path / "data"
+        (root / "shapes").mkdir(parents=True)
+        result = run(["preprocess", str(root), str(tmp_path / "out"), *PREPROCESS_FLAGS])
+        assert result.exit_code == 1, result.output
+        assert result.output == f"error: no mesh/label pairs found under {root}\n"
+
+    def test_mesh_without_label_file_exits_1(self, dataset_dir, tmp_path):
+        (dataset_dir / "labels" / "sphere1.txt").unlink()
+        out = tmp_path / "samples"
+        result = run(["preprocess", str(dataset_dir), str(out), *PREPROCESS_FLAGS])
+        assert result.exit_code == 1, result.output
+        assert result.output == "error: missing label file for sphere1.off\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["preprocess", "inspect"])
     def test_config_not_utf8_exits_2(self, command, dataset_dir, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -206,6 +242,25 @@ class TestTrainEval:
         with zipfile.ZipFile(ckpt) as zf:
             manifest = json.loads(zf.read("manifest.json"))
         assert manifest["config"]["use_laplacian"] is False
+
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_samples_dir_without_samples_exits_1(self, command, untrained_checkpoint,
+                                                 tmp_path):
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        second = tmp_path / "m.ckpt" if command == "train" else untrained_checkpoint
+        result = run([command, str(empty), str(second)])
+        assert result.exit_code == 1, result.output
+        assert result.output == f"error: no .sample files under {empty}\n"
+
+    def test_non_finite_loss_exits_3(self, samples_dir, tmp_path, monkeypatch):
+        monkeypatch.setattr(trainmod, "area_weights",
+                            lambda areas, real_mask: np.full(len(areas), np.nan))
+        ckpt = tmp_path / "m.ckpt"
+        result = run(["train", str(samples_dir), str(ckpt), *TRAIN_FLAGS])
+        assert result.exit_code == 3, result.output
+        assert result.output == "error: non-finite loss at step 0\n"
+        assert not ckpt.exists()
 
 
 # flags, JSON config entries and the field the one-line error names
@@ -422,6 +477,28 @@ class TestSegment:
         )
         assert not (tmp_path / "seg.ply").exists()
 
+    def test_ply_mesh_exits_1(self, untrained_checkpoint, tmp_path):
+        mesh_path = tmp_path / "tetra.ply"
+        labels = LabelVec(labels=[0, 0, 0, 0], num_classes=1)
+        mesh_path.write_text(write_ply_colored(tetrahedron(), labels, [(1, 2, 3)]))
+        result = run(["segment", str(mesh_path), str(untrained_checkpoint),
+                      str(tmp_path / "seg.ply")])
+        assert result.exit_code == 1, result.output
+        assert result.output == "error: unsupported mesh format '.ply' for tetra.ply\n"
+
+    def test_eigensolver_failure_exits_3(self, dataset_dir, untrained_checkpoint, tmp_path,
+                                         monkeypatch):
+        def fail(lap, k):
+            raise EigensolverError("injected failure")
+
+        monkeypatch.setattr(spectral, "smallest_eigenpairs", fail)
+        out_ply = tmp_path / "seg.ply"
+        result = run(["segment", str(dataset_dir / "shapes" / "sphere0.off"),
+                      str(untrained_checkpoint), str(out_ply), *PREPROCESS_FLAGS])
+        assert result.exit_code == 3, result.output
+        assert result.output == "error: injected failure\n"
+        assert not out_ply.exists()
+
 
 SIMPLIFY_FLAGS = [
     "--target-vertices", "42", "--target-faces", "100", "--lambda", "4",
@@ -572,6 +649,17 @@ SAMPLE_DAMAGE = {
         edit_array("areas", lambda areas: np.r_[-1.0, areas[1:]]),
         "negative or non-finite area",
     ),
+    "adjacency-pair-out-of-range": (
+        edit_array("A", lambda pairs: np.vstack([pairs[:-1], [0, 20]])),
+        "adjacency index out of range",
+    ),
+    "adjacency-pair-reversed": (
+        edit_array("A", lambda pairs: np.vstack([pairs[:1, ::-1], pairs[1:]])),
+        "pairs must satisfy i < j",
+    ),
+    "manifest-without-num-clusters": (
+        edit_manifest(lambda m: m.pop("num_clusters")), "manifest lacks 'num_clusters'"
+    ),
 }
 
 
@@ -673,12 +761,11 @@ class TestSegmentOnePipeline:
         mesh = datamod.load_mesh_file(qem_mesh_path)
         merged = merge_duplicate_vertices(mesh, PreprocessConfig().merge_eps)
         simplified, _ = simplify.simplify_qem(merged, 42)
-        expected = preprocess.standardize_coords(simplified)
-        corners = expected.vertices[expected.faces]
+        corners = preprocess.standardize_coords(simplified.vertices)[simplified.faces]
         rounded = np.vectorize(lambda x: float(f"{x:.9g}"))(corners)
         ply, colors = parse_ply(out_ply.read_text())
         assert simplified.num_vertices == 42
-        assert ply.num_faces == expected.num_faces == len(colors)
+        assert ply.num_faces == simplified.num_faces == len(colors)
         np.testing.assert_array_equal(ply.vertices[ply.faces], rounded)
 
 

@@ -217,6 +217,46 @@ class TestPlyRoundTrip:
             parse_ply(text)
 
 
+PLY_HEADER = (
+    "ply\nformat ascii 1.0\nelement vertex 3\nproperty float x\nproperty float y\n"
+    "property float z\nelement face 1\nproperty list uchar int vertex_indices\nend_header\n"
+)
+
+
+class TestParsePlyErrors:
+    """Malformed PLY records are MeshFormatErrors that name their line, as
+    in OFF and OBJ."""
+
+    def test_non_integer_element_count_names_its_line(self):
+        text = PLY_HEADER.replace("element vertex 3", "element vertex x")
+        with pytest.raises(MeshFormatError, match="element line must be .*, line 3"):
+            parse_ply(text + "0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n")
+
+    def test_bad_float_names_its_line(self):
+        with pytest.raises(MeshFormatError, match="bad vertex coordinate, line 12"):
+            parse_ply(PLY_HEADER + "0 0 0\n1 0 0\n0 1.2.3 0\n3 0 1 2\n")
+
+    def test_short_vertex_row_names_its_line(self):
+        with pytest.raises(MeshFormatError, match="vertex record needs 3 coordinates, line 11"):
+            parse_ply(PLY_HEADER + "0 0 0\n1 0\n0 1 0\n3 0 1 2\n")
+
+    def test_short_face_row_names_its_line(self):
+        with pytest.raises(MeshFormatError, match="face record needs 3 indices, line 13"):
+            parse_ply(PLY_HEADER + "0 0 0\n1 0 0\n0 1 0\n3 0 1\n")
+
+    def test_face_row_short_of_its_colors_names_its_line(self):
+        text = write_ply_colored(
+            parse_off(TRIANGLE_OFF), LabelVec(labels=[0], num_classes=1), [(255, 0, 0)]
+        )
+        with pytest.raises(MeshFormatError, match="3 color values, line 16"):
+            parse_ply(text.replace("3 0 1 2 255 0 0", "3 0 1 2 255 0"))
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_coordinate_names_its_line(self, value):
+        with pytest.raises(MeshFormatError, match="non-finite vertex coordinate, line 11"):
+            parse_ply(PLY_HEADER + f"0 0 0\n1 {value} 0\n0 1 0\n3 0 1 2\n")
+
+
 class TestMergeDuplicateVertices:
     def test_coincident_pair_merged(self):
         mesh = Mesh(

@@ -19,12 +19,11 @@ from meshseg.preprocess import (
     PreprocessConfig,
     _transfer_labels,
     build_sample,
-    compute_normals,
     load_sample,
+    normals_and_areas,
     pad_sample,
     save_sample,
     standardize_coords,
-    triangle_areas,
     triangle_centroids,
 )
 from meshseg.simplify import simplify_qem
@@ -69,53 +68,42 @@ def tetra_sample(target_faces=8):
 class TestComputeNormals:
     def test_unit_z(self):
         mesh = Mesh(vertices=[[0, 0, 0], [1, 0, 0], [0, 1, 0]], faces=[[0, 1, 2]])
-        np.testing.assert_allclose(compute_normals(mesh), [[0, 0, 1]], atol=1e-12)
+        np.testing.assert_allclose(normals_and_areas(mesh)[0], [[0, 0, 1]], atol=1e-12)
 
     def test_winding_flip_negates(self):
         mesh = Mesh(vertices=[[0, 0, 0], [1, 0, 0], [0, 1, 0]], faces=[[0, 2, 1]])
-        np.testing.assert_allclose(compute_normals(mesh), [[0, 0, -1]], atol=1e-12)
+        np.testing.assert_allclose(normals_and_areas(mesh)[0], [[0, 0, -1]], atol=1e-12)
 
     def test_collinear_vertices_error_names_face(self):
         mesh = Mesh(vertices=[[0, 0, 0], [1, 0, 0], [2, 0, 0]], faces=[[0, 1, 2]])
         with pytest.raises(DegenerateGeometryError, match="zero-area face 0"):
-            compute_normals(mesh)
+            normals_and_areas(mesh)
 
 
 class TestStandardizeCoords:
     def test_longest_axis_mapped(self):
-        mesh = Mesh(
-            vertices=[[0, 0, 0], [10, 0, 0], [5, 1, 0]], faces=[[0, 1, 2]]
-        )
-        out = standardize_coords(mesh)
-        assert out.vertices[:, 0].min() == -1.0
-        assert out.vertices[:, 0].max() == 1.0
+        out = standardize_coords(np.array([[0, 0, 0], [10, 0, 0], [5, 1, 0]], dtype=float))
+        assert out[:, 0].min() == -1.0
+        assert out[:, 0].max() == 1.0
 
     def test_near_identity_when_already_standard(self):
-        mesh = Mesh(
-            vertices=[[-1, -0.5, 0], [1, -0.5, 0], [0, 0.5, 0]], faces=[[0, 1, 2]]
-        )
-        out = standardize_coords(mesh)
-        np.testing.assert_allclose(out.vertices, mesh.vertices, atol=1e-12)
+        points = np.array([[-1, -0.5, 0], [1, -0.5, 0], [0, 0.5, 0]], dtype=float)
+        np.testing.assert_allclose(standardize_coords(points), points, atol=1e-12)
 
     def test_cube_by_hand(self):
         corners = np.array(
             [[x, y, z] for x in (0, 2) for y in (0, 2) for z in (0, 2)], dtype=float
         )
-        mesh = Mesh(vertices=corners, faces=[[0, 1, 2]])
-        out = standardize_coords(mesh)
-        np.testing.assert_allclose(out.vertices, corners - 1.0, atol=1e-12)
+        np.testing.assert_allclose(standardize_coords(corners), corners - 1.0, atol=1e-12)
 
     def test_in_unit_box_with_touching_extreme(self, rng):
-        verts = rng.normal(size=(12, 3)) * 7 + 3
-        mesh = Mesh(vertices=verts, faces=[[0, 1, 2]])
-        out = standardize_coords(mesh)
-        assert np.abs(out.vertices).max() <= 1.0 + 1e-12
-        assert np.isclose(np.abs(out.vertices).max(), 1.0)
+        out = standardize_coords(rng.normal(size=(12, 3)) * 7 + 3)
+        assert np.abs(out).max() <= 1.0 + 1e-12
+        assert np.isclose(np.abs(out).max(), 1.0)
 
     def test_degenerate_box(self):
-        mesh = Mesh(vertices=np.zeros((3, 3)), faces=[[0, 1, 2]])
         with pytest.raises(DegenerateGeometryError):
-            standardize_coords(mesh)
+            standardize_coords(np.zeros((3, 3)))
 
 
 class TestPadSample:
@@ -397,13 +385,11 @@ class TestSampleMesh:
     def test_padded_sample_yields_real_faces(self):
         mesh, sample = self.padded_sphere()
         decoded = sample.mesh()
-        expected = standardize_coords(mesh)
+        expected = standardize_coords(mesh.vertices)
         assert sample.n_total == 100
         assert decoded.num_faces == sample.n_real == 80
         assert decoded.num_vertices == mesh.num_vertices
-        np.testing.assert_array_equal(
-            decoded.vertices[decoded.faces], expected.vertices[expected.faces]
-        )
+        np.testing.assert_array_equal(decoded.vertices[decoded.faces], expected[mesh.faces])
 
     def test_augmented_sample_yields_augmented_geometry(self):
         from meshseg.train import augment
@@ -422,7 +408,7 @@ class TestSampleMesh:
 class TestTriangleAreas:
     def test_right_triangle(self):
         mesh = Mesh(vertices=[[0, 0, 0], [2, 0, 0], [0, 2, 0]], faces=[[0, 1, 2]])
-        np.testing.assert_allclose(triangle_areas(mesh), [2.0])
+        np.testing.assert_allclose(normals_and_areas(mesh)[1], [2.0])
 
 
 class TestSampleSerialization:

@@ -5,7 +5,7 @@ import pytest
 
 from meshseg import simplify
 from meshseg.mesh_io import Mesh
-from meshseg.preprocess import compute_normals
+from meshseg.preprocess import normals_and_areas
 from meshseg.simplify import simplify_qem
 
 from conftest import (
@@ -41,7 +41,7 @@ class TestSimplifyQem:
         counts = shared_edge_count(out)
         assert all(c == 2 for c in counts.values())
         # no degenerate faces, and normals still computable
-        assert compute_normals(out).shape == (out.num_faces, 3)
+        assert normals_and_areas(out)[0].shape == (out.num_faces, 3)
 
     def test_never_increases_vertices_and_no_repeated_indices(self, rng):
         for _ in range(10):

@@ -138,7 +138,7 @@ class TestNormalizedLaplacian:
 class TestSmallestEigenpairs:
     def test_single_edge_analytic(self):
         lap = normalized_laplacian(AdjacencyMatrix(n=2, pairs=[[0, 1]]))
-        values, vectors = smallest_eigenpairs(lap, 2)
+        values, vectors, _ = smallest_eigenpairs(lap, 2)
         np.testing.assert_allclose(values, [0, 2], atol=1e-12)
         np.testing.assert_allclose(
             np.abs(vectors[:, 0]), [1 / np.sqrt(2)] * 2, atol=1e-12
@@ -146,19 +146,19 @@ class TestSmallestEigenpairs:
 
     def test_k4_eigenvalues(self):
         lap = normalized_laplacian(build_dual_adjacency(tetrahedron()))
-        values, _ = smallest_eigenpairs(lap, 4)
+        values, _, _ = smallest_eigenpairs(lap, 4)
         np.testing.assert_allclose(values, [0, 4 / 3, 4 / 3, 4 / 3], atol=1e-8)
 
     def test_two_disjoint_pairs_have_two_zero_modes(self):
         adj = AdjacencyMatrix(n=4, pairs=[[0, 1], [2, 3]])
         lap = normalized_laplacian(adj)
-        values, _ = smallest_eigenpairs(lap, 4)
+        values, _, _ = smallest_eigenpairs(lap, 4)
         assert int((values < ZERO_EIGENVALUE_TOL).sum()) == 2
 
     def test_orthonormal_columns(self, rng):
         mesh = random_hull_mesh(rng, 20)
         lap = normalized_laplacian(build_dual_adjacency(mesh))
-        _, vectors = smallest_eigenpairs(lap, lap.shape[0])
+        _, vectors, _ = smallest_eigenpairs(lap, lap.shape[0])
         gram = vectors.T @ vectors
         np.testing.assert_allclose(gram, np.eye(lap.shape[0]), atol=1e-8)
 
@@ -171,7 +171,7 @@ class TestSmallestEigenpairs:
         for _ in range(10):
             mesh = random_hull_mesh(rng, int(rng.integers(6, 24)))
             lap = normalized_laplacian(build_dual_adjacency(mesh))
-            values, vectors = smallest_eigenpairs(lap, lap.shape[0])
+            values, vectors, _ = smallest_eigenpairs(lap, lap.shape[0])
             ref_values, ref_vectors = jacobi_eigh(lap.toarray())
             np.testing.assert_allclose(values, ref_values, atol=1e-7)
             # compare subspace projectors per eigenvalue cluster, which is
@@ -187,11 +187,11 @@ class TestSmallestEigenpairs:
         with the dense route on the same matrix."""
         mesh = icosphere(1)  # 80 faces
         lap = normalized_laplacian(build_dual_adjacency(mesh))
-        dense_vals, dense_vecs = smallest_eigenpairs(lap, 10)
+        dense_vals, dense_vecs, _ = smallest_eigenpairs(lap, 10)
         original = spectral_mod.DENSE_SOLVE_THRESHOLD
         spectral_mod.DENSE_SOLVE_THRESHOLD = 10
         try:
-            sparse_vals, sparse_vecs = smallest_eigenpairs(lap, 10)
+            sparse_vals, sparse_vecs, _ = smallest_eigenpairs(lap, 10)
         finally:
             spectral_mod.DENSE_SOLVE_THRESHOLD = original
         np.testing.assert_allclose(sparse_vals, dense_vals, atol=1e-7)
@@ -209,7 +209,7 @@ class TestSpectrumStructure:
             mesh = random_hull_mesh(rng, int(rng.integers(5, 24)))
             adj = build_dual_adjacency(mesh)
             lap = normalized_laplacian(adj)
-            values, _ = smallest_eigenpairs(lap, lap.shape[0])
+            values, _, _ = smallest_eigenpairs(lap, lap.shape[0])
             assert values.min() >= -1e-8
             assert values.max() <= 2 + 1e-8
             zero_modes = int((values < ZERO_EIGENVALUE_TOL).sum())
@@ -245,7 +245,7 @@ class TestPositionalFeatures:
     def test_first_column_orthogonal_to_zero_mode(self, rng):
         mesh = random_hull_mesh(rng, 20)
         adj = build_dual_adjacency(mesh)
-        values, vectors = smallest_eigenpairs(normalized_laplacian(adj), 1)
+        values, vectors, _ = smallest_eigenpairs(normalized_laplacian(adj), 1)
         assert values[0] < ZERO_EIGENVALUE_TOL
         feats = laplacian_positional_features(adj, 3)
         for col in range(3):
@@ -348,6 +348,7 @@ class TestLoopOracleParity:
             want = laplacian_positional_features_oracle(lap, count)
             np.testing.assert_array_equal(got.features, want.features)
             assert got.residual == want.residual
+            assert got.components == want.components
 
     def test_one_solve_on_a_two_component_mesh(self, monkeypatch):
         import loop_oracles

@@ -14,7 +14,6 @@ from meshseg.model import init_params, met_forward
 from meshseg.preprocess import PAD_LABEL, pad_sample
 from meshseg.train import (
     TrainConfig,
-    area_accuracy,
     area_weights,
     augment,
     evaluate,
@@ -23,7 +22,13 @@ from meshseg.train import (
     weighted_cross_entropy,
 )
 
-from conftest import RUN_MEASUREMENTS, small_model_config, small_sample, trajectory
+from conftest import (
+    RUN_MEASUREMENTS,
+    area_accuracy,
+    small_model_config,
+    small_sample,
+    trajectory,
+)
 from op_oracles import weighted_nll_oracle
 
 # held_bytes of the graph in test_training_graph_holds_only_what_backward_reads, as
@@ -494,6 +499,24 @@ class TestTrainLoop:
         assert "layers.0" not in str(exc.value)
         assert exc.value.diagnostics["step"] == 0
         assert exc.value.diagnostics["grad_norm"] == np.inf
+
+    def test_non_finite_loss_raises_with_parameter_norms(self, monkeypatch):
+        import meshseg.train as trainmod
+
+        model_cfg = small_model_config(eigen_count=4)
+        params = init_params(model_cfg, np.random.default_rng(0), dtype=np.float64)
+        norms = {name: float(np.linalg.norm(p.data)) for name, p in params.items()}
+        monkeypatch.setattr(trainmod, "area_weights",
+                            lambda areas, real_mask: np.full(len(areas), np.nan))
+        with pytest.raises(TrainingDivergedError, match="non-finite loss at step 0") as exc:
+            train([small_sample()], model_cfg, quick_train_cfg(max_steps=2, eval_every=2),
+                  dtype=np.float64, params=params)
+        diagnostics = exc.value.diagnostics
+        assert diagnostics["step"] == 0
+        assert np.isnan(diagnostics["loss"])
+        # raised before the optimizer step, so the norms are the initial ones
+        assert list(diagnostics["param_norms"]) == sorted(params)
+        assert diagnostics["param_norms"] == norms
 
     def test_full_model_gradient_vs_finite_difference(self):
         """Loss gradient w.r.t. sampled parameters matches central
