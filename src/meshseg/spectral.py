@@ -8,6 +8,7 @@ the smallest nonzero eigenvalues.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +26,8 @@ __all__ = [
     "smallest_eigenpairs",
     "laplacian_positional_features",
 ]
+
+logger = logging.getLogger(__name__)
 
 #: Absolute tolerance below which a Laplacian eigenvalue counts as zero.
 ZERO_EIGENVALUE_TOL = 1e-8
@@ -44,13 +47,17 @@ class AdjacencyMatrix:
     pairs: np.ndarray  # (K, 2) int64, lexicographically sorted, i < j
 
     def __post_init__(self):
-        p = np.asarray(self.pairs, dtype=np.int64).reshape(-1, 2)
+        p = np.array(self.pairs, dtype=np.int64).reshape(-1, 2)
         if p.size:
             if p.min() < 0 or p.max() >= self.n:
                 raise ValueError("adjacency index out of range")
             if (p[:, 0] >= p[:, 1]).any():
                 raise ValueError("pairs must satisfy i < j")
-            p = np.unique(p, axis=0)
+            # the keys i * n + j ascend strictly exactly when the pairs are
+            # sorted and unique, as they are when they come from an adjacency
+            keys = p[:, 0] * self.n + p[:, 1]
+            if (np.diff(keys) <= 0).any():
+                p = np.column_stack(np.divmod(np.unique(keys), self.n))
         object.__setattr__(self, "pairs", p)
 
     def degrees(self) -> np.ndarray:
@@ -153,17 +160,38 @@ def smallest_eigenpairs(lap: sp.csr_matrix, k: int):
         values, vectors = values[:k], vectors[:, :k]
     else:
         # shift-invert around a point left of the spectrum keeps the
-        # factorized operator positive definite; the start vector is a
-        # fixed-seed random draw (a constant v0 coincides with the zero-mode
-        # eigenvector on regular graphs and starves degenerate multiplets)
+        # factorized operator L + 0.1 I symmetric positive definite, so it
+        # needs no pivoting: SuperLU factors it on a symmetric ordering of
+        # its pattern with the diagonal as pivots, which fills in less than
+        # the default column ordering with partial pivoting. The start vector
+        # is a fixed-seed random draw (a constant v0 coincides with the
+        # zero-mode eigenvector on regular graphs and starves degenerate
+        # multiplets)
+        factor = spla.splu(
+            sp.csc_matrix(lap + 0.1 * sp.identity(n)),
+            permc_spec="MMD_AT_PLUS_A",
+            diag_pivot_thresh=0.0,
+            options={"SymmetricMode": True},
+        )
+        solves = 0
+
+        def solve(x):
+            nonlocal solves
+            solves += 1
+            return factor.solve(x)
+
         v0 = np.random.default_rng(12021).standard_normal(n)
         ncv = min(n, max(2 * k + 1, 40))
         try:
             values, vectors = spla.eigsh(
-                lap.tocsc(), k=k, sigma=-0.1, which="LM", v0=v0, ncv=ncv
+                lap, k=k, sigma=-0.1, which="LM", v0=v0, ncv=ncv,
+                OPinv=spla.LinearOperator((n, n), matvec=solve, dtype=np.float64),
             )
         except spla.ArpackNoConvergence as exc:
             raise EigensolverError(f"eigensolver failed to converge: {exc}") from exc
+        logger.debug(
+            "eigensolve: n=%d, k=%d, factor nonzeros %d, %d solves", n, k, factor.nnz, solves
+        )
         order = np.argsort(values, kind="stable")
         values, vectors = values[order], vectors[:, order]
     worst = float(np.linalg.norm(lap @ vectors - vectors * values, axis=0).max(initial=0.0))

@@ -1,12 +1,15 @@
 """Reference per-element loops for vertex merging, the dual graph, the
 normalized Laplacian, the positional features, the attention neighbor
 listing and Ward clustering: the implementations that the numpy passes and
-plain-float loops in ``meshseg`` replaced.
+plain-float loops in ``meshseg`` replaced. Also the shift-invert Lanczos
+solve on scipy's default factorization, which the symmetric-mode factor in
+``meshseg.spectral.smallest_eigenpairs`` replaced.
 
 The parity tests hold ``meshseg.mesh_io.merge_duplicate_vertices``,
 ``meshseg.spectral.build_dual_adjacency``,
 ``meshseg.spectral.normalized_laplacian``,
 ``meshseg.spectral.laplacian_positional_features``,
+``meshseg.spectral.smallest_eigenpairs``' sparse path,
 ``meshseg.model.build_masks``' neighbor listing and
 ``meshseg.clustering.ward_constrained`` to these. QEM's reference is
 ``qem_oracle.py``.
@@ -18,6 +21,7 @@ import heapq
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from scipy.sparse.csgraph import connected_components
 
 from meshseg.clustering import ClusterAssignment
@@ -106,6 +110,18 @@ def normalized_laplacian_oracle(adj: AdjacencyMatrix) -> sp.csr_matrix:
     j = np.concatenate([adj.pairs[:, 1], adj.pairs[:, 0]])
     off = sp.csr_matrix((-dinv[i] * dinv[j], (i, j)), shape=(adj.n, adj.n))
     return (eye + off).tocsr()
+
+
+def arpack_eigenpairs_oracle(lap: sp.csr_matrix, k: int):
+    """The k smallest eigenpairs, ascending, from shift-invert Lanczos at
+    sigma = -0.1 on the factor that ``eigsh`` builds itself: SuperLU of
+    ``L + 0.1 I`` with its default column ordering and partial pivoting."""
+    n = lap.shape[0]
+    v0 = np.random.default_rng(12021).standard_normal(n)
+    ncv = min(n, max(2 * k + 1, 40))
+    values, vectors = spla.eigsh(lap.tocsc(), k=k, sigma=-0.1, which="LM", v0=v0, ncv=ncv)
+    order = np.argsort(values, kind="stable")
+    return values[order], vectors[:, order]
 
 
 def laplacian_positional_features_oracle(

@@ -1,5 +1,7 @@
 """Quadric-error-metric edge-collapse simplification."""
 
+import logging
+
 import numpy as np
 import pytest
 
@@ -78,6 +80,34 @@ class TestSimplifyQem:
         b, _ = simplify_qem(mesh, 20)
         np.testing.assert_array_equal(a.vertices, b.vertices)
         np.testing.assert_array_equal(a.faces, b.faces)
+
+
+    def test_debug_log_counts_the_loop(self, monkeypatch, caplog):
+        calls = {"legal": 0, "illegal": 0, "solves": 0}
+        legal = simplify._MeshState.collapse_is_legal
+        solve = simplify._MeshState.collapse_target
+
+        def counted_legal(state, u, v, new_pos):
+            ok = legal(state, u, v, new_pos)
+            calls["legal" if ok else "illegal"] += 1
+            return ok
+
+        def counted_solve(state, u, v):
+            calls["solves"] += 1
+            return solve(state, u, v)
+
+        monkeypatch.setattr(simplify._MeshState, "collapse_is_legal", counted_legal)
+        monkeypatch.setattr(simplify._MeshState, "collapse_target", counted_solve)
+        mesh = creased_patch(6)  # folds along the crease are rejected
+        with caplog.at_level(logging.DEBUG, logger="meshseg.simplify"):
+            out, _ = simplify_qem(mesh, 4)
+        (record,) = caplog.records
+        collapses, rejections, pops, solves, initial = record.args
+        assert collapses == calls["legal"] == mesh.num_vertices - out.num_vertices
+        assert rejections == calls["illegal"] > 0
+        assert pops >= collapses + rejections
+        assert solves == calls["solves"] > 0
+        assert initial == len(simplify._edges(mesh.faces)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -205,6 +235,41 @@ class TestOracleParity:
         assert not reached and collapses == []
         np.testing.assert_array_equal(out.faces, mesh.faces)
         assert_matches_oracle(mesh, 4, monkeypatch, atol=0)
+
+
+class TestNeighborLists:
+    """The neighbor lists that the collapses update hold the corners of each
+    live vertex's live faces, once each, after every collapse. On an open patch a
+    collapse can take the last face that joins the merged vertex to a
+    shared face's third corner."""
+
+    @pytest.mark.parametrize("make, target", [
+        (lambda: grid_patch(6), 4),
+        (lambda: creased_patch(6), 4),
+        (lambda: bumpy_sphere_mesh(np.random.default_rng(0), 100, 0.15), 10),
+    ], ids=["planar", "creased", "bumpy"])
+    def test_equal_the_corners_of_live_faces(self, make, target, monkeypatch):
+        collapse = simplify._MeshState.collapse
+        checked = []
+
+        def checked_collapse(state, u, v, new_pos):
+            collapse(state, u, v, new_pos)
+            corners = [set() for _ in state.positions]
+            for face, alive in zip(state.faces, state.face_alive):
+                if alive:
+                    for w in face:
+                        corners[w].update(face)
+            for w, alive in enumerate(state.vertex_alive):
+                if alive:
+                    listed = state.neighbors[w]
+                    assert len(set(listed)) == len(listed), (u, v, w)
+                    assert set(listed) == corners[w] - {w}, (u, v, w)
+            checked.append((u, v))
+
+        monkeypatch.setattr(simplify._MeshState, "collapse", checked_collapse)
+        mesh = make()
+        out, _ = simplify_qem(mesh, target)
+        assert len(checked) == mesh.num_vertices - out.num_vertices
 
 
 class TestCollapseTargets:

@@ -4,6 +4,8 @@ Eigensolver results are cross-checked against an independent cyclic Jacobi
 oracle (conftest) rather than re-running the production solver.
 """
 
+import logging
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ import meshseg.spectral as spectral_mod
 from meshseg.mesh_io import Mesh
 from meshseg.spectral import (
     DENSE_SOLVE_THRESHOLD,
+    EIGEN_RESIDUAL_TOL,
     ZERO_EIGENVALUE_TOL,
     AdjacencyMatrix,
     build_dual_adjacency,
@@ -21,6 +24,7 @@ from meshseg.spectral import (
 )
 
 from conftest import (
+    bumpy_sphere_mesh,
     connected_components,
     dense_adjacency,
     icosphere,
@@ -29,6 +33,7 @@ from conftest import (
     tetrahedron,
 )
 from loop_oracles import (
+    arpack_eigenpairs_oracle,
     build_dual_adjacency_oracle,
     laplacian_positional_features_oracle,
     normalized_laplacian_oracle,
@@ -117,6 +122,24 @@ class TestDualAdjacency:
             assert adj.component_count() == connected_components(adj)
 
 
+class TestAdjacencyPairs:
+    def test_unsorted_and_duplicated_pairs_are_made_canonical(self, rng):
+        pairs = np.array([[2, 5], [0, 3], [2, 5], [0, 1], [4, 5], [0, 3]])
+        adj = AdjacencyMatrix(n=6, pairs=pairs)
+        assert adj.pairs.dtype == np.int64
+        np.testing.assert_array_equal(adj.pairs, [[0, 1], [0, 3], [2, 5], [4, 5]])
+        shuffled = build_dual_adjacency(random_hull_mesh(rng, 40)).pairs
+        again = np.vstack([shuffled, shuffled[:7]])[rng.permutation(len(shuffled) + 7)]
+        np.testing.assert_array_equal(AdjacencyMatrix(n=76, pairs=again).pairs, shuffled)
+
+    def test_canonical_pairs_come_back_equal(self, rng):
+        adj = build_dual_adjacency(random_hull_mesh(rng, 40))
+        for copy in (AdjacencyMatrix(n=adj.n, pairs=adj.pairs), adj.with_n(adj.n + 5),
+                     AdjacencyMatrix(n=adj.n, pairs=adj.pairs.tolist())):
+            assert copy.pairs.dtype == np.int64
+            np.testing.assert_array_equal(copy.pairs, adj.pairs)
+
+
 class TestNormalizedLaplacian:
     def test_single_edge_pair(self):
         lap = normalized_laplacian(AdjacencyMatrix(n=2, pairs=[[0, 1]]))
@@ -201,6 +224,31 @@ class TestSmallestEigenpairs:
         # retained basis is arbitrary within the subspace; skip it
         for (_, p), (_, q) in zip(got[:-1], want[:-1]):
             np.testing.assert_allclose(p, q, atol=1e-6)
+
+
+    def test_arpack_path_matches_the_default_factorization_at_paper_size(self):
+        """A hull of 1,200 sphere points has 2,396 faces, the size that the
+        preprocessing target makes, far above the dense threshold."""
+        mesh = bumpy_sphere_mesh(np.random.default_rng(23), 1200, 0.15)
+        assert mesh.num_vertices == 1200 and mesh.num_faces == 2396
+        adj = build_dual_adjacency(mesh)
+        lap = normalized_laplacian(adj)
+        got = laplacian_positional_features(adj, 16)
+        values, vectors = arpack_eigenpairs_oracle(lap, 17)  # 16 plus the zero mode
+        want = _canonical_sign(vectors[:, values >= ZERO_EIGENVALUE_TOL][:, :16])
+        np.testing.assert_allclose(got.features, want, rtol=0, atol=1e-10)
+        assert got.residual <= EIGEN_RESIDUAL_TOL * max(np.linalg.norm(lap.data), 1.0)
+
+    def test_arpack_path_logs_the_factor_and_solves(self, caplog):
+        lap = normalized_laplacian(build_dual_adjacency(icosphere(3)))  # 1280 faces
+        with caplog.at_level(logging.DEBUG, logger="meshseg.spectral"):
+            smallest_eigenpairs(lap, 9)
+        (record,) = caplog.records
+        n, k, nonzeros, solves = record.args
+        assert (n, k) == (1280, 9)
+        # the factor holds at least the diagonal and one triangle of L + 0.1 I
+        assert nonzeros >= (lap.nnz + n) // 2
+        assert solves >= 9
 
 
 class TestSpectrumStructure:
