@@ -12,8 +12,11 @@ forward over gradient-free tensors builds no graph and keeps no array past
 its last reader. ``backward`` walks the nodes in reverse topological order
 with a deterministic accumulation order and consumes them as it goes: a
 graph can be backpropagated once. Only the primitives the segmentation
-network and its loss need are provided: addition of same-shape operands
-only, no views, no in-place math on live graph values.
+network and its loss need are provided, each one graph node for a whole
+step of the network: a projection with its optional bias and ReLU, an
+attention with all its heads, a dropout with its optional residual
+addition, the loss. There are no views and no in-place math on live graph
+values.
 """
 
 from __future__ import annotations
@@ -24,8 +27,6 @@ import scipy.sparse as sp
 __all__ = [
     "Tensor",
     "ShapeMismatchError",
-    "matmul",
-    "add",
     "linear",
     "embedding_lookup",
     "attention",
@@ -134,43 +135,27 @@ def _op_output(data, parents: tuple[Tensor, ...], backward_fn) -> Tensor:
     return out
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    _check(
-        a.data.ndim == 2 and b.data.ndim == 2 and a.shape[1] == b.shape[0],
-        "matmul",
-        a.shape,
-        b.shape,
-    )
-
-    def backward_fn(g):
-        return g @ b.data.T, a.data.T @ g
-
-    return _op_output(a.data @ b.data, (a, b), backward_fn)
-
-
-def add(a: Tensor, b: Tensor) -> Tensor:
-    _check(a.shape == b.shape, "add", a.shape, b.shape)
-    return _op_output(a.data + b.data, (a, b), lambda g: (g, g))
-
-
-def linear(x: Tensor, w: Tensor, b: Tensor, relu: bool = False) -> Tensor:
-    """``x @ w + b``, optionally followed by ReLU, as one graph node.
+def linear(x: Tensor, w: Tensor, b: Tensor | None = None, relu: bool = False) -> Tensor:
+    """``x @ w``, plus the bias ``b`` when given, optionally followed by
+    ReLU, as one graph node.
 
     The bias and the ReLU are applied in place on the product, so the node
     keeps no pre-bias or pre-activation copy; the backward pass masks by
     ``out > 0``, which takes the subgradient at 0 as 0. Without the ReLU
     the backward closure keeps no reference to ``out``.
     """
+    has_bias = b is not None
     _check(
         x.data.ndim == 2 and w.data.ndim == 2 and x.shape[1] == w.shape[0]
-        and b.shape == (w.shape[1],),
+        and (not has_bias or b.shape == (w.shape[1],)),
         "linear",
         x.shape,
         w.shape,
-        b.shape,
+        *((b.shape,) if has_bias else ()),
     )
     y = x.data @ w.data
-    y += b.data
+    if has_bias:
+        y += b.data
     if relu:
         np.maximum(y, 0, out=y)
 
@@ -180,9 +165,10 @@ def linear(x: Tensor, w: Tensor, b: Tensor, relu: bool = False) -> Tensor:
     def backward_fn(g):
         if active is not None:
             g = g * (active > 0)
-        return g @ w.data.T, x.data.T @ g, g.sum(axis=0)
+        grads = (g @ w.data.T, x.data.T @ g)
+        return (*grads, g.sum(axis=0)) if has_bias else grads
 
-    return _op_output(y, (x, w, b), backward_fn)
+    return _op_output(y, (x, w, b) if has_bias else (x, w), backward_fn)
 
 
 def _scatter_add_map(ids: np.ndarray, rows: int, dtype) -> sp.csr_matrix:
@@ -442,13 +428,20 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     return _op_output(out, (x, gamma, beta), backward_fn)
 
 
-def dropout(x: Tensor, p: float, training: bool, rng: np.random.Generator | None = None) -> Tensor:
+def dropout(x: Tensor, p: float, training: bool, rng: np.random.Generator | None = None,
+            residual: Tensor | None = None) -> Tensor:
     """Inverted dropout: zero with probability p and scale survivors by
-    1/(1-p) at training time; identity in eval mode."""
+    1/(1-p) at training time; identity in eval mode. With a ``residual`` of
+    the shape of ``x``, ``dropout(x) + residual`` as one graph node, in
+    eval mode too."""
     if not 0 <= p < 1:
         raise ValueError(f"dropout probability must be in [0, 1), got {p}")
+    if residual is not None:
+        _check(residual.shape == x.shape, "dropout", x.shape, residual.shape)
     if not training or p == 0.0:
-        return x
+        if residual is None:
+            return x
+        return _op_output(x.data + residual.data, (x, residual), lambda g: (g, g))
     if rng is None:
         raise ValueError("training-mode dropout needs an rng")
     keep = rng.random(x.shape) >= p
@@ -457,13 +450,17 @@ def dropout(x: Tensor, p: float, training: bool, rng: np.random.Generator | None
     s = x.dtype.type(1.0) / x.dtype.type(1.0 - p)
     out_data = x.data * keep
     out_data *= s
+    # the closure must not capture ``residual``: it would keep its array alive
+    fused = residual is not None
+    if fused:
+        out_data += residual.data
 
     def backward_fn(g):
         gx = g * keep
         gx *= s
-        return (gx,)
+        return (gx, g) if fused else (gx,)
 
-    return _op_output(out_data, (x,), backward_fn)
+    return _op_output(out_data, (x, residual) if fused else (x,), backward_fn)
 
 
 def backward(loss: Tensor) -> None:

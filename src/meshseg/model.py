@@ -232,15 +232,15 @@ def multi_head_attention(p, name, q_in, k_in, v_in, mask, num_heads):
     listing, a pair (ids, ptr) under which row r attends to the key rows
     ``ids[ptr[r]:ptr[r + 1]]``.
     """
-    q = ad.matmul(q_in, p[f"{name}.wq"])
-    k = ad.matmul(k_in, p[f"{name}.wk"])
-    v = ad.matmul(v_in, p[f"{name}.wv"])
+    q = ad.linear(q_in, p[f"{name}.wq"])
+    k = ad.linear(k_in, p[f"{name}.wk"])
+    v = ad.linear(v_in, p[f"{name}.wv"])
     scale = 1.0 / np.sqrt(q.shape[-1] // num_heads)
     if isinstance(mask, tuple):
         merged = ad.segment_attention(q, k, v, *mask, num_heads, scale)
     else:
         merged = ad.attention(q, k, v, mask, num_heads, scale)
-    return ad.matmul(merged, p[f"{name}.wo"])
+    return ad.linear(merged, p[f"{name}.wo"])
 
 
 def _dropout(x, cfg, training, rng):
@@ -248,7 +248,7 @@ def _dropout(x, cfg, training, rng):
 
 
 def _residual(x, update, cfg, training, rng):
-    return ad.add(_dropout(update, cfg, training, rng), x)
+    return ad.dropout(update, cfg.dropout, training, rng, residual=x)
 
 
 def _self_attention(p, name, x, mask, cfg):

@@ -54,8 +54,11 @@ SPECTRAL_COLS = slice(12, None)
 
 SAMPLE_FORMAT_VERSION = 2
 
-#: Arrays of a .sample file, each stored as ``<name>.npy``.
-SAMPLE_ARRAYS = ("T", "A", "cluster_ids", "labels", "areas", "mask")
+#: Arrays of a .sample file, each stored as ``<name>.npy``, and the dtype
+#: kind each must have.
+SAMPLE_ARRAYS = {"T": np.floating, "A": np.integer, "cluster_ids": np.integer,
+                 "labels": np.integer, "areas": np.floating, "mask": np.bool_}
+_KIND_NAMES = {np.floating: "real floats", np.integer: "integers", np.bool_: "booleans"}
 
 
 @dataclass(frozen=True)
@@ -441,18 +444,27 @@ def read_archive(path, kind: str, version: int, error: type[Exception],
 
 def load_sample(path) -> Sample:
     """Read and validate a sample. A file that ``read_archive`` refuses, a
-    missing array or manifest field, or arrays that disagree raise
-    SampleFormatError."""
+    missing array or manifest field, a manifest count that is not an
+    integer >= 0, an array of the wrong dtype kind, or arrays that disagree
+    raise SampleFormatError."""
     manifest, arrays = read_archive(
         path, "sample", SAMPLE_FORMAT_VERSION, SampleFormatError,
         "preprocess the mesh again with meshseg preprocess",
     )
-    for name in SAMPLE_ARRAYS:
+    for name in ("n_total", "num_clusters", "num_classes", "eigen_count"):
+        if name not in manifest:
+            raise SampleFormatError(f"sample {path}: manifest lacks {name!r}")
+        if type(manifest[name]) is not int or manifest[name] < 0:  # a bool is an int
+            raise SampleFormatError(f"sample {path}: manifest {name!r} is "
+                                    f"{manifest[name]!r}, not an integer >= 0")
+    for name, kind in SAMPLE_ARRAYS.items():
         if name not in arrays:
             raise SampleFormatError(f"sample {path} lacks {name}.npy")
-    for name in ("cluster_ids", "labels"):
-        if not np.issubdtype(arrays[name].dtype, np.integer):
-            raise SampleFormatError(f"sample {path}: {name} are not integers")
+        if not np.issubdtype(arrays[name].dtype, kind):
+            raise SampleFormatError(f"sample {path}: {name} are not {_KIND_NAMES[kind]} "
+                                    f"({arrays[name].dtype})")
+    if arrays["T"].ndim != 2:
+        raise SampleFormatError(f"sample {path}: T has {arrays['T'].ndim} dimensions, not 2")
     try:
         adjacency = AdjacencyMatrix(n=manifest["n_total"], pairs=arrays["A"].reshape(-1, 2))
         sample = Sample(
@@ -462,14 +474,12 @@ def load_sample(path) -> Sample:
             num_clusters=manifest["num_clusters"],
             labels=arrays["labels"],
             areas=arrays["areas"],
-            real_mask=arrays["mask"].astype(bool),
+            real_mask=arrays["mask"],
             num_classes=manifest["num_classes"],
             eigen_count=manifest["eigen_count"],
             config=manifest.get("config"),
             diagnostics=manifest.get("diagnostics"),
         )
-    except KeyError as exc:
-        raise SampleFormatError(f"sample {path}: manifest lacks {exc.args[0]!r}") from exc
     except ValueError as exc:
         raise SampleFormatError(f"sample {path}: {exc}") from exc
     sample.validate()

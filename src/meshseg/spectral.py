@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.sparse.csgraph import connected_components
 
 from meshseg.errors import EigensolverError
 from meshseg.mesh_io import Mesh
@@ -77,21 +78,6 @@ class AdjacencyMatrix:
         indptr = np.zeros(self.n + 1, dtype=np.int64)
         np.cumsum(np.bincount(rows, minlength=self.n), out=indptr[1:])
         return indptr, ids
-
-    def component_count(self) -> int:
-        """Connected components, an isolated node counting as one."""
-        root = np.arange(self.n)
-        i, j = self.pairs[:, 0], self.pairs[:, 1]
-        while True:
-            ri, rj = root[i], root[j]
-            cross = ri != rj
-            if not cross.any():
-                return int((root == np.arange(self.n)).sum())
-            # hang each larger root under the smallest root it is linked
-            # to, then point every node straight at its root
-            np.minimum.at(root, np.maximum(ri, rj)[cross], np.minimum(ri, rj)[cross])
-            while (root[root] != root).any():
-                root = root[root]
 
     def with_n(self, n: int) -> "AdjacencyMatrix":
         """Same edge set on a larger node count (extra nodes isolated)."""
@@ -235,7 +221,8 @@ def laplacian_positional_features(adj: AdjacencyMatrix, count: int) -> SpectralF
     if count < 1:
         raise ValueError("count must be >= 1")
     lap = normalized_laplacian(adj)
-    components = adj.component_count()
+    # the Laplacian's pattern is A + I, so an isolated node is a component
+    components = int(connected_components(lap, directed=False)[0])
     zero_modes = components - int((adj.degrees() == 0).sum())
     values, vectors, residual = smallest_eigenpairs(lap, min(adj.n, count + zero_modes))
     keep = np.flatnonzero(values >= ZERO_EIGENVALUE_TOL)[:count]

@@ -20,7 +20,7 @@ from meshseg.errors import ConfigError
 from meshseg.model import _dropout, _layer_norm, _masked_features
 
 from conftest import dense_adjacency
-from op_oracles import reduce_sum, scale
+from op_oracles import add, matmul, reduce_sum, scale
 
 
 def co_membership(ids) -> np.ndarray:
@@ -103,16 +103,16 @@ def masked_softmax(scores: Tensor, mask) -> Tensor:
 
 def _linear(p, name, x, activation=False):
     """Linear layer as separate matmul, bias add and ReLU nodes."""
-    out = add_bias(ad.matmul(x, p[f"{name}.w"]), p[f"{name}.b"])
+    out = add_bias(matmul(x, p[f"{name}.w"]), p[f"{name}.b"])
     return relu(out) if activation else out
 
 
 def multi_head_attention(p, name, q_in, k_in, v_in, mask, num_heads):
     """Masked multi-head attention, one head at a time, with per-head width
     d / num_heads and a dense additive (rows, keys) mask."""
-    q = ad.matmul(q_in, p[f"{name}.wq"])
-    k = ad.matmul(k_in, p[f"{name}.wk"])
-    v = ad.matmul(v_in, p[f"{name}.wv"])
+    q = matmul(q_in, p[f"{name}.wq"])
+    k = matmul(k_in, p[f"{name}.wk"])
+    v = matmul(v_in, p[f"{name}.wv"])
     d = q.shape[-1]
     head_dim = d // num_heads
     factor = 1.0 / np.sqrt(head_dim)
@@ -122,11 +122,11 @@ def multi_head_attention(p, name, q_in, k_in, v_in, mask, num_heads):
         qh = slice_last(q, lo, hi)
         kh = slice_last(k, lo, hi)
         vh = slice_last(v, lo, hi)
-        scores = scale(ad.matmul(qh, transpose(kh)), factor)
+        scores = scale(matmul(qh, transpose(kh)), factor)
         weights = masked_softmax(scores, mask)
-        heads.append(ad.matmul(weights, vh))
+        heads.append(matmul(weights, vh))
     merged = heads[0] if num_heads == 1 else concat_last(heads)
-    return ad.matmul(merged, p[f"{name}.wo"])
+    return matmul(merged, p[f"{name}.wo"])
 
 
 @dataclass(frozen=True)
@@ -168,8 +168,8 @@ def dense_layer(p, prefix, e_tok, p_tok, masks, cfg, training, rng, last):
         # triangle-from-cluster update: normalized tokens plus a projection
         # of C·P, the average of the cluster tokens over each triangle's
         # cluster (the N x N row-normalized co-membership times P)
-        cluster_mix = ad.matmul(Tensor(masks.cluster_avg), p_tok)
-        e_in = ad.add(
+        cluster_mix = matmul(Tensor(masks.cluster_avg), p_tok)
+        e_in = add(
             _layer_norm(p, f"{prefix}.tc.ln", e_tok),
             _dropout(_linear(p, f"{prefix}.tc.ff", cluster_mix, activation=True),
                      cfg, training, rng),
@@ -179,8 +179,8 @@ def dense_layer(p, prefix, e_tok, p_tok, masks, cfg, training, rng, last):
     sa_t = multi_head_attention(
         p, f"{prefix}.sa_t", sa_t_in, sa_t_in, sa_t_in, masks.adjacency, cfg.num_heads
     )
-    e_mid = ad.add(_dropout(sa_t, cfg, training, rng), e_in)
-    e_out = ad.add(
+    e_mid = add(_dropout(sa_t, cfg, training, rng), e_in)
+    e_out = add(
         _dropout(
             _linear(p, f"{prefix}.res_t.ff2",
                     _linear(p, f"{prefix}.res_t.ff1",
@@ -198,14 +198,14 @@ def dense_layer(p, prefix, e_tok, p_tok, masks, cfg, training, rng, last):
         p, f"{prefix}.ct", _layer_norm(p, f"{prefix}.ct.ln", p_tok), e_tok, e_tok,
         masks.cluster, cfg.num_heads,
     )
-    ct = ad.add(_dropout(ct_attn, cfg, training, rng), p_tok)
+    ct = add(_dropout(ct_attn, cfg, training, rng), p_tok)
 
     sa_p_in = _layer_norm(p, f"{prefix}.sa_p.ln", ct)
     sa_p = multi_head_attention(
         p, f"{prefix}.sa_p", sa_p_in, sa_p_in, sa_p_in, masks.real, cfg.num_heads
     )
-    p_mid = ad.add(_dropout(sa_p, cfg, training, rng), ct)
-    p_out = ad.add(
+    p_mid = add(_dropout(sa_p, cfg, training, rng), ct)
+    p_out = add(
         _dropout(
             _linear(p, f"{prefix}.res_p.ff2",
                     _linear(p, f"{prefix}.res_p.ff1",

@@ -12,7 +12,9 @@ The parity tests hold ``meshseg.mesh_io.merge_duplicate_vertices``,
 ``meshseg.spectral.smallest_eigenpairs``' sparse path,
 ``meshseg.model.build_masks``' neighbor listing and
 ``meshseg.clustering.ward_constrained`` to these. QEM's reference is
-``qem_oracle.py``.
+``qem_oracle.py``. The union-find ``component_count_oracle`` is the
+component count that scipy's ``connected_components`` replaced in
+``meshseg.spectral.laplacian_positional_features``.
 """
 
 from __future__ import annotations
@@ -147,6 +149,22 @@ def laplacian_positional_features_oracle(
         feats[:, out_col] = -column if column[np.argmax(np.abs(column))] < 0 else column
     components = connected_components(lap, directed=False)[0]
     return SpectralFeatures(features=feats, residual=residual, components=int(components))
+
+
+def component_count_oracle(adj: AdjacencyMatrix) -> int:
+    """Connected components by union-find, an isolated node counting as one."""
+    root = np.arange(adj.n)
+    i, j = adj.pairs[:, 0], adj.pairs[:, 1]
+    while True:
+        ri, rj = root[i], root[j]
+        cross = ri != rj
+        if not cross.any():
+            return int((root == np.arange(adj.n)).sum())
+        # hang each larger root under the smallest root it is linked
+        # to, then point every node straight at its root
+        np.minimum.at(root, np.maximum(ri, rj)[cross], np.minimum(ri, rj)[cross])
+        while (root[root] != root).any():
+            root = root[root]
 
 
 def neighbor_listing_oracle(adj: AdjacencyMatrix) -> tuple[np.ndarray, np.ndarray]:

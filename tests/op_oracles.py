@@ -1,6 +1,12 @@
 """Reference implementations of autodiff ops, kept as the oracles of
 ``meshseg.autodiff``, and the small ops the tests build graphs from.
 
+``matmul`` and ``add`` are the unfused ops the model ran before its
+bias-free projections became ``autodiff.linear`` without a bias and each
+residual became ``autodiff.dropout`` with a residual: ``linear(x, w)`` must
+agree with ``matmul(x, w)``, and ``dropout(u, ..., residual=x)`` with
+``add(dropout(u, ...), x)``, bit for bit.
+
 The five ops ``mul``, ``scale``, ``reduce_sum``, ``log_softmax`` and
 ``gather_rows`` are the ones the area-weighted loss was built from before
 it became ``autodiff.weighted_nll``. ``weighted_nll_oracle`` chains them
@@ -34,6 +40,25 @@ import numpy as np
 
 from meshseg import autodiff as ad
 from meshseg.autodiff import Tensor, _check, _check_heads, _op_output, _softmax
+
+
+def matmul(a: Tensor, b: Tensor) -> Tensor:
+    _check(
+        a.data.ndim == 2 and b.data.ndim == 2 and a.shape[1] == b.shape[0],
+        "matmul",
+        a.shape,
+        b.shape,
+    )
+
+    def backward_fn(g):
+        return g @ b.data.T, a.data.T @ g
+
+    return _op_output(a.data @ b.data, (a, b), backward_fn)
+
+
+def add(a: Tensor, b: Tensor) -> Tensor:
+    _check(a.shape == b.shape, "add", a.shape, b.shape)
+    return _op_output(a.data + b.data, (a, b), lambda g: (g, g))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:

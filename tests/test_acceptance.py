@@ -57,7 +57,7 @@ from conftest import (
     trajectory,
     ward_oracle,
 )
-from op_oracles import gather_rows, log_softmax, mul, reduce_sum, scale
+from op_oracles import add, gather_rows, log_softmax, matmul, mul, reduce_sum, scale
 from test_clustering import random_connected_adjacency
 from test_spectral import projector_for_groups
 
@@ -240,8 +240,10 @@ def test_criterion_04_autodiff_finite_differences():
     b42 = rng.normal(size=(4, 2))
     c34 = rng.normal(size=(3, 4))
 
-    check_op(ad.matmul, a34, b42)
-    check_op(ad.add, a34, c34)
+    # the unfused projection and residual, kept as oracles of the fused
+    # forms checked at the end
+    check_op(matmul, a34, b42)
+    check_op(add, a34, c34)
     check_op(mul, a34, c34)
     check_op(lambda x: scale(x, 1.7), a34)
     # keep relu inputs away from the kink
@@ -330,6 +332,14 @@ def test_criterion_04_autodiff_finite_differences():
     nll_weights[4] = 0.0
     nll_labels = np.array([2, 0, 1, 1, 0])
     check_op(lambda x: ad.weighted_nll(x, nll_labels, nll_weights), rng.normal(size=(5, 3)))
+
+    # the fused forms of the model's bias-free projections and residuals:
+    # a linear layer without a bias, and dropout plus a residual in
+    # training and in eval mode
+    check_op(ad.linear, x, w)
+    for training in (True, False):
+        check_op(lambda u, r: ad.dropout(u, 0.3, training, np.random.default_rng(7), residual=r),
+                 a34, c34)
     assert time.monotonic() - start < 120
 
 

@@ -660,6 +660,35 @@ SAMPLE_DAMAGE = {
     "manifest-without-num-clusters": (
         edit_manifest(lambda m: m.pop("num_clusters")), "manifest lacks 'num_clusters'"
     ),
+    "string-eigen-count": (
+        edit_manifest(lambda m: m.update(eigen_count="4")),
+        "manifest 'eigen_count' is '4', not an integer >= 0",
+    ),
+    "string-n-total": (
+        edit_manifest(lambda m: m.update(n_total="90")),
+        "manifest 'n_total' is '90', not an integer >= 0",
+    ),
+    "null-num-classes": (
+        edit_manifest(lambda m: m.update(num_classes=None)),
+        "manifest 'num_classes' is None, not an integer >= 0",
+    ),
+    "bool-num-clusters": (
+        edit_manifest(lambda m: m.update(num_clusters=True)),
+        "manifest 'num_clusters' is True, not an integer >= 0",
+    ),
+    "negative-num-clusters": (
+        edit_manifest(lambda m: m.update(num_clusters=-1)),
+        "manifest 'num_clusters' is -1, not an integer >= 0",
+    ),
+    "string-features": (edit_array("T", lambda t: t.astype(str)), "T are not real floats"),
+    "complex-features": (edit_array("T", lambda t: t.astype(complex)), "T are not real floats"),
+    "scalar-features": (edit_array("T", lambda t: t[0, 0]), "T has 0 dimensions, not 2"),
+    "string-areas": (edit_array("areas", lambda a: a.astype(str)), "areas are not real floats"),
+    "complex-areas": (
+        edit_array("areas", lambda a: a.astype(complex)), "areas are not real floats"
+    ),
+    "float-adjacency": (edit_array("A", lambda pairs: pairs + 0.5), "A are not integers"),
+    "integer-mask": (edit_array("mask", lambda m: m.astype(np.int8)), "mask are not booleans"),
 }
 
 

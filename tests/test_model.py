@@ -2,6 +2,7 @@
 ablations, and checkpointing."""
 
 import math
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -413,6 +414,27 @@ class TestForward:
         ).data
         assert (t1 == t2).all()
         assert np.abs(t1 - eval_scores).max() > 0
+
+    def test_training_forward_has_one_node_per_block(self):
+        """Each projection is one ``linear`` node and each residual one
+        ``dropout`` node: 9 residuals (6 in the first layer, 3 in the last,
+        which skips the cluster update) plus the dropouts after the
+        embedding and inside the head; 54 op nodes in all."""
+        sample = small_sample()
+        cfg, params = make_model(sample)
+        scores = met_forward(sample, params, cfg, training=True, rng=np.random.default_rng(3))
+        ops, stack, seen = Counter(), [scores._node], {id(scores._node)}
+        while stack:
+            node = stack.pop()
+            if not isinstance(node, Tensor):  # an op node, not a leaf or the constant
+                ops[node._backward_fn.__qualname__.split(".")[0]] += 1
+            for parent in node._parents:
+                if id(parent) not in seen:
+                    seen.add(id(parent))
+                    stack.append(parent)
+        assert ops == {"linear": 27, "dropout": 9 + 2, "layer_norm": 9, "embedding_lookup": 3,
+                       "segment_attention": 3, "attention": 1}
+        assert sum(ops.values()) == 54
 
     def test_unused_cluster_embedding_rows_get_zero_gradient(self):
         sample = small_sample()

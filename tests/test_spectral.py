@@ -35,6 +35,7 @@ from conftest import (
 from loop_oracles import (
     arpack_eigenpairs_oracle,
     build_dual_adjacency_oracle,
+    component_count_oracle,
     laplacian_positional_features_oracle,
     normalized_laplacian_oracle,
 )
@@ -109,17 +110,24 @@ class TestDualAdjacency:
             np.testing.assert_array_equal(got.pairs, want.pairs)
 
     def test_component_count_matches_csgraph(self, rng):
-        """Isolated nodes count as components; paths need many hooks."""
-        assert AdjacencyMatrix(n=3, pairs=[]).component_count() == 3
+        """The features' component count equals the union-find oracle's and
+        csgraph's on the adjacency: isolated nodes count as components, and
+        a path listed backwards needs many union-find hooks."""
+
+        def components(adj):
+            return laplacian_positional_features(adj, 1).components
+
+        empty = AdjacencyMatrix(n=3, pairs=[])
+        assert components(empty) == component_count_oracle(empty) == 3
         path = AdjacencyMatrix(n=500, pairs=[[k, k + 1] for k in range(499)][::-1])
-        assert path.component_count() == 1
+        assert components(path) == component_count_oracle(path) == 1
         for _ in range(200):
             n = int(rng.integers(1, 40))
             pairs = {(min(a, b), max(a, b))
                      for a, b in rng.integers(0, n, size=(int(rng.integers(0, 2 * n)), 2))
                      if a != b}
             adj = AdjacencyMatrix(n=n, pairs=sorted(pairs))
-            assert adj.component_count() == connected_components(adj)
+            assert components(adj) == component_count_oracle(adj) == connected_components(adj)
 
 
 class TestAdjacencyPairs:
