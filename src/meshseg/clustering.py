@@ -10,6 +10,7 @@ involved.
 from __future__ import annotations
 
 import heapq
+import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +22,8 @@ __all__ = [
     "cluster_count",
     "ward_constrained",
 ]
+
+logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -57,9 +60,12 @@ def cluster_count(num_vertices: int, lam: float) -> int:
     return max(1, int(num_vertices // lam))
 
 
-def _ward_delta(size_a, centroid_a, size_b, centroid_b) -> float:
-    diff = centroid_a - centroid_b
-    return size_a * size_b / (size_a + size_b) * float(diff @ diff)
+def _squared_distances(left, right) -> list[float]:
+    """``|l - r|^2`` for each row pair of two (K, D) arrays, or of a (K, D)
+    array and one row, as one batch of stacked 1 x D by D x 1 products: the
+    same BLAS dot as numpy's per-pair ``diff @ diff``, bit for bit."""
+    diff = np.asarray(left, dtype=np.float64) - np.asarray(right, dtype=np.float64)
+    return np.matmul(diff[:, np.newaxis, :], diff[:, :, np.newaxis]).reshape(-1).tolist()
 
 
 def ward_constrained(
@@ -72,16 +78,21 @@ def ward_constrained(
 
     Merge cost for clusters a, b is ``|a||b|/(|a|+|b|) * |mu_a - mu_b|^2``,
     evaluated directly from maintained sizes and centroids (algebraically
-    equal to the Lance-Williams update). The squared distance is numpy's
-    ``diff @ diff``, a BLAS dot; the costs of the dual-graph pairs of
-    singletons come from one batch of stacked 1 x D by D x 1 products, which
-    take the same dot and match it bit for bit. Candidate pairs wait in one
-    heap ordered by ``(cost, pair_key)``; an entry whose cluster was merged
-    away is skipped when popped (lazy invalidation, Müllner,
-    arXiv:1109.2378). Live entries are exact, since a live cluster's
-    centroid never changes. If no connected pair is left before the target
-    count, the heap is seeded once with every pair of the C remaining
-    clusters (O(C^2) memory).
+    equal to the Lance-Williams update). Cluster state lives in lists
+    indexed by cluster id: singletons are 0..n-1 and the i-th merge makes
+    cluster n + i. Centroids are tuples of Python floats, merged component
+    by component with the same IEEE operations numpy would use. The squared
+    distances, which decide near-tie merges, are BLAS dots: one batch per
+    merge for the new cluster's neighbors and one for the dual-graph pairs
+    of singletons (``_squared_distances``). Candidate pairs wait in one heap
+    ordered by ``(cost, ma * n + mb)``, where ``ma < mb`` are the pair's
+    smallest member indices; an entry whose cluster was merged away is
+    skipped when popped (lazy invalidation, Müllner, arXiv:1109.2378). Live
+    entries are exact, since a live cluster's centroid never changes. If no
+    connected pair is left before the target count, the heap is seeded once
+    with every pair of the C remaining clusters (O(C^2) memory). Under
+    ``MESHSEG_LOG=debug`` it logs its merges, heap pops, stale pops and
+    whether it used that fallback.
     """
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2:
@@ -92,59 +103,81 @@ def ward_constrained(
     if not 1 <= num_clusters <= n:
         raise ValueError(f"cluster count {num_clusters} outside [1, {n}]")
 
-    size = {i: 1 for i in range(n)}
-    centroid = dict(enumerate(points))
-    min_member = {i: i for i in range(n)}
-    members = {i: [i] for i in range(n)}
-    neighbors: dict[int, set[int]] = {i: set() for i in range(n)}
+    size = [1] * n
+    centroid = list(map(tuple, points.tolist()))
+    min_member = list(range(n))
+    members: list[list[int] | None] = [[i] for i in range(n)]
+    # None once the cluster is merged away
+    neighbors: list[set[int] | None] = [set() for _ in range(n)]
 
-    def entry(a: int, b: int):
-        ma, mb = min_member[a], min_member[b]
-        key = (ma, mb) if ma < mb else (mb, ma)
-        return (_ward_delta(size[a], centroid[a], size[b], centroid[b]), key, a, b)
-
-    first, second = adj.pairs[:, 0], adj.pairs[:, 1]
-    diff = points[first] - points[second]
-    square = np.matmul(diff[:, np.newaxis, :], diff[:, :, np.newaxis]).reshape(-1)
-    pairs = list(zip(first.tolist(), second.tolist()))
-    for a, b in pairs:
+    first, second = adj.pairs[:, 0].tolist(), adj.pairs[:, 1].tolist()
+    for a, b in zip(first, second):
         neighbors[a].add(b)
         neighbors[b].add(a)
-    # two singletons a < b: cost 1 * 1 / (1 + 1) * square, pair key (a, b)
-    heap = list(zip((0.5 * square).tolist(), pairs, first.tolist(), second.tolist()))
+    # two singletons a < b: cost 1 * 1 / (1 + 1) * square, pair key a * n + b
+    square = _squared_distances(points[adj.pairs[:, 0]], points[adj.pairs[:, 1]])
+    heap = [(0.5 * sq, a * n + b, a, b) for sq, a, b in zip(square, first, second)]
     heapq.heapify(heap)
 
+    heappop, heappush = heapq.heappop, heapq.heappush
     merges = []
-    next_id = n
-    while len(size) > num_clusters:
+    live = n
+    pops = 0
+    fallback = False
+    while live > num_clusters:
         if not heap:
             # no connected pair is left: every cluster neighbors every other
-            ids = sorted(size)
-            neighbors.update({x: set(ids) - {x} for x in ids})
-            heap = [entry(x, y) for xi, x in enumerate(ids) for y in ids[xi + 1 :]]
+            fallback = True
+            ids = [c for c, nb in enumerate(neighbors) if nb is not None]
+            for x in ids:
+                neighbors[x] = set(ids) - {x}
+            for xi, x in enumerate(ids[:-1]):
+                later = ids[xi + 1 :]
+                square = _squared_distances(centroid[x], [centroid[y] for y in later])
+                sx, mx = size[x], min_member[x]
+                for y, sq in zip(later, square):
+                    my = min_member[y]
+                    key = mx * n + my if mx < my else my * n + mx
+                    heap.append((sx * size[y] / (sx + size[y]) * sq, key, x, y))
             heapq.heapify(heap)
-        _, _, a, b = heapq.heappop(heap)
-        if a not in size or b not in size:
+        _, _, a, b = heappop(heap)
+        pops += 1
+        if neighbors[a] is None or neighbors[b] is None:
             continue
         if return_merges:
             merges.append((tuple(sorted(members[a])), tuple(sorted(members[b]))))
-        new = next_id
-        next_id += 1
-        total = size[a] + size[b]
-        centroid[new] = (size[a] * centroid[a] + size[b] * centroid[b]) / total
-        size[new] = total
-        min_member[new] = min(min_member[a], min_member[b])
-        members[new] = members[a] + members[b]
-        neighbors[new] = (neighbors[a] | neighbors[b]) - {a, b}
-        for old in (a, b):
-            for k in neighbors[old]:
-                neighbors[k].discard(old)
-            del size[old], centroid[old], min_member[old], members[old], neighbors[old]
-        for k in neighbors[new]:
-            neighbors[k].add(new)
-            heapq.heappush(heap, entry(k, new))
+        new = len(size)
+        sa, sb = size[a], size[b]
+        total = sa + sb
+        merged = tuple([(sa * x + sb * y) / total for x, y in zip(centroid[a], centroid[b])])
+        mn = min(min_member[a], min_member[b])
+        size.append(total)
+        centroid.append(merged)
+        min_member.append(mn)
+        members.append(members[a] + members[b])
+        around = neighbors[a] | neighbors[b]
+        around.discard(a)
+        around.discard(b)
+        neighbors.append(around)
+        members[a] = members[b] = neighbors[a] = neighbors[b] = None
+        live -= 1
+        if not around:
+            continue
+        ks = list(around)
+        square = _squared_distances([centroid[k] for k in ks], merged)
+        for k, sq in zip(ks, square):
+            nk = neighbors[k]
+            nk.discard(a)
+            nk.discard(b)
+            nk.add(new)
+            sk, mk = size[k], min_member[k]
+            key = mk * n + mn if mk < mn else mn * n + mk
+            heappush(heap, (sk * total / (sk + total) * sq, key, k, new))
+    logger.debug("ward: %d merges, %d pops, %d stale pops, disconnected fallback %s",
+                 n - live, pops, pops - (n - live), fallback)
 
-    order = sorted(size, key=lambda c: min_member[c])
+    order = sorted((c for c, nb in enumerate(neighbors) if nb is not None),
+                   key=min_member.__getitem__)
     assignment = np.empty(n, dtype=np.int64)
     for cid, cluster in enumerate(order):
         assignment[members[cluster]] = cid

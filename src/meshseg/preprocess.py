@@ -9,6 +9,7 @@ and the ignore label.
 
 from __future__ import annotations
 
+import gc
 import io
 import json
 import logging
@@ -258,7 +259,23 @@ def build_sample(mesh: Mesh, labels: LabelVec | None, cfg: PreprocessConfig) -> 
 
     ``labels`` may be None (segmentation of an unlabeled mesh); the label
     vector is then all ``PAD_LABEL`` and num_classes is 0.
+
+    The cyclic garbage collector is paused for the call and restored as it
+    was found: QEM, the eigensolve and Ward allocate hundreds of thousands
+    of tuples, lists and sets of numbers, which hold no cycles and which
+    reference counting frees, so collections triggered by their count
+    would find nothing to free.
     """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _build_sample(mesh, labels, cfg)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _build_sample(mesh: Mesh, labels: LabelVec | None, cfg: PreprocessConfig) -> Sample:
     if labels is not None and len(labels) != mesh.num_faces:
         raise ValueError(
             f"label count {len(labels)} != face count {mesh.num_faces}"
@@ -387,21 +404,26 @@ def save_sample(sample: Sample, path) -> None:
 
 def write_archive(path, arrays: dict, manifest: dict) -> None:
     """Write each of ``{name: array}`` as ``<name>.npy``, in the dict's
-    order, then ``manifest`` as ``manifest.json``, into a deflated zip whose
-    bytes depend on the contents alone: each entry carries the fixed date
-    1980-01-01, not the time of the save."""
+    order, then ``manifest`` as ``manifest.json``, into a zip whose bytes
+    depend on the contents alone: each entry carries the fixed date
+    1980-01-01, not the time of the save. Floating-point arrays are stored
+    undeflated: their noisy mantissas shrink by a fifth at most, for most
+    of the save's time. Every other entry is deflated. ``read_archive``
+    reads both kinds of entry."""
     with zipfile.ZipFile(path, "w") as zf:
 
-        def write(name, data):
+        def write(name, data, compress_type=zipfile.ZIP_DEFLATED):
             info = zipfile.ZipInfo(name, date_time=(1980, 1, 1, 0, 0, 0))
-            info.compress_type = zipfile.ZIP_DEFLATED
+            info.compress_type = compress_type
             info.external_attr = 0o600 << 16  # rw-------, as writestr(name) sets
             zf.writestr(info, data)
 
         for name, arr in arrays.items():
+            arr = np.ascontiguousarray(arr)
             buf = io.BytesIO()
-            np.save(buf, np.ascontiguousarray(arr))
-            write(f"{name}.npy", buf.getvalue())
+            np.save(buf, arr)
+            write(f"{name}.npy", buf.getvalue(),
+                  zipfile.ZIP_STORED if arr.dtype.kind == "f" else zipfile.ZIP_DEFLATED)
         write("manifest.json", json.dumps(manifest, indent=2, sort_keys=True))
 
 
@@ -445,15 +467,18 @@ def read_archive(path, kind: str, version: int, error: type[Exception],
 def load_sample(path) -> Sample:
     """Read and validate a sample. A file that ``read_archive`` refuses, a
     missing array or manifest field, a manifest count that is not an
-    integer >= 0, an array of the wrong dtype kind, or arrays that disagree
-    raise SampleFormatError."""
+    integer >= 0, an array of the wrong dtype kind, arrays that disagree,
+    or a manifest whose ``arrays`` shapes and dtypes or ``has_padding``
+    differ from the arrays raise SampleFormatError."""
     manifest, arrays = read_archive(
         path, "sample", SAMPLE_FORMAT_VERSION, SampleFormatError,
         "preprocess the mesh again with meshseg preprocess",
     )
-    for name in ("n_total", "num_clusters", "num_classes", "eigen_count"):
+    for name in ("n_total", "num_clusters", "num_classes", "eigen_count", "has_padding",
+                 "arrays"):
         if name not in manifest:
             raise SampleFormatError(f"sample {path}: manifest lacks {name!r}")
+    for name in ("n_total", "num_clusters", "num_classes", "eigen_count"):
         if type(manifest[name]) is not int or manifest[name] < 0:  # a bool is an int
             raise SampleFormatError(f"sample {path}: manifest {name!r} is "
                                     f"{manifest[name]!r}, not an integer >= 0")
@@ -483,4 +508,17 @@ def load_sample(path) -> Sample:
     except ValueError as exc:
         raise SampleFormatError(f"sample {path}: {exc}") from exc
     sample.validate()
+    declared = manifest["arrays"] if isinstance(manifest["arrays"], dict) else {}
+    for name in SAMPLE_ARRAYS:
+        found = {"shape": list(arrays[name].shape), "dtype": str(arrays[name].dtype)}
+        if declared.get(name) != found:
+            raise SampleFormatError(
+                f"sample {path}: manifest 'arrays' gives {name} {declared.get(name)!r}, "
+                f"but {name}.npy has shape {found['shape']} and dtype {found['dtype']}"
+            )
+    if manifest["has_padding"] is not sample.has_padding:
+        raise SampleFormatError(
+            f"sample {path}: manifest 'has_padding' is {manifest['has_padding']!r}, but "
+            f"the mask marks {sample.n_total - sample.n_real} padding faces"
+        )
     return sample

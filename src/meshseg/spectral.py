@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.sparse.csgraph import connected_components
 
 from meshseg.errors import EigensolverError
 from meshseg.mesh_io import Mesh
@@ -218,6 +217,9 @@ def laplacian_positional_features(adj: AdjacencyMatrix, count: int) -> SpectralF
     deterministically and zero-padded when fewer than ``count`` nontrivial
     modes exist.
     """
+    # imported here: processes that never preprocess skip its ~1 MB of RSS
+    from scipy.sparse.csgraph import connected_components
+
     if count < 1:
         raise ValueError("count must be >= 1")
     lap = normalized_laplacian(adj)

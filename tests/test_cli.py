@@ -689,6 +689,14 @@ SAMPLE_DAMAGE = {
     ),
     "float-adjacency": (edit_array("A", lambda pairs: pairs + 0.5), "A are not integers"),
     "integer-mask": (edit_array("mask", lambda m: m.astype(np.int8)), "mask are not booleans"),
+    "manifest-misstates-padding": (
+        edit_manifest(lambda m: m.update(has_padding=not m["has_padding"])),
+        "manifest 'has_padding' is",
+    ),
+    "manifest-misstates-arrays": (
+        edit_manifest(lambda m: m["arrays"].update(T={"shape": [3, 3], "dtype": "int8"})),
+        "manifest 'arrays' gives T {'shape': [3, 3], 'dtype': 'int8'}, but T.npy has shape",
+    ),
 }
 
 

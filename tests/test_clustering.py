@@ -1,6 +1,9 @@
 """Connectivity-constrained Ward clustering, checked against the
 exhaustive-recompute oracle from conftest."""
 
+import heapq
+import logging
+
 import numpy as np
 import pytest
 
@@ -9,6 +12,7 @@ from meshseg.clustering import (
     cluster_count,
     ward_constrained,
 )
+from meshseg.simplify import simplify_qem
 from meshseg.spectral import AdjacencyMatrix, build_dual_adjacency
 
 from conftest import (
@@ -174,6 +178,62 @@ class TestWardConstrained:
         got = ward_constrained(points, adj, 50, return_merges=True)
         want = ward_constrained_oracle(points, adj, 50, return_merges=True)
         assert got.merges == want.merges
+
+    @pytest.mark.parametrize("seed", [50, 1789, 1825, 2875])
+    def test_matches_loop_oracle_on_exact_distance_ties(self, seed):
+        """Points that are signed permutations of three base vectors, so many
+        squared distances are equal in exact arithmetic and their rounding
+        picks the merge. On these seeds, summing the squares in plain floats
+        instead of taking the BLAS dot merges in another order wherever the
+        dot rounds as a fused multiply-add chain."""
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(8, 30))
+        base = rng.normal(size=(3, 3))
+        points = np.array([base[rng.integers(0, 3)][rng.permutation(3)]
+                           * rng.choice([-1, 1], size=3) for _ in range(n)])
+        points += rng.normal(size=3)
+        adj = random_connected_adjacency(rng, n)
+        m = int(rng.integers(1, n))
+        got = ward_constrained(points, adj, m, return_merges=True)
+        want = ward_constrained_oracle(points, adj, m, return_merges=True)
+        assert got.merges == want.merges
+        np.testing.assert_array_equal(got.assignment, want.assignment)
+
+    def test_matches_loop_oracle_on_a_qem_output(self):
+        """Paper size: a 5,120-face sphere simplified to 1,200 vertices and
+        2,396 faces, clustered into 1200 // 8 = 150 clusters."""
+        mesh, reached = simplify_qem(bumpy_sphere_mesh(np.random.default_rng(5), 2562, 0.1),
+                                     1200)
+        assert reached and mesh.num_faces == 2396
+        points = mesh.vertices[mesh.faces].mean(axis=1)
+        adj = build_dual_adjacency(mesh)
+        got = ward_constrained(points, adj, 150, return_merges=True)
+        want = ward_constrained_oracle(points, adj, 150, return_merges=True)
+        assert len(got.merges) == 2396 - 150
+        assert got.merges == want.merges
+        np.testing.assert_array_equal(got.assignment, want.assignment)
+
+    @pytest.mark.parametrize("connected", [True, False])
+    def test_debug_log_counts_the_loop(self, connected, rng, monkeypatch, caplog):
+        n = 40
+        adj = (random_connected_adjacency(rng, n) if connected
+               else AdjacencyMatrix(n=n, pairs=[[i, i + 1] for i in range(0, n - 1, 2)]))
+        pops = []
+        pop = heapq.heappop
+
+        def counted(heap):
+            pops.append(1)
+            return pop(heap)
+
+        monkeypatch.setattr(heapq, "heappop", counted)
+        with caplog.at_level(logging.DEBUG, logger="meshseg.clustering"):
+            result = ward_constrained(rng.normal(size=(n, 3)), adj, 5)
+        (record,) = caplog.records
+        merges, popped, stale, fallback = record.args
+        assert merges == n - result.num_clusters == n - 5
+        assert popped == len(pops) == merges + stale
+        assert stale > 0
+        assert fallback is not connected
 
     def test_similarity_invariance(self, rng):
         """Rotation + translation + uniform scaling preserves the merge

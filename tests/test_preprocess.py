@@ -1,6 +1,7 @@
 """Normals, standardization, padding, the full sample pipeline, and the
 sample container round trip."""
 
+import gc
 import logging
 import re
 
@@ -522,3 +523,130 @@ class TestSampleSerialization:
                 zf.writestr(name, blob)
         with pytest.raises(SampleFormatError, match="format version 1"):
             load_sample(path)
+
+    def test_float_entries_stored_others_deflated(self, tmp_path):
+        """Sample and checkpoint: every floating-point array is stored as it
+        is, every integer and boolean array and the manifest deflated."""
+        import zipfile
+
+        from meshseg.model import init_params, save_checkpoint
+
+        from conftest import small_model_config
+
+        save_sample(tetra_sample(target_faces=6), tmp_path / "t.sample")
+        cfg = small_model_config()
+        save_checkpoint(tmp_path / "m.ckpt", init_params(cfg, np.random.default_rng(0)), cfg)
+        with zipfile.ZipFile(tmp_path / "t.sample") as zf:
+            kinds = {info.filename: info.compress_type for info in zf.infolist()}
+        stored, deflated = zipfile.ZIP_STORED, zipfile.ZIP_DEFLATED
+        assert kinds == {"T.npy": stored, "areas.npy": stored, "A.npy": deflated,
+                         "cluster_ids.npy": deflated, "labels.npy": deflated,
+                         "mask.npy": deflated, "manifest.json": deflated}
+        with zipfile.ZipFile(tmp_path / "m.ckpt") as zf:
+            kinds = {info.filename: info.compress_type for info in zf.infolist()}
+        assert kinds.pop("manifest.json") == deflated
+        assert len(kinds) > 1 and set(kinds.values()) == {stored}
+
+    def test_fully_deflated_files_still_load(self, tmp_path):
+        """A sample and a checkpoint whose every entry is deflated, as
+        ``write_archive`` wrote them before it stored floats, load with the
+        same arrays."""
+        import zipfile
+
+        from meshseg.model import init_params, load_checkpoint, save_checkpoint
+
+        from conftest import small_model_config
+
+        sample = tetra_sample(target_faces=6)
+        cfg = small_model_config()
+        params = init_params(cfg, np.random.default_rng(0))
+        save_sample(sample, tmp_path / "t.sample")
+        save_checkpoint(tmp_path / "m.ckpt", params, cfg)
+        for name in ("t.sample", "m.ckpt"):
+            with zipfile.ZipFile(tmp_path / name) as zf:
+                entries = {entry: zf.read(entry) for entry in zf.namelist()}
+            with zipfile.ZipFile(tmp_path / name, "w", zipfile.ZIP_DEFLATED) as zf:
+                for entry, blob in entries.items():
+                    zf.writestr(entry, blob)
+            with zipfile.ZipFile(tmp_path / name) as zf:
+                assert {info.compress_type for info in zf.infolist()} == {zipfile.ZIP_DEFLATED}
+        back = load_sample(tmp_path / "t.sample")
+        np.testing.assert_array_equal(back.features, sample.features)
+        np.testing.assert_array_equal(back.areas, sample.areas)
+        np.testing.assert_array_equal(back.cluster_ids, sample.cluster_ids)
+        loaded, loaded_cfg = load_checkpoint(tmp_path / "m.ckpt")
+        assert loaded_cfg == cfg and loaded.keys() == params.keys()
+        for name, param in params.items():
+            np.testing.assert_array_equal(loaded[name].data, param.data)
+
+    def test_manifest_that_misstates_the_arrays_is_refused(self, tmp_path):
+        """A padded sample whose manifest claims no padding, or other shapes
+        and dtypes than the arrays have, is refused naming the field."""
+        import json
+        import zipfile
+
+        from meshseg.errors import SampleFormatError
+
+        sample = tetra_sample(target_faces=6)
+        path = tmp_path / "t.sample"
+        cases = {
+            "has_padding": (lambda m: m.update(has_padding=False),
+                            "manifest 'has_padding' is False, but the mask marks 2 padding faces"),
+            "arrays": (lambda m: m["arrays"].update(T={"shape": [3, 3], "dtype": "int8"}),
+                       "manifest 'arrays' gives T {'shape': [3, 3], 'dtype': 'int8'}, "
+                       "but T.npy has shape [6, 14] and dtype float64"),
+            "mask dtype": (lambda m: m["arrays"]["mask"].update(dtype="int8"),
+                           "gives mask {'dtype': 'int8', 'shape': [6]}, "
+                           "but mask.npy has shape [6] and dtype bool"),
+            "missing": (lambda m: m.pop("arrays"), "manifest lacks 'arrays'"),
+        }
+        for change, message in cases.values():
+            save_sample(sample, path)
+            with zipfile.ZipFile(path) as zf:
+                entries = {name: zf.read(name) for name in zf.namelist()}
+            manifest = json.loads(entries["manifest.json"])
+            change(manifest)
+            entries["manifest.json"] = json.dumps(manifest).encode()
+            with zipfile.ZipFile(path, "w") as zf:
+                for name, blob in entries.items():
+                    zf.writestr(name, blob)
+            with pytest.raises(SampleFormatError, match=re.escape(message)) as caught:
+                load_sample(path)
+            assert str(path) in str(caught.value)
+
+
+class TestBuildSampleCollector:
+    """``build_sample`` pauses the cyclic garbage collector while it runs
+    and leaves it as it found it."""
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_paused_inside_and_restored(self, enabled, monkeypatch):
+        seen = []
+        ward = clustering.ward_constrained
+
+        def spy(*args, **kwargs):
+            seen.append(gc.isenabled())
+            return ward(*args, **kwargs)
+
+        monkeypatch.setattr(clustering, "ward_constrained", spy)
+        (gc.enable if enabled else gc.disable)()
+        try:
+            tetra_sample(target_faces=6)
+            assert gc.isenabled() is enabled
+        finally:
+            gc.enable()
+        assert seen == [False]
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_restored_when_it_raises(self, enabled, monkeypatch):
+        def failing(*args, **kwargs):
+            raise RuntimeError("ward failed")
+
+        monkeypatch.setattr(clustering, "ward_constrained", failing)
+        (gc.enable if enabled else gc.disable)()
+        try:
+            with pytest.raises(RuntimeError, match="ward failed"):
+                tetra_sample(target_faces=6)
+            assert gc.isenabled() is enabled
+        finally:
+            gc.enable()

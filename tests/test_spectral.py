@@ -5,6 +5,10 @@ oracle (conftest) rather than re-running the production solver.
 """
 
 import logging
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -278,6 +282,19 @@ def rayleigh_quotients(lap, feats):
     """v^T L v of each feature column: the eigenvalue of a unit eigenvector,
     and 0 for a zero-padded column."""
     return np.einsum("ij,ij->j", feats.features, lap @ feats.features)
+
+
+def test_csgraph_is_imported_only_when_preprocessing():
+    """``scipy.sparse.csgraph`` loads inside ``laplacian_positional_features``,
+    so a process that imports the CLI and training but never preprocesses
+    does not carry it."""
+    src = str(Path(spectral_mod.__file__).resolve().parents[1])
+    code = ("import sys, meshseg.cli, meshseg.train; "
+            "print('scipy.sparse.csgraph' in sys.modules)")
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True, timeout=120)
+    assert out.stdout.strip() == "False"
 
 
 class TestPositionalFeatures:
