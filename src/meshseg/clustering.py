@@ -88,11 +88,15 @@ def ward_constrained(
     ordered by ``(cost, ma * n + mb)``, where ``ma < mb`` are the pair's
     smallest member indices; an entry whose cluster was merged away is
     skipped when popped (lazy invalidation, Müllner, arXiv:1109.2378). Live
-    entries are exact, since a live cluster's centroid never changes. If no
-    connected pair is left before the target count, the heap is seeded once
-    with every pair of the C remaining clusters (O(C^2) memory). Under
-    ``MESHSEG_LOG=debug`` it logs its merges, heap pops, stale pops and
-    whether it used that fallback.
+    entries are exact, since a live cluster's centroid never changes. Each
+    pair of neighboring live clusters has exactly one live entry, so a merge
+    of a and b makes ``|N(a)| + |N(b)| - 2`` entries stale; once stale entries
+    outnumber live ones, the heap is rebuilt from the live ones. The heap
+    always pops its least entry, so this leaves the merge order unchanged. If
+    no connected pair is left before the target count, the heap is seeded
+    once with every pair of the C remaining clusters (O(C^2) memory). Under
+    ``MESHSEG_LOG=debug`` it logs its merges, heap pops, stale pops, heap
+    rebuilds and whether it used that fallback.
     """
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2:
@@ -123,6 +127,8 @@ def ward_constrained(
     merges = []
     live = n
     pops = 0
+    stale = 0  # entries in the heap whose cluster was merged away
+    rebuilds = 0
     fallback = False
     while live > num_clusters:
         if not heap:
@@ -143,6 +149,7 @@ def ward_constrained(
         _, _, a, b = heappop(heap)
         pops += 1
         if neighbors[a] is None or neighbors[b] is None:
+            stale -= 1
             continue
         if return_merges:
             merges.append((tuple(sorted(members[a])), tuple(sorted(members[b]))))
@@ -159,8 +166,15 @@ def ward_constrained(
         around.discard(a)
         around.discard(b)
         neighbors.append(around)
+        # the entries of a's and b's other neighbors; a-b itself was popped
+        stale += len(neighbors[a]) + len(neighbors[b]) - 2
         members[a] = members[b] = neighbors[a] = neighbors[b] = None
         live -= 1
+        if 2 * stale > len(heap):
+            heap = [e for e in heap if neighbors[e[2]] is not None and neighbors[e[3]] is not None]
+            heapq.heapify(heap)
+            stale = 0
+            rebuilds += 1
         if not around:
             continue
         ks = list(around)
@@ -173,8 +187,8 @@ def ward_constrained(
             sk, mk = size[k], min_member[k]
             key = mk * n + mn if mk < mn else mn * n + mk
             heappush(heap, (sk * total / (sk + total) * sq, key, k, new))
-    logger.debug("ward: %d merges, %d pops, %d stale pops, disconnected fallback %s",
-                 n - live, pops, pops - (n - live), fallback)
+    logger.debug("ward: %d merges, %d pops, %d stale pops, %d heap rebuilds, "
+                 "disconnected fallback %s", n - live, pops, pops - (n - live), rebuilds, fallback)
 
     order = sorted((c for c, nb in enumerate(neighbors) if nb is not None),
                    key=min_member.__getitem__)

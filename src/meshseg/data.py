@@ -1,8 +1,8 @@
 """Dataset directory loading and color palettes.
 
-Expected layout: ``<root>/shapes/*.off`` (or ``.obj``) paired with
-``<root>/labels/<stem>.txt``; an optional split file lists one stem per
-line.
+Expected layout: ``<root>/shapes/*.off`` (or ``.obj``, or ASCII ``.ply``,
+whose face colors are ignored) paired with ``<root>/labels/<stem>.txt``; an
+optional split file lists one stem per line.
 """
 
 from __future__ import annotations
@@ -11,11 +11,12 @@ import colorsys
 from pathlib import Path
 
 from meshseg.errors import MeshFormatError
-from meshseg.mesh_io import LabelVec, Mesh, parse_face_labels, parse_obj, parse_off
+from meshseg.mesh_io import (LabelVec, Mesh, parse_face_labels, parse_obj, parse_off,
+                              parse_ply)
 
 __all__ = ["list_dataset", "load_mesh_file", "load_pair", "read_split_file", "class_palette", "diverging_color"]
 
-MESH_SUFFIXES = (".off", ".obj")
+MESH_SUFFIXES = (".off", ".obj", ".ply")
 
 # tab10-like base colors; extended deterministically via HSV when exhausted
 _BASE_PALETTE = [
@@ -61,6 +62,8 @@ def load_mesh_file(path: Path) -> Mesh:
         return parse_off(text)
     if path.suffix.lower() == ".obj":
         return parse_obj(text)
+    if path.suffix.lower() == ".ply":
+        return parse_ply(text)[0]
     raise MeshFormatError(f"unsupported mesh format {path.suffix!r} for {path.name}")
 
 

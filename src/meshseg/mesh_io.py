@@ -1,14 +1,18 @@
 """Parsing and serialization of mesh and label files (ASCII OFF/OBJ/PLY).
 
 All parsers are pure functions over text; binary formats are rejected.
-Coordinates are written back at 9 significant digits, which round-trips
-float32-precision inputs exactly.
+The vertex and face blocks of OFF and PLY and the label file are each
+converted with one numpy call; the per-record readers run only when a
+block does not convert or fails its range or finiteness check, to name the
+first bad line. Coordinates are written back at 9 significant digits, which
+round-trips float32-precision inputs exactly.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -115,6 +119,66 @@ def _face_record(tokens: list[str], line_no: int, n_vertices: int) -> list[int]:
     return idx
 
 
+def _block_tokens(rows: list[str], width: int) -> list[str] | None:
+    """The first ``width`` tokens of every row, row after row, or None when
+    the rows differ in token count or hold fewer than ``width``."""
+    split = [row.split() for row in rows]
+    counts = set(map(len, split))
+    if len(counts) > 1 or counts and min(counts) < width:
+        return None
+    if counts and min(counts) > width:
+        split = [tokens[:width] for tokens in split]
+    return list(chain.from_iterable(split))
+
+
+def _convert(tokens: list[str], dtype, width: int) -> np.ndarray | None:
+    """``tokens`` as one (len // width, width) array, or None if a token
+    does not convert; numpy parses each token as ``float`` or ``int`` does."""
+    try:
+        return np.array(tokens, dtype=dtype).reshape(-1, width)
+    except (ValueError, OverflowError):
+        return None
+
+
+def _vertex_block(rows: list[tuple[int, str]]) -> np.ndarray:
+    """(n, 3) coordinates of (line number, content) vertex rows."""
+    tokens = _block_tokens([content for _, content in rows], 3)
+    block = None if tokens is None else _convert(tokens, np.float64, 3)
+    if block is not None and np.isfinite(block).all():
+        return block
+    # the record reader names the first bad line, or reads rows of mixed width
+    records = [_vertex_record(content.split(), line_no) for line_no, content in rows]
+    return np.array(records, dtype=np.float64).reshape(len(rows), 3)
+
+
+def _face_block(rows: list[tuple[int, str]], n_vertices: int,
+                color: bool = False) -> tuple[np.ndarray, np.ndarray | None]:
+    """(n, 3) indices of (line number, content) face rows ``3 i j k``, and
+    with ``color`` the (n, 3) RGB values after them."""
+    width = 7 if color else 4
+    tokens = _block_tokens([content for _, content in rows], width)
+    block = None
+    if tokens is not None and (not color or all(map(str.isdecimal, chain(
+            tokens[4::7], tokens[5::7], tokens[6::7])))):
+        block = _convert(tokens, np.int64, width)
+    if block is not None:
+        idx = block[:, 1:4]
+        if (block[:, 0] == 3).all() and (idx >= 0).all() and (idx < n_vertices).all():
+            return idx, block[:, 4:7] if color else None
+    # the record readers name the first bad line, or read rows of mixed width
+    faces, colors = [], []
+    for line_no, content in rows:
+        parts = content.split()
+        faces.append(_face_record(parts, line_no, n_vertices))
+        if color:
+            rgb = parts[4:7]
+            if len(rgb) != 3 or not all(map(str.isdecimal, rgb)):
+                raise MeshFormatError("face record needs 3 color values", line=line_no)
+            colors.append([int(c) for c in rgb])
+    return (np.array(faces, dtype=np.int64).reshape(len(rows), 3),
+            np.array(colors, dtype=np.int64).reshape(len(rows), 3) if color else None)
+
+
 def parse_off(text: str) -> Mesh:
     """Parse an ASCII OFF file.
 
@@ -122,13 +186,9 @@ def parse_off(text: str) -> Mesh:
     Blank lines and ``#`` comments are skipped. A negative count and a
     non-finite coordinate are errors. Errors carry 1-based line numbers.
     """
-    lines = _lines(text)
     # (line_number, content) for non-empty, non-comment lines
-    rows = [
-        (i + 1, ln.strip())
-        for i, ln in enumerate(lines)
-        if ln.strip() and not ln.lstrip().startswith("#")
-    ]
+    rows = [(i, ln) for i, ln in enumerate(map(str.strip, _lines(text)), start=1)
+            if ln and ln[0] != "#"]
     if not rows:
         raise MeshFormatError("empty OFF file")
     pos = 0
@@ -157,15 +217,9 @@ def parse_off(text: str) -> Mesh:
         raise MeshFormatError(
             f"truncated OFF file: expected {n_vertices} vertices and {n_faces} faces"
         )
-    # each record goes straight into its row, so no per-row list stays alive
-    # to be scanned and promoted by the garbage collector
-    vertices = np.empty((n_vertices, 3), dtype=np.float64)
-    for k, (line_no, content) in enumerate(rows[pos : pos + n_vertices]):
-        vertices[k] = _vertex_record(content.split(), line_no)
+    vertices = _vertex_block(rows[pos : pos + n_vertices])
     pos += n_vertices
-    faces = np.empty((n_faces, 3), dtype=np.int64)
-    for k, (line_no, content) in enumerate(rows[pos : pos + n_faces]):
-        faces[k] = _face_record(content.split(), line_no, n_vertices)
+    faces, _ = _face_block(rows[pos : pos + n_faces], n_vertices)
     return Mesh(vertices=vertices, faces=faces)
 
 
@@ -222,21 +276,26 @@ def parse_face_labels(text: str, n_faces: int) -> LabelVec:
     Ids are kept as they are, so one id means one class in every file;
     ``num_classes`` is the largest id plus one.
     """
-    raw: list[int] = []
-    for line_no, line in enumerate(_lines(text), start=1):
-        token = line.strip()
-        if not token:
-            continue
-        try:
-            value = int(token)
-        except ValueError:
-            raise MeshFormatError(f"non-integer label {token!r}", line=line_no) from None
-        if value < 0:
-            raise MeshFormatError(f"negative label {value}", line=line_no)
-        raw.append(value)
-    if len(raw) != n_faces:
-        raise MeshFormatError(f"label count mismatch: {len(raw)} labels for {n_faces} faces")
-    labels = np.array(raw, dtype=np.int64)
+    tokens = [token for token in map(str.strip, _lines(text)) if token]
+    labels = _convert(tokens, np.int64, 1)
+    if labels is None or (labels < 0).any():
+        # the label checks name the first bad line
+        raw: list[int] = []
+        for line_no, line in enumerate(_lines(text), start=1):
+            token = line.strip()
+            if not token:
+                continue
+            try:
+                value = int(token)
+            except ValueError:
+                raise MeshFormatError(f"non-integer label {token!r}", line=line_no) from None
+            if value < 0:
+                raise MeshFormatError(f"negative label {value}", line=line_no)
+            raw.append(value)
+        labels = raw
+    if len(labels) != n_faces:
+        raise MeshFormatError(f"label count mismatch: {len(labels)} labels for {n_faces} faces")
+    labels = np.array(labels, dtype=np.int64).reshape(-1)
     return LabelVec(labels=labels, num_classes=int(labels.max(initial=-1)) + 1)
 
 
@@ -263,11 +322,12 @@ def write_ply_colored(mesh: Mesh, labels: LabelVec, palette) -> str:
         "property uchar blue",
         "end_header",
     ]
-    for v in mesh.vertices:
-        out.append(f"{v[0]:.9g} {v[1]:.9g} {v[2]:.9g}")
-    for f, lab in zip(mesh.faces, labels.labels):
-        r, g, b = palette[lab] if lab >= 0 else (0, 0, 0)
-        out.append(f"3 {f[0]} {f[1]} {f[2]} {r} {g} {b}")
+    out += [f"{x:.9g} {y:.9g} {z:.9g}" for x, y, z in mesh.vertices.tolist()]
+    # a negative (pad) label is black
+    rgb = [f"{r} {g} {b}" for r, g, b in palette] + ["0 0 0"]
+    black = len(rgb) - 1
+    out += [f"3 {i} {j} {k} {rgb[lab if lab >= 0 else black]}"
+            for (i, j, k), lab in zip(mesh.faces.tolist(), labels.labels.tolist())]
     return "\n".join(out) + "\n"
 
 
@@ -311,10 +371,8 @@ def parse_ply(text: str) -> tuple[Mesh, np.ndarray | None]:
     counts = {name: count for name, count, _ in elements}
     if "vertex" not in counts or "face" not in counts:
         raise MeshFormatError("PLY missing vertex or face element")
-    rows = [
-        (i, ln.strip()) for i, ln in enumerate(lines[body_start:], start=body_start + 1)
-        if ln.strip()
-    ]
+    rows = [(i, ln) for i, ln in enumerate(map(str.strip, lines[body_start:]),
+                                            start=body_start + 1) if ln]
     pos = 0
     colors = None
     for name, count, props in elements:
@@ -323,25 +381,10 @@ def parse_ply(text: str) -> tuple[Mesh, np.ndarray | None]:
         chunk = rows[pos : pos + count]
         pos += count
         if name == "vertex":
-            vertices = np.array(
-                [_vertex_record(content.split(), line_no) for line_no, content in chunk],
-                dtype=np.float64,
-            ).reshape(count, 3)
+            vertices = _vertex_block(chunk)
         elif name == "face":
-            face_rows = []
-            color_rows = []
             has_color = {"red", "green", "blue"} <= set(props)
-            for line_no, content in chunk:
-                parts = content.split()
-                face_rows.append(_face_record(parts, line_no, counts["vertex"]))
-                if has_color:
-                    rgb = parts[4:7]
-                    if len(rgb) != 3 or not all(map(str.isdecimal, rgb)):
-                        raise MeshFormatError("face record needs 3 color values", line=line_no)
-                    color_rows.append([int(c) for c in rgb])
-            faces = np.asarray(face_rows, dtype=np.int64).reshape(count, 3)
-            if has_color:
-                colors = np.asarray(color_rows, dtype=np.int64).reshape(count, 3)
+            faces, colors = _face_block(chunk, counts["vertex"], color=has_color)
     return Mesh(vertices=vertices, faces=faces), colors
 
 

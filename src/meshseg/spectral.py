@@ -38,6 +38,12 @@ DENSE_SOLVE_THRESHOLD = 512
 #: Largest eigenpair residual accepted, relative to ``max(|L|_F, 1)``.
 EIGEN_RESIDUAL_TOL = 1e-8
 
+#: Shift-invert Lanczos factors ``L + EIGEN_SHIFT I``. A point just left of
+#: the spectrum spreads the wanted eigenvalues (0 to a few hundredths on
+#: simplified meshes) far apart under ``1 / (lam + EIGEN_SHIFT)``, so Lanczos
+#: restarts less often than it would at a wider shift.
+EIGEN_SHIFT = 1e-3
+
 
 @dataclass(frozen=True)
 class AdjacencyMatrix:
@@ -145,7 +151,7 @@ def smallest_eigenpairs(lap: sp.csr_matrix, k: int):
         values, vectors = values[:k], vectors[:, :k]
     else:
         # shift-invert around a point left of the spectrum keeps the
-        # factorized operator L + 0.1 I symmetric positive definite, so it
+        # factorized operator L + EIGEN_SHIFT I symmetric positive definite, so it
         # needs no pivoting: SuperLU factors it on a symmetric ordering of
         # its pattern with the diagonal as pivots, which fills in less than
         # the default column ordering with partial pivoting. The start vector
@@ -153,7 +159,7 @@ def smallest_eigenpairs(lap: sp.csr_matrix, k: int):
         # zero-mode eigenvector on regular graphs and starves degenerate
         # multiplets)
         factor = spla.splu(
-            sp.csc_matrix(lap + 0.1 * sp.identity(n)),
+            sp.csc_matrix(lap + EIGEN_SHIFT * sp.identity(n)),
             permc_spec="MMD_AT_PLUS_A",
             diag_pivot_thresh=0.0,
             options={"SymmetricMode": True},
@@ -169,7 +175,7 @@ def smallest_eigenpairs(lap: sp.csr_matrix, k: int):
         ncv = min(n, max(2 * k + 1, 40))
         try:
             values, vectors = spla.eigsh(
-                lap, k=k, sigma=-0.1, which="LM", v0=v0, ncv=ncv,
+                lap, k=k, sigma=-EIGEN_SHIFT, which="LM", v0=v0, ncv=ncv,
                 OPinv=spla.LinearOperator((n, n), matvec=solve, dtype=np.float64),
             )
         except spla.ArpackNoConvergence as exc:

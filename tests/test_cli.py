@@ -14,7 +14,7 @@ from meshseg import preprocess, simplify, spectral
 from meshseg import train as trainmod
 from meshseg.cli import main
 from meshseg.errors import EigensolverError
-from meshseg.mesh_io import LabelVec, merge_duplicate_vertices, parse_ply, write_ply_colored
+from meshseg.mesh_io import merge_duplicate_vertices, parse_ply
 from meshseg.model import ModelConfig, init_params, save_checkpoint
 from meshseg.preprocess import PreprocessConfig, build_sample, load_sample
 
@@ -25,6 +25,18 @@ def off_text(mesh):
     lines = ["OFF", f"{mesh.num_vertices} {mesh.num_faces} 0"]
     lines += [f"{v[0]:.17g} {v[1]:.17g} {v[2]:.17g}" for v in mesh.vertices]
     lines += [f"3 {f[0]} {f[1]} {f[2]}" for f in mesh.faces]
+    return "\n".join(lines) + "\n"
+
+
+def ply_text(mesh, rng):
+    """ASCII PLY of the mesh at full precision, with random face colors."""
+    lines = ["ply", "format ascii 1.0", f"element vertex {mesh.num_vertices}",
+             "property double x", "property double y", "property double z",
+             f"element face {mesh.num_faces}", "property list uchar int vertex_indices",
+             "property uchar red", "property uchar green", "property uchar blue", "end_header"]
+    lines += [f"{v[0]:.17g} {v[1]:.17g} {v[2]:.17g}" for v in mesh.vertices]
+    lines += [f"3 {f[0]} {f[1]} {f[2]} {r} {g} {b}"
+              for f, (r, g, b) in zip(mesh.faces, rng.integers(0, 256, (mesh.num_faces, 3)))]
     return "\n".join(lines) + "\n"
 
 
@@ -68,6 +80,29 @@ class TestPreprocess:
         sample.validate()
         assert sample.n_real == 20
         assert sample.eigen_count == 4
+
+    def test_ply_shapes_give_the_samples_of_their_off_twins(self, dataset_dir, tmp_path):
+        """A dataset of colored PLY shapes with the vertices and faces of the
+        OFF ones preprocesses to byte-identical samples."""
+        ply_dir = tmp_path / "ply_data"
+        (ply_dir / "shapes").mkdir(parents=True)
+        (ply_dir / "labels").mkdir()
+        rng = np.random.default_rng(0)
+        for off_path in sorted((dataset_dir / "shapes").glob("*.off")):
+            mesh = datamod.load_mesh_file(off_path)
+            (ply_dir / "shapes" / f"{off_path.stem}.ply").write_text(ply_text(mesh, rng))
+            label_path = dataset_dir / "labels" / f"{off_path.stem}.txt"
+            (ply_dir / "labels" / label_path.name).write_text(label_path.read_text())
+        for root, out in ((dataset_dir, tmp_path / "off_samples"),
+                          (ply_dir, tmp_path / "ply_samples")):
+            result = run(["preprocess", str(root), str(out), *PREPROCESS_FLAGS])
+            assert result.exit_code == 0, result.output
+        names = sorted(p.name for p in (tmp_path / "off_samples").glob("*.sample"))
+        assert names == ["sphere0.sample", "sphere1.sample", "sphere2.sample"]
+        assert sorted(p.name for p in (tmp_path / "ply_samples").glob("*.sample")) == names
+        for name in names:
+            assert ((tmp_path / "off_samples" / name).read_bytes()
+                    == (tmp_path / "ply_samples" / name).read_bytes())
 
     def test_corrupt_file_exits_1_but_others_written(self, dataset_dir, tmp_path):
         (dataset_dir / "shapes" / "bad.off").write_text("OFF\n3 1 0\n0 0 0\n")
@@ -378,6 +413,12 @@ MESH_DAMAGE = {
         "bad.obj", "v 0 0 0\nv 1 0 inf\nv 0 1 0\nf 1 2 3\n",
         "non-finite vertex coordinate, line 2",
     ),
+    "ply-index-out-of-range": (
+        "bad.ply", "ply\nformat ascii 1.0\nelement vertex 3\nproperty float x\n"
+        "property float y\nproperty float z\nelement face 1\n"
+        "property list uchar int vertex_indices\nend_header\n0 0 0\n1 0 0\n0 1 0\n3 0 1 3\n",
+        "index out of range, line 13",
+    ),
 }
 
 
@@ -477,14 +518,30 @@ class TestSegment:
         )
         assert not (tmp_path / "seg.ply").exists()
 
-    def test_ply_mesh_exits_1(self, untrained_checkpoint, tmp_path):
-        mesh_path = tmp_path / "tetra.ply"
-        labels = LabelVec(labels=[0, 0, 0, 0], num_classes=1)
-        mesh_path.write_text(write_ply_colored(tetrahedron(), labels, [(1, 2, 3)]))
+    def test_unsupported_mesh_format_exits_1(self, untrained_checkpoint, tmp_path):
+        mesh_path = tmp_path / "tetra.stl"
+        mesh_path.write_text(off_text(tetrahedron()))
         result = run(["segment", str(mesh_path), str(untrained_checkpoint),
                       str(tmp_path / "seg.ply")])
         assert result.exit_code == 1, result.output
-        assert result.output == "error: unsupported mesh format '.ply' for tetra.ply\n"
+        assert result.output == "error: unsupported mesh format '.stl' for tetra.stl\n"
+
+    def test_ply_mesh_segments_like_its_off_twin(self, dataset_dir, untrained_checkpoint,
+                                                 tmp_path):
+        """A colored PLY of the same vertices and faces as an OFF file gives
+        the same segmentation; its face colors are ignored."""
+        off_path = dataset_dir / "shapes" / "sphere0.off"
+        mesh = datamod.load_mesh_file(off_path)
+        ply_path = tmp_path / "sphere0.ply"
+        ply_path.write_text(ply_text(mesh, np.random.default_rng(0)))
+        outputs = []
+        for path in (off_path, ply_path):
+            out_ply = tmp_path / f"seg_{path.suffix[1:]}.ply"
+            result = run(["segment", str(path), str(untrained_checkpoint), str(out_ply),
+                          *PREPROCESS_FLAGS])
+            assert result.exit_code == 0, result.output
+            outputs.append(out_ply.read_bytes())
+        assert outputs[0] == outputs[1]
 
     def test_eigensolver_failure_exits_3(self, dataset_dir, untrained_checkpoint, tmp_path,
                                          monkeypatch):

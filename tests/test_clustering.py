@@ -229,10 +229,11 @@ class TestWardConstrained:
         with caplog.at_level(logging.DEBUG, logger="meshseg.clustering"):
             result = ward_constrained(rng.normal(size=(n, 3)), adj, 5)
         (record,) = caplog.records
-        merges, popped, stale, fallback = record.args
+        merges, popped, stale, rebuilds, fallback = record.args
         assert merges == n - result.num_clusters == n - 5
         assert popped == len(pops) == merges + stale
         assert stale > 0
+        assert rebuilds > 0
         assert fallback is not connected
 
     def test_similarity_invariance(self, rng):

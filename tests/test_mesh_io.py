@@ -17,6 +17,12 @@ from meshseg.mesh_io import (
 from meshseg.spectral import build_dual_adjacency
 
 from conftest import icosphere, random_hull_mesh, shared_edge_count, tetrahedron
+from io_oracles import (
+    parse_face_labels_oracle,
+    parse_off_oracle,
+    parse_ply_oracle,
+    write_ply_colored_oracle,
+)
 from loop_oracles import merge_duplicate_vertices_oracle
 
 TRIANGLE_OFF = "OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n"
@@ -255,6 +261,231 @@ class TestParsePlyErrors:
     def test_non_finite_coordinate_names_its_line(self, value):
         with pytest.raises(MeshFormatError, match="non-finite vertex coordinate, line 11"):
             parse_ply(PLY_HEADER + f"0 0 0\n1 {value} 0\n0 1 0\n3 0 1 2\n")
+
+
+def outcome(parse, *args):
+    """A reader's arrays, or its error's type and message (which names the
+    line)."""
+    try:
+        result = parse(*args)
+    except Exception as exc:  # noqa: BLE001 - any error must match the oracle's
+        return type(exc), str(exc)
+    if isinstance(result, LabelVec):
+        return result.labels, result.num_classes
+    mesh, colors = result if isinstance(result, tuple) else (result, None)
+    return mesh.vertices, mesh.faces, colors
+
+
+def assert_same_outcome(got, want):
+    assert type(got) is type(want) and len(got) == len(want), (got, want)
+    if isinstance(got[0], type):
+        assert got == want
+        return
+    for a, b in zip(got, want):
+        if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+            assert a.dtype == b.dtype
+            # equal bits, so -0.0 and 0.0 differ
+            np.testing.assert_array_equal(a.view(np.uint8), b.view(np.uint8))
+            assert a.shape == b.shape
+        else:
+            assert a == b
+
+
+def coordinate_text(rng, x: float) -> str:
+    return [repr, "{:.9g}".format, "{:.3e}".format, "{:+.5f}".format][rng.integers(4)](x)
+
+
+def record_rows(rng, rows: list[list[str]], extras: list[str]) -> list[list[str]]:
+    """Rows with no extra tokens, the same extras on every row, or extras on
+    some rows only."""
+    kind = rng.integers(3)
+    if kind == 0:
+        return rows
+    if kind == 1:
+        extra = extras[rng.integers(len(extras))]
+        return [row + extra.split() for row in rows]
+    return [row + (extras[rng.integers(len(extras))].split() if rng.random() < 0.5 else [])
+            for row in rows]
+
+
+def join_rows(rng, rows: list[list[str]]) -> list[str]:
+    seps = [" ", "  ", "\t", " \t "]
+    return [seps[rng.integers(len(seps))].join(row) for row in rows]
+
+
+def sprinkle(rng, lines: list[str], comment: bool) -> list[str]:
+    """Blank, whitespace-only and (for OFF) comment lines between records,
+    and some lines indented or ending in a carriage return."""
+    out = []
+    for line in lines:
+        while rng.random() < 0.1:
+            choice = rng.integers(3 if comment else 2)
+            out.append(["", " \t ", "# comment 1 2 3"][choice])
+        out.append([line, f"  {line}", f"{line}\r", f"{line} "][rng.integers(4)])
+    return out
+
+
+def random_off(rng, mesh: Mesh) -> str:
+    n, m = mesh.num_vertices, mesh.num_faces
+    coordinates = [[coordinate_text(rng, x) for x in v] for v in mesh.vertices.tolist()]
+    vertices = record_rows(rng, coordinates, ["1", "0.5 0.25 1", "255 0 0 255", "abc"])
+    faces = record_rows(rng, [["3", *map(str, f)] for f in mesh.faces.tolist()],
+                        ["255 0 0", "7", "x y"])
+    edges = int(rng.integers(0, 3 * m))
+    header = ["OFF", f"{n} {m} {edges}"] if rng.random() < 0.5 else [f"OFF {n} {m} {edges}"]
+    lines = header + join_rows(rng, vertices) + join_rows(rng, faces)
+    lines = ["# leading comment"] * int(rng.integers(2)) + sprinkle(rng, lines, True)
+    return "\n".join(lines) + "\n"
+
+
+def random_ply(rng, mesh: Mesh, colors: bool) -> str:
+    n, m = mesh.num_vertices, mesh.num_faces
+    normals = rng.random() < 0.5
+    header = ["ply", "format ascii 1.0", "comment made by a test", f"element vertex {n}",
+              "property float x", "property float y", "property float z"]
+    header += ["property float nx", "property float ny", "property float nz"] * normals
+    header += [f"element face {m}", "property list uchar int vertex_indices"]
+    header += ["property uchar red", "property uchar green", "property uchar blue"] * colors
+    header += ["element edge 1", "property int vertex1", "property int vertex2", "end_header"]
+    vertices = [[coordinate_text(rng, x) for x in v] for v in mesh.vertices.tolist()]
+    if normals:
+        vertices = [row + ["0", "0", "1"] for row in vertices]
+    faces = [["3", *map(str, f)] for f in mesh.faces.tolist()]
+    if colors:
+        faces = [row + [str(c) for c in rng.integers(0, 256, size=3)] for row in faces]
+    body = join_rows(rng, vertices) + join_rows(rng, faces) + ["0 1"]
+    return "\n".join(header + sprinkle(rng, body, False)) + "\n"
+
+
+def random_labels(rng, count: int) -> str:
+    lines = [str(v) for v in rng.integers(0, 12, size=count)]
+    lines = [[line, f"+{line}", f" {line}", f"0{line}"][rng.integers(4)] for line in lines]
+    return "\n".join(sprinkle(rng, lines, False)) + "\n" * int(rng.integers(3))
+
+
+def damage(rng, text: str, bad_tokens: list[str], first_line: int) -> str:
+    """``text`` with one token of a record at or after ``first_line``
+    replaced by a bad one, or dropped."""
+    lines = text.split("\n")
+    candidates = [i for i, line in enumerate(lines) if i >= first_line and line.split()]
+    i = candidates[rng.integers(len(candidates))]
+    tokens = lines[i].split()
+    j = int(rng.integers(len(tokens)))
+    if rng.random() < 0.2:
+        del tokens[j]
+    else:
+        tokens[j] = bad_tokens[rng.integers(len(bad_tokens))]
+    lines[i] = " ".join(tokens)
+    return "\n".join(lines)
+
+
+BAD_TOKENS = ["1.2.3", "nan", "-inf", "inf", "1e999", "x", "0x1", "1.0", "4", "2", "-1", "+5",
+              "1_0", "99999999999999999999", "255", "0", "\u0663"]
+
+
+def fuzz(rng, text: str) -> str:
+    chars = list(text)
+    alphabet = list("0123456789 -+.\nOFPLYxyz#e_")
+    for _ in range(rng.integers(1, 6)):
+        chars[rng.integers(len(chars))] = alphabet[rng.integers(len(alphabet))]
+    return "".join(chars)
+
+
+class TestBlockReadersMatchRecordLoops:
+    """The block-converting readers against the per-record loops they
+    replaced: equal arrays for valid files, and the same error, message and
+    line for malformed ones."""
+
+    def test_valid_off_files(self, rng):
+        for _ in range(150):
+            text = random_off(rng, random_hull_mesh(rng, int(rng.integers(4, 30))))
+            got = outcome(parse_off, text)
+            assert not isinstance(got[0], type), (got, text)
+            assert_same_outcome(got, outcome(parse_off_oracle, text))
+
+    @pytest.mark.parametrize("colors", [True, False])
+    def test_valid_ply_files(self, rng, colors):
+        for _ in range(100):
+            text = random_ply(rng, random_hull_mesh(rng, int(rng.integers(4, 30))), colors)
+            got = outcome(parse_ply, text)
+            assert not isinstance(got[0], type), (got, text)
+            assert (got[2] is not None) == colors
+            assert_same_outcome(got, outcome(parse_ply_oracle, text))
+
+    def test_valid_label_files(self, rng):
+        for _ in range(150):
+            count = int(rng.integers(1, 40))
+            text = random_labels(rng, count)
+            got = outcome(parse_face_labels, text, count)
+            assert not isinstance(got[0], type), (got, text)
+            assert_same_outcome(got, outcome(parse_face_labels_oracle, text, count))
+
+    def test_damaged_records(self, rng):
+        errors = set()
+        for _ in range(300):
+            mesh = random_hull_mesh(rng, int(rng.integers(4, 12)))
+            count = mesh.num_faces
+            cases = [
+                (parse_off, parse_off_oracle, damage(rng, random_off(rng, mesh), BAD_TOKENS, 2)),
+                (parse_ply, parse_ply_oracle,
+                 damage(rng, random_ply(rng, mesh, bool(rng.integers(2))), BAD_TOKENS, 14)),
+            ]
+            for parse, oracle, text in cases:
+                want = outcome(oracle, text)
+                assert_same_outcome(outcome(parse, text), want)
+                errors.add(want[1] if isinstance(want[0], type) else None)
+            labels = damage(rng, random_labels(rng, count), BAD_TOKENS + ["1 2"], 0)
+            want = outcome(parse_face_labels_oracle, labels, count)
+            assert_same_outcome(outcome(parse_face_labels, labels, count), want)
+            errors.add(want[1] if isinstance(want[0], type) else None)
+        messages = {e.split(", line")[0] for e in errors if e}
+        # every record check fired at least once
+        for message in ("bad vertex coordinate", "non-finite vertex coordinate",
+                        "vertex record needs 3 coordinates", "bad face record",
+                        "non-triangular face (arity 4)", "face record needs 3 indices",
+                        "index out of range", "face record needs 3 color values",
+                        "negative label -1", "non-integer label '1 2'"):
+            assert message in messages, sorted(messages)
+
+    def test_fuzzed_files(self, rng):
+        mesh = random_hull_mesh(rng, 6)
+        for _ in range(300):
+            off = fuzz(rng, random_off(rng, mesh))
+            assert_same_outcome(outcome(parse_off, off), outcome(parse_off_oracle, off))
+            ply = fuzz(rng, random_ply(rng, mesh, True))
+            assert_same_outcome(outcome(parse_ply, ply), outcome(parse_ply_oracle, ply))
+            labels = fuzz(rng, random_labels(rng, 8))
+            assert_same_outcome(outcome(parse_face_labels, labels, 8),
+                                outcome(parse_face_labels_oracle, labels, 8))
+
+    def test_first_of_two_bad_rows_is_named(self):
+        text = TETRA_OFF.replace("1 0 0", "1 x 0").replace("3 1 2 3", "3 1 2 9")
+        for parse in (parse_off, parse_off_oracle):
+            with pytest.raises(MeshFormatError, match="bad vertex coordinate, line 4"):
+                parse(text)
+        text = TETRA_OFF.replace("3 0 1 3", "3 0 1 9").replace("3 1 2 3", "4 1 2 3")
+        for parse in (parse_off, parse_off_oracle):
+            with pytest.raises(MeshFormatError, match="index out of range, line 8"):
+                parse(text)
+
+    def test_written_ply_equals_the_oracles_bytes(self, rng):
+        for _ in range(50):
+            mesh = random_hull_mesh(rng, int(rng.integers(4, 40)))
+            vertices = mesh.vertices.copy()
+            # negative zeros, and values at the edge of 9 digits
+            vertices[rng.random(vertices.shape) < 0.2] = -0.0
+            vertices[rng.random(vertices.shape) < 0.2] *= 1e-12
+            vertices[0, 0] = -0.0
+            mesh = Mesh(vertices=vertices, faces=mesh.faces)
+            num_classes = int(rng.integers(1, 12))
+            # a negative label, such as the pad label -1, is black
+            labels = rng.integers(-3, num_classes, size=mesh.num_faces)
+            labels[0] = -1
+            labels = LabelVec(labels=labels, num_classes=num_classes)
+            palette = [tuple(rgb) for rgb in rng.integers(1, 256, (num_classes + 2, 3)).tolist()]
+            got = write_ply_colored(mesh, labels, palette)
+            assert got == write_ply_colored_oracle(mesh, labels, palette)
+            assert "end_header\n-0 " in got and " 0 0 0\n" in got
 
 
 class TestMergeDuplicateVertices:

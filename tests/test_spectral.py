@@ -258,9 +258,21 @@ class TestSmallestEigenpairs:
         (record,) = caplog.records
         n, k, nonzeros, solves = record.args
         assert (n, k) == (1280, 9)
-        # the factor holds at least the diagonal and one triangle of L + 0.1 I
+        # the factor holds at least the diagonal and one triangle of L + shift I
         assert nonzeros >= (lap.nnz + n) // 2
         assert solves >= 9
+
+    def test_shift_beside_the_wanted_eigenvalues_needs_few_solves(self, caplog):
+        """The wanted eigenvalues of a 2,396-face mesh lie in [0, 0.016]; the
+        shift just left of 0 maps them far apart, so Lanczos converges in 79
+        solves where a shift of -0.1 took 192."""
+        mesh = bumpy_sphere_mesh(np.random.default_rng(23), 1200, 0.15)
+        with caplog.at_level(logging.DEBUG, logger="meshseg.spectral"):
+            laplacian_positional_features(build_dual_adjacency(mesh), 16)
+        (record,) = caplog.records
+        n, k, _, solves = record.args
+        assert (n, k) == (2396, 17)  # 16 columns plus the zero mode
+        assert solves <= 100
 
 
 class TestSpectrumStructure:
@@ -422,6 +434,32 @@ class TestLoopOracleParity:
             np.testing.assert_array_equal(got.features, want.features)
             assert got.residual == want.residual
             assert got.components == want.components
+
+    @pytest.mark.parametrize("graph", GRAPHS)
+    def test_features_span_the_eigenspaces_of_the_wide_shift(self, graph, monkeypatch):
+        """The features against shift-invert Lanczos at sigma = -0.1. These
+        graphs have degenerate eigenvalues, whose basis depends on the shift,
+        so each eigenvalue group's projector is compared, and every column is
+        an eigenvector of the oracle's eigenvalue; the last group may be cut
+        by the count, so it is checked by the residual alone."""
+        monkeypatch.setattr(spectral_mod, "DENSE_SOLVE_THRESHOLD", 10)
+        adj = GRAPHS[graph]()
+        lap = normalized_laplacian(adj)
+        for count in (4, 8, 16):
+            got = laplacian_positional_features(adj, count)
+            zero_modes = got.components - int((adj.degrees() == 0).sum())
+            values, vectors = arpack_eigenpairs_oracle(lap, count + zero_modes)
+            keep = np.flatnonzero(values >= ZERO_EIGENVALUE_TOL)[:count]
+            assert keep.size == count
+            values, vectors = values[keep], vectors[:, keep]
+            feats = got.features
+            np.testing.assert_allclose(rayleigh_quotients(lap, got), values, rtol=0, atol=1e-10)
+            assert np.abs(lap @ feats - feats * values).max() <= 1e-10
+            got_groups = projector_for_groups(values, feats)
+            want_groups = projector_for_groups(values, vectors)
+            assert len(got_groups) == len(want_groups)
+            for (_, p), (_, q) in zip(got_groups[:-1], want_groups[:-1]):
+                np.testing.assert_allclose(p, q, rtol=0, atol=1e-10)
 
     def test_one_solve_on_a_two_component_mesh(self, monkeypatch):
         import loop_oracles
