@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse import _sparsetools
 
 __all__ = [
     "Tensor",
@@ -30,6 +31,7 @@ __all__ = [
     "linear",
     "embedding_lookup",
     "attention",
+    "ListingPlan",
     "segment_attention",
     "weighted_nll",
     "layer_norm",
@@ -283,78 +285,130 @@ def _pair_dots(a: np.ndarray, a_rows, b: np.ndarray, b_rows, num_heads: int) -> 
     return out
 
 
-def segment_attention(
-    q: Tensor, k: Tensor, v: Tensor, keys, ptr, num_heads: int, scale: float
-) -> Tensor:
+class ListingPlan:
+    """The fixed index structure of attention over one CSR listing.
+
+    A listing (``keys``, ``ptr``) of P pairs lets query row r see the key
+    rows ``keys[ptr[r]:ptr[r + 1]]`` of ``key_count`` key rows. The plan
+    checks it once and builds what every :func:`segment_attention` call over
+    it reuses, for ``num_heads`` heads:
+
+    - ``order``: for each entry of the sparse (R·h, C·h) weight map, its
+      (pair, head) entry. Map row r·h + j holds query r's pairs in head j,
+      in listing order.
+    - ``indices`` and ``indptr``: the map's CSR column indices and row
+      starts, int32 when they fit. Read column by column (CSC), the same
+      arrays are the map's transpose, each of whose rows sums its entries
+      in map order.
+    - ``starts`` and ``live_sizes``: the first entry and the entry count of
+      each nonempty map row, for the per-row reductions of the softmax.
+
+    A call fills the map with its weights and runs scipy's sparse kernels
+    on it directly, with no per-call index building and no matrix object.
+    """
+
+    __slots__ = ("keys", "ptr", "num_heads", "rows", "cols", "owner", "order",
+                 "indices", "indptr", "starts", "live_sizes")
+
+    def __init__(self, keys, ptr, key_count: int, num_heads: int):
+        keys = np.asarray(keys, dtype=np.int64)
+        ptr = np.asarray(ptr, dtype=np.int64)
+        sizes = np.diff(ptr)
+        _check(keys.ndim == 1 and ptr.ndim == 1 and ptr.size >= 1 and ptr[0] == 0
+               and ptr[-1] == keys.size and (sizes >= 0).all() and num_heads >= 1,
+               "ListingPlan", keys.shape, ptr.shape)
+        if keys.size and (keys.min() < 0 or keys.max() >= key_count):
+            raise IndexError(f"segment key out of range for {key_count} key rows")
+        rows, h, pairs = ptr.size - 1, num_heads, keys.size
+        self.keys, self.ptr, self.num_heads, self.rows, self.cols = keys, ptr, h, rows, key_count
+        self.owner = np.repeat(np.arange(rows), sizes)  # the query row of each pair
+        # map row r·h + j holds query r's pairs in head j, in listing order,
+        # from entry start[r, j] = ptr[r]·h + j·sizes[r] on
+        start = ptr[:-1, np.newaxis] * h + np.arange(h) * sizes[:, np.newaxis]
+        entry = start[self.owner] + (np.arange(pairs) - ptr[self.owner])[:, np.newaxis]
+        self.order = np.empty(pairs * h, dtype=np.int64)  # map entry -> (pair, head) entry
+        self.order[entry.reshape(-1)] = np.arange(pairs * h)
+        fits = max(rows * h, key_count * h, pairs * h) <= np.iinfo(np.int32).max
+        index = np.int32 if fits else np.int64
+        self.indices = (keys[:, np.newaxis] * h + np.arange(h)).reshape(-1)[self.order].astype(index)
+        self.indptr = np.append(start.reshape(-1), pairs * h).astype(index)
+        row_sizes = np.repeat(sizes, h)
+        live = row_sizes > 0
+        self.starts, self.live_sizes = start.reshape(-1)[live], row_sizes[live]
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes of the plan's arrays."""
+        return sum(getattr(self, name).nbytes for name in self.__slots__
+                   if isinstance(getattr(self, name), np.ndarray))
+
+    def per_row(self, reduce, x: np.ndarray) -> np.ndarray:
+        """Each map entry's ``reduce`` over its map row."""
+        return np.repeat(reduce.reduceat(x, self.starts), self.live_sizes)
+
+    def product(self, data: np.ndarray, x: np.ndarray, transposed: bool = False) -> np.ndarray:
+        """The map with entries ``data`` (map order), or its transpose,
+        times the (C·h, w) or (R·h, w) array ``x``."""
+        shape = (self.rows * self.num_heads, self.cols * self.num_heads)
+        kernel = _sparsetools.csr_matvecs
+        if transposed:
+            shape, kernel = shape[::-1], _sparsetools.csc_matvecs
+        # the kernels read ``data`` and ``x`` through raw pointers
+        _check(data.shape == self.indices.shape and x.ndim == 2 and x.shape[0] == shape[1],
+               "ListingPlan.product", data.shape, x.shape, shape)
+        dtype = np.result_type(data, x)
+        out = np.zeros((shape[0], x.shape[1]), dtype=dtype)
+        kernel(*shape, x.shape[1], self.indptr, self.indices, data.astype(dtype, copy=False),
+               np.ascontiguousarray(x, dtype=dtype).ravel(), out.ravel())
+        return out
+
+
+def segment_attention(q: Tensor, k: Tensor, v: Tensor, plan: ListingPlan, scale: float) -> Tensor:
     """Multi-head attention of each query row over its own list of key rows.
 
     Row r of ``q`` (R, d) attends only to the key/value rows
-    ``keys[ptr[r]:ptr[r + 1]]`` of ``k`` and ``v`` (C, d), a listing in CSR
-    form (compressed sparse rows) of P pairs. A key row may be listed in
-    many segments, and a key listed twice in one segment weighs as much as
-    two copies of it. The heads split the columns as in :func:`attention`;
-    a row whose segment is empty outputs zeros.
+    ``keys[ptr[r]:ptr[r + 1]]`` of ``k`` and ``v`` (C, d), where ``plan``
+    is the :class:`ListingPlan` of the listing (``keys``, ``ptr``) for C key
+    rows and h heads. A key row may be listed in many segments, and a key
+    listed twice in one segment weighs as much as two copies of it. The
+    heads split the columns as in :func:`attention`; a row whose segment is
+    empty outputs zeros.
 
-    The weights are the data of one sparse (R·h, C·h) map whose row
-    r·h + j holds query r's weights in head j, so the output is that map
-    times the (C·h, d / h) view of ``v``, and the transposed maps send the
-    key and value gradients back, each key row summing its pairs in listing
-    order. Scores and their per-segment max and sum live on narrow arrays
-    of one entry per pair and head. Forward and backward cost O(P·d); no
-    (R, C) array and no (P, d) copy is made.
+    The weights fill the plan's (R·h, C·h) map, whose row r·h + j holds
+    query r's weights in head j, so the output is that map times the
+    (C·h, d / h) view of ``v``, and the transposed maps send the key and
+    value gradients back, each key row summing its pairs in listing order.
+    Scores and their per-segment max and sum live on narrow arrays of one
+    entry per pair and head. Forward and backward cost O(P·d); no (R, C)
+    array and no (P, d) copy is made.
     """
-    _check_heads("segment_attention", q, k, v, num_heads)
-    keys = np.asarray(keys, dtype=np.int64)
-    ptr = np.asarray(ptr, dtype=np.int64)
-    (rows, width), cols, h = q.shape, k.shape[0], num_heads
-    sizes = np.diff(ptr)
-    _check(keys.ndim == 1 and ptr.shape == (rows + 1,) and ptr[0] == 0
-           and ptr[-1] == keys.size and (sizes >= 0).all(),
-           "segment_attention", q.shape, k.shape, keys.shape, ptr.shape)
-    if keys.size and (keys.min() < 0 or keys.max() >= cols):
-        raise IndexError(f"segment key out of range for {cols} key rows")
-    pairs = keys.size
-    owner = np.repeat(np.arange(rows), sizes)  # the query row of each pair
-    # map row r·h + j holds query r's pairs in head j, in listing order,
-    # from entry start[r, j] = ptr[r]·h + j·sizes[r] on
-    start = ptr[:-1, np.newaxis] * h + np.arange(h) * sizes[:, np.newaxis]
-    entry = start[owner] + (np.arange(pairs) - ptr[owner])[:, np.newaxis]  # (P, h)
-    order = np.empty(pairs * h, dtype=np.int64)  # map entry -> (pair, head) entry
-    order[entry.reshape(-1)] = np.arange(pairs * h)
-    indices = (keys[:, np.newaxis] * h + np.arange(h)).reshape(-1)[order]
-    indptr = np.append(start.reshape(-1), pairs * h)
-    row_sizes = np.repeat(sizes, h)
-    starts, live_sizes = indptr[:-1][row_sizes > 0], row_sizes[row_sizes > 0]
+    h = plan.num_heads
+    _check_heads("segment_attention", q, k, v, h)
+    (rows, width), cols = q.shape, k.shape[0]
+    _check(rows == plan.rows and cols == plan.cols,
+           "segment_attention", q.shape, k.shape, (plan.rows, plan.cols))
     s = q.dtype.type(scale)
-
-    def per_row(reduce, x):  # each entry's reduction over its map row
-        return np.repeat(reduce.reduceat(x, starts), live_sizes)
-
-    def weight_map(data):
-        return sp.csr_matrix((data, indices, indptr), shape=(rows * h, cols * h))
 
     def by_head(x):  # (n, d) -> (n·h, d / h) view, row n·h + j holding head j
         return x.reshape(-1, width // h)
 
     # softmax over each map row of the scores, in place
-    w = _pair_dots(q.data, owner, k.data, keys, h).reshape(-1)[order]
+    w = _pair_dots(q.data, plan.owner, k.data, plan.keys, h).reshape(-1)[plan.order]
     w *= s
-    w -= per_row(np.maximum, w)
+    w -= plan.per_row(np.maximum, w)
     np.exp(w, out=w)
-    w /= per_row(np.add, w)
-    weights = weight_map(w)
-    merged = (weights @ by_head(v.data)).reshape(rows, width)
+    w /= plan.per_row(np.add, w)
+    merged = plan.product(w, by_head(v.data)).reshape(rows, width)
 
     def backward_fn(g):
-        dw = _pair_dots(g, owner, v.data, keys, h).reshape(-1)[order]
-        ds = dw - per_row(np.add, dw * w)
+        dw = _pair_dots(g, plan.owner, v.data, plan.keys, h).reshape(-1)[plan.order]
+        ds = dw - plan.per_row(np.add, dw * w)
         ds *= w
         ds *= s
-        dscores = weight_map(ds)
         return (
-            (dscores @ by_head(k.data)).reshape(rows, width),
-            (dscores.T @ by_head(q.data)).reshape(cols, width),
-            (weights.T @ by_head(g)).reshape(cols, width),
+            plan.product(ds, by_head(k.data)).reshape(rows, width),
+            plan.product(ds, by_head(q.data), transposed=True).reshape(cols, width),
+            plan.product(w, by_head(g), transposed=True).reshape(cols, width),
         )
 
     return _op_output(merged, (q, k, v), backward_fn)
@@ -397,13 +451,19 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     Uses the population variance of each row plus ``LAYER_NORM_EPS``, the
     default of ``torch.nn.LayerNorm``. The backward pass recomputes
     the normalized input from the kept row mean and inverse deviation.
+    Row means are ``np.add.reduce`` sums divided in place by the width,
+    the float operations of ``np.mean`` without its Python wrapper.
     """
     width = x.shape[-1]
     _check(gamma.shape == (width,) and beta.shape == (width,), "layer_norm", x.shape, gamma.shape)
-    mean = x.data.mean(axis=-1, keepdims=True)
+    mean = np.add.reduce(x.data, axis=-1, keepdims=True)
+    mean /= width
     out = x.data - mean
-    var = (out**2).mean(axis=-1, keepdims=True)
-    inv_std = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
+    inv_std = np.add.reduce(np.square(out), axis=-1, keepdims=True)
+    inv_std /= width
+    inv_std += LAYER_NORM_EPS
+    np.sqrt(inv_std, out=inv_std)
+    np.divide(1.0, inv_std, out=inv_std)
     # normalize, scale and shift the centered array in place
     out *= inv_std
     out *= gamma.data
@@ -413,13 +473,16 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
         xhat = x.data - mean
         xhat *= inv_std
         lead = tuple(range(g.ndim - 1))
-        dgamma = (g * xhat).sum(axis=lead)
-        dbeta = g.sum(axis=lead)
+        dgamma = np.add.reduce(g * xhat, axis=lead)
+        dbeta = np.add.reduce(g, axis=lead)
         # dx = (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)) * inv_std,
         # built in the dxhat buffer, with xhat turned into the last term
         dx = g * gamma.data
-        dx_mean = dx.mean(axis=-1, keepdims=True)
-        xhat *= (dx * xhat).mean(axis=-1, keepdims=True)
+        dx_mean = np.add.reduce(dx, axis=-1, keepdims=True)
+        dx_mean /= width
+        proj = np.add.reduce(dx * xhat, axis=-1, keepdims=True)
+        proj /= width
+        xhat *= proj
         dx -= dx_mean
         dx -= xhat
         dx *= inv_std

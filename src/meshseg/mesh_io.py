@@ -29,6 +29,8 @@ __all__ = [
     "merge_duplicate_vertices",
 ]
 
+_INT64_MAX = int(np.iinfo(np.int64).max)  # the largest label an int64 array holds
+
 
 @dataclass(frozen=True)
 class Mesh:
@@ -278,6 +280,7 @@ def parse_face_labels(text: str, n_faces: int) -> LabelVec:
     """
     tokens = [token for token in map(str.strip, _lines(text)) if token]
     labels = _convert(tokens, np.int64, 1)
+    too_large = None  # the line of the first label beyond int64
     if labels is None or (labels < 0).any():
         # the label checks name the first bad line
         raw: list[int] = []
@@ -291,10 +294,14 @@ def parse_face_labels(text: str, n_faces: int) -> LabelVec:
                 raise MeshFormatError(f"non-integer label {token!r}", line=line_no) from None
             if value < 0:
                 raise MeshFormatError(f"negative label {value}", line=line_no)
+            if value > _INT64_MAX and too_large is None:
+                too_large = line_no
             raw.append(value)
         labels = raw
     if len(labels) != n_faces:
         raise MeshFormatError(f"label count mismatch: {len(labels)} labels for {n_faces} faces")
+    if too_large is not None:
+        raise MeshFormatError(f"label too large (above {_INT64_MAX})", line=too_large)
     labels = np.array(labels, dtype=np.int64).reshape(-1)
     return LabelVec(labels=labels, num_classes=int(labels.max(initial=-1)) + 1)
 

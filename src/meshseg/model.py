@@ -176,22 +176,26 @@ def init_params(
 
 @dataclass(frozen=True)
 class AttentionMasks:
-    """Which keys each attention may see. Two listings in CSR form
-    (compressed sparse rows) give the keys of the sparse attentions:
-    query row r sees the key rows ``ids[ptr[r]:ptr[r + 1]]``. The clusters'
-    listing names every face once; a cluster id that no face carries is an
-    empty segment. K counts the cluster tokens: one per cluster, and one
-    more for the padding cluster when padded. The cluster bias is
-    additive: 0 allows, -inf blocks, a finite value biases the score."""
+    """Which keys each attention of one forward may see. The sparse
+    attentions each get the :class:`~meshseg.autodiff.ListingPlan` of a
+    listing in CSR form (compressed sparse rows), under which query row r
+    sees the key rows ``keys[ptr[r]:ptr[r + 1]]``; every layer and every
+    backward pass of the forward reuse it. The clusters' listing names
+    every face once; a cluster id that no face carries is an empty segment.
+    K counts the cluster tokens: one per cluster, and one more for the
+    padding cluster when padded. The cluster bias is additive: 0 allows,
+    -inf blocks, a finite value biases the score."""
 
-    neighbor_ids: np.ndarray  # int64 face ids: each face, then its neighbors, ascending per face
-    neighbor_ptr: np.ndarray  # (N + 1,) int64: face i's keys start at neighbor_ptr[i]
-    members: np.ndarray  # (N,) int64 face ids sorted by cluster, in id order within one
-    member_ptr: np.ndarray  # (K + 1,) int64: cluster c is members[member_ptr[c]:member_ptr[c + 1]]
+    neighbors: ad.ListingPlan  # face i's keys: itself, then its neighbors, ascending
+    members: ad.ListingPlan  # cluster c's keys: its faces in id order
     cluster_bias: np.ndarray  # (K, K) cluster-to-cluster, log n_c per key
 
 
-def build_masks(sample: Sample, dtype=np.float32) -> AttentionMasks:
+def build_masks(sample: Sample, num_heads: int, dtype=np.float32) -> AttentionMasks:
+    """The masks of one forward of ``sample`` with ``num_heads`` heads:
+    the plans of the neighbor and member listings, built once and shared
+    by the ``sa_t`` and ``ct`` calls of every layer and their backward
+    passes, and the cluster bias in ``dtype``."""
     k = sample.num_clusters + (1 if sample.has_padding else 0)
     sizes = np.bincount(sample.cluster_ids, minlength=k)
     member_ptr = np.zeros(k + 1, dtype=np.int64)
@@ -207,11 +211,11 @@ def build_masks(sample: Sample, dtype=np.float32) -> AttentionMasks:
         bias[:-1, -1] = -np.inf
         bias[-1, -1] = 0.0
     neighbor_ptr, neighbor_ids = sample.adjacency.closed_neighborhoods()
+    n = sample.n_total
     return AttentionMasks(
-        neighbor_ids=neighbor_ids,
-        neighbor_ptr=neighbor_ptr,
-        members=np.argsort(sample.cluster_ids, kind="stable"),
-        member_ptr=member_ptr,
+        neighbors=ad.ListingPlan(neighbor_ids, neighbor_ptr, n, num_heads),
+        members=ad.ListingPlan(np.argsort(sample.cluster_ids, kind="stable"), member_ptr, n,
+                               num_heads),
         cluster_bias=bias.astype(dtype),
     )
 
@@ -228,16 +232,17 @@ def multi_head_attention(p, name, q_in, k_in, v_in, mask, num_heads):
     """Multi-head attention of the ``q_in`` rows over the ``k_in``/``v_in``
     rows, per-head width d / num_heads, all heads in one op.
 
-    ``mask`` is either an additive bias of shape (rows, keys), or a CSR
-    listing, a pair (ids, ptr) under which row r attends to the key rows
+    ``mask`` is either an additive bias of shape (rows, keys), or the
+    :class:`~meshseg.autodiff.ListingPlan`, built for ``num_heads`` heads,
+    of a CSR listing (ids, ptr) under which row r attends to the key rows
     ``ids[ptr[r]:ptr[r + 1]]``.
     """
     q = ad.linear(q_in, p[f"{name}.wq"])
     k = ad.linear(k_in, p[f"{name}.wk"])
     v = ad.linear(v_in, p[f"{name}.wv"])
     scale = 1.0 / np.sqrt(q.shape[-1] // num_heads)
-    if isinstance(mask, tuple):
-        merged = ad.segment_attention(q, k, v, *mask, num_heads, scale)
+    if isinstance(mask, ad.ListingPlan):
+        merged = ad.segment_attention(q, k, v, mask, scale)
     else:
         merged = ad.attention(q, k, v, mask, num_heads, scale)
     return ad.linear(merged, p[f"{name}.wo"])
@@ -277,9 +282,7 @@ def met_layer(p, prefix, e_tok, p_tok, masks, cluster_ids, cfg, training, rng, l
             _layer_norm(p, f"{prefix}.tc.ln", e_tok),
             ad.embedding_lookup(tc_ff, cluster_ids), cfg, training, rng,
         )
-    sa_t = _self_attention(
-        p, f"{prefix}.sa_t", e_in, (masks.neighbor_ids, masks.neighbor_ptr), cfg
-    )
+    sa_t = _self_attention(p, f"{prefix}.sa_t", e_in, masks.neighbors, cfg)
     e_mid = _residual(e_in, sa_t, cfg, training, rng)
     e_out = _residual(e_mid, _feed_forward(p, f"{prefix}.res_t", e_mid), cfg, training, rng)
     if last or not cfg.use_cluster_stream:
@@ -289,7 +292,7 @@ def met_layer(p, prefix, e_tok, p_tok, masks, cluster_ids, cfg, training, rng, l
     # keys/values from the raw tokens of the cluster's own triangles
     ct_attn = multi_head_attention(
         p, f"{prefix}.ct", _layer_norm(p, f"{prefix}.ct.ln", p_tok), e_tok, e_tok,
-        (masks.members, masks.member_ptr), cfg.num_heads,
+        masks.members, cfg.num_heads,
     )
     ct = _residual(p_tok, ct_attn, cfg, training, rng)
     p_mid = _residual(
@@ -320,17 +323,18 @@ def met_forward(
 ) -> Tensor:
     """Per-triangle class scores, shape (n_total, num_classes).
 
-    Builds the sample's attention masks on every call; they depend only on
-    its adjacency, cluster ids and padding, and cost little next to the
-    forward itself. Padding rows produce scores too; downstream consumers
-    drop them via the sample's real mask.
+    Builds the sample's attention masks, with the plans of its two
+    listings, once per call; they depend only on its adjacency, cluster
+    ids and padding, and cost little next to the forward itself. Padding
+    rows produce scores too; downstream consumers drop them via the
+    sample's real mask.
     """
     if sample.features.shape[1] != cfg.feature_width:
         raise ConfigError(
             f"feature width {sample.features.shape[1]} != configured {cfg.feature_width}"
         )
     dtype = params["embed.w"].dtype
-    masks = build_masks(sample, dtype=dtype)
+    masks = build_masks(sample, cfg.num_heads, dtype=dtype)
     k = masks.cluster_bias.shape[0]
     if cfg.use_cluster_stream and k > cfg.max_clusters:
         raise ConfigError(f"sample needs {k} cluster embeddings, table has {cfg.max_clusters}")

@@ -249,6 +249,10 @@ def train(
             "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
         }
         history.append(entry)
+        logger.info("step %(step)d loss %(loss).4f accuracy %(accuracy).4f "
+                    "grad_norm %(grad_norm).4g forward_s %(forward_s).3f "
+                    "backward_s %(backward_s).3f optim_s %(optim_s).3f "
+                    "samples_per_s %(samples_per_s).2f peak_rss_mb %(peak_rss_mb).1f", entry)
         if log_file:
             log_file.write(json.dumps(entry) + "\n")
             log_file.flush()
@@ -320,9 +324,6 @@ def train(
                 step += 1
                 if step % train_cfg.eval_every == 0 or step == train_cfg.max_steps:
                     metrics = record(step, batch_loss, grad_norm, "val" if val_set else "train")
-                    logger.info(
-                        "step %d loss %.4f accuracy %.4f", step, batch_loss, metrics.area_accuracy
-                    )
                     if metrics.area_accuracy > best_acc:
                         best_acc = metrics.area_accuracy
                         # after the last step the live parameters are the best

@@ -13,17 +13,23 @@ it became ``autodiff.weighted_nll``. ``weighted_nll_oracle`` chains them
 as the loss did, and the fused op must agree with it bit for bit. The
 tests also use them to turn an op's output into a scalar loss.
 
-Two oracles are ops whose memory use was cut, each as it was before:
+Three oracles are ops whose memory use or time was cut, each as it was
+before:
 
 - ``layer_norm_oracle`` builds its output and its input gradient from
-  full-size temporaries, where ``autodiff.layer_norm`` works in place.
+  full-size temporaries and takes its row means with ``np.mean``, where
+  ``autodiff.layer_norm`` works in place on plain reductions.
 - ``embedding_lookup_oracle`` scatters its gradient with ``np.add.at``,
   where ``autodiff.embedding_lookup`` uses one sparse product.
+- ``segment_attention_oracle`` takes the raw listing and builds the weight
+  map's indices and scipy matrices on every call, where
+  ``autodiff.segment_attention`` fills the fixed structure of a
+  ``ListingPlan`` built once per listing.
 
-Both must agree with the library ops bit for bit.
+All three must agree with the library ops bit for bit.
 
-The two oracles of ``autodiff.segment_attention`` sum in other orders, so
-they agree with it to rounding, not bit for bit:
+The two earlier oracles of ``autodiff.segment_attention`` sum in other
+orders, so they agree with it to rounding, not bit for bit:
 
 - ``neighbor_attention_oracle`` is the triangle self-attention as the model
   ran it before: attention over a padded (R, m) table of key rows, with
@@ -37,9 +43,10 @@ they agree with it to rounding, not bit for bit:
 from __future__ import annotations
 
 import numpy as np
+import scipy.sparse as sp
 
 from meshseg import autodiff as ad
-from meshseg.autodiff import Tensor, _check, _check_heads, _op_output, _softmax
+from meshseg.autodiff import Tensor, _check, _check_heads, _op_output, _pair_dots, _softmax
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -207,3 +214,66 @@ def table_listing(index, bias):
     ptr = np.zeros(live.shape[0] + 1, dtype=np.int64)
     np.cumsum(live.sum(axis=1), out=ptr[1:])
     return np.asarray(index)[live], ptr
+
+
+def segment_attention_oracle(q: Tensor, k: Tensor, v: Tensor, keys, ptr, num_heads: int,
+                             scale: float) -> Tensor:
+    """``autodiff.segment_attention`` over the listing (``keys``, ``ptr``)
+    as it ran before its listing plan: each call builds the weight map's
+    indices from the listing and makes one scipy matrix in the forward and
+    one matrix and two transposes in the backward."""
+    _check_heads("segment_attention", q, k, v, num_heads)
+    keys = np.asarray(keys, dtype=np.int64)
+    ptr = np.asarray(ptr, dtype=np.int64)
+    (rows, width), cols, h = q.shape, k.shape[0], num_heads
+    sizes = np.diff(ptr)
+    _check(keys.ndim == 1 and ptr.shape == (rows + 1,) and ptr[0] == 0
+           and ptr[-1] == keys.size and (sizes >= 0).all(),
+           "segment_attention", q.shape, k.shape, keys.shape, ptr.shape)
+    if keys.size and (keys.min() < 0 or keys.max() >= cols):
+        raise IndexError(f"segment key out of range for {cols} key rows")
+    pairs = keys.size
+    owner = np.repeat(np.arange(rows), sizes)  # the query row of each pair
+    # map row r·h + j holds query r's pairs in head j, in listing order,
+    # from entry start[r, j] = ptr[r]·h + j·sizes[r] on
+    start = ptr[:-1, np.newaxis] * h + np.arange(h) * sizes[:, np.newaxis]
+    entry = start[owner] + (np.arange(pairs) - ptr[owner])[:, np.newaxis]  # (P, h)
+    order = np.empty(pairs * h, dtype=np.int64)  # map entry -> (pair, head) entry
+    order[entry.reshape(-1)] = np.arange(pairs * h)
+    indices = (keys[:, np.newaxis] * h + np.arange(h)).reshape(-1)[order]
+    indptr = np.append(start.reshape(-1), pairs * h)
+    row_sizes = np.repeat(sizes, h)
+    starts, live_sizes = indptr[:-1][row_sizes > 0], row_sizes[row_sizes > 0]
+    s = q.dtype.type(scale)
+
+    def per_row(reduce, x):  # each entry's reduction over its map row
+        return np.repeat(reduce.reduceat(x, starts), live_sizes)
+
+    def weight_map(data):
+        return sp.csr_matrix((data, indices, indptr), shape=(rows * h, cols * h))
+
+    def by_head(x):  # (n, d) -> (n·h, d / h) view, row n·h + j holding head j
+        return x.reshape(-1, width // h)
+
+    # softmax over each map row of the scores, in place
+    w = _pair_dots(q.data, owner, k.data, keys, h).reshape(-1)[order]
+    w *= s
+    w -= per_row(np.maximum, w)
+    np.exp(w, out=w)
+    w /= per_row(np.add, w)
+    weights = weight_map(w)
+    merged = (weights @ by_head(v.data)).reshape(rows, width)
+
+    def backward_fn(g):
+        dw = _pair_dots(g, owner, v.data, keys, h).reshape(-1)[order]
+        ds = dw - per_row(np.add, dw * w)
+        ds *= w
+        ds *= s
+        dscores = weight_map(ds)
+        return (
+            (dscores @ by_head(k.data)).reshape(rows, width),
+            (dscores.T @ by_head(q.data)).reshape(cols, width),
+            (weights.T @ by_head(g)).reshape(cols, width),
+        )
+
+    return _op_output(merged, (q, k, v), backward_fn)

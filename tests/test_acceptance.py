@@ -310,9 +310,8 @@ def test_criterion_04_autodiff_finite_differences():
     bias[0, 1] = -np.inf
     bias[2, :] = np.log([1.0, 2.0, 3.0, 1.0, 5.0])
     check_op(lambda a, b, c: ad.attention(a, b, c, bias, 2, 0.7), q, k, v)
-    neighbors, neighbor_ptr = [0, 2, 4, 1, 3, 2, 4, 2], [0, 3, 5, 8]
-    check_op(lambda a, b, c: ad.segment_attention(a, b, c, neighbors, neighbor_ptr, 2, 0.7),
-             q, k, v)
+    neighbors = ad.ListingPlan([0, 2, 4, 1, 3, 2, 4, 2], [0, 3, 5, 8], 5, 2)
+    check_op(lambda a, b, c: ad.segment_attention(a, b, c, neighbors, 0.7), q, k, v)
 
     # the model's fused linear layer, without and with its ReLU, whose
     # inputs take both signs away from the kink
@@ -324,8 +323,8 @@ def test_criterion_04_autodiff_finite_differences():
 
     # the same op over the clusters' listing of the key rows: one segment
     # of a single key, an empty one, and one of the other four
-    members, member_ptr = [3, 0, 2, 4, 1], [0, 1, 1, 5]
-    check_op(lambda a, b, c: ad.segment_attention(a, b, c, members, member_ptr, 2, 0.7), q, k, v)
+    members = ad.ListingPlan([3, 0, 2, 4, 1], [0, 1, 1, 5], 5, 2)
+    check_op(lambda a, b, c: ad.segment_attention(a, b, c, members, 0.7), q, k, v)
 
     # the fused loss op, with a zero-weight row as a padding face has
     nll_weights = rng.random(5)

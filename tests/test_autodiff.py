@@ -41,6 +41,7 @@ from op_oracles import (
     neighbor_attention_oracle,
     reduce_sum,
     scale,
+    segment_attention_oracle,
     table_listing,
     weighted_nll_oracle,
 )
@@ -131,6 +132,11 @@ def run_op(op, dtype, weight, *arrays):
     out = op(*leaves)
     ad.backward(reduce_sum(mul(out, Tensor(weight.astype(dtype)))))
     return (out.data, *(t.grad for t in leaves))
+
+
+def listing_attention(q, k, v, keys, ptr, num_heads, scale):
+    """``ad.segment_attention`` over the plan of the listing (keys, ptr)."""
+    return ad.segment_attention(q, k, v, ad.ListingPlan(keys, ptr, k.shape[0], num_heads), scale)
 
 
 def assert_bit_identical(runs, dtype):
@@ -328,8 +334,8 @@ class TestAttention:
         dense = np.full((4, 5), -np.inf)
         for r, c in zip(*np.nonzero(np.isfinite(slot_bias))):
             dense[r, table[r, c]] = slot_bias[r, c]
-        out = ad.segment_attention(Tensor(q), Tensor(k), Tensor(v),
-                                   *table_listing(table, slot_bias), 2, 0.4)
+        out = listing_attention(Tensor(q), Tensor(k), Tensor(v),
+                                *table_listing(table, slot_bias), 2, 0.4)
         np.testing.assert_allclose(out.data, per_head_attention(q, k, v, dense, 2, 0.4),
                                    atol=1e-14)
 
@@ -346,7 +352,7 @@ class TestAttention:
         bias[5] = -np.inf  # an empty segment
         bias[6, 1:] = -np.inf  # a single key
         listing = table_listing(index, bias)
-        got = run_op(lambda a, b, c: ad.segment_attention(a, b, c, *listing, 4, 0.3),
+        got = run_op(lambda a, b, c: listing_attention(a, b, c, *listing, 4, 0.3),
                      dtype, weight, q, k, v)
         want = run_op(lambda a, b, c: neighbor_attention_oracle(a, b, c, index, bias, 4, 0.3),
                       dtype, weight, q, k, v)
@@ -360,7 +366,7 @@ class TestAttention:
         # receives the gradient of both pairs
         q, k, v = rng.normal(size=(1, 2)), rng.normal(size=(2, 2)), rng.normal(size=(2, 2))
         kt, vt = Tensor(k, requires_grad=True), Tensor(v, requires_grad=True)
-        twice = ad.segment_attention(Tensor(q), kt, vt, [0, 0, 1], [0, 3], 1, 1.0)
+        twice = listing_attention(Tensor(q), kt, vt, [0, 0, 1], [0, 3], 1, 1.0)
         ad.backward(reduce_sum(twice))
         k2, v2 = Tensor(k, requires_grad=True), Tensor(v, requires_grad=True)
         once = ad.attention(Tensor(q), k2, v2, [[np.log(2.0), 0.0]], 1, 1.0)
@@ -382,7 +388,7 @@ class TestAttention:
         weight = rng.normal(size=(rows, width)) * 10.0 ** rng.integers(-6, 7, size=(rows, 1))
 
         def run(ids, k_rows, v_rows):
-            op = lambda a, b, c: ad.segment_attention(a, b, c, ids, ptr, 2, 0.3)
+            op = lambda a, b, c: listing_attention(a, b, c, ids, ptr, 2, 0.3)
             return run_op(op, dtype, weight, q, k_rows, v_rows)[2:]
 
         dk, dv = run(listed, k, v)
@@ -405,8 +411,9 @@ class TestAttention:
         index = rng.integers(0, rows, size=(rows, m))
         bias = np.zeros((rows, m))
         bias[::3, -1] = -np.inf
-        listed, ptr = table_listing(index, bias)
-        out = ad.segment_attention(q, k, v, listed, ptr, heads, 0.125)
+        plan = ad.ListingPlan(*table_listing(index, bias), rows, heads)
+        out = ad.segment_attention(q, k, v, plan, 0.125)
+        listed = plan.keys
         g = rng.normal(size=out.shape)
         pair_bytes = listed.size * width * 8
         tracemalloc.start()
@@ -422,12 +429,67 @@ class TestAttention:
     def test_neighbor_index_out_of_range(self, rng):
         x = Tensor(rng.normal(size=(2, 2)))
         with pytest.raises(IndexError):
-            ad.segment_attention(x, x, x, [0, 2], [0, 1, 2], 1, 1.0)
+            listing_attention(x, x, x, [0, 2], [0, 1, 2], 1, 1.0)
 
     def test_heads_must_divide_width(self, rng):
         x = Tensor(rng.normal(size=(2, 3)))
         with pytest.raises(ShapeMismatchError):
             ad.attention(x, x, x, np.zeros((2, 2)), 2, 1.0)
+
+
+class TestListingPlan:
+    """The op over a plan against ``segment_attention_oracle``, the op as it
+    ran before its plan, building the map's indices and scipy matrices on
+    every call: equal bits in the output and all three gradients."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("heads", range(1, 9))
+    def test_matches_the_per_call_oracle_bit_for_bit(self, rng, dtype, heads):
+        for _ in range(6):
+            rows, cols = (int(n) for n in rng.integers(2, 40, size=2))
+            head_width = int(rng.integers(1, 5))  # 1: each head is one column
+            sizes = rng.integers(0, 7, size=rows)
+            sizes[rng.random(rows) < 0.2] = 0
+            sizes[0] = 0  # an empty segment
+            sizes[-1] = max(2, sizes[-1])
+            ptr = np.zeros(rows + 1, dtype=np.int64)
+            np.cumsum(sizes, out=ptr[1:])
+            keys = rng.integers(0, cols, size=ptr[-1])  # keys repeat across segments
+            keys[ptr[-2] + 1] = keys[ptr[-2]]  # and one twice in the last segment
+            q, weight = (rng.normal(size=(rows, heads * head_width)) for _ in range(2))
+            k, v = (rng.normal(size=(cols, heads * head_width)) for _ in range(2))
+            plan = ad.ListingPlan(keys, ptr, cols, heads)
+            runs = [
+                run_op(lambda a, b, c: ad.segment_attention(a, b, c, plan, 0.3), dtype,
+                       weight, q, k, v),
+                run_op(lambda a, b, c: segment_attention_oracle(a, b, c, keys, ptr, heads, 0.3),
+                       dtype, weight, q, k, v),
+            ]
+            assert_bit_identical(runs, dtype)
+
+    def test_one_plan_serves_many_calls(self, rng):
+        """Calls share a plan's arrays and leave them untouched."""
+        keys, ptr = [0, 2, 2, 1, 0, 1], [0, 3, 3, 6]
+        plan = ad.ListingPlan(keys, ptr, 3, 2)
+        before = {name: getattr(plan, name).copy() for name in plan.__slots__
+                  if isinstance(getattr(plan, name), np.ndarray)}
+        for _ in range(3):
+            weight, q, k, v = (rng.normal(size=(n, 4)) for n in (3, 3, 3, 3))
+            got = run_op(lambda a, b, c: ad.segment_attention(a, b, c, plan, 0.5),
+                         np.float64, weight, q, k, v)
+            want = run_op(lambda a, b, c: segment_attention_oracle(a, b, c, keys, ptr, 2, 0.5),
+                          np.float64, weight, q, k, v)
+            assert_bit_identical((got, want), np.float64)
+        for name, array in before.items():
+            np.testing.assert_array_equal(getattr(plan, name), array)
+
+    def test_index_width_and_bytes(self):
+        plan = ad.ListingPlan([0, 2, 2, 1], [0, 3, 4], 3, 4)
+        assert plan.indices.dtype == plan.indptr.dtype == np.int32
+        assert plan.keys.dtype == plan.ptr.dtype == np.int64
+        arrays = (plan.keys, plan.ptr, plan.owner, plan.order, plan.indices, plan.indptr,
+                  plan.starts, plan.live_sizes)
+        assert plan.nbytes == sum(a.nbytes for a in arrays) > 0
 
 
 def cluster_listing(ids, k):
@@ -459,7 +521,7 @@ class TestClusterAttention:
         ids[[5, 17]] = [k - 3, k - 2]
         listing = cluster_listing(ids, k)
         q, keys, values, upstream = (rng.normal(size=(m, d)) for m in (k, n, n, k))
-        got = self.run(ad.segment_attention, dtype, q, keys, values, listing, upstream)
+        got = self.run(listing_attention, dtype, q, keys, values, listing, upstream)
         want = self.run(cluster_attention_oracle, dtype, q, keys, values, listing, upstream)
         for a, b in zip(got, want):
             assert a.dtype == dtype
@@ -471,7 +533,7 @@ class TestClusterAttention:
         ids = np.array([0, 2, 2, 0, 3, 2])  # cluster 1 is empty
         listing = cluster_listing(ids, 4)
         q, keys, values, upstream = (rng.normal(size=(m, 4)) for m in (4, 6, 6, 4))
-        got = self.run(ad.segment_attention, np.float64, q, keys, values, listing, upstream, 2)
+        got = self.run(listing_attention, np.float64, q, keys, values, listing, upstream, 2)
         want = self.run(cluster_attention_oracle, np.float64, q, keys, values, listing,
                         upstream, 2)
         assert all(np.isfinite(a).all() for a in got)
@@ -484,7 +546,7 @@ class TestClusterAttention:
         # scores of 2e4 overflow exp unless each segment's max comes off first
         q = Tensor(np.full((2, 2), 100.0))
         keys = Tensor(np.array([[100.0, 100.0], [99.0, 99.0], [1.0, 1.0]]))
-        out = ad.segment_attention(q, keys, keys, [0, 1, 2], [0, 2, 3], 1, 1.0)
+        out = listing_attention(q, keys, keys, [0, 1, 2], [0, 2, 3], 1, 1.0)
         np.testing.assert_allclose(out.data, [[100.0, 100.0], [1.0, 1.0]], atol=1e-12)
 
     def test_holds_a_few_key_sized_arrays(self, rng):
@@ -498,9 +560,10 @@ class TestClusterAttention:
         q, keys, values = (Tensor(rng.normal(size=(m, d)), requires_grad=True)
                            for m in (k, n, n))
         g = rng.normal(size=(k, d))
+        plan = ad.ListingPlan(*listing, n, 4)
         tracemalloc.start()
         try:
-            out = ad.segment_attention(q, keys, values, *listing, 4, 0.125)
+            out = ad.segment_attention(q, keys, values, plan, 0.125)
             grads = out._backward_fn(g)
             _, peak = tracemalloc.get_traced_memory()
         finally:
@@ -511,17 +574,25 @@ class TestClusterAttention:
     def test_listing_is_validated(self, rng):
         q, keys = Tensor(rng.normal(size=(2, 2))), Tensor(rng.normal(size=(3, 2)))
         # a key may be listed twice or not at all
-        ad.segment_attention(q, keys, keys, [0, 1, 1], [0, 1, 3], 1, 1.0)
+        ad.segment_attention(q, keys, keys, ad.ListingPlan([0, 1, 1], [0, 1, 3], 3, 1), 1.0)
         with pytest.raises(IndexError):
-            ad.segment_attention(q, keys, keys, [0, 1, 3], [0, 1, 3], 1, 1.0)
+            ad.ListingPlan([0, 1, 3], [0, 1, 3], 3, 1)
         with pytest.raises(IndexError):
-            ad.segment_attention(q, keys, keys, [0, -1], [0, 1, 2], 1, 1.0)
+            ad.ListingPlan([0, -1], [0, 1, 2], 3, 1)
         with pytest.raises(ShapeMismatchError):
-            ad.segment_attention(q, keys, keys, [0, 1], [0, 1, 3], 1, 1.0)
+            ad.ListingPlan([0, 1], [0, 1, 3], 3, 1)
         with pytest.raises(ShapeMismatchError):
-            ad.segment_attention(q, keys, keys, [0, 1, 2], [0, 3], 1, 1.0)
+            ad.ListingPlan([0, 1, 2], [0, 4, 3], 3, 1)
         with pytest.raises(ShapeMismatchError):
-            ad.segment_attention(q, keys, keys, [0, 1, 2], [0, 4, 3], 1, 1.0)
+            ad.ListingPlan([0, 1], [0, 2], 3, 0)
+        # a valid plan whose query or key count differs from the call's
+        with pytest.raises(ShapeMismatchError):
+            ad.segment_attention(q, keys, keys, ad.ListingPlan([0, 1, 2], [0, 3], 3, 1), 1.0)
+        with pytest.raises(ShapeMismatchError):
+            ad.segment_attention(q, keys, keys, ad.ListingPlan([0, 1], [0, 1, 2], 4, 1), 1.0)
+        # and a plan for more heads than the width splits into
+        with pytest.raises(ShapeMismatchError):
+            ad.segment_attention(q, keys, keys, ad.ListingPlan([0, 1], [0, 1, 2], 3, 3), 1.0)
 
 
 class TestLayerNorm:
@@ -544,14 +615,17 @@ class TestLayerNorm:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_in_place_op_matches_oracle_bit_for_bit(self, rng, dtype):
         """The output and all three gradients equal those of the version
-        built from full-size temporaries, a constant row included."""
-        x = rng.normal(size=(9, 16)) * 3.0 + 1.0
-        x[4] = 2.5
-        gamma, beta = rng.normal(size=16), rng.normal(size=16)
-        weight = rng.normal(size=(9, 16))
-        runs = [run_op(op, dtype, weight, x, gamma, beta)
-                for op in (ad.layer_norm, layer_norm_oracle)]
-        assert_bit_identical(runs, dtype)
+        built from full-size temporaries with ``np.mean``, a constant row
+        included, also at widths that are no power of two, where the
+        division of each row sum by the width rounds."""
+        for width in (16, 12, 28, 100, 3, 257):
+            x = rng.normal(size=(9, width)) * 3.0 + 1.0
+            x[4] = 2.5
+            gamma, beta = rng.normal(size=width), rng.normal(size=width)
+            weight = rng.normal(size=(9, width))
+            runs = [run_op(op, dtype, weight, x, gamma, beta)
+                    for op in (ad.layer_norm, layer_norm_oracle)]
+            assert_bit_identical(runs, dtype)
 
 
 class TestDropout:
@@ -679,7 +753,7 @@ class TestFiniteDifference:
         w = rng.normal(size=(4, 4))
         check_grad(
             lambda a, b, c: reduce_sum(mul(
-                ad.segment_attention(a, b, c, *listing, 2, 0.8), Tensor(w))),
+                listing_attention(a, b, c, *listing, 2, 0.8), Tensor(w))),
             q, k, v,
         )
 
@@ -692,7 +766,7 @@ class TestFiniteDifference:
         w = rng.normal(size=(5, 6))
         check_grad(
             lambda a, b, c: reduce_sum(mul(
-                ad.segment_attention(a, b, c, members, member_ptr, 3, 0.8), Tensor(w))),
+                listing_attention(a, b, c, members, member_ptr, 3, 0.8), Tensor(w))),
             q, k, v,
         )
 
@@ -1022,9 +1096,9 @@ class TestBackwardMechanics:
             "masked_softmax": lambda a: masked_softmax(a, np.where(x > 1.0, -np.inf, 0.0)),
             "attention": lambda a: ad.attention(
                 a, Tensor(k, requires_grad=True), Tensor(k, requires_grad=True), bias, 2, 0.5),
-            "segment_attention neighbors": lambda a: ad.segment_attention(
+            "segment_attention neighbors": lambda a: listing_attention(
                 a, a, a, [0, 1, 1, 2, 0], [0, 2, 3, 5], 2, 0.5),
-            "segment_attention clusters": lambda a: ad.segment_attention(
+            "segment_attention clusters": lambda a: listing_attention(
                 a, Tensor(k, requires_grad=True), Tensor(k, requires_grad=True),
                 [3, 0, 4, 1, 2], [0, 2, 2, 5], 2, 0.5),
             "log_softmax": log_softmax,
@@ -1040,7 +1114,7 @@ class TestBackwardMechanics:
                 a, 0.5, training=False, residual=Tensor(y, requires_grad=True)),
         }
         covered = {name.split()[0] for name in ops}
-        library_ops = set(ad.__all__) - {"Tensor", "ShapeMismatchError", "backward"}
+        library_ops = set(ad.__all__) - {"Tensor", "ShapeMismatchError", "ListingPlan", "backward"}
         assert covered == library_ops | ORACLE_OPS
         for name, op in ops.items():
             out = op(Tensor(x.copy(), requires_grad=True))

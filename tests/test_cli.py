@@ -449,6 +449,19 @@ def test_malformed_mesh_exits_1_naming_its_line(command, damage, dataset_dir, tm
     assert result.output == f"error: {message}\n"
 
 
+def test_label_beyond_int64_in_preprocess_fails_naming_its_line(dataset_dir, tmp_path):
+    """A label too large for an int64 is a data error that names its line
+    (exit 1), not an OverflowError traceback."""
+    (dataset_dir / "shapes" / "bad.off").write_text("OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n")
+    (dataset_dir / "labels" / "bad.txt").write_text("99999999999999999999\n")
+    out = tmp_path / "samples"
+    result = run(["preprocess", str(dataset_dir), str(out), *PREPROCESS_FLAGS])
+    assert result.exit_code == 1, result.output
+    assert re.search(r"^bad +FAILED: label too large \(above 9223372036854775807\), line 1$",
+                     result.output, re.MULTILINE), result.output
+    assert len(list(out.glob("*.sample"))) == 3
+
+
 @pytest.mark.parametrize("damaged", ["mesh", "labels"])
 def test_undecodable_file_in_preprocess_fails_naming_it(damaged, dataset_dir, tmp_path):
     """Bytes that are not UTF-8 are a data error that names the file (exit

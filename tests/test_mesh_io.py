@@ -27,6 +27,8 @@ from loop_oracles import merge_duplicate_vertices_oracle
 
 TRIANGLE_OFF = "OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n"
 
+INT64_MAX = int(np.iinfo(np.int64).max)
+
 TETRA_OFF = (
     "OFF\n4 4 0\n"
     "0 0 0\n1 0 0\n0 1 0\n0 0 1\n"
@@ -164,6 +166,18 @@ class TestParseFaceLabels:
         with pytest.raises(MeshFormatError, match="non-integer"):
             parse_face_labels("1\nfoo\n2\n", 3)
 
+    @pytest.mark.parametrize("text, count, line", [
+        ("99999999999999999999\n", 1, 1),
+        ("0\n\n9223372036854775808\n99999999999999999999\n", 3, 3),
+    ])
+    def test_label_beyond_int64_names_its_line(self, text, count, line):
+        with pytest.raises(MeshFormatError,
+                           match=rf"label too large \(above {INT64_MAX}\), line {line}$"):
+            parse_face_labels(text, count)
+
+    def test_largest_int64_label_is_kept(self):
+        assert parse_face_labels(f"{INT64_MAX}\n0\n", 2).labels.tolist() == [INT64_MAX, 0]
+
     def test_crlf_and_blank_lines(self):
         lv = parse_face_labels("3\r\n\r\n3\r\n7\r\n", 3)
         assert lv.labels.tolist() == [3, 3, 7]
@@ -274,6 +288,18 @@ def outcome(parse, *args):
         return result.labels, result.num_classes
     mesh, colors = result if isinstance(result, tuple) else (result, None)
     return mesh.vertices, mesh.faces, colors
+
+
+def label_outcome_oracle(text: str, count: int):
+    """The outcome of ``parse_face_labels_oracle``, but for the one
+    deliberate difference: where the oracle's int64 conversion overflows,
+    the reader names the line of the first label beyond int64."""
+    want = outcome(parse_face_labels_oracle, text, count)
+    if want[0] is OverflowError:
+        line = next(i for i, row in enumerate(text.split("\n"), start=1)
+                    if row.strip() and int(row) > INT64_MAX)
+        want = (MeshFormatError, f"label too large (above {INT64_MAX}), line {line}")
+    return want
 
 
 def assert_same_outcome(got, want):
@@ -418,7 +444,7 @@ class TestBlockReadersMatchRecordLoops:
             text = random_labels(rng, count)
             got = outcome(parse_face_labels, text, count)
             assert not isinstance(got[0], type), (got, text)
-            assert_same_outcome(got, outcome(parse_face_labels_oracle, text, count))
+            assert_same_outcome(got, label_outcome_oracle(text, count))
 
     def test_damaged_records(self, rng):
         errors = set()
@@ -435,7 +461,7 @@ class TestBlockReadersMatchRecordLoops:
                 assert_same_outcome(outcome(parse, text), want)
                 errors.add(want[1] if isinstance(want[0], type) else None)
             labels = damage(rng, random_labels(rng, count), BAD_TOKENS + ["1 2"], 0)
-            want = outcome(parse_face_labels_oracle, labels, count)
+            want = label_outcome_oracle(labels, count)
             assert_same_outcome(outcome(parse_face_labels, labels, count), want)
             errors.add(want[1] if isinstance(want[0], type) else None)
         messages = {e.split(", line")[0] for e in errors if e}
@@ -444,7 +470,8 @@ class TestBlockReadersMatchRecordLoops:
                         "vertex record needs 3 coordinates", "bad face record",
                         "non-triangular face (arity 4)", "face record needs 3 indices",
                         "index out of range", "face record needs 3 color values",
-                        "negative label -1", "non-integer label '1 2'"):
+                        "negative label -1", "non-integer label '1 2'",
+                        f"label too large (above {INT64_MAX})"):
             assert message in messages, sorted(messages)
 
     def test_fuzzed_files(self, rng):
@@ -456,7 +483,7 @@ class TestBlockReadersMatchRecordLoops:
             assert_same_outcome(outcome(parse_ply, ply), outcome(parse_ply_oracle, ply))
             labels = fuzz(rng, random_labels(rng, 8))
             assert_same_outcome(outcome(parse_face_labels, labels, 8),
-                                outcome(parse_face_labels_oracle, labels, 8))
+                                label_outcome_oracle(labels, 8))
 
     def test_first_of_two_bad_rows_is_named(self):
         text = TETRA_OFF.replace("1 0 0", "1 x 0").replace("3 1 2 3", "3 1 2 9")

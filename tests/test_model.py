@@ -83,24 +83,25 @@ class TestParameters:
 def assert_lists_clusters(masks, cluster_ids, k):
     """The CSR listing names every face once: segment c holds exactly the
     faces of cluster c, in ascending id order, as plain int64 arrays."""
-    assert masks.members.dtype == masks.member_ptr.dtype == np.int64
-    assert masks.member_ptr.shape == (k + 1,) and masks.member_ptr[0] == 0
-    np.testing.assert_array_equal(np.sort(masks.members), np.arange(cluster_ids.size))
+    members, member_ptr = masks.members.keys, masks.members.ptr
+    assert members.dtype == member_ptr.dtype == np.int64
+    assert member_ptr.shape == (k + 1,) and member_ptr[0] == 0
+    np.testing.assert_array_equal(np.sort(members), np.arange(cluster_ids.size))
     for c in range(k):
-        segment = masks.members[masks.member_ptr[c]:masks.member_ptr[c + 1]]
+        segment = members[member_ptr[c]:member_ptr[c + 1]]
         np.testing.assert_array_equal(segment, np.flatnonzero(cluster_ids == c))
 
 
 class TestBuildMasks:
     def test_structure(self):
         sample = small_sample(target_faces=24)
-        masks = build_masks(sample, dtype=np.float64)
+        masks = build_masks(sample, 2, dtype=np.float64)
         n = sample.n_total
         k = sample.num_clusters + 1  # plus the padding cluster
         # the neighbor listing names exactly self plus the dual-graph
         # neighbors of each face, in ascending id order
         neighbors = neighbor_lists(sample.adjacency)
-        ids, ptr = masks.neighbor_ids, masks.neighbor_ptr
+        ids, ptr = masks.neighbors.keys, masks.neighbors.ptr
         assert ids.dtype == ptr.dtype == np.int64 and ptr.shape == (n + 1,)
         for i in range(n):
             assert ids[ptr[i]:ptr[i + 1]].tolist() == sorted([i, *neighbors[i]])
@@ -127,15 +128,15 @@ class TestBuildMasks:
         samples = [small_sample(target_faces=24), small_sample(subdivisions=2), fin_sample()]
         for sample in samples:
             want_ptr, want_ids = neighbor_listing_oracle(sample.adjacency)
-            masks = build_masks(sample, dtype=dtype)
-            np.testing.assert_array_equal(masks.neighbor_ptr, want_ptr)
-            np.testing.assert_array_equal(masks.neighbor_ids, want_ids)
-            assert masks.neighbor_ids.dtype == masks.neighbor_ptr.dtype == np.int64
+            masks = build_masks(sample, 2, dtype=dtype)
+            np.testing.assert_array_equal(masks.neighbors.ptr, want_ptr)
+            np.testing.assert_array_equal(masks.neighbors.keys, want_ids)
+            assert masks.neighbors.keys.dtype == masks.neighbors.ptr.dtype == np.int64
             assert masks.cluster_bias.dtype == dtype
 
     def test_unpadded_has_no_padding_cluster(self):
         sample = small_sample()
-        masks = build_masks(sample, dtype=np.float64)
+        masks = build_masks(sample, 2, dtype=np.float64)
         k = sample.num_clusters
         assert_lists_clusters(masks, sample.cluster_ids, k)
         assert np.isfinite(masks.cluster_bias).all()
@@ -153,10 +154,10 @@ class TestBuildMasks:
         # keys of the model's neighbor table
         dense = dense_adjacency(sample.adjacency) + np.eye(n)
         np.testing.assert_array_equal(masks.adjacency == 0, dense > 0)
-        listing = build_masks(sample, np.float64)
+        listing = build_masks(sample, 2, np.float64).neighbors
         scattered = np.full((n, n), -np.inf)
-        rows = np.repeat(np.arange(n), np.diff(listing.neighbor_ptr))
-        scattered[rows, listing.neighbor_ids] = 0.0
+        rows = np.repeat(np.arange(n), np.diff(listing.ptr))
+        scattered[rows, listing.keys] = 0.0
         np.testing.assert_array_equal(masks.adjacency, scattered)
         # co-membership rows of cluster_avg sum to 1
         np.testing.assert_allclose(masks.cluster_avg.sum(axis=1), 1.0, atol=1e-12)
@@ -208,8 +209,8 @@ class TestDenseOracle:
         ids[ids >= 1] += 1  # no face in cluster 1; the padding id moves up too
         sample = replace(sample, cluster_ids=ids, num_clusters=sample.num_clusters + 1)
         sample.validate()
-        masks = build_masks(sample, dtype=np.float64)
-        assert masks.member_ptr[1] == masks.member_ptr[2]
+        masks = build_masks(sample, 2, dtype=np.float64)
+        assert masks.members.ptr[1] == masks.members.ptr[2]
         cfg, params = make_model(sample, seed=4, num_layers=3, max_clusters=16)
         scores = met_forward(sample, params, cfg)
         assert np.abs(scores.data - dense_forward(sample, params, cfg).data).max() <= 1e-6
@@ -220,12 +221,14 @@ class TestDenseOracle:
 
 def attend(path, params, x, mask, num_heads):
     """Self-attention of x under a dense mask of 0 and -inf, given to the
-    model either as that bias or as the listing of its allowed keys."""
+    model either as that bias or as the plan of the listing of its allowed
+    keys."""
     if path == "dense":
         return multi_head_attention(params, "a", x, x, x, mask, num_heads)
     allowed = np.isfinite(mask)
     ptr = np.concatenate([[0], np.cumsum(allowed.sum(axis=1))])
-    return multi_head_attention(params, "a", x, x, x, (np.nonzero(allowed)[1], ptr), num_heads)
+    plan = ad.ListingPlan(np.nonzero(allowed)[1], ptr, x.shape[0], num_heads)
+    return multi_head_attention(params, "a", x, x, x, plan, num_heads)
 
 
 class TestMultiHeadAttention:
@@ -268,6 +271,59 @@ class TestMultiHeadAttention:
         np.testing.assert_allclose(out.data, expected, atol=1e-12)
 
 
+def test_training_step_builds_no_sparse_matrix_inside_attention(monkeypatch):
+    """Once ``build_masks`` has made the listing plans, ``segment_attention``
+    constructs no scipy sparse matrix, forward or backward, in a training
+    step at the acceptance size (N=210, d=64, 2 layers, 4 heads)."""
+    import scipy.sparse._base
+
+    from meshseg.preprocess import PreprocessConfig, build_sample
+    from meshseg.train import area_weights, weighted_cross_entropy
+
+    from conftest import hemisphere_labeled_sphere
+    from test_acceptance import OVERFIT_MODEL
+
+    mesh, labels = hemisphere_labeled_sphere(subdivisions=2, jitter=0.01, seed=0)
+    sample = build_sample(mesh, labels, PreprocessConfig(
+        target_vertices=102, target_faces=210, eigen_count=8, clustering_lambda=8))
+    cfg = ModelConfig(num_classes=2, **OVERFIT_MODEL)
+    params = init_params(cfg, np.random.default_rng(0))
+
+    inside, calls, built = [False], Counter(), []
+    construct = scipy.sparse._base._spbase.__init__
+
+    def counted_construct(self, *args, **kwargs):
+        if inside[0]:
+            built.append(type(self).__name__)
+        construct(self, *args, **kwargs)
+
+    def watched(fn, phase):
+        def run(*args, **kwargs):
+            calls[phase] += 1
+            inside[0] = True
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                inside[0] = False
+        return run
+
+    op = ad.segment_attention
+
+    def watched_op(*args, **kwargs):
+        out = watched(op, "forward")(*args, **kwargs)
+        out._backward_fn = watched(out._backward_fn, "backward")
+        return out
+
+    monkeypatch.setattr(scipy.sparse._base._spbase, "__init__", counted_construct)
+    monkeypatch.setattr(ad, "segment_attention", watched_op)
+    scores = met_forward(sample, params, cfg, training=True, rng=np.random.default_rng(1))
+    ad.backward(weighted_cross_entropy(scores, sample.labels,
+                                       area_weights(sample.areas, sample.real_mask)))
+    assert sample.n_total == 210
+    assert calls == {"forward": 3, "backward": 3}  # 2 sa_t calls and 1 ct call
+    assert built == []
+
+
 class TestNeighborTableAttention(TestMultiHeadAttention):
     """The same hand-computed cases through a listing of the allowed keys,
     the path of the triangle stream's neighbor listing."""
@@ -304,9 +360,9 @@ class TestTriangleAttention:
         degrees = sample.adjacency.degrees()
         assert degrees[~sample.real_mask].max() == 0
         assert (degrees == 3).sum() >= 10 and degrees.max() > 3
-        masks = build_masks(sample, dtype=np.float64)
-        oracle_mask = dense_masks(sample).adjacency
         d, heads = 8, 2
+        masks = build_masks(sample, heads, dtype=np.float64)
+        oracle_mask = dense_masks(sample).adjacency
         weights = {f"a.{k}": rng.normal(size=(d, d)) for k in ("wq", "wk", "wv", "wo")}
         x0 = rng.normal(size=(sample.n_total, d))
         upstream = rng.normal(size=(sample.n_total, d))
@@ -319,7 +375,7 @@ class TestTriangleAttention:
             return out.data, x.grad, {k: p.grad for k, p in params.items()}
 
         out, gx, gp = run(lambda p, x: multi_head_attention(
-            p, "a", x, x, x, (masks.neighbor_ids, masks.neighbor_ptr), heads))
+            p, "a", x, x, x, masks.neighbors, heads))
         ref, ref_gx, ref_gp = run(lambda p, x: dense_attention(
             p, "a", x, x, x, oracle_mask, heads))
         assert np.abs(out - ref).max() <= 1e-12

@@ -1,6 +1,7 @@
 """Loss, metrics, augmentation, and the training loop."""
 
 import json
+import logging
 import weakref
 
 import numpy as np
@@ -231,10 +232,11 @@ class TestEvaluate:
 
 def held_bytes(loss) -> int:
     """Bytes of the distinct arrays a graph keeps alive: the loss value, the
-    value of every leaf and every array a backward closure captured, each
-    view counted once at the array that owns its memory. Op nodes hold no
-    value; the tensors they made keep theirs only while a closure reads
-    them."""
+    value of every leaf and every array a backward closure reaches, through
+    captured tuples, functions and object attributes (a sparse matrix, a
+    listing plan), each view counted once at the array that owns its
+    memory. Op nodes hold no value; the tensors they made keep theirs only
+    while a closure reads them."""
     owners = {}
     seen = set()
 
@@ -254,6 +256,11 @@ def held_bytes(loss) -> int:
         elif callable(value):
             for cell in getattr(value, "__closure__", None) or ():
                 hold(cell.cell_contents)
+        else:
+            for name in getattr(type(value), "__slots__", ()):
+                hold(getattr(value, name, None))
+            for attr in getattr(value, "__dict__", {}).values():
+                hold(attr)
 
     hold(loss.data)
     stack, nodes = [loss._node], {id(loss._node)}
@@ -296,6 +303,24 @@ class TestTrainLoop:
         assert history[-1]["loss"] < history[0]["loss"] * 1.5
         lines = [json.loads(ln) for ln in log.read_text().splitlines()]
         assert lines == history
+
+    def test_info_line_carries_the_record(self, caplog):
+        """Each record is also one INFO line: the loss and accuracy, the
+        step's gradient norm, the phase seconds, the training rate and the
+        peak RSS, as the record holds them."""
+        with caplog.at_level(logging.INFO, logger="meshseg.train"):
+            _, history = train([small_sample()], small_model_config(eigen_count=4),
+                               quick_train_cfg(), dtype=np.float64)
+        lines = [r.getMessage() for r in caplog.records if r.levelno == logging.INFO]
+        assert len(lines) == len(history) == 2
+        formats = {"step": "{:d}", "loss": "{:.4f}", "accuracy": "{:.4f}",
+                   "grad_norm": "{:.4g}", "forward_s": "{:.3f}", "backward_s": "{:.3f}",
+                   "optim_s": "{:.3f}", "samples_per_s": "{:.2f}", "peak_rss_mb": "{:.1f}"}
+        for line, entry in zip(lines, history):
+            assert line == " ".join(f"{key} {fmt.format(entry[key])}"
+                                    for key, fmt in formats.items())
+            assert entry["grad_norm"] > 0 and entry["samples_per_s"] > 0
+            assert entry["peak_rss_mb"] > 0
 
     def test_seed_reproducibility(self):
         samples = [small_sample()]
