@@ -13,22 +13,25 @@ its last reader. ``backward`` walks the nodes in reverse topological order
 with a deterministic accumulation order and consumes them as it goes: a
 graph can be backpropagated once. Only the primitives the segmentation
 network and its loss need are provided, each one graph node for a whole
-step of the network: a projection with its optional bias and ReLU, an
-attention with all its heads, a dropout with its optional residual
-addition, the loss. There are no views and no in-place math on live graph
-values.
+step of the network: a projection with its optional bias and ReLU, a
+feed-forward block of two projections around a ReLU and an optional
+dropout, an attention with all its heads, a dropout with its optional
+residual addition, the loss. There are no views. An op may change in place
+only arrays that it alone holds: its own temporaries, and a value that no
+other node reads, such as the feed-forward block's hidden activation,
+which its backward frees before it allocates the hidden gradient.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.sparse import _sparsetools
 
 __all__ = [
     "Tensor",
     "ShapeMismatchError",
     "linear",
+    "feed_forward",
     "embedding_lookup",
     "attention",
     "ListingPlan",
@@ -144,7 +147,8 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None, relu: bool = False) ->
     The bias and the ReLU are applied in place on the product, so the node
     keeps no pre-bias or pre-activation copy; the backward pass masks by
     ``out > 0``, which takes the subgradient at 0 as 0. Without the ReLU
-    the backward closure keeps no reference to ``out``.
+    the backward closure keeps no reference to ``out``. An ``x`` that
+    requires no gradient gets None, and its product is never computed.
     """
     has_bias = b is not None
     _check(
@@ -163,32 +167,98 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None, relu: bool = False) ->
 
     # the closure keeps the output only when the ReLU mask needs it
     active = y if relu else None
+    needs_dx = x.requires_grad
 
     def backward_fn(g):
         if active is not None:
             g = g * (active > 0)
-        grads = (g @ w.data.T, x.data.T @ g)
+        grads = (g @ w.data.T if needs_dx else None, x.data.T @ g)
         return (*grads, g.sum(axis=0)) if has_bias else grads
 
     return _op_output(y, (x, w, b) if has_bias else (x, w), backward_fn)
 
 
-def _scatter_add_map(ids: np.ndarray, rows: int, dtype) -> sp.csr_matrix:
-    """(rows, ids.size) map of ones whose product with an (ids.size, w)
-    array adds row i into row ``ids.flat[i]``. Sorting the distinct keys
-    target · ids.size + slot lists each row's slots in ascending order, so
-    each row sums them in the order np.add.at would; on large maps a plain
-    sort of the keys beats a stable argsort of the targets several times."""
-    targets = ids.reshape(-1)
-    indptr = np.zeros(rows + 1, dtype=np.int64)
-    np.cumsum(np.bincount(targets, minlength=rows), out=indptr[1:])
-    cols = np.sort(targets * ids.size + np.arange(ids.size)) % ids.size
-    return sp.csr_matrix((np.ones(ids.size, dtype=dtype), cols, indptr), shape=(rows, ids.size))
+def feed_forward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor, p: float = 0.0,
+                 training: bool = False, rng: np.random.Generator | None = None) -> Tensor:
+    """``relu(x @ w1 + b1)``, then inverted dropout with probability ``p``
+    at training time, then ``@ w2 + b2``, as one graph node.
+
+    The float operations, and the rng draw of the dropout mask, are those
+    of ``linear(x, w1, b1, relu=True)``, ``dropout`` and ``linear(·, w2,
+    b2)`` in turn, so values and gradients equal that chain's bit for bit.
+    No other node reads the hidden activation, so the closure keeps it in a
+    one-slot holder that the backward empties: it reads the hidden array
+    for the ``w2`` gradient and its ``> 0`` mask, and drops it before it
+    allocates the hidden gradient, which it then masks in place by the
+    dropout mask, the dropout scale and that mask. After dropout, ``> 0``
+    is the ReLU mask and the dropout mask together, and the hidden gradient
+    already carries the dropout mask's zeros. An ``x`` that requires no
+    gradient gets None.
+    """
+    _check(
+        x.data.ndim == 2 and w1.data.ndim == 2 and w2.data.ndim == 2
+        and x.shape[1] == w1.shape[0] and b1.shape == (w1.shape[1],)
+        and w2.shape[0] == w1.shape[1] and b2.shape == (w2.shape[1],),
+        "feed_forward",
+        x.shape, w1.shape, b1.shape, w2.shape, b2.shape,
+    )
+    if not 0 <= p < 1:
+        raise ValueError(f"dropout probability must be in [0, 1), got {p}")
+    drops = training and p > 0.0
+    if drops and rng is None:
+        raise ValueError("training-mode dropout needs an rng")
+    hidden = x.data @ w1.data
+    hidden += b1.data
+    np.maximum(hidden, 0, out=hidden)
+    keep = s = None
+    if drops:
+        keep = rng.random(hidden.shape) >= p
+        # the scale of ``dropout``, rounded to the dtype
+        s = hidden.dtype.type(1.0) / hidden.dtype.type(1.0 - p)
+        hidden *= keep
+        hidden *= s
+    out = hidden @ w2.data
+    out += b2.data
+    held = [hidden]
+    needs_dx = x.requires_grad
+
+    def backward_fn(g):
+        hidden = held.pop()
+        dw2 = hidden.T @ g
+        active = hidden > 0
+        del hidden
+        db2 = g.sum(axis=0)
+        dh = g @ w2.data.T
+        if keep is not None:
+            dh *= keep
+            dh *= s
+        dh *= active
+        del active
+        return (dh @ w1.data.T if needs_dx else None, x.data.T @ dh, dh.sum(axis=0), dw2, db2)
+
+    return _op_output(out, (x, w1, b1, w2, b2), backward_fn)
+
+
+def _csr_product(kernel, shape, indptr, indices, data: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The sparse map of ``shape`` with entries ``data`` at ``indptr`` and
+    ``indices``, read by ``kernel`` (scipy's ``csr_matvecs`` or
+    ``csc_matvecs``), times the 2-D array ``x``: the kernel that a scipy
+    sparse matrix times a dense array runs, with no matrix object."""
+    dtype = np.result_type(data, x)
+    out = np.zeros((shape[0], x.shape[1]), dtype=dtype)
+    # the kernel reads its arrays through raw pointers
+    kernel(*shape, x.shape[1], indptr, indices, data.astype(dtype, copy=False),
+           np.ascontiguousarray(x, dtype=dtype).ravel(), out.ravel())
+    return out
 
 
 def embedding_lookup(table: Tensor, ids) -> Tensor:
     """Row gather from an embedding table; gradients scatter-add back
-    through one sparse map."""
+    through one sparse map of ones, whose row t lists the lookups of table
+    row t in ascending order, so each row sums them in the order
+    ``np.add.at`` would. The backward builds the map's row starts and a
+    stable sort of the lookups by row, int32 when they fit, and runs
+    scipy's kernel on them directly."""
     ids = np.asarray(ids, dtype=np.int64)
     _check(table.data.ndim == 2, "embedding_lookup", table.shape)
     if ids.size and (ids.min() < 0 or ids.max() >= table.shape[0]):
@@ -200,7 +270,13 @@ def embedding_lookup(table: Tensor, ids) -> Tensor:
 
     def backward_fn(g):
         # lookup i sends its gradient to table row ids[i]
-        return (_scatter_add_map(ids, rows, dtype) @ g.reshape(ids.size, width),)
+        targets = ids.reshape(-1)
+        index = np.int32 if max(rows, ids.size) <= np.iinfo(np.int32).max else np.int64
+        indptr = np.zeros(rows + 1, dtype=index)
+        np.cumsum(np.bincount(targets, minlength=rows), out=indptr[1:])
+        slots = np.argsort(targets, kind="stable").astype(index, copy=False)
+        return (_csr_product(_sparsetools.csr_matvecs, (rows, ids.size), indptr, slots,
+                             np.ones(ids.size, dtype=dtype), g.reshape(ids.size, width)),)
 
     return _op_output(table.data[ids], (table,), backward_fn)
 
@@ -353,14 +429,9 @@ class ListingPlan:
         kernel = _sparsetools.csr_matvecs
         if transposed:
             shape, kernel = shape[::-1], _sparsetools.csc_matvecs
-        # the kernels read ``data`` and ``x`` through raw pointers
         _check(data.shape == self.indices.shape and x.ndim == 2 and x.shape[0] == shape[1],
                "ListingPlan.product", data.shape, x.shape, shape)
-        dtype = np.result_type(data, x)
-        out = np.zeros((shape[0], x.shape[1]), dtype=dtype)
-        kernel(*shape, x.shape[1], self.indptr, self.indices, data.astype(dtype, copy=False),
-               np.ascontiguousarray(x, dtype=dtype).ravel(), out.ravel())
-        return out
+        return _csr_product(kernel, shape, self.indptr, self.indices, data, x)
 
 
 def segment_attention(q: Tensor, k: Tensor, v: Tensor, plan: ListingPlan, scale: float) -> Tensor:

@@ -261,9 +261,14 @@ def _self_attention(p, name, x, mask, cfg):
     return multi_head_attention(p, name, h, h, h, mask, cfg.num_heads)
 
 
+def _two_layer(p, name, x, drop=0.0, training=False, rng=None):
+    """The ``{name}.ff1`` → ReLU → dropout → ``{name}.ff2`` block, one node."""
+    return ad.feed_forward(x, p[f"{name}.ff1.w"], p[f"{name}.ff1.b"], p[f"{name}.ff2.w"],
+                           p[f"{name}.ff2.b"], drop, training, rng)
+
+
 def _feed_forward(p, name, x):
-    h = _linear(p, f"{name}.ff1", _layer_norm(p, f"{name}.ln", x), activation=True)
-    return _linear(p, f"{name}.ff2", h)
+    return _two_layer(p, name, _layer_norm(p, f"{name}.ln", x))
 
 
 def met_layer(p, prefix, e_tok, p_tok, masks, cluster_ids, cfg, training, rng, last):
@@ -304,7 +309,7 @@ def met_layer(p, prefix, e_tok, p_tok, masks, cluster_ids, cfg, training, rng, l
 
 def _masked_features(sample: Sample, cfg: ModelConfig, dtype) -> np.ndarray:
     """Zero out ablated feature blocks; widths stay unchanged."""
-    t = sample.features.astype(dtype).copy()
+    t = sample.features.astype(dtype)
     if not cfg.use_coords:
         t[:, COORD_COLS] = 0
     if not cfg.use_normals:
@@ -351,8 +356,7 @@ def met_forward(
             last=i == cfg.num_layers - 1,
         )
 
-    hidden = _dropout(_linear(params, "head.ff1", e_tok, activation=True), cfg, training, rng)
-    return _linear(params, "head.ff2", hidden)
+    return _two_layer(params, "head", e_tok, cfg.dropout, training, rng)
 
 
 def save_checkpoint(path, params: dict[str, Tensor], cfg: ModelConfig) -> None:

@@ -13,20 +13,26 @@ it became ``autodiff.weighted_nll``. ``weighted_nll_oracle`` chains them
 as the loss did, and the fused op must agree with it bit for bit. The
 tests also use them to turn an op's output into a scalar loss.
 
-Three oracles are ops whose memory use or time was cut, each as it was
+Five oracles are ops whose memory use or time was cut, each as it was
 before:
 
 - ``layer_norm_oracle`` builds its output and its input gradient from
   full-size temporaries and takes its row means with ``np.mean``, where
   ``autodiff.layer_norm`` works in place on plain reductions.
 - ``embedding_lookup_oracle`` scatters its gradient with ``np.add.at``,
-  where ``autodiff.embedding_lookup`` uses one sparse product.
+  and ``scatter_add_map`` builds the scipy matrix that the op's backward
+  later multiplied by, where ``autodiff.embedding_lookup`` runs scipy's
+  kernel on an index that it builds itself, with no matrix object.
 - ``segment_attention_oracle`` takes the raw listing and builds the weight
   map's indices and scipy matrices on every call, where
   ``autodiff.segment_attention`` fills the fixed structure of a
   ``ListingPlan`` built once per listing.
+- ``feed_forward_oracle`` is the ``linear`` → ``dropout`` → ``linear``
+  chain of graph nodes that the model ran before ``autodiff.feed_forward``,
+  whose backward holds the hidden activation, its gradient, a mask and the
+  masked copy at once.
 
-All three must agree with the library ops bit for bit.
+All of them must agree with the library ops bit for bit.
 
 The two earlier oracles of ``autodiff.segment_attention`` sum in other
 orders, so they agree with it to rounding, not bit for bit:
@@ -160,6 +166,25 @@ def embedding_lookup_oracle(table: Tensor, ids) -> Tensor:
         return (gt,)
 
     return _op_output(table.data[ids], (table,), backward_fn)
+
+
+def scatter_add_map(ids: np.ndarray, rows: int, dtype) -> sp.csr_matrix:
+    """(rows, ids.size) map of ones whose product with an (ids.size, w)
+    array adds row i into row ``ids.flat[i]``. Sorting the distinct keys
+    target · ids.size + slot lists each row's slots in ascending order, so
+    each row sums them in the order np.add.at would."""
+    targets = np.asarray(ids, dtype=np.int64).reshape(-1)
+    indptr = np.zeros(rows + 1, dtype=np.int64)
+    np.cumsum(np.bincount(targets, minlength=rows), out=indptr[1:])
+    cols = np.sort(targets * targets.size + np.arange(targets.size)) % targets.size
+    return sp.csr_matrix((np.ones(targets.size, dtype=dtype), cols, indptr),
+                         shape=(rows, targets.size))
+
+
+def feed_forward_oracle(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor,
+                        p: float = 0.0, training: bool = False, rng=None) -> Tensor:
+    hidden = ad.dropout(ad.linear(x, w1, b1, relu=True), p, training, rng)
+    return ad.linear(hidden, w2, b2)
 
 
 def membership_mask(members, member_ptr, keys) -> np.ndarray:

@@ -339,6 +339,17 @@ def test_criterion_04_autodiff_finite_differences():
     for training in (True, False):
         check_op(lambda u, r: ad.dropout(u, 0.3, training, np.random.default_rng(7), residual=r),
                  a34, c34)
+
+    # the model's feed-forward block, one node, whose ReLU inputs take both
+    # signs away from the kink; with dropout, each evaluation draws the
+    # same mask
+    w1, b1 = rng.normal(size=(4, 5)), rng.normal(size=5)
+    w2, b2 = rng.normal(size=(5, 2)), rng.normal(size=2)
+    pre = a34 @ w1 + b1
+    assert (pre < 0).any() and (pre > 0).any() and np.abs(pre).min() > 0.01
+    check_op(ad.feed_forward, a34, w1, b1, w2, b2)
+    check_op(lambda *t: ad.feed_forward(*t, 0.3, True, np.random.default_rng(7)),
+             a34, w1, b1, w2, b2)
     assert time.monotonic() - start < 120
 
 

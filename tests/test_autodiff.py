@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from meshseg import autodiff as ad
-from meshseg.autodiff import ShapeMismatchError, Tensor
+from meshseg.autodiff import ShapeMismatchError, Tensor, _op_output
 from meshseg.optim import AdamW
 from meshseg.preprocess import read_archive, write_archive
 
@@ -33,6 +33,7 @@ from op_oracles import (
     add,
     cluster_attention_oracle,
     embedding_lookup_oracle,
+    feed_forward_oracle,
     gather_rows,
     layer_norm_oracle,
     log_softmax,
@@ -41,6 +42,7 @@ from op_oracles import (
     neighbor_attention_oracle,
     reduce_sum,
     scale,
+    scatter_add_map,
     segment_attention_oracle,
     table_listing,
     weighted_nll_oracle,
@@ -159,6 +161,9 @@ class TestEmbeddingLookup:
                 for op in (ad.embedding_lookup, embedding_lookup_oracle)]
         assert_bit_identical(runs, dtype)
         np.testing.assert_array_equal(runs[0][1][5], 0.0)
+        # the scipy matrix product that the backward used to run
+        g = weight.astype(dtype).reshape(-1, 5)
+        np.testing.assert_array_equal(runs[0][1], scatter_add_map(ids, 6, dtype) @ g)
 
 
 class TestLinear:
@@ -212,6 +217,108 @@ class TestLinear:
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatchError):
             ad.linear(Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 4))), Tensor(np.zeros(3)))
+
+
+class TestFeedForward:
+    @staticmethod
+    def inputs(rng, dtype, rows=6, width=4, hidden=7, out=3):
+        """Leaves' arrays with exactly zero ReLU inputs (a zero row of x
+        under zero biases) and zero output biases."""
+        x = rng.normal(size=(rows, width)).astype(dtype)
+        w1 = rng.normal(size=(width, hidden)).astype(dtype)
+        b1 = rng.normal(size=hidden).astype(dtype)
+        w2 = rng.normal(size=(hidden, out)).astype(dtype)
+        b2 = rng.normal(size=out).astype(dtype)
+        x[0] = 0.0
+        b1[:2] = 0.0
+        b2[0] = 0.0
+        assert ((x @ w1 + b1) == 0).any()
+        return x, w1, b1, w2, b2
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("drop, training", [(0.0, False), (0.3, True), (0.3, False)],
+                             ids=["plain", "dropout", "eval"])
+    def test_matches_the_chain_oracle_bit_for_bit(self, rng, dtype, drop, training):
+        """One node gives the values and all five gradients of the
+        ``linear`` → ``dropout`` → ``linear`` chain, with the same rng draw."""
+        arrays = self.inputs(rng, dtype)
+        weight = rng.normal(size=(6, 3))
+        runs = [run_op(lambda *t: op(*t, drop, training, np.random.default_rng(5)),
+                       dtype, weight, *arrays)
+                for op in (ad.feed_forward, feed_forward_oracle)]
+        assert_bit_identical(runs, dtype)
+        assert len(runs[0]) == 6
+
+    def test_dropout_draws_where_the_chain_draws(self, rng):
+        """The mask is drawn inside the op, at the chain's place in the
+        rng stream: a draw after the op continues the same stream."""
+        arrays = [Tensor(a) for a in self.inputs(rng, np.float64)]
+        after = []
+        for op in (ad.feed_forward, feed_forward_oracle):
+            draws = np.random.default_rng(4)
+            op(*arrays, 0.5, True, draws)
+            after.append(draws.random(3))
+        np.testing.assert_array_equal(*after)
+
+    @pytest.mark.parametrize("drop", [0.0, 0.3], ids=["plain", "dropout"])
+    def test_backward_frees_the_hidden_activation_first(self, rng, drop):
+        """The backward of a block whose hidden width dominates adds under
+        1.5 hidden-sized arrays to what was allocated when it started: the
+        hidden gradient and a bool mask, not also the hidden activation's
+        masked copy. The two-node chain reads above 2."""
+        x, w1, b1, w2, b2 = (rng.normal(size=shape)
+                             for shape in ((512, 32), (32, 512), 512, (512, 32), 32))
+        g = rng.normal(size=(512, 32))
+
+        def peak_in_hidden_arrays(op):
+            leaves = [Tensor(a, requires_grad=True) for a in (x, w1, b1, w2, b2)]
+            out = op(*leaves, drop, True, np.random.default_rng(1))
+            # a loss node that sends g to the block and allocates nothing
+            loss = _op_output(np.zeros(()), (out,), lambda _: (g,))
+            del out
+            tracemalloc.start()
+            try:
+                ad.backward(loss)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            return peak / (512 * 512 * 8)
+
+        assert peak_in_hidden_arrays(ad.feed_forward) < 1.5
+        assert peak_in_hidden_arrays(feed_forward_oracle) > 2
+
+    def test_validates_shapes_and_dropout(self):
+        x, w1, b1 = Tensor(np.ones((2, 3))), Tensor(np.ones((3, 4))), Tensor(np.ones(4))
+        w2, b2 = Tensor(np.ones((4, 2))), Tensor(np.ones(2))
+        with pytest.raises(ShapeMismatchError):
+            ad.feed_forward(x, w1, b1, Tensor(np.ones((3, 2))), b2)
+        with pytest.raises(ShapeMismatchError):
+            ad.feed_forward(x, w1, b1, w2, Tensor(np.ones(4)))
+        with pytest.raises(ValueError, match="probability"):
+            ad.feed_forward(x, w1, b1, w2, b2, 1.0)
+        with pytest.raises(ValueError, match="rng"):
+            ad.feed_forward(x, w1, b1, w2, b2, 0.5, training=True)
+
+
+@pytest.mark.parametrize("op", [
+    lambda x, w, b: ad.linear(x, w, b, relu=True),
+    lambda x, w, b: ad.feed_forward(x, w, b, Tensor(w.data.T.copy(), requires_grad=True),
+                                    Tensor(np.ones(4), requires_grad=True),
+                                    0.3, True, np.random.default_rng(2)),
+], ids=["linear", "feed_forward"])
+def test_input_that_needs_no_gradient_gets_none(rng, op):
+    """An input that requires no gradient, like the model's feature tensor,
+    gets None instead of a product that nothing reads; the other
+    gradients are those of a run where it requires one, bit for bit."""
+    x, w, b = rng.normal(size=(6, 4)), rng.normal(size=(4, 5)), rng.normal(size=5)
+    grads = []
+    for needs in (False, True):
+        out = op(Tensor(x, requires_grad=needs), Tensor(w, requires_grad=True),
+                 Tensor(b, requires_grad=True))
+        grads.append(out._backward_fn(np.random.default_rng(9).normal(size=out.shape)))
+    assert grads[0][0] is None and grads[1][0].shape == x.shape
+    for without, with_ in zip(grads[0][1:], grads[1][1:]):
+        np.testing.assert_array_equal(without, with_)
 
 
 class TestWeightedNll:
@@ -945,6 +1052,9 @@ class TestBackwardMechanics:
             scale(a, 2.0),
             ad.layer_norm(a, Tensor(np.ones(3)), Tensor(np.zeros(3))),
             ad.dropout(a, 0.5, training=True, rng=np.random.default_rng(0)),
+            *(ad.feed_forward(a, Tensor(np.ones((3, 4))), Tensor(np.zeros(4)),
+                              Tensor(np.ones((4, 2))), Tensor(np.zeros(2)), 0.5, training,
+                              np.random.default_rng(0)) for training in (False, True)),
         ]
         for out in outs:
             assert out._node is None
@@ -1085,6 +1195,13 @@ class TestBackwardMechanics:
             "linear relu": lambda a: ad.linear(
                 a, Tensor(k.T, requires_grad=True), Tensor(k[:, 0], requires_grad=True), relu=True),
             "linear without bias": lambda a: ad.linear(a, Tensor(k.T, requires_grad=True)),
+            "feed_forward": lambda a: ad.feed_forward(
+                a, Tensor(k.T, requires_grad=True), Tensor(k[:, 0], requires_grad=True),
+                Tensor(k, requires_grad=True), Tensor(y[0], requires_grad=True)),
+            "feed_forward dropout": lambda a: ad.feed_forward(
+                a, Tensor(k.T, requires_grad=True), Tensor(k[:, 0], requires_grad=True),
+                Tensor(k, requires_grad=True), Tensor(y[0], requires_grad=True),
+                0.5, True, np.random.default_rng(0)),
             "relu": relu,
             "transpose": transpose,
             "concat_last": lambda a: concat_last([a, a]),

@@ -30,7 +30,7 @@ from conftest import (
     small_sample,
     trajectory,
 )
-from op_oracles import weighted_nll_oracle
+from op_oracles import reduce_sum, weighted_nll_oracle
 
 # held_bytes of the graph in test_training_graph_holds_only_what_backward_reads, as
 # measured with fused linear layers, lean op closures and value-less graph nodes
@@ -255,7 +255,11 @@ def held_bytes(loss) -> int:
                 hold(item)
         elif callable(value):
             for cell in getattr(value, "__closure__", None) or ():
-                hold(cell.cell_contents)
+                try:
+                    contents = cell.cell_contents
+                except ValueError:  # a free variable never bound holds nothing
+                    continue
+                hold(contents)
         else:
             for name in getattr(type(value), "__slots__", ()):
                 hold(getattr(value, name, None))
@@ -275,6 +279,26 @@ def held_bytes(loss) -> int:
                 nodes.add(id(parent))
                 stack.append(parent)
     return sum(owners.values())
+
+
+def test_held_bytes_skips_an_empty_closure_cell():
+    """A closure variable bound on one path only leaves an empty cell on
+    the other; it holds no array, so it adds nothing to the count."""
+    x = Tensor(np.ones(4), requires_grad=True)
+    loss = reduce_sum(x)
+
+    def unbound_closure(bind):
+        if bind:
+            mask = np.ones(100)
+
+        def backward_fn(g):
+            return (g * mask,)
+
+        return backward_fn
+
+    for bind, extra in ((False, 0), (True, 800)):
+        loss._backward_fn = unbound_closure(bind)
+        assert held_bytes(loss) == loss.data.nbytes + x.data.nbytes + extra
 
 
 def quick_train_cfg(**overrides):
