@@ -1,11 +1,12 @@
 """Command-line entry point for the segmentation pipeline.
 
-Subcommands: preprocess, train, eval, segment, inspect. Options mirror the
-config dataclasses; a JSON config file supplies defaults that flags
-override. Exit codes: 0 success, 1 data error (including an unreadable,
-malformed or older-format .sample file), 2 config error (including an
-unreadable checkpoint or one that does not match its config), 3 numerical
-failure. Set MESHSEG_LOG to a logging level name for verbosity.
+Subcommands: preprocess, train, eval, segment, inspect. Each option's
+destination is the config dataclass field it sets; a JSON config file
+supplies defaults that flags override. Exit codes: 0 success, 1 data
+error (including an unreadable, malformed or older-format .sample file),
+2 config error (including an unreadable checkpoint or one that does not
+match its config), 3 numerical failure. Set MESHSEG_LOG to a logging
+level name for verbosity.
 """
 
 from __future__ import annotations
@@ -62,7 +63,10 @@ def _setup_logging():
 
 
 def load_run_config(path) -> dict:
-    """JSON config with every key checked against the known field names."""
+    """JSON config with every key checked against the known field names;
+    ``{}`` without a path."""
+    if path is None:
+        return {}
     try:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
     except UnicodeDecodeError as exc:
@@ -128,7 +132,7 @@ def preprocess_options(fn):
                       help="Number of Laplacian eigenvector features.")(fn)
     fn = click.option("--lambda", "clustering_lambda", type=float, default=None,
                       show_default="8", help="Average vertices per cluster.")(fn)
-    fn = click.option("--no-simplify", is_flag=True, default=False,
+    fn = click.option("--no-simplify", "simplify", flag_value=False, default=None,
                       help="Skip QEM simplification.")(fn)
     return fn
 
@@ -154,18 +158,6 @@ def main():
     _setup_logging()
 
 
-def _preprocess_cfg(base, target_vertices, target_faces, eigen_count, clustering_lambda,
-                    no_simplify):
-    cfg = _pick(
-        PreprocessConfig, base,
-        target_vertices=target_vertices, target_faces=target_faces,
-        eigen_count=eigen_count, clustering_lambda=clustering_lambda,
-    )
-    if no_simplify:
-        cfg = dataclasses.replace(cfg, simplify=False)
-    return cfg
-
-
 @main.command("preprocess")
 @click.argument("in_dir", type=click.Path(exists=True, file_okay=False))
 @click.argument("out_dir", type=click.Path(file_okay=False))
@@ -174,13 +166,9 @@ def _preprocess_cfg(base, target_vertices, target_faces, eigen_count, clustering
 @common_options
 @preprocess_options
 @handles_errors
-def cmd_preprocess(in_dir, out_dir, split_path, config_path,
-                   target_vertices, target_faces, eigen_count, clustering_lambda,
-                   no_simplify):
+def cmd_preprocess(in_dir, out_dir, split_path, config_path, **flags):
     """Turn a shapes/ + labels/ dataset directory into sample files."""
-    base = load_run_config(config_path) if config_path else {}
-    cfg = _preprocess_cfg(base, target_vertices, target_faces, eigen_count,
-                          clustering_lambda, no_simplify)
+    cfg = _pick(PreprocessConfig, load_run_config(config_path), **flags)
     split = datamod.read_split_file(split_path) if split_path else None
     pairs = datamod.list_dataset(Path(in_dir), split)
     if not pairs:
@@ -228,24 +216,18 @@ def _load_samples(samples_dir):
 @common_options
 @model_options
 @handles_errors
-def cmd_train(samples_dir, out_checkpoint, metrics_log, max_steps, lr, batch_size,
-              config_path, seed, d_t, d_p, num_layers, num_heads, ablate):
+def cmd_train(samples_dir, out_checkpoint, metrics_log, config_path, ablate, **flags):
     """Train on preprocessed samples and write the best checkpoint."""
-    base = load_run_config(config_path) if config_path else {}
+    config = load_run_config(config_path)
     samples = _load_samples(samples_dir)
-    num_classes = max(s.num_classes for s in samples)
-    eigen_count = samples[0].eigen_count
-    overrides = {}
-    for feature in ablate:
-        overrides.update(ABLATIONS[feature])
+    ablations = {k: v for feature in ablate for k, v in ABLATIONS[feature].items()}
     model_cfg = _pick(
         modelmod.ModelConfig,
-        {**base, "num_classes": base.get("num_classes", num_classes),
-         "eigen_count": eigen_count, **overrides},
-        d_t=d_t, d_p=d_p, num_layers=num_layers, num_heads=num_heads,
+        {"num_classes": max(s.num_classes for s in samples), **config,
+         "eigen_count": samples[0].eigen_count, **ablations},
+        **flags,
     )
-    train_cfg = _pick(trainmod.TrainConfig, base, max_steps=max_steps, lr=lr,
-                      batch_size=batch_size, seed=seed)
+    train_cfg = _pick(trainmod.TrainConfig, config, **flags)
     metrics_path = metrics_log or str(Path(out_checkpoint).with_suffix(".metrics.jsonl"))
     params, history = trainmod.train(
         samples, model_cfg, train_cfg, metrics_path=metrics_path
@@ -264,7 +246,7 @@ def cmd_eval(samples_dir, checkpoint):
     params, model_cfg = modelmod.load_checkpoint(checkpoint)
     samples = _load_samples(samples_dir)
     metrics = trainmod.evaluate(samples, params, model_cfg)
-    click.echo(json.dumps(metrics.to_dict(), indent=2))
+    click.echo(json.dumps(dataclasses.asdict(metrics), indent=2))
 
 
 @main.command("segment")
@@ -274,19 +256,16 @@ def cmd_eval(samples_dir, checkpoint):
 @common_options
 @preprocess_options
 @handles_errors
-def cmd_segment(mesh_path, checkpoint, out_ply, config_path,
-                target_vertices, target_faces, eigen_count, clustering_lambda,
-                no_simplify):
+def cmd_segment(mesh_path, checkpoint, out_ply, config_path, **flags):
     """Segment one mesh and write a colored PLY of the prediction.
 
     The eigen count defaults to the checkpoint's; a flag or config value
     that differs from it is a config error. The eval forward runs on
     gradient-free views of the checkpoint's parameters, so it records no
     graph."""
-    base = load_run_config(config_path) if config_path else {}
+    config = load_run_config(config_path)
     params, model_cfg = modelmod.load_checkpoint(checkpoint)
-    cfg = _preprocess_cfg({"eigen_count": model_cfg.eigen_count, **base}, target_vertices,
-                          target_faces, eigen_count, clustering_lambda, no_simplify)
+    cfg = _pick(PreprocessConfig, {"eigen_count": model_cfg.eigen_count, **config}, **flags)
     if cfg.eigen_count != model_cfg.eigen_count:
         raise ConfigError(f"eigen count {cfg.eigen_count} differs from the checkpoint's "
                           f"eigen count {model_cfg.eigen_count}")
@@ -309,15 +288,11 @@ def cmd_segment(mesh_path, checkpoint, out_ply, config_path,
 @common_options
 @preprocess_options
 @handles_errors
-def cmd_inspect(mesh_path, out_dir, eigenvectors, config_path,
-                target_vertices, target_faces, eigen_count, clustering_lambda,
-                no_simplify):
+def cmd_inspect(mesh_path, out_dir, eigenvectors, config_path, **flags):
     """Dump eigenvector and cluster visualizations of the sample that
     preprocess writes with the same flags, plus spectral stats and the
     sample's preprocessing diagnostics."""
-    base = load_run_config(config_path) if config_path else {}
-    cfg = _preprocess_cfg(base, target_vertices, target_faces, eigen_count,
-                          clustering_lambda, no_simplify)
+    cfg = _pick(PreprocessConfig, load_run_config(config_path), **flags)
     if not 1 <= eigenvectors <= cfg.eigen_count:
         raise ConfigError(f"--eigenvectors {eigenvectors} outside [1, {cfg.eigen_count}], "
                           "the eigen count")

@@ -76,13 +76,6 @@ class Metrics:
     per_class: dict[int, float]
     mean_loss: float
 
-    def to_dict(self) -> dict:
-        return {
-            "area_accuracy": self.area_accuracy,
-            "per_class": {str(k): v for k, v in self.per_class.items()},
-            "mean_loss": self.mean_loss,
-        }
-
 
 def area_weights(areas: np.ndarray, real_mask: np.ndarray) -> np.ndarray:
     """Per-face loss weights: area over total real area; 0 on padding."""

@@ -1,14 +1,17 @@
 """End-to-end CLI flows on a tiny synthetic dataset."""
 
+import dataclasses
 import io
 import json
 import re
 from dataclasses import replace
 
+import click
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from meshseg import cli
 from meshseg import data as datamod
 from meshseg import preprocess, simplify, spectral
 from meshseg import train as trainmod
@@ -979,3 +982,112 @@ class TestHelp:
         for cmd in ("preprocess", "segment", "inspect"):
             assert "--seed" not in run([cmd, "--help"]).output
         assert "--seed" in run(["train", "--help"]).output
+
+
+# the config classes each command builds from its flags and --config file
+COMMAND_CONFIGS = {
+    "preprocess": (PreprocessConfig,),
+    "train": (ModelConfig, trainmod.TrainConfig),
+    "segment": (PreprocessConfig,),
+    "inspect": (PreprocessConfig,),
+}
+CONFIG_CLASSES = (PreprocessConfig, ModelConfig, trainmod.TrainConfig)
+# options that are command arguments, not config fields
+NAMED_ARGUMENTS = {"config_path", "split_path", "metrics_log", "ablate", "eigenvectors"}
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_CONFIGS))
+def test_every_option_is_named_after_what_it_sets(command):
+    """A flag whose destination matches no config field would be dropped
+    silently when the command builds its config."""
+    fields = {f.name for cls in COMMAND_CONFIGS[command] for f in dataclasses.fields(cls)}
+    names = {p.name for p in main.commands[command].params if isinstance(p, click.Option)}
+    assert names - fields - NAMED_ARGUMENTS == set()
+
+
+class _Built(Exception):
+    """Raised by a stub once the command has built its configs."""
+
+
+def built_configs(monkeypatch, command, args, tmp_path, request):
+    """The configs ``meshseg <command> ... args`` builds, caught before use."""
+    def capture(*args, **kwargs):
+        raise _Built([a for a in args if isinstance(a, CONFIG_CLASSES)])
+
+    mesh_path = str(request.getfixturevalue("dataset_dir") / "shapes" / "sphere0.off")
+    if command == "preprocess":
+        paths = [str(request.getfixturevalue("dataset_dir")), str(tmp_path / "out")]
+    elif command == "train":
+        paths = [str(request.getfixturevalue("samples_dir")), str(tmp_path / "m.ckpt")]
+    elif command == "segment":
+        paths = [mesh_path, str(request.getfixturevalue("untrained_checkpoint")),
+                 str(tmp_path / "seg.ply")]
+    else:
+        paths = [mesh_path, str(tmp_path / "out"), "--eigenvectors", "1"]
+    monkeypatch.setattr(cli, "build_sample", capture)
+    monkeypatch.setattr(trainmod, "train", capture)
+    with pytest.raises(_Built) as built:
+        run([command, *paths, *args])
+    return built.value.args[0]
+
+
+def with_config(tmp_path, config, *flags):
+    path = tmp_path / "flag-parity.json"
+    path.write_text(json.dumps(config))
+    return ["--config", str(path), *flags]
+
+
+# flag -> (its arguments, the equal config entry, another value of that entry)
+PREPROCESS_PARITY = {
+    "--no-simplify": (["--no-simplify"], {"simplify": False}, True),
+    "--lambda": (["--lambda", "4"], {"clustering_lambda": 4}, 2.5),
+    "--target-vertices": (["--target-vertices", "300"], {"target_vertices": 300}, 500),
+    "--target-faces": (["--target-faces", "30"], {"target_faces": 30}, 40),
+    "--eigen-count": (["--eigen-count", "4"], {"eigen_count": 4}, 3),
+}
+TRAIN_PARITY = {
+    "--layers": (["--layers", "1"], {"num_layers": 1}, 2),
+    "--heads": (["--heads", "2"], {"num_heads": 2}, 4),
+    "--d-t": (["--d-t", "16"], {"d_t": 16}, 32),
+    "--d-p": (["--d-p", "16"], {"d_p": 16}, 32),
+    "--steps": (["--steps", "3"], {"max_steps": 3}, 5),
+    "--lr": (["--lr", "1e-3"], {"lr": 1e-3}, 2e-3),
+    "--batch-size": (["--batch-size", "2"], {"batch_size": 2}, 3),
+    "--seed": (["--seed", "7"], {"seed": 7}, 8),
+}
+PARITY_CASES = [
+    *[(command, flag) for command in ("preprocess", "segment", "inspect")
+      for flag in PREPROCESS_PARITY],
+    *[("train", flag) for flag in TRAIN_PARITY],
+]
+
+
+class TestFlagsAndConfig:
+    @pytest.mark.parametrize("command, flag", PARITY_CASES)
+    def test_flag_and_config_key_build_the_same_config(self, command, flag, monkeypatch,
+                                                       tmp_path, request):
+        flag_args, entry, other = {**PREPROCESS_PARITY, **TRAIN_PARITY}[flag]
+        (key, _), = entry.items()
+        by_flag = built_configs(monkeypatch, command, flag_args, tmp_path, request)
+        by_config = built_configs(monkeypatch, command, with_config(tmp_path, entry),
+                                  tmp_path, request)
+        both = built_configs(monkeypatch, command,
+                             with_config(tmp_path, {key: other}, *flag_args),
+                             tmp_path, request)
+        assert by_flag == by_config == both
+        assert any(getattr(cfg, key, None) == entry[key] for cfg in by_flag)
+
+    @pytest.mark.parametrize("entry, eigen_count", [
+        ({"simplify": "no"}, 4), ({"eigen_count": "x"}, 2),
+    ], ids=["simplify", "eigen_count"])
+    def test_overridden_config_value_is_not_checked(self, entry, eigen_count, dataset_dir,
+                                                     tmp_path):
+        """A flag replaces its config value before the config is built, so
+        a value that no run reads is never type-checked."""
+        out = tmp_path / "out"
+        flags = ["--no-simplify", "--target-faces", "20", "--lambda", "4",
+                 "--eigen-count", str(eigen_count)]
+        result = run(["preprocess", str(dataset_dir), str(out),
+                      *with_config(tmp_path, entry, *flags)])
+        assert result.exit_code == 0, result.output
+        assert load_sample(out / "sphere1.sample").eigen_count == eigen_count
