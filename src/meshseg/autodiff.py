@@ -43,6 +43,7 @@ __all__ = [
 ]
 
 LAYER_NORM_EPS = 1e-5
+MASK_BLOCK = 65536  # uniforms a dropout mask draws at a time: 512 KiB of float64
 
 
 class ShapeMismatchError(ValueError):
@@ -202,19 +203,11 @@ def feed_forward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor, p: f
         "feed_forward",
         x.shape, w1.shape, b1.shape, w2.shape, b2.shape,
     )
-    if not 0 <= p < 1:
-        raise ValueError(f"dropout probability must be in [0, 1), got {p}")
-    drops = training and p > 0.0
-    if drops and rng is None:
-        raise ValueError("training-mode dropout needs an rng")
     hidden = x.data @ w1.data
     hidden += b1.data
     np.maximum(hidden, 0, out=hidden)
-    keep = s = None
-    if drops:
-        keep = rng.random(hidden.shape) >= p
-        # the scale of ``dropout``, rounded to the dtype
-        s = hidden.dtype.type(1.0) / hidden.dtype.type(1.0 - p)
+    keep, s = _dropout_mask(hidden.shape, hidden.dtype, p, training, rng)
+    if keep is not None:
         hidden *= keep
         hidden *= s
     out = hidden @ w2.data
@@ -562,26 +555,38 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     return _op_output(out, (x, gamma, beta), backward_fn)
 
 
+def _dropout_mask(shape, dtype, p: float, training: bool, rng: np.random.Generator | None):
+    """Inverted dropout's keep mask ``rng.random(shape) >= p``, drawn
+    ``MASK_BLOCK`` uniforms at a time into one buffer (the same mask and rng
+    state without a float64 array of the full shape), and its one scale
+    1/(1-p) rounded to ``dtype``, so masked values equal those of a float
+    mask holding 0 and 1/(1-p); (None, None) in eval mode or at p == 0."""
+    if not 0 <= p < 1:
+        raise ValueError(f"dropout probability must be in [0, 1), got {p}")
+    if not training or p == 0.0:
+        return None, None
+    if rng is None:
+        raise ValueError("training-mode dropout needs an rng")
+    keep = np.empty(shape, dtype=bool)
+    buf = np.empty(min(keep.size, MASK_BLOCK))
+    for block in np.split(keep.reshape(-1), range(MASK_BLOCK, keep.size, MASK_BLOCK)):
+        np.greater_equal(rng.random(out=buf[:block.size]), p, out=block)
+    return keep, dtype.type(1.0) / dtype.type(1.0 - p)
+
+
 def dropout(x: Tensor, p: float, training: bool, rng: np.random.Generator | None = None,
             residual: Tensor | None = None) -> Tensor:
     """Inverted dropout: zero with probability p and scale survivors by
     1/(1-p) at training time; identity in eval mode. With a ``residual`` of
     the shape of ``x``, ``dropout(x) + residual`` as one graph node, in
     eval mode too."""
-    if not 0 <= p < 1:
-        raise ValueError(f"dropout probability must be in [0, 1), got {p}")
+    keep, s = _dropout_mask(x.shape, x.dtype, p, training, rng)
     if residual is not None:
         _check(residual.shape == x.shape, "dropout", x.shape, residual.shape)
-    if not training or p == 0.0:
+    if keep is None:
         if residual is None:
             return x
         return _op_output(x.data + residual.data, (x, residual), lambda g: (g, g))
-    if rng is None:
-        raise ValueError("training-mode dropout needs an rng")
-    keep = rng.random(x.shape) >= p
-    # one scale rounded to the dtype, so values equal those of a float mask
-    # holding 0 and 1/(1-p)
-    s = x.dtype.type(1.0) / x.dtype.type(1.0 - p)
     out_data = x.data * keep
     out_data *= s
     # the closure must not capture ``residual``: it would keep its array alive

@@ -195,11 +195,18 @@ def cmd_preprocess(in_dir, out_dir, split_path, config_path, **flags):
         sys.exit(EXIT_DATA_ERROR)
 
 
-def _load_samples(samples_dir):
+def _load_samples(samples_dir, eigen_count=None):
+    """The samples in file name order; one whose eigen count is not ``eigen_count``
+    (default: the first sample's) is a ConfigError, raised before any forward."""
     paths = sorted(Path(samples_dir).glob("*.sample"))
     if not paths:
         raise FileNotFoundError(f"no .sample files under {samples_dir}")
-    return [load_sample(p) for p in paths]
+    samples = [load_sample(p) for p in paths]
+    want = samples[0].eigen_count if eigen_count is None else eigen_count
+    for path, sample in zip(paths, samples):
+        if sample.eigen_count != want:
+            raise ConfigError(f"{path} has eigen count {sample.eigen_count}, the model {want}")
+    return samples
 
 
 @main.command("train")
@@ -244,7 +251,7 @@ def cmd_train(samples_dir, out_checkpoint, metrics_log, config_path, ablate, **f
 def cmd_eval(samples_dir, checkpoint):
     """Evaluate a checkpoint on preprocessed samples; prints metrics JSON."""
     params, model_cfg = modelmod.load_checkpoint(checkpoint)
-    samples = _load_samples(samples_dir)
+    samples = _load_samples(samples_dir, model_cfg.eigen_count)
     metrics = trainmod.evaluate(samples, params, model_cfg)
     click.echo(json.dumps(dataclasses.asdict(metrics), indent=2))
 

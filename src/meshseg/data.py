@@ -8,6 +8,7 @@ optional split file lists one stem per line.
 from __future__ import annotations
 
 import colorsys
+from collections import Counter
 from pathlib import Path
 
 from meshseg.errors import MeshFormatError
@@ -72,22 +73,26 @@ def read_split_file(path: Path) -> list[str]:
 
 
 def list_dataset(root: Path, split: list[str] | None = None) -> list[tuple[Path, Path]]:
-    """Pairs of (mesh file, label file) matched by stem, sorted by stem."""
+    """Pairs of (mesh file, label file) matched by stem, in mesh file name order; a split
+    stem without a mesh, a shared stem or a missing label file is a FileNotFoundError."""
     root = Path(root)
     shapes_dir = root / "shapes"
     labels_dir = root / "labels"
     if not shapes_dir.is_dir():
         raise FileNotFoundError(f"no shapes/ directory under {root}")
-    pairs = []
-    for mesh_path in sorted(shapes_dir.iterdir()):
-        if mesh_path.suffix.lower() not in MESH_SUFFIXES:
-            continue
-        if split is not None and mesh_path.stem not in split:
-            continue
-        label_path = labels_dir / f"{mesh_path.stem}.txt"
+    meshes = [p for p in sorted(shapes_dir.iterdir()) if p.suffix.lower() in MESH_SUFFIXES
+              and (split is None or p.stem in split)]
+    stems = Counter(p.stem for p in meshes)
+    unknown = sorted(set(split or ()) - set(stems))
+    if unknown:
+        raise FileNotFoundError(f"split stems with no mesh under {shapes_dir}: {unknown}")
+    shared = [p.name for p in meshes if stems[p.stem] > 1]
+    if shared:
+        raise FileNotFoundError(f"mesh files share a stem: {shared}")
+    pairs = [(p, labels_dir / f"{p.stem}.txt") for p in meshes]
+    for mesh_path, label_path in pairs:
         if not label_path.is_file():
             raise FileNotFoundError(f"missing label file for {mesh_path.name}")
-        pairs.append((mesh_path, label_path))
     return pairs
 
 

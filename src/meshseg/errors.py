@@ -49,7 +49,7 @@ def check_config(cfg, minimums: dict[str, int]) -> None:
     ``cfg`` whose value does not match its ``int``, ``float`` or ``bool``
     annotation (a bool is never a number, an int is also a float), that is
     a NaN or infinite ``float`` or an int too large for one, or that lies
-    below its entry in ``minimums``. Other fields are not checked."""
+    below its entry in ``minimums``. Every field has one of the three types."""
     for f in dataclasses.fields(cfg):
         value = getattr(cfg, f.name)
         kind = getattr(f.type, "__name__", f.type)
@@ -58,7 +58,7 @@ def check_config(cfg, minimums: dict[str, int]) -> None:
             "int": number and isinstance(value, numbers.Integral),
             "float": number,
             "bool": isinstance(value, bool),
-        }.get(kind, True)
+        }[kind]
         if not ok:
             raise ConfigError(f"{f.name} must be of type {kind}, got {value!r}")
         if kind == "float":

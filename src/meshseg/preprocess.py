@@ -55,6 +55,9 @@ SPECTRAL_COLS = slice(12, None)
 
 SAMPLE_FORMAT_VERSION = 2
 
+#: Distance within which ``build_sample`` merges a mesh's vertices.
+MERGE_EPS = 1e-8
+
 #: Arrays of a .sample file, each stored as ``<name>.npy``, and the dtype
 #: kind each must have.
 SAMPLE_ARRAYS = {"T": np.floating, "A": np.integer, "cluster_ids": np.integer,
@@ -70,14 +73,12 @@ class PreprocessConfig:
     target_faces: int = 2412
     eigen_count: int = 16
     clustering_lambda: float = 8.0
-    merge_eps: float = 1e-8
     simplify: bool = True
 
     def __post_init__(self):
         # the minimums the pipeline needs: QEM keeps a tetrahedron, the
         # eigensolver returns at least one vector, a sample has a face
-        check_config(self, {"target_vertices": 4, "target_faces": 1, "eigen_count": 1,
-                            "merge_eps": 0})
+        check_config(self, {"target_vertices": 4, "target_faces": 1, "eigen_count": 1})
         if not self.clustering_lambda > 0:
             raise ConfigError(f"clustering_lambda must be > 0, got {self.clustering_lambda}")
 
@@ -289,7 +290,7 @@ def _build_sample(mesh: Mesh, labels: LabelVec | None, cfg: PreprocessConfig) ->
         return out
 
     merged, face_mask = timed(
-        "merge", merge_duplicate_vertices, mesh, cfg.merge_eps, return_face_mask=True
+        "merge", merge_duplicate_vertices, mesh, MERGE_EPS, return_face_mask=True
     )
     if merged.num_faces == 0:
         raise DegenerateGeometryError("mesh has no faces")

@@ -12,8 +12,6 @@ from __future__ import annotations
 
 import json
 import logging
-import math
-import numbers
 import resource
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -41,33 +39,25 @@ __all__ = [
     "evaluate",
 ]
 
+#: Bounds of ``augment``'s uniform scale factor and of its per-axis shift.
+SCALE_RANGE = (0.9, 1.1)
+TRANSLATION_RANGE = 0.1
+
 
 @dataclass(frozen=True)
 class TrainConfig:
     lr: float = 5e-5
-    weight_decay: float = 0.01
     batch_size: int = 12
     max_steps: int = 500
     seed: int = 0
     validation_fraction: float = 0.06
     augment: bool = True
-    scale_range: tuple[float, float] = (0.9, 1.1)
-    translation_range: float = 0.1
     eval_every: int = 50
 
     def __post_init__(self):
         check_config(self, {"batch_size": 1, "max_steps": 0, "seed": 0, "eval_every": 1})
         if not 0 <= self.validation_fraction < 1:
             raise ConfigError("validation_fraction must be in [0, 1)")
-        bounds = self.scale_range
-        if not (isinstance(bounds, (tuple, list)) and len(bounds) == 2
-                and all(isinstance(b, numbers.Real) and not isinstance(b, bool)
-                        and math.isfinite(b) for b in bounds)
-                and 0 < bounds[0] <= bounds[1]):
-            raise ConfigError(
-                f"scale_range must be two finite numbers 0 < low <= high, got {bounds!r}"
-            )
-        object.__setattr__(self, "scale_range", tuple(bounds))
 
 
 @dataclass(frozen=True)
@@ -111,17 +101,16 @@ def random_rotation(rng: np.random.Generator) -> np.ndarray:
     )
 
 
-def augment(sample: Sample, rng: np.random.Generator, cfg: TrainConfig | None = None) -> Sample:
+def augment(sample: Sample, rng: np.random.Generator) -> Sample:
     """Random similarity transform of the coordinate blocks.
 
     Normals are rotated only; spectral features, adjacency, and clustering
     are invariant under similarity transforms and stay untouched. If any
     coordinate leaves [-1, 1] the coordinates are re-standardized.
     """
-    cfg = cfg or TrainConfig()
     rot = random_rotation(rng)
-    s = rng.uniform(*cfg.scale_range)
-    t = rng.uniform(-cfg.translation_range, cfg.translation_range, size=3)
+    s = rng.uniform(*SCALE_RANGE)
+    t = rng.uniform(-TRANSLATION_RANGE, TRANSLATION_RANGE, size=3)
 
     features = sample.features.copy()
     real = sample.real_mask
@@ -204,9 +193,7 @@ def train(
     rng = np.random.default_rng(train_cfg.seed)
     if params is None:
         params = init_params(model_cfg, rng, dtype=dtype)
-    optimizer = AdamW(
-        params, lr=train_cfg.lr, weight_decay=train_cfg.weight_decay
-    )
+    optimizer = AdamW(params, lr=train_cfg.lr)
 
     indices = rng.permutation(len(samples))
     n_val = int(np.floor(train_cfg.validation_fraction * len(samples)))
@@ -271,7 +258,7 @@ def train(
                     sample_rng = np.random.default_rng((train_cfg.seed, epoch, int(idx)))
                     sample = train_set[idx]
                     if train_cfg.augment:
-                        sample = augment(sample, sample_rng, train_cfg)
+                        sample = augment(sample, sample_rng)
                     t0 = perf_counter()
                     loss = weighted_cross_entropy(
                         met_forward(sample, params, model_cfg, training=True, rng=sample_rng),

@@ -778,6 +778,30 @@ class TestDropout:
         with pytest.raises(ShapeMismatchError):
             ad.dropout(Tensor(np.ones((2, 3))), 0.5, training=False, residual=Tensor(np.ones(3)))
 
+    @pytest.mark.parametrize("shape", [(7, 3), (210, 64), (2, ad.MASK_BLOCK), (151, 1024),
+                                       (2412, 512)])
+    def test_block_drawn_mask_equals_the_full_draw(self, shape):
+        """The mask, and where it leaves the rng's stream, equal those of
+        one ``rng.random(shape) >= p``, below one block and above it, with
+        a last block that is full or partial."""
+        drawn, full = np.random.default_rng(3), np.random.default_rng(3)
+        keep, _ = ad._dropout_mask(shape, np.dtype(np.float32), 0.3, True, drawn)
+        np.testing.assert_array_equal(keep, full.random(shape) >= 0.3)
+        np.testing.assert_array_equal(drawn.random(5), full.random(5))
+
+    def test_training_dropout_draws_no_full_size_float64(self):
+        """One training dropout of a paper-width float32 activation peaks
+        below the float64 uniform draw of its shape alone: 9.9 MB."""
+        x = Tensor(np.ones((2412, 512), dtype=np.float32))
+        tracemalloc.start()
+        try:
+            out = ad.dropout(x, 0.1, True, np.random.default_rng(0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out.data.dtype == np.float32
+        assert peak < 2412 * 512 * 8
+
 
 class TestFiniteDifference:
     """Central-difference checks for every differentiable primitive."""

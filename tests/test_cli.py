@@ -135,6 +135,33 @@ class TestPreprocess:
         assert result.exit_code == 0
         assert [p.name for p in out.glob("*.sample")] == ["sphere1.sample"]
 
+    def test_split_stem_without_mesh_exits_1(self, dataset_dir, tmp_path):
+        split = tmp_path / "split.txt"
+        split.write_text("sphere1\nsphere7\nsphere9\n")
+        out = tmp_path / "samples"
+        result = run(["preprocess", str(dataset_dir), str(out), "--split", str(split),
+                      *PREPROCESS_FLAGS])
+        assert result.exit_code == 1, result.output
+        assert result.output == (f"error: split stems with no mesh under "
+                                 f"{dataset_dir / 'shapes'}: ['sphere7', 'sphere9']\n")
+        assert not out.exists()
+
+    def test_meshes_sharing_a_stem_exit_1_before_any_is_read(self, dataset_dir, tmp_path):
+        """Each stem names one .sample file, so a second mesh of the stem
+        would silently replace the first one's sample."""
+        (dataset_dir / "shapes" / "sphere1.obj").write_text("not a mesh\n")
+        out = tmp_path / "samples"
+        result = run(["preprocess", str(dataset_dir), str(out), *PREPROCESS_FLAGS])
+        assert result.exit_code == 1, result.output
+        assert result.output == "error: mesh files share a stem: ['sphere1.obj', 'sphere1.off']\n"
+        assert not out.exists()
+        split = tmp_path / "split.txt"
+        split.write_text("sphere0\n")
+        result = run(["preprocess", str(dataset_dir), str(out), "--split", str(split),
+                      *PREPROCESS_FLAGS])
+        assert result.exit_code == 0, result.output
+        assert [p.name for p in out.glob("*.sample")] == ["sphere0.sample"]
+
     def test_split_file_not_utf8_exits_1(self, dataset_dir, tmp_path):
         split = tmp_path / "split.txt"
         split.write_bytes(b"\xffsphere1\n")
@@ -268,6 +295,26 @@ class TestTrainEval:
         assert result.exit_code == 2
         assert "2" in result.output and "1" in result.output
 
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_sample_of_another_eigen_count_exits_2_naming_it(
+            self, command, dataset_dir, samples_dir, untrained_checkpoint, tmp_path):
+        """Checked against the first sample's eigen count (train) or the
+        checkpoint's (eval) once the samples are loaded, not met as a
+        feature width at the first forward of the odd sample."""
+        other = tmp_path / "other"
+        result = run(["preprocess", str(dataset_dir), str(other), *PREPROCESS_FLAGS,
+                      "--eigen-count", "6"])
+        assert result.exit_code == 0, result.output
+        odd = samples_dir / "sphere1.sample"
+        odd.write_bytes((other / "sphere1.sample").read_bytes())
+        if command == "train":
+            args = [str(tmp_path / "m.ckpt"), *TRAIN_FLAGS]
+        else:
+            args = [str(untrained_checkpoint)]
+        result = run([command, str(samples_dir), *args])
+        assert result.exit_code == 2, result.output
+        assert result.output == f"error: {odd} has eigen count 6, the model 4\n"
+
     def test_ablation_recorded_in_manifest(self, samples_dir, tmp_path):
         import zipfile
 
@@ -312,18 +359,8 @@ BAD_CONFIGS = {
     "batch_size-str": ([], {"batch_size": "2"}, "batch_size"),
     "dropout-str": ([], {"dropout": "0.1"}, "dropout"),
     "lr-str": ([], {"lr": "x"}, "lr"),
-    "scale_range-number": ([], {"scale_range": 1.0}, "scale_range"),
-    "scale_range-three": ([], {"scale_range": [0.9, 1.0, 1.1]}, "scale_range"),
-    "scale_range-reversed": ([], {"scale_range": [1.1, 0.9]}, "scale_range"),
-    "scale_range-zero": ([], {"scale_range": [0, 1.1]}, "scale_range"),
-    "scale_range-str": ([], {"scale_range": ["0.9", 1.1]}, "scale_range"),
-    "scale_range-bool": ([], {"scale_range": [True, 1.1]}, "scale_range"),
-    "scale_range-infinite": ([], {"scale_range": [0.9, float("inf")]}, "scale_range"),
-    # json.dumps writes these as the raw JSON extensions NaN and Infinity
+    # json.dumps writes this as the raw JSON extension NaN
     "lr-nan": ([], {"lr": float("nan")}, "lr"),
-    "weight_decay-infinite": ([], {"weight_decay": float("inf")}, "weight_decay"),
-    "translation_range-infinite": ([], {"translation_range": float("inf")},
-                                   "translation_range"),
     # json.dumps writes this as a raw JSON integer of 401 digits
     "lr-int-too-large": ([], {"lr": 10**400}, "lr"),
 }
@@ -353,7 +390,6 @@ BAD_PREPROCESS_CONFIGS = {
     "eigen_count-0": ({"eigen_count": 0}, "eigen_count"),
     "target_vertices-negative": ({"target_vertices": -5}, "target_vertices"),
     "clustering_lambda-infinite": ({"clustering_lambda": float("inf")}, "clustering_lambda"),
-    "merge_eps-nan": ({"merge_eps": float("nan")}, "merge_eps"),
 }
 
 
@@ -383,6 +419,10 @@ def test_preprocess_config_out_of_range_exits_2(command, case, dataset_dir, tmp_
 
 @pytest.mark.parametrize("command, key", [
     ("train", "tc_sum"), ("preprocess", "cluster_on_features"), ("inspect", "cluster_on_features"),
+    # constants now: train.SCALE_RANGE, train.TRANSLATION_RANGE, AdamW's default
+    # weight decay and preprocess.MERGE_EPS
+    ("train", "weight_decay"), ("train", "scale_range"), ("train", "translation_range"),
+    ("preprocess", "merge_eps"), ("inspect", "merge_eps"), ("segment", "merge_eps"),
 ])
 def test_removed_config_key_exits_2(command, key, dataset_dir, tmp_path, request):
     """Keys of options that no longer exist are refused like any unknown key;
@@ -391,12 +431,16 @@ def test_removed_config_key_exits_2(command, key, dataset_dir, tmp_path, request
     cfg_path.write_text(json.dumps({"d_t": 16, "d_p": 16, "num_layers": 1, "num_heads": 2,
                                     "max_steps": 1, "target_faces": 20, "eigen_count": 4,
                                     "simplify": False, key: True}))
+    mesh_path = str(dataset_dir / "shapes" / "sphere0.off")
     if command == "train":
         args = [str(request.getfixturevalue("samples_dir")), str(tmp_path / "m.ckpt")]
     elif command == "preprocess":
         args = [str(dataset_dir), str(tmp_path / "out")]
+    elif command == "segment":
+        args = [mesh_path, str(request.getfixturevalue("untrained_checkpoint")),
+                str(tmp_path / "seg.ply")]
     else:
-        args = [str(dataset_dir / "shapes" / "sphere0.off"), str(tmp_path / "out")]
+        args = [mesh_path, str(tmp_path / "out")]
     result = run([command, *args, "--config", str(cfg_path)])
     assert result.exit_code == 2, result.output
     assert result.output == f"error: unknown config keys: ['{key}']\n"
@@ -869,7 +913,7 @@ class TestSegmentOnePipeline:
                       str(out_ply), *SIMPLIFY_FLAGS])
         assert result.exit_code == 0, result.output
         mesh = datamod.load_mesh_file(qem_mesh_path)
-        merged = merge_duplicate_vertices(mesh, PreprocessConfig().merge_eps)
+        merged = merge_duplicate_vertices(mesh, preprocess.MERGE_EPS)
         simplified, _ = simplify.simplify_qem(merged, 42)
         corners = preprocess.standardize_coords(simplified.vertices)[simplified.faces]
         rounded = np.vectorize(lambda x: float(f"{x:.9g}"))(corners)
@@ -1003,6 +1047,32 @@ def test_every_option_is_named_after_what_it_sets(command):
     fields = {f.name for cls in COMMAND_CONFIGS[command] for f in dataclasses.fields(cls)}
     names = {p.name for p in main.commands[command].params if isinstance(p, click.Option)}
     assert names - fields - NAMED_ARGUMENTS == set()
+
+
+# each config field that no CLI option sets -> what does set it
+FLAGLESS_FIELDS = {
+    "num_classes": "the samples: the largest class count among them",
+    "use_coords": "--ablate coordinates",
+    "use_normals": "--ablate normals",
+    "use_laplacian": "--ablate laplacian",
+    "use_cluster_stream": "--ablate cluster-modules",
+    "max_clusters": "perfbench/workloads.py (train-small: 32)",
+    "validation_fraction": "perfbench/workloads.py (both train workloads: 0.0)",
+    "eval_every": "perfbench/workloads.py (both train workloads: 10**9)",
+    "ff_multiplier": "the tests' small model (2), on which test_train's GRAPH_BYTES_BOUND "
+                     "rests",
+    "dropout": "test_acceptance's OVERFIT_MODEL and the model tests (0.0 and 0.1)",
+    "augment": "test_acceptance's OVERFIT_TRAIN (False)",
+}
+
+
+def test_every_flagless_config_field_has_a_caller():
+    """A field that neither a flag nor any caller sets is a one-value knob:
+    it belongs in a module constant until something sets it."""
+    flagged = {p.name for command in main.commands.values() for p in command.params
+               if isinstance(p, click.Option)}
+    fields = {f.name for cls in CONFIG_CLASSES for f in dataclasses.fields(cls)}
+    assert fields - flagged == set(FLAGLESS_FIELDS)
 
 
 class _Built(Exception):
