@@ -14,6 +14,7 @@ from meshseg.errors import (
     EigensolverError,
     MeshFormatError,
     TrainingDivergedError,
+    TrainingWorkerError,
 )
 
 __version__ = "0.1.0"
@@ -24,5 +25,6 @@ __all__ = [
     "EigensolverError",
     "MeshFormatError",
     "TrainingDivergedError",
+    "TrainingWorkerError",
     "__version__",
 ]

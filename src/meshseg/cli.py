@@ -195,9 +195,11 @@ def cmd_preprocess(in_dir, out_dir, split_path, config_path, **flags):
         sys.exit(EXIT_DATA_ERROR)
 
 
-def _load_samples(samples_dir, eigen_count=None):
+def _load_samples(samples_dir, eigen_count=None, num_classes=None):
     """The samples in file name order; one whose eigen count is not ``eigen_count``
-    (default: the first sample's) is a ConfigError, raised before any forward."""
+    (default: the first sample's), or that has more classes than
+    ``num_classes`` (when given), is a ConfigError naming its file, raised
+    before any forward."""
     paths = sorted(Path(samples_dir).glob("*.sample"))
     if not paths:
         raise FileNotFoundError(f"no .sample files under {samples_dir}")
@@ -206,6 +208,8 @@ def _load_samples(samples_dir, eigen_count=None):
     for path, sample in zip(paths, samples):
         if sample.eigen_count != want:
             raise ConfigError(f"{path} has eigen count {sample.eigen_count}, the model {want}")
+        if num_classes is not None and sample.num_classes > num_classes:
+            raise ConfigError(f"{path} has {sample.num_classes} classes, the model {num_classes}")
     return samples
 
 
@@ -251,7 +255,7 @@ def cmd_train(samples_dir, out_checkpoint, metrics_log, config_path, ablate, **f
 def cmd_eval(samples_dir, checkpoint):
     """Evaluate a checkpoint on preprocessed samples; prints metrics JSON."""
     params, model_cfg = modelmod.load_checkpoint(checkpoint)
-    samples = _load_samples(samples_dir, model_cfg.eigen_count)
+    samples = _load_samples(samples_dir, model_cfg.eigen_count, model_cfg.num_classes)
     metrics = trainmod.evaluate(samples, params, model_cfg)
     click.echo(json.dumps(dataclasses.asdict(metrics), indent=2))
 

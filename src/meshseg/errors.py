@@ -44,6 +44,11 @@ class TrainingDivergedError(RuntimeError):
         self.diagnostics = diagnostics or {}
 
 
+class TrainingWorkerError(RuntimeError):
+    """A process that trained part of a batch ended without returning its
+    sample's result."""
+
+
 def check_config(cfg, minimums: dict[str, int]) -> None:
     """Raise ConfigError naming the first field of the config dataclass
     ``cfg`` whose value does not match its ``int``, ``float`` or ``bool``

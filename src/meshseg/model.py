@@ -325,21 +325,23 @@ def met_forward(
     cfg: ModelConfig,
     training: bool = False,
     rng: np.random.Generator | None = None,
+    masks: AttentionMasks | None = None,
 ) -> Tensor:
     """Per-triangle class scores, shape (n_total, num_classes).
 
-    Builds the sample's attention masks, with the plans of its two
-    listings, once per call; they depend only on its adjacency, cluster
-    ids and padding, and cost little next to the forward itself. Padding
-    rows produce scores too; downstream consumers drop them via the
-    sample's real mask.
+    ``masks`` are the sample's :func:`build_masks` in the parameters'
+    dtype; they depend only on its adjacency, cluster ids and padding, so a
+    caller that runs several forwards of one sample can build them once.
+    When None, the call builds them. Padding rows produce scores too;
+    downstream consumers drop them via the sample's real mask.
     """
     if sample.features.shape[1] != cfg.feature_width:
         raise ConfigError(
             f"feature width {sample.features.shape[1]} != configured {cfg.feature_width}"
         )
     dtype = params["embed.w"].dtype
-    masks = build_masks(sample, cfg.num_heads, dtype=dtype)
+    if masks is None:
+        masks = build_masks(sample, cfg.num_heads, dtype=dtype)
     k = masks.cluster_bias.shape[0]
     if cfg.use_cluster_stream and k > cfg.max_clusters:
         raise ConfigError(f"sample needs {k} cluster embeddings, table has {cfg.max_clusters}")

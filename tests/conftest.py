@@ -1,5 +1,7 @@
 """Shared mesh generators and numerical oracles for the test suite."""
 
+import multiprocessing
+
 import numpy as np
 import pytest
 
@@ -383,7 +385,8 @@ def small_model_config(**overrides):
 
 # fields of a training record that measure the run (time, throughput,
 # memory) rather than follow from the seed
-RUN_MEASUREMENTS = ("forward_s", "backward_s", "optim_s", "samples_per_s", "peak_rss_mb")
+RUN_MEASUREMENTS = ("forward_s", "backward_s", "optim_s", "samples_per_s", "peak_rss_mb",
+                    "worker_peak_rss_mb")
 
 
 def trajectory(history):
@@ -415,6 +418,15 @@ def permute_sample(sample, perm):
         areas=sample.areas[perm],
         real_mask=sample.real_mask[perm],
     )
+
+
+@pytest.fixture(autouse=True)
+def no_child_process_left():
+    """Fail any test after which a child process of this one still runs."""
+    yield
+    children = multiprocessing.active_children()
+    if children:
+        pytest.fail(f"child processes left running: {children}")
 
 
 @pytest.fixture

@@ -294,6 +294,9 @@ class TestTrainEval:
         result = run(["eval", str(samples_dir), str(ckpt)])
         assert result.exit_code == 2
         assert "2" in result.output and "1" in result.output
+        # checked as the samples load, so the first file is the one named
+        first = sorted(samples_dir.glob("*.sample"))[0]
+        assert result.output == f"error: {first} has 2 classes, the model 1\n"
 
     @pytest.mark.parametrize("command", ["train", "eval"])
     def test_sample_of_another_eigen_count_exits_2_naming_it(

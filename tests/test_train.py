@@ -3,6 +3,7 @@
 import json
 import logging
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -330,8 +331,9 @@ class TestTrainLoop:
 
     def test_info_line_carries_the_record(self, caplog):
         """Each record is also one INFO line: the loss and accuracy, the
-        step's gradient norm, the phase seconds, the training rate and the
-        peak RSS, as the record holds them."""
+        step's gradient norm, the phase seconds, the training rate, the
+        peak RSS, the process count and the workers' peak RSS, as the
+        record holds them."""
         with caplog.at_level(logging.INFO, logger="meshseg.train"):
             _, history = train([small_sample()], small_model_config(eigen_count=4),
                                quick_train_cfg(), dtype=np.float64)
@@ -339,7 +341,8 @@ class TestTrainLoop:
         assert len(lines) == len(history) == 2
         formats = {"step": "{:d}", "loss": "{:.4f}", "accuracy": "{:.4f}",
                    "grad_norm": "{:.4g}", "forward_s": "{:.3f}", "backward_s": "{:.3f}",
-                   "optim_s": "{:.3f}", "samples_per_s": "{:.2f}", "peak_rss_mb": "{:.1f}"}
+                   "optim_s": "{:.3f}", "samples_per_s": "{:.2f}", "peak_rss_mb": "{:.1f}",
+                   "processes": "{:d}", "worker_peak_rss_mb": "{:.1f}"}
         for line, entry in zip(lines, history):
             assert line == " ".join(f"{key} {fmt.format(entry[key])}"
                                     for key, fmt in formats.items())
@@ -477,27 +480,39 @@ class TestTrainLoop:
         with pytest.raises(ValueError, match="consumed"):
             ad.backward(loss)
 
-    def test_keeps_samples_not_attention_masks(self, monkeypatch):
-        """Each forward builds its own masks, so no sample's masks outlive
-        the forward that used them."""
+    def test_builds_each_training_samples_masks_once(self, monkeypatch):
+        """train() builds each training sample's masks once and hands them
+        to every training forward of that sample; none outlives the call."""
         import gc
 
         from meshseg import train as train_module
         from meshseg.model import AttentionMasks
 
-        live = []
-        forward = train_module.met_forward
+        built = []
+        passed = []
+        build, forward = train_module.build_masks, train_module.met_forward
 
-        def counted_forward(*args, **kwargs):
-            live.append(sum(isinstance(o, AttentionMasks) for o in gc.get_objects()))
+        def counted_build(*args, **kwargs):
+            built.append(build(*args, **kwargs))
+            return built[-1]
+
+        def recorded_forward(*args, **kwargs):
+            if kwargs.get("training"):
+                passed.append(kwargs["masks"])
             return forward(*args, **kwargs)
 
-        monkeypatch.setattr(train_module, "met_forward", counted_forward)
+        monkeypatch.setattr(train_module, "build_masks", counted_build)
+        monkeypatch.setattr(train_module, "met_forward", recorded_forward)
+        force_host(monkeypatch, 1)  # every forward in this process
         samples = [small_sample() for _ in range(3)]
         train(samples, small_model_config(eigen_count=4),
-              quick_train_cfg(max_steps=2, eval_every=2, augment=True))
-        assert len(live) == 6  # 2 + 1 training forwards, then 3 in the closing eval
-        assert max(live) <= 1
+              quick_train_cfg(max_steps=4, eval_every=4, augment=True))
+        assert len(built) == 3
+        assert len(passed) == 2 * 3  # two epochs of two steps, over 2 + 1 samples
+        assert {id(m) for m in passed} == {id(m) for m in built}
+        del built, passed
+        gc.collect()
+        assert not any(isinstance(o, AttentionMasks) for o in gc.get_objects())
 
     def test_training_graph_holds_only_what_backward_reads(self):
         """Regression guard on the memory of one training graph: linear
@@ -605,3 +620,156 @@ class TestTrainLoop:
                 assert abs(grad_flat[idx] - fd) / denom <= 1e-3
                 checked += 1
         assert checked >= 15
+
+
+def force_host(monkeypatch, cpus, can_fork=True):
+    """Make train() see ``cpus`` usable CPUs and one BLAS thread each."""
+    import meshseg.train as trainmod
+
+    monkeypatch.setattr(trainmod, "_host", lambda: (cpus, 1, can_fork))
+
+
+def split_samples():
+    """Five distinct small samples, two of them padded."""
+    base = small_sample()
+    return [base, pad_sample(base, 24), small_sample(lam=2.0), pad_sample(base, 22),
+            small_sample(lam=8.0)]
+
+
+class TestBatchSplit:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("batch_size,processes", [(4, 2), (4, 4), (3, 2)],
+                             ids=["batch4-P2", "batch4-P4", "batch3-P2"])
+    def test_split_equals_one_process(self, monkeypatch, dtype, batch_size, processes):
+        """Histories, timing aside, and parameters are the one-process
+        run's bit for bit, with augmentation and dropout on; batch 3 over
+        P = 2 makes uneven rounds, and five samples an uneven last batch."""
+        model_cfg = small_model_config(eigen_count=4)
+        assert model_cfg.dropout > 0
+        cfg = quick_train_cfg(batch_size=batch_size, max_steps=5, eval_every=2, augment=True)
+        runs = {}
+        for p in (1, processes):
+            force_host(monkeypatch, p)
+            runs[p] = train(split_samples(), model_cfg, cfg, dtype=dtype)
+        (p1, h1), (p2, h2) = runs[1], runs[processes]
+        assert [h["processes"] for h in h1] == [1] * 3
+        assert [h["processes"] for h in h2] == [processes] * 3
+        assert all(h["worker_peak_rss_mb"] == 0.0 for h in h1)
+        assert all(h["worker_peak_rss_mb"] > 0 for h in h2)
+
+        def fixed(history):
+            return [{k: v for k, v in h.items() if k != "processes"}
+                    for h in trajectory(history)]
+
+        assert fixed(h1) == fixed(h2)
+        for name in p1:
+            assert p2[name].dtype == dtype and p2[name].grad is None
+            np.testing.assert_array_equal(p1[name].data, p2[name].data, err_msg=name)
+
+    def test_split_leaves_no_parameter_in_the_shared_mapping(self, monkeypatch):
+        """Each trained parameter owns its array, so none outlives the
+        mapping the workers shared."""
+        model_cfg = small_model_config(eigen_count=4)
+        force_host(monkeypatch, 2)
+        trained, history = train(split_samples(), model_cfg,
+                                 quick_train_cfg(max_steps=2, eval_every=2))
+        assert history[-1]["processes"] == 2
+        for name, p in trained.items():
+            assert p.data.flags.owndata and p.data.flags.writeable, name
+
+    def test_worker_exception_reaches_the_parent_as_its_type(self, monkeypatch):
+        """A label out of range in the worker's sample only raises the
+        loss's ValueError in the parent, with the worker's traceback as its
+        cause, and leaves no worker behind."""
+        import multiprocessing
+
+        model_cfg = small_model_config(eigen_count=4)
+        params = init_params(model_cfg, np.random.default_rng(0))
+        # train() draws the validation split first: the sorted batch's
+        # second position, the worker's, is train_idx[1]
+        train_idx = np.random.default_rng(0).permutation(2)
+        samples = [small_sample(), small_sample()]
+        bad = samples[train_idx[1]]
+        samples[train_idx[1]] = replace(bad, labels=np.where(bad.real_mask, 7, bad.labels))
+        force_host(monkeypatch, 2)
+        with pytest.raises(ValueError, match="out of range") as exc:
+            train(samples, model_cfg, quick_train_cfg(), params=params)
+        assert "weighted_nll" in str(exc.value.__cause__)
+        assert multiprocessing.active_children() == []
+
+    def test_killed_worker_ends_training_with_a_typed_error(self, monkeypatch):
+        import os
+        import signal
+
+        import meshseg.train as trainmod
+        from meshseg.errors import TrainingWorkerError
+
+        parent = os.getpid()
+        run_sample = trainmod._train_sample
+
+        def killed_in_worker(*args):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return run_sample(*args)
+
+        def hung(signum, frame):
+            raise TimeoutError("train() hung after its worker died")
+
+        monkeypatch.setattr(trainmod, "_train_sample", killed_in_worker)
+        force_host(monkeypatch, 2)
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(30)
+        try:
+            with pytest.raises(TrainingWorkerError, match="exit code -9"):
+                train(split_samples(), small_model_config(eigen_count=4), quick_train_cfg())
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+
+    @pytest.mark.parametrize("batch_size,samples", [(1, 3), (4, 1)],
+                             ids=["batch-1", "one-sample"])
+    def test_one_sample_batches_fork_nothing_and_map_nothing(
+            self, monkeypatch, batch_size, samples):
+        import mmap
+        import os
+
+        def refused(*args, **kwargs):
+            raise AssertionError("a one-process run forked or mapped memory")
+
+        force_host(monkeypatch, 4)
+        monkeypatch.setattr(os, "fork", refused)
+        monkeypatch.setattr(mmap, "mmap", refused)
+        _, history = train([small_sample()] * samples, small_model_config(eigen_count=4),
+                           quick_train_cfg(batch_size=batch_size, max_steps=2, eval_every=2))
+        assert [h["processes"] for h in history] == [1]
+
+    def test_no_fork_runs_in_one_process_and_says_so_once(self, monkeypatch, caplog):
+        force_host(monkeypatch, 2, can_fork=False)
+        with caplog.at_level(logging.INFO, logger="meshseg.train"):
+            _, history = train(split_samples(), small_model_config(eigen_count=4),
+                               quick_train_cfg(max_steps=4, eval_every=2))
+        assert [h["processes"] for h in history] == [1, 1]
+        assert [r.getMessage() for r in caplog.records if "fork" in r.getMessage()] == [
+            "training in one process: this platform cannot fork"]
+
+
+@pytest.mark.parametrize(
+    "cpus,environ,batch_size,can_fork,processes",
+    [
+        (2, {}, 4, True, 1),  # BLAS runs a thread per CPU already
+        (2, {"OPENBLAS_NUM_THREADS": "1"}, 4, True, 2),
+        (2, {"OMP_NUM_THREADS": "1"}, 4, True, 2),
+        (2, {"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 4, True, 1),
+        (2, {"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "1"}, 4, True, 2),
+        (2, {"OPENBLAS_NUM_THREADS": "many"}, 4, True, 1),
+        (8, {"OPENBLAS_NUM_THREADS": "2"}, 12, True, 4),
+        (8, {"OPENBLAS_NUM_THREADS": "1"}, 3, True, 3),
+        (2, {"OPENBLAS_NUM_THREADS": "1"}, 1, True, 1),
+        (2, {"OPENBLAS_NUM_THREADS": "1"}, 4, False, 1),
+        (1, {"OPENBLAS_NUM_THREADS": "4"}, 4, True, 1),
+    ],
+)
+def test_process_count_rule(cpus, environ, batch_size, can_fork, processes):
+    from meshseg.train import blas_threads, process_count
+
+    assert process_count(batch_size, cpus, blas_threads(environ), can_fork) == processes
