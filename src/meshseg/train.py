@@ -196,24 +196,24 @@ def blas_threads(environ) -> int | None:
 _START_BLAS_THREADS = blas_threads(os.environ)
 
 
-def process_count(batch_size: int, cpus: int, threads: int | None, can_fork: bool) -> int:
+def process_count(batch_size: int, cpus: int, threads: int | None) -> int:
     """How many processes share each training batch: ``min(batch_size,
     cpus // threads)`` for ``threads`` BLAS threads per process, and 1 when
-    BLAS runs one thread per CPU (``threads`` None) or the platform cannot
-    fork. More processes than that would oversubscribe the cores."""
-    if threads is None or not can_fork:
+    BLAS runs one thread per CPU (``threads`` None). More processes than
+    that would oversubscribe the cores."""
+    if threads is None:
         return 1
     return max(1, min(batch_size, cpus // threads))
 
 
-def _host() -> tuple[int, int | None, bool]:
-    """The CPUs this process may run on, BLAS's thread count as the
-    environment set it at start, and whether the platform can fork."""
+def _host() -> tuple[int, int | None]:
+    """The CPUs this process may run on and BLAS's thread count as the
+    environment set it at start."""
     if hasattr(os, "sched_getaffinity"):
         cpus = len(os.sched_getaffinity(0))
     else:
         cpus = os.cpu_count() or 1
-    return cpus, _START_BLAS_THREADS, hasattr(os, "fork")
+    return cpus, _START_BLAS_THREADS
 
 
 def _train_sample(sample, masks, params, model_cfg, train_cfg, epoch, idx):
@@ -269,9 +269,20 @@ class _Workers:
     def collect(self, k):
         """Wait for worker k's sample, add its gradient onto each ``.grad``
         and return its loss and phase seconds; raise the sample's exception,
-        or TrainingWorkerError when the worker died."""
+        or TrainingWorkerError when the worker died.
+
+        The parent polls rather than blocks: each wait lasts about as long
+        as two samples' run times differ, and a parent that sleeps that
+        often lets a hypervisor park its virtual CPU and run it slower
+        afterwards. On a 2-vCPU KVM guest, the evaluations that followed a
+        split train() call ran about 45% slower than after one process
+        while the parent blocked here, and 5-30% slower once it polled,
+        depending on the host's load."""
+        conn = self.conns[k - 1]
+        while not conn.poll(0):  # true once a reply or end-of-file is there
+            pass
         try:
-            reply = self.conns[k - 1].recv()
+            reply = conn.recv()
         except (EOFError, OSError):
             proc = self.procs[k - 1]
             proc.join(1.0)
@@ -351,9 +362,8 @@ def _split_batches(processes: int, params: dict[str, Tensor], run):
     so the parent's in-place optimizer steps reach the workers; each worker
     gets a gradient slot of the same layout after it. On the way out the
     workers end, told to stop when the block exits normally and killed when
-    it raises, and each parameter's ``.data`` becomes a copy of its view,
-    so no parameter outlives the mapping in it. The arrays the parameters
-    held before are not updated."""
+    it raises, and each view is copied back into the array its parameter
+    held before, so no parameter outlives the mapping in it."""
     if processes == 1:
         yield None
         return
@@ -372,6 +382,7 @@ def _split_batches(processes: int, params: dict[str, Tensor], run):
         return {name: np.frombuffer(buffer, p.dtype, p.data.size, base + offsets[name])
                 .reshape(p.shape) for name, p in params.items()}
 
+    owned = {name: p.data for name, p in params.items()}
     for name, view in views(0).items():
         view[...] = params[name].data
         params[name].data = view
@@ -383,8 +394,9 @@ def _split_batches(processes: int, params: dict[str, Tensor], run):
         failed = False
     finally:
         workers.close(kill=failed)
-        for p in params.values():
-            p.data = p.data.copy()
+        for name, p in params.items():
+            owned[name][...] = p.data
+            p.data = owned[name]
 
 
 def train(
@@ -410,9 +422,7 @@ def train(
     sorted batch's positions 0, P, 2P, ..., and worker k, forked for this
     call, positions k, P + k, .... After each round the parent adds the
     workers' gradients and losses in position order, so every sum is the
-    serial loop's. Each worker holds its own graph and gradient. A split
-    run trains the parameters in a shared mapping and leaves each
-    ``.data`` a new array, where one process updates the arrays in place.
+    serial loop's. Each worker holds its own graph and gradient.
 
     Returns ``(best_params, history)``: the parameters with the best
     validation area accuracy (training accuracy when the validation split
@@ -445,11 +455,8 @@ def train(
         return _train_sample(train_set[idx], train_masks[idx], params, model_cfg, train_cfg,
                              epoch, idx)
 
-    cpus, threads, can_fork = _host()
-    batch_size = min(train_cfg.batch_size, len(train_set))
-    processes = process_count(batch_size, cpus, threads, can_fork)
-    if not can_fork and process_count(batch_size, cpus, threads, True) > 1:
-        logger.info("training in one process: this platform cannot fork")
+    cpus, threads = _host()
+    processes = process_count(min(train_cfg.batch_size, len(train_set)), cpus, threads)
 
     history: list[dict] = []
     best_acc = -1.0
@@ -494,11 +501,12 @@ def train(
         since = perf_counter()
         return metrics
 
+    # before the fork, so that no worker starts from a gradient the caller left
+    optimizer.zero_grad()
     metrics_file = open(metrics_path, "w") if metrics_path else nullcontext()
     with metrics_file as log_file, _split_batches(processes, params, run) as workers:
         step = 0
         epoch = 0
-        optimizer.zero_grad()
         while step < train_cfg.max_steps:
             order = np.random.default_rng((train_cfg.seed, 7, epoch)).permutation(
                 len(train_set)

@@ -622,11 +622,17 @@ class TestTrainLoop:
         assert checked >= 15
 
 
-def force_host(monkeypatch, cpus, can_fork=True):
+def force_host(monkeypatch, cpus):
     """Make train() see ``cpus`` usable CPUs and one BLAS thread each."""
     import meshseg.train as trainmod
 
-    monkeypatch.setattr(trainmod, "_host", lambda: (cpus, 1, can_fork))
+    monkeypatch.setattr(trainmod, "_host", lambda: (cpus, 1))
+
+
+def split_trajectory(history):
+    """A history's trajectory without the process count, which is all
+    that a batch split may change."""
+    return [{k: v for k, v in h.items() if k != "processes"} for h in trajectory(history)]
 
 
 def split_samples():
@@ -656,26 +662,45 @@ class TestBatchSplit:
         assert [h["processes"] for h in h2] == [processes] * 3
         assert all(h["worker_peak_rss_mb"] == 0.0 for h in h1)
         assert all(h["worker_peak_rss_mb"] > 0 for h in h2)
-
-        def fixed(history):
-            return [{k: v for k, v in h.items() if k != "processes"}
-                    for h in trajectory(history)]
-
-        assert fixed(h1) == fixed(h2)
+        assert split_trajectory(h1) == split_trajectory(h2)
         for name in p1:
             assert p2[name].dtype == dtype and p2[name].grad is None
             np.testing.assert_array_equal(p1[name].data, p2[name].data, err_msg=name)
 
-    def test_split_leaves_no_parameter_in_the_shared_mapping(self, monkeypatch):
-        """Each trained parameter owns its array, so none outlives the
+    def test_split_updates_the_callers_arrays_in_place(self, monkeypatch):
+        """As in one process, each trained parameter keeps the array it
+        came with, now holding the trained values, so none outlives the
         mapping the workers shared."""
         model_cfg = small_model_config(eigen_count=4)
+        cfg = quick_train_cfg(max_steps=2, eval_every=2)
+        force_host(monkeypatch, 1)
+        serial, _ = train(split_samples(), model_cfg, cfg,
+                          params=init_params(model_cfg, np.random.default_rng(0)))
+        params = init_params(model_cfg, np.random.default_rng(0))
+        arrays = {name: p.data for name, p in params.items()}
         force_host(monkeypatch, 2)
-        trained, history = train(split_samples(), model_cfg,
-                                 quick_train_cfg(max_steps=2, eval_every=2))
+        trained, history = train(split_samples(), model_cfg, cfg, params=params)
         assert history[-1]["processes"] == 2
         for name, p in trained.items():
-            assert p.data.flags.owndata and p.data.flags.writeable, name
+            assert p.data is arrays[name] and p.data.flags.owndata, name
+            np.testing.assert_array_equal(p.data, serial[name].data, err_msg=name)
+
+    def test_split_ignores_a_gradient_the_caller_left(self, monkeypatch):
+        """Parameters that arrive with a stale ``.grad`` train as they do
+        in one process: the gradients are cleared before the workers fork."""
+        model_cfg = small_model_config(eigen_count=4)
+        cfg = quick_train_cfg(max_steps=2, eval_every=2)
+        runs = {}
+        for p in (1, 2):
+            params = init_params(model_cfg, np.random.default_rng(0))
+            for t in params.values():
+                t.grad = np.ones_like(t.data)
+            force_host(monkeypatch, p)
+            runs[p] = train(split_samples(), model_cfg, cfg, params=params)
+        assert [h["processes"] for h in runs[2][1]] == [2]
+        assert split_trajectory(runs[1][1]) == split_trajectory(runs[2][1])
+        for name, p in runs[1][0].items():
+            np.testing.assert_array_equal(p.data, runs[2][0][name].data, err_msg=name)
 
     def test_worker_exception_reaches_the_parent_as_its_type(self, monkeypatch):
         """A label out of range in the worker's sample only raises the
@@ -743,33 +768,23 @@ class TestBatchSplit:
                            quick_train_cfg(batch_size=batch_size, max_steps=2, eval_every=2))
         assert [h["processes"] for h in history] == [1]
 
-    def test_no_fork_runs_in_one_process_and_says_so_once(self, monkeypatch, caplog):
-        force_host(monkeypatch, 2, can_fork=False)
-        with caplog.at_level(logging.INFO, logger="meshseg.train"):
-            _, history = train(split_samples(), small_model_config(eigen_count=4),
-                               quick_train_cfg(max_steps=4, eval_every=2))
-        assert [h["processes"] for h in history] == [1, 1]
-        assert [r.getMessage() for r in caplog.records if "fork" in r.getMessage()] == [
-            "training in one process: this platform cannot fork"]
-
 
 @pytest.mark.parametrize(
-    "cpus,environ,batch_size,can_fork,processes",
+    "cpus,environ,batch_size,processes",
     [
-        (2, {}, 4, True, 1),  # BLAS runs a thread per CPU already
-        (2, {"OPENBLAS_NUM_THREADS": "1"}, 4, True, 2),
-        (2, {"OMP_NUM_THREADS": "1"}, 4, True, 2),
-        (2, {"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 4, True, 1),
-        (2, {"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "1"}, 4, True, 2),
-        (2, {"OPENBLAS_NUM_THREADS": "many"}, 4, True, 1),
-        (8, {"OPENBLAS_NUM_THREADS": "2"}, 12, True, 4),
-        (8, {"OPENBLAS_NUM_THREADS": "1"}, 3, True, 3),
-        (2, {"OPENBLAS_NUM_THREADS": "1"}, 1, True, 1),
-        (2, {"OPENBLAS_NUM_THREADS": "1"}, 4, False, 1),
-        (1, {"OPENBLAS_NUM_THREADS": "4"}, 4, True, 1),
+        (2, {}, 4, 1),  # BLAS runs a thread per CPU already
+        (2, {"OPENBLAS_NUM_THREADS": "1"}, 4, 2),
+        (2, {"OMP_NUM_THREADS": "1"}, 4, 2),
+        (2, {"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 4, 1),
+        (2, {"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "1"}, 4, 2),
+        (2, {"OPENBLAS_NUM_THREADS": "many"}, 4, 1),
+        (8, {"OPENBLAS_NUM_THREADS": "2"}, 12, 4),
+        (8, {"OPENBLAS_NUM_THREADS": "1"}, 3, 3),
+        (2, {"OPENBLAS_NUM_THREADS": "1"}, 1, 1),
+        (1, {"OPENBLAS_NUM_THREADS": "4"}, 4, 1),
     ],
 )
-def test_process_count_rule(cpus, environ, batch_size, can_fork, processes):
+def test_process_count_rule(cpus, environ, batch_size, processes):
     from meshseg.train import blas_threads, process_count
 
-    assert process_count(batch_size, cpus, blas_threads(environ), can_fork) == processes
+    assert process_count(batch_size, cpus, blas_threads(environ)) == processes
